@@ -13,13 +13,11 @@ sphere dynamics.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import expm
-from scipy.sparse import csgraph
 from scipy.stats import qmc
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import BoxSet, MemoryBudgetError, _bfs
+from .reach import BoxSet, MemoryBudgetError, _chain_positions, _edges_to_csr, _self_loops
 from .system import AffineSystem, PiecewiseControl
 
 __all__ = [
@@ -351,18 +349,6 @@ class SphereGraph:
     def num_boxes(self) -> int:
         return int(self.boxes.size)
 
-    def position_of(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        pos = np.searchsorted(self.boxes, ids)
-        pos = np.clip(pos, 0, max(self.num_boxes - 1, 0))
-        good = self.boxes[pos] == ids
-        return np.where(good, pos, -1)
-
-    def to_sparse(self) -> sparse.csr_matrix:
-        return sparse.csr_matrix(
-            (np.ones(self.targets.size, dtype=np.int8), self.targets, self.indptr),
-            shape=(self.num_boxes, self.num_boxes))
-
 
 def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
                        dt: float, pts_per_box: int = 3, seed: int = 0,
@@ -402,13 +388,8 @@ def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
     tgt_ids = np.concatenate(tgt_chunks)
     tgt_pos = np.searchsorted(ids, tgt_ids)
     tgt_pos = np.clip(tgt_pos, 0, n_boxes - 1)
-    enc = np.unique(src * np.int64(n_boxes) + tgt_pos)
-    e_src = enc // n_boxes
-    e_tgt = enc % n_boxes
-    indptr = np.zeros(n_boxes + 1, dtype=np.int64)
-    np.add.at(indptr, e_src + 1, 1)
-    indptr = np.cumsum(indptr)
-    return SphereGraph(sphere=sphere, boxes=ids, indptr=indptr, targets=e_tgt,
+    indptr, targets = _edges_to_csr(src, tgt_pos, n_boxes)
+    return SphereGraph(sphere=sphere, boxes=ids, indptr=indptr, targets=targets,
                        dt=float(dt), controls=controls, pts_per_box=pts_per_box,
                        seed=seed)
 
@@ -422,31 +403,14 @@ class SphereChainAnalysis:
     level_zero: list
     box_diameter: float
 
-    def component_of_point(self, point: np.ndarray) -> int:
-        """Index of the component containing the box of the given direction, or -1."""
-        box = self.graph.sphere.box_of(np.asarray(point, dtype=float)[None, :])[0]
-        for i, comp in enumerate(self.components):
-            if np.any(comp == box):
-                return i
-        return -1
-
 
 def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
     """Strongly connected components (with an internal edge), size-descending."""
-    n_comp, labels = csgraph.connected_components(
-        graph.to_sparse(), directed=True, connection="strong")
-    loops = np.zeros(graph.num_boxes, dtype=bool)
-    for p in range(graph.num_boxes):
-        row = graph.targets[graph.indptr[p]:graph.indptr[p + 1]]
-        k = np.searchsorted(row, p)
-        loops[p] = k < row.size and row[k] == p
-    comps = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        if members.size >= 2 or loops[members[0]]:
-            comps.append(graph.boxes[members])
-    comps.sort(key=lambda c: (-c.size, int(c[0])))
-    touching = [c[graph.sphere.level_zero_touching(c)] for c in comps]
+    chains = _chain_positions(graph.indptr, graph.targets,
+                              _self_loops(graph.indptr, graph.targets))
+    touches = graph.sphere.level_zero_touching(graph.boxes)
+    comps = [graph.boxes[members] for members in chains]
+    touching = [graph.boxes[members[touches[members]]] for members in chains]
     return SphereChainAnalysis(graph=graph, components=comps, level_zero=touching,
                                box_diameter=graph.sphere.box_diameter())
 
@@ -586,8 +550,12 @@ def infinity_boundary_chain(emb: HomEmbedding, subdivisions: int, controls,
         centers[:, -1] = 0.0
         return centers / np.linalg.norm(centers, axis=1, keepdims=True)
 
-    hom_dirs = [np.hstack([hom_sphere.centers(c), np.zeros((c.size, 1))])
-                for c in hom.components]
+    # All homogeneous component directions, component j from row starts[j];
+    # every sphere box has a successor, so there is at least one component.
+    sizes = np.array([c.size for c in hom.components])
+    starts = np.cumsum(sizes) - sizes
+    hom_boxes = np.concatenate(hom.components)
+    hom_dirs = np.hstack([hom_sphere.centers(hom_boxes), np.zeros((hom_boxes.size, 1))])
     matches = []
     directions = []
     for i, slice_boxes in enumerate(big.level_zero):
@@ -596,12 +564,9 @@ def infinity_boundary_chain(emb: HomEmbedding, subdivisions: int, controls,
             continue
         directions.extend(
             ProjPoint.from_vector(v, tolerances.level_tol) for v in dirs)
-        for j, hd in enumerate(hom_dirs):
-            if hd.shape[0] == 0:
-                continue
-            dmin = float(proj_dist_vectors(dirs, hd).min())
-            if dmin <= match_tol:
-                matches.append((i, j, dmin))
+        dmin = np.minimum.reduceat(proj_dist_vectors(dirs, hom_dirs).min(axis=0), starts)
+        matches.extend((i, int(j), float(dmin[j]))
+                       for j in np.flatnonzero(dmin <= match_tol))
     return InfinityBoundaryReport("sphere-chain", directions,
                                   [len(c) for c in big.level_zero],
                                   matches, details=(big, hom))

@@ -4,10 +4,13 @@ A compact window is covered by an axis-aligned grid of boxes.  Sampled
 controls applied for a fixed step define a directed graph on boxes; its
 reachability closures approximate reachable sets, intersections of forward
 and backward closures approximate control sets, and strongly connected
-components approximate chain control sets from the outside (the box
-diameter plays the role of the chain jump size, the step time the role of
-the minimal chain time).  Results are always relative to the window:
-transitions leaving it go to an absorbing sink that closures exclude.
+components approximate chain control sets (the box diameter plays the role
+of the chain jump size, the step time the role of the minimal chain time).
+Edges come from finitely many test points per box, so a transition that no
+test point realises is missing from the graph: the approximations are not
+guaranteed to contain the true sets, and can be strictly smaller.  Results
+are always relative to the window: transitions leaving it go to an
+absorbing sink that closures exclude.
 """
 
 from dataclasses import dataclass, field
@@ -123,7 +126,7 @@ class BoxSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        idx = _sorted_unique(np.array(self.indices, dtype=np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.grid.size):
             raise ValueError("box index out of range")
         idx.setflags(write=False)
@@ -144,13 +147,15 @@ class BoxSet:
         return self.grid.centers(self.indices)
 
     def union(self, other: "BoxSet") -> "BoxSet":
-        return BoxSet(self.grid, np.union1d(self.indices, other.indices))
+        return BoxSet(self.grid, np.concatenate([self.indices, other.indices]))
 
     def intersection(self, other: "BoxSet") -> "BoxSet":
-        return BoxSet(self.grid, np.intersect1d(self.indices, other.indices))
+        return BoxSet(self.grid, np.intersect1d(self.indices, other.indices,
+                                                assume_unique=True))
 
     def difference(self, other: "BoxSet") -> "BoxSet":
-        return BoxSet(self.grid, np.setdiff1d(self.indices, other.indices))
+        return BoxSet(self.grid, np.setdiff1d(self.indices, other.indices,
+                                              assume_unique=True))
 
     def equals(self, other: "BoxSet") -> bool:
         return np.array_equal(self.indices, other.indices)
@@ -176,6 +181,87 @@ class BoxSet:
         starts = np.concatenate([[0], breaks + 1])
         ends = np.concatenate([breaks, [idx.size - 1]])
         return [[int(idx[s]), int(e - s + 1)] for s, e in zip(starts, ends)]
+
+
+# ------------------------------------------------------------- graph core
+# Graphs on positions 0..n-1 as CSR (indptr, targets) with sorted, distinct
+# rows; shared by TransitionGraph and projective.SphereGraph.
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct values, sorted; sorts `values` in place (np.unique hashes, slower)."""
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _edges_to_csr(src: np.ndarray, tgt: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the distinct edges src -> tgt on n nodes."""
+    edges = _sorted_unique(src * np.int64(n) + tgt)
+    e_src, targets = np.divmod(edges, n)
+    return np.searchsorted(e_src, np.arange(n + 1, dtype=np.int64)), targets
+
+
+def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Position of each id in the sorted array `boxes`, or -1 where absent."""
+    if boxes.size == 0:
+        return np.full(ids.shape, -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(boxes, ids), boxes.size - 1)
+    return np.where(boxes[pos] == ids, pos, -1)
+
+
+def _csr_matrix(indptr: np.ndarray, targets: np.ndarray) -> sparse.csr_matrix:
+    n = indptr.size - 1
+    return sparse.csr_matrix(
+        (np.ones(targets.size, dtype=np.int8), targets, indptr), shape=(n, n))
+
+
+def _self_loops(indptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per node, whether it has an edge to itself."""
+    n = indptr.size - 1
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    loops = np.zeros(n, dtype=bool)
+    loops[targets[sources == targets]] = True
+    return loops
+
+
+def _chain_positions(indptr: np.ndarray, targets: np.ndarray,
+                     loops: np.ndarray) -> list[np.ndarray]:
+    """Strongly connected components with an internal edge (`loops`: per-node
+    self-loop flags) as sorted position arrays, by size descending, then
+    smallest position."""
+    if indptr.size == 1:
+        return []
+    n_comp, labels = csgraph.connected_components(
+        _csr_matrix(indptr, targets), directed=True, connection="strong")
+    counts = np.bincount(labels, minlength=n_comp)
+    kept = counts >= 2
+    kept[labels[loops]] = True
+    members = np.flatnonzero(kept[labels])
+    members = members[np.argsort(labels[members], kind="stable")]
+    sizes = counts[kept]
+    ends = np.cumsum(sizes)
+    groups = np.split(members, ends[:-1])
+    return [groups[k] for k in np.lexsort((members[ends - sizes], -sizes))]
+
+
+def _reachable(indptr: np.ndarray, targets: np.ndarray, starts: np.ndarray,
+               include_start: bool) -> np.ndarray:
+    """Sorted positions reachable from `starts` (in zero or more steps with
+    include_start, else in at least one step)."""
+    n = indptr.size - 1
+    if include_start:
+        first = starts
+    else:
+        first = _csr_matrix(indptr, targets)[starts].indices
+    # a virtual node n whose successors are the first positions to visit
+    matrix = _csr_matrix(np.append(indptr, indptr[-1] + first.size),
+                         np.concatenate([targets, first]))
+    order = csgraph.breadth_first_order(matrix, n, directed=True,
+                                        return_predecessors=False)
+    return np.sort(order[1:])
 
 
 @dataclass(frozen=True)
@@ -208,12 +294,7 @@ class TransitionGraph:
 
     def position_of(self, box_indices) -> np.ndarray:
         """Positions of flat box indices inside `boxes` (-1 if absent)."""
-        box_indices = np.asarray(box_indices, dtype=np.int64)
-        pos = np.searchsorted(self.boxes, box_indices)
-        pos = np.clip(pos, 0, max(self.num_boxes - 1, 0))
-        ok = self.num_boxes > 0
-        good = ok & (self.boxes[pos] == box_indices)
-        return np.where(good, pos, -1)
+        return _positions(self.boxes, np.asarray(box_indices, dtype=np.int64))
 
     def successors(self, position: int) -> np.ndarray:
         return self.targets[self.indptr[position]:self.indptr[position + 1]]
@@ -222,28 +303,16 @@ class TransitionGraph:
         """CSR of the reversed graph (cached)."""
         if self._reverse is not None:
             return self._reverse
-        n = self.num_boxes
-        rmat = sparse.csr_matrix(
-            (np.ones(self.targets.size, dtype=np.int8),
-             self.targets, self.indptr), shape=(n, n)).T.tocsr()
+        rmat = self.to_sparse().T.tocsr()
         rev = (rmat.indptr.astype(np.int64), rmat.indices.astype(np.int64))
         object.__setattr__(self, "_reverse", rev)
         return rev
 
     def to_sparse(self) -> sparse.csr_matrix:
-        n = self.num_boxes
-        return sparse.csr_matrix(
-            (np.ones(self.targets.size, dtype=np.int8), self.targets, self.indptr),
-            shape=(n, n))
+        return _csr_matrix(self.indptr, self.targets)
 
     def has_self_loop(self) -> np.ndarray:
-        loops = np.zeros(self.num_boxes, dtype=bool)
-        for p in range(self.num_boxes):
-            row = self.successors(p)
-            pos = np.searchsorted(row, p)
-            if pos < row.size and row[pos] == p:
-                loops[p] = True
-        return loops
+        return _self_loops(self.indptr, self.targets)
 
 
 def _test_points(grid: BoxGrid, boxes: np.ndarray, pts_per_box: int,
@@ -303,52 +372,16 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
             tgt_chunks.append(grid.box_of(images))
     tgt_boxes = np.concatenate(tgt_chunks) if tgt_chunks else np.empty(0, dtype=np.int64)
 
-    # map target boxes to positions; outside window or inactive -> sink
-    tgt_pos = np.full(tgt_boxes.shape, -1, dtype=np.int64)
-    in_window = tgt_boxes >= 0
-    if np.any(in_window):
-        pos = np.searchsorted(boxes, tgt_boxes[in_window])
-        pos = np.clip(pos, 0, max(n_boxes - 1, 0))
-        hit = boxes[pos] == tgt_boxes[in_window]
-        sub = np.full(pos.shape, -1, dtype=np.int64)
-        sub[hit] = pos[hit]
-        tgt_pos[in_window] = sub
-
+    # outside the window (box -1) or the active subset -> sink
+    tgt_pos = _positions(boxes, tgt_boxes)
     sink = np.zeros(n_boxes, dtype=bool)
     to_sink = tgt_pos < 0
-    if np.any(to_sink):
-        sink[np.unique(src[to_sink])] = True
+    sink[src[to_sink]] = True
     keep = ~to_sink
-    if np.any(keep):
-        enc = src[keep] * np.int64(n_boxes) + tgt_pos[keep]
-        enc = np.unique(enc)
-        e_src = enc // n_boxes
-        e_tgt = enc % n_boxes
-    else:
-        e_src = np.empty(0, dtype=np.int64)
-        e_tgt = np.empty(0, dtype=np.int64)
-    indptr = np.zeros(n_boxes + 1, dtype=np.int64)
-    np.add.at(indptr, e_src + 1, 1)
-    indptr = np.cumsum(indptr)
+    indptr, targets = _edges_to_csr(src[keep], tgt_pos[keep], n_boxes)
     return TransitionGraph(grid=grid, boxes=boxes.copy(), indptr=indptr,
-                           targets=e_tgt, sink=sink, dt=float(dt),
+                           targets=targets, sink=sink, dt=float(dt),
                            controls=controls, pts_per_box=pts_per_box, seed=seed)
-
-
-def _bfs(indptr: np.ndarray, targets: np.ndarray, starts: np.ndarray,
-         include_start: bool) -> np.ndarray:
-    n = indptr.size - 1
-    seen = np.zeros(n, dtype=bool)
-    stack = list(starts)
-    if include_start:
-        seen[starts] = True
-    while stack:
-        node = stack.pop()
-        row = targets[indptr[node]:indptr[node + 1]]
-        new = row[~seen[row]]
-        seen[new] = True
-        stack.extend(new.tolist())
-    return np.flatnonzero(seen)
 
 
 def closure(graph: TransitionGraph, from_set: BoxSet, direction: str = "forward",
@@ -371,8 +404,8 @@ def closure(graph: TransitionGraph, from_set: BoxSet, direction: str = "forward"
         indptr, targets = graph.indptr, graph.targets
     else:
         indptr, targets = graph.reverse()
-    reached = _bfs(indptr, targets, starts, include_start)
-    return BoxSet(graph.grid, graph.boxes[reached])
+    return BoxSet(graph.grid, graph.boxes[_reachable(indptr, targets, starts,
+                                                     include_start)])
 
 
 def control_set_approx(graph: TransitionGraph, seed_box: int) -> BoxSet:
@@ -395,22 +428,14 @@ def control_set_approx(graph: TransitionGraph, seed_box: int) -> BoxSet:
 def chain_components(graph: TransitionGraph) -> list[BoxSet]:
     """Strongly connected components with at least one internal edge.
 
-    Ordered by size descending (ties by smallest box index); these
-    outer-approximate chain control sets and tighten as the grid refines.
+    Ordered by size descending (ties by smallest box index).  They
+    approximate chain control sets and shrink as the grid refines, but they
+    are not guaranteed outer approximations: a transition that no test
+    point realises is missing from the graph, so a component can be
+    smaller than the chain control set it approximates.
     """
-    if graph.num_boxes == 0:
-        return []
-    n_comp, labels = csgraph.connected_components(
-        graph.to_sparse(), directed=True, connection="strong")
-    loops = graph.has_self_loop()
-    counts = np.bincount(labels, minlength=n_comp)
-    keep = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        if members.size >= 2 or loops[members[0]]:
-            keep.append(BoxSet(graph.grid, graph.boxes[members]))
-    keep.sort(key=lambda s: (-len(s), int(s.indices[0]) if len(s) else 0))
-    return keep
+    return [BoxSet(graph.grid, graph.boxes[members]) for members in
+            _chain_positions(graph.indptr, graph.targets, graph.has_self_loop())]
 
 
 def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
@@ -427,13 +452,6 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
         raise ValueError("factor must be >= 2")
     grid = graph.grid
     fine = BoxGrid(grid.lo, grid.hi, grid.subdivisions * factor)
-    if len(keep) == 0:
-        empty = BoxSet(fine, np.empty(0, dtype=np.int64))
-        return fine, build_transition_graph(
-            sys, fine, graph.controls, dt or graph.dt,
-            pts_per_box or graph.pts_per_box,
-            graph.seed if seed is None else seed,
-            active=empty, memory_cap=memory_cap)
     coarse_multi = grid.multi_index(keep.indices)
     offsets = np.stack(np.meshgrid(*([np.arange(factor)] * grid.dim),
                                    indexing="ij"), axis=-1).reshape(-1, grid.dim)
@@ -441,8 +459,8 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
                 ).reshape(-1, grid.dim)
     active = BoxSet(fine, fine.flat_index(children)).dilate(1)
     return fine, build_transition_graph(
-        sys, fine, graph.controls, dt or graph.dt,
-        pts_per_box or graph.pts_per_box,
+        sys, fine, graph.controls, graph.dt if dt is None else dt,
+        graph.pts_per_box if pts_per_box is None else pts_per_box,
         graph.seed if seed is None else seed,
         active=active, memory_cap=memory_cap)
 

@@ -1,0 +1,92 @@
+"""Property tests of the box-graph core shared by reach and projective.
+
+Random small digraphs (self-loops and duplicate edges included) are wrapped
+as a TransitionGraph on a 1-D grid and as a SphereGraph, and every graph
+query is compared with a brute-force Warshall reachability matrix.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from affinecontrol.projective import SphereGraph, SphereGrid, sphere_chain_components
+from affinecontrol.reach import (
+    BoxGrid,
+    BoxSet,
+    TransitionGraph,
+    _edges_to_csr,
+    chain_components,
+    closure,
+)
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=40))
+    starts = draw(st.lists(node, min_size=1, max_size=n, unique=True))
+    return n, edges, starts
+
+
+def warshall(adj: np.ndarray) -> np.ndarray:
+    """reach[i, j]: a path of at least one edge leads from i to j."""
+    reach = adj.copy()
+    for k in range(adj.shape[0]):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return reach
+
+
+def expected_components(reach: np.ndarray) -> list:
+    """Positions on a cycle, grouped by mutual reachability; (-size, first) order."""
+    comps = {tuple(np.flatnonzero(reach[i] & reach[:, i]))
+             for i in range(reach.shape[0]) if reach[i, i]}
+    return sorted(comps, key=lambda c: (-len(c), c[0]))
+
+
+def wrap(n, edges):
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    tgt = np.array([e[1] for e in edges], dtype=np.int64)
+    indptr, targets = _edges_to_csr(src, tgt, n)
+    grid = BoxGrid([0.0], [1.0], [n])
+    graph = TransitionGraph(grid=grid, boxes=np.arange(n, dtype=np.int64),
+                            indptr=indptr, targets=targets,
+                            sink=np.zeros(n, dtype=bool), dt=1.0,
+                            controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
+    sphere = SphereGrid(2, 12)
+    sphere_graph = SphereGraph(sphere=sphere, boxes=sphere.canonical_ids()[:n],
+                               indptr=indptr, targets=targets, dt=1.0,
+                               controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
+    return graph, sphere_graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs())
+def test_graph_core_matches_warshall(case):
+    n, edges, starts = case
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = True
+    graph, sphere_graph = wrap(n, edges)
+
+    # CSR: distinct, sorted rows holding exactly the edge set
+    assert graph.indptr.tolist() == np.concatenate([[0], np.cumsum(adj.sum(1))]).tolist()
+    for p in range(n):
+        assert graph.successors(p).tolist() == np.flatnonzero(adj[p]).tolist()
+    assert np.array_equal(graph.has_self_loop(), np.diag(adj))
+
+    reach = warshall(adj)
+    want = expected_components(reach)
+    got = [tuple(c.indices.tolist()) for c in chain_components(graph)]
+    assert got == want
+    sphere_got = sphere_chain_components(sphere_graph).components
+    assert [tuple(c.tolist()) for c in sphere_got] == [
+        tuple(sphere_graph.boxes[list(c)].tolist()) for c in want]
+
+    from_set = BoxSet(graph.grid, starts)
+    start_mask = np.zeros(n, dtype=bool)
+    start_mask[starts] = True
+    for direction, r in (("forward", reach), ("backward", reach.T)):
+        stepped = r[starts].any(axis=0)
+        for include_start, expected in ((True, stepped | start_mask), (False, stepped)):
+            result = closure(graph, from_set, direction, include_start)
+            assert result.indices.tolist() == np.flatnonzero(expected).tolist()

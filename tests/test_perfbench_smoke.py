@@ -1,0 +1,61 @@
+"""Smoke test of the benchmark tracer: it installs on the library's names,
+records spans, and restores every name it wrapped."""
+
+import importlib.util
+from pathlib import Path
+
+from affinecontrol import reach
+from affinecontrol.system import AffineSystem
+
+SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(spans):
+    """Every (owner, attribute) the tracer wraps, with its current value."""
+    found = {}
+    for original, _, _ in spans.FUNCTIONS:
+        for module in spans.MODULES:
+            for attr, value in vars(module).items():
+                if value is original:
+                    found[(module.__name__, attr)] = (module, value)
+    for cls, attr, _ in spans.METHODS:
+        found[(cls.__qualname__, attr)] = (cls, cls.__dict__[attr])
+    owner, attr, _ = spans.SCC
+    found[(owner.__name__, attr)] = (owner, getattr(owner, attr))
+    return found
+
+
+def test_tracer_installs_records_and_restores():
+    spans = load_spans()
+    before = bindings(spans)
+    # every wrapped function is bound somewhere, every method exists
+    assert len(before) >= len(spans.FUNCTIONS) + len(spans.METHODS) + 1
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (_, attr), (owner, value) in before.items():
+            assert vars(owner)[attr] is not value, attr
+        sys = AffineSystem([[-1.0]], [[[0.0]]], [[0.0]], [0.0], [-1.0], [1.0])
+        with tracer.recording():
+            # through the module, whose names the tracer replaced
+            graph = reach.build_transition_graph(sys, reach.BoxGrid([-1.0], [1.0], [8]),
+                                                 [[0.0]], 0.5, 1, seed=0)
+            reach.chain_components(graph)
+        layers, counts = spans.layer_metrics(tracer)
+    finally:
+        tracer.uninstall()
+    for (_, attr), (owner, value) in before.items():
+        assert vars(owner)[attr] is value, attr
+    names = {s[0] for s in tracer.spans}
+    assert {"reach.build_transition_graph", "reach.box_of", "reach.chain_components",
+            "reach.has_self_loop", "scipy.scc"} <= names
+    assert layers["reach.chain_components.s"] > 0.0
+    assert counts["reach.edges"] == graph.num_edges
+    assert 0.0 < counts["reach.scc.kept_ratio"] <= 1.0

@@ -327,6 +327,10 @@ def test_refine_empty_keep_gives_empty_grid():
                               BoxSet(grid, np.empty(0, dtype=np.int64)), 2)
     assert fine.size == 16
     assert fine_graph.num_boxes == 0
+    for bad in ({"dt": 0.0}, {"pts_per_box": 0}):
+        with pytest.raises(ValueError):
+            refine(contraction_1d(), graph, BoxSet(grid, np.empty(0, dtype=np.int64)),
+                   2, **bad)
 
 
 def test_refine_shrinks_symmetric_difference():
@@ -368,3 +372,6 @@ def test_refine_closure_commutes_up_to_collar():
     parents = grid.flat_index(fine.multi_index(fine_closure.indices) // 2)
     coarse_cover = keep.dilate(1)
     assert all(p in coarse_cover for p in np.unique(parents))
+    for bad in ({"dt": 0.0}, {"pts_per_box": 0}):
+        with pytest.raises(ValueError):
+            refine(sys, graph, keep, 2, **bad)
