@@ -1,24 +1,24 @@
 """Monodromy matrices, Floquet data, periodic solutions, and continuation.
 
-For a periodic piecewise-constant control the principal fundamental
-solution of the linearization is a finite product of segment exponentials,
-so multipliers, the forced integral, and the periodic-solution trichotomy
-(unique / affine family / obstructed) are all computed from closed-form
-segment maps rather than an ODE stepper.
+For a periodic piecewise-constant control the period map [[Phi, b], [0, 1]]
+is the ordered product of augmented segment exponentials (Van Loan's block
+form), so the monodromy, the forced integral, the multipliers and the
+periodic-solution trichotomy (unique / affine family / obstructed) come
+from closed-form maps rather than an ODE stepper.  Every entry point maps
+its controls in one batch, one stacked exponential for all segments.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .system import (
     AffineSystem,
     PiecewiseControl,
     _check_control,
+    _segment_maps,
     larc_rank,
-    segment_map,
 )
 
 __all__ = [
@@ -111,31 +111,58 @@ class Obstructed:
         return "obstructed"
 
 
+def _period_maps(sys: AffineSystem, controls) -> tuple[np.ndarray, np.ndarray]:
+    """Monodromies Phi (N, n, n) and forced integrals b (N, n) of N controls.
+
+    The augmented segment maps of all controls come from one stacked
+    exponential and are multiplied with batched matmul per segment count,
+    so no control's result depends on the rest of the batch.  Raises
+    EigenSolverError, naming the control, when a map is not finite.
+    """
+    _check_control(sys, *controls)
+    counts = np.array([ctrl.num_segments for ctrl in controls])
+    E = _segment_maps(sys, np.concatenate([c.values for c in controls]),
+                      np.concatenate([c.durations for c in controls]))
+    first = np.cumsum(counts) - counts
+    maps = np.empty((len(controls),) + E.shape[1:])
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        P = E[first[rows]]
+        for j in range(1, k):
+            P = E[first[rows] + j] @ P
+        maps[rows] = P
+    phi, b = maps[:, :-1, :-1], maps[:, :-1, -1]
+    finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EigenSolverError(f"period map of control {i} ({controls[i]}) is not finite",
+                               float("inf"))
+    return phi, b
+
+
+def _spectrum(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multipliers and margins min_j |rho_j - 1| of a monodromy or a stack of them."""
+    try:
+        multipliers = np.linalg.eigvals(phi)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError("eigenvalue iteration failed on the monodromy",
+                               float(np.max(np.linalg.cond(phi)))) from exc
+    return multipliers, np.min(np.abs(multipliers - 1.0), axis=-1)
+
+
 def principal_matrix(sys: AffineSystem, ctrl: PiecewiseControl,
                      t: float, s: float) -> np.ndarray:
     """Fundamental solution Phi(t, s) of dx = A(u(.)) x under the periodic control.
 
-    Ordered product of segment exponentials covering [s, t]; for t < s the
-    inverse of Phi(s, t) is returned.
+    The period map of the segments covering [s, t], so only their values
+    are checked against the box; for t < s the inverse of Phi(s, t).
     """
-    _check_control(sys, ctrl)
-    if t == s:
-        return np.eye(sys.n)
     if t < s:
         return np.linalg.inv(principal_matrix(sys, ctrl, s, t))
-    phi = np.eye(sys.n)
-    for u, dt in ctrl.pieces(s, t):
-        phi = expm(dt * sys.system_matrix(u)) @ phi
-    return phi
-
-
-def _unit_eigenspace(phi: np.ndarray, eig_tol: float) -> np.ndarray:
-    """Orthonormal basis of the numerical nullspace of phi - I (columns)."""
-    M = phi - np.eye(phi.shape[0])
-    _, sv, vt = np.linalg.svd(M)
-    cutoff = eig_tol * max(1.0, sv[0] if sv.size else 1.0)
-    keep = sv <= cutoff
-    return vt[keep].T.copy()
+    pieces = list(ctrl.pieces(s, t))
+    if not pieces:
+        return np.eye(sys.n)
+    return _period_maps(sys, [PiecewiseControl.from_segments(pieces)])[0][0]
 
 
 def floquet_of(sys: AffineSystem, ctrl: PiecewiseControl,
@@ -143,18 +170,17 @@ def floquet_of(sys: AffineSystem, ctrl: PiecewiseControl,
                ) -> tuple[Monodromy, FloquetData]:
     """Monodromy over one period and the derived Floquet data."""
     tau = ctrl.period
-    phi = principal_matrix(sys, ctrl, tau, 0.0)
-    try:
-        multipliers = np.linalg.eigvals(phi)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError("eigenvalue iteration failed on the monodromy",
-                               float(np.linalg.cond(phi))) from exc
+    phi = _period_maps(sys, [ctrl])[0][0]
+    multipliers, margin = _spectrum(phi)
+    margin = float(margin)
     # exponents lambda_j = (1/tau) log|rho_j|, sorted descending
     with np.errstate(divide="ignore"):
         exponents = np.sort(np.log(np.abs(multipliers)) / tau)[::-1]
-    margin = float(np.min(np.abs(multipliers - 1.0)))
     unit = margin <= tolerances.unit_tol
-    basis = _unit_eigenspace(phi, tolerances.eig_tol) if unit else np.zeros((sys.n, 0))
+    basis = np.zeros((sys.n, 0))
+    if unit:  # orthonormal basis of the numerical nullspace of phi - I
+        _, sv, vt = np.linalg.svd(phi - np.eye(sys.n))
+        basis = vt[sv <= tolerances.eig_tol * sv.max(initial=1.0)].T.copy()
     data = FloquetData(multipliers=multipliers, exponents=exponents,
                        margin=margin, unit_multiplier=unit,
                        unit_eigenspace=basis)
@@ -167,14 +193,27 @@ def forced_integral(sys: AffineSystem, ctrl: PiecewiseControl) -> np.ndarray:
     Computed exactly as the translation part of the composed augmented
     segment maps, so no quadrature error enters.
     """
-    _check_control(sys, ctrl)
-    G = np.eye(sys.n)
-    h = np.zeros(sys.n)
-    for u, dt in ctrl.pieces(0.0, ctrl.period):
-        Gj, hj = segment_map(sys, u, dt)
-        G = Gj @ G
-        h = Gj @ h + hj
-    return h
+    return _period_maps(sys, [ctrl])[1][0]
+
+
+def _solve(M: np.ndarray, b: np.ndarray, margin: float, tolerances: Tolerances):
+    """Trichotomy of the fixed-point system M x = b, where M = I - Phi."""
+    if margin > tolerances.unit_tol:
+        return Unique(np.linalg.solve(M, b))
+    U, sv, vt = np.linalg.svd(M)
+    cutoff = tolerances.eig_tol * max(1.0, sv[0] if sv.size else 1.0)
+    rank = int(np.sum(sv > cutoff))
+    coeffs = U.T @ b
+    y0 = vt[:rank].T @ (coeffs[:rank] / sv[:rank]) if rank else np.zeros(b.size)
+    residual = float(np.linalg.norm(coeffs[rank:]))
+    if residual <= tolerances.res_tol * (1.0 + np.linalg.norm(b)):
+        return AffineFamily(y0, vt[rank:].T.copy())
+    return Obstructed(residual)
+
+
+def _solution_point(sol):
+    """x0 of a Unique, y0 of an AffineFamily, None when obstructed."""
+    return getattr(sol, "x0", getattr(sol, "y0", None))
 
 
 def periodic_solution(sys: AffineSystem, ctrl: PiecewiseControl,
@@ -185,20 +224,8 @@ def periodic_solution(sys: AffineSystem, ctrl: PiecewiseControl,
     fixed-point system in the least-squares sense: a small residual means
     an affine family of periodic solutions, a large one means none exist.
     """
-    monodromy, data = floquet_of(sys, ctrl, tolerances)
-    b = forced_integral(sys, ctrl)
-    M = np.eye(sys.n) - monodromy.phi
-    if data.margin > tolerances.unit_tol:
-        return Unique(np.linalg.solve(M, b))
-    U, sv, vt = np.linalg.svd(M)
-    cutoff = tolerances.eig_tol * max(1.0, sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    coeffs = U.T @ b
-    y0 = vt[:rank].T @ (coeffs[:rank] / sv[:rank]) if rank else np.zeros(sys.n)
-    residual = float(np.linalg.norm(coeffs[rank:]))
-    if residual <= tolerances.res_tol * (1.0 + np.linalg.norm(b)):
-        return AffineFamily(y0, vt[rank:].T.copy())
-    return Obstructed(residual)
+    phi, b = _period_maps(sys, [ctrl])
+    return _solve(np.eye(sys.n) - phi[0], b[0], float(_spectrum(phi)[1][0]), tolerances)
 
 
 # --------------------------------------------------------------------- scan
@@ -267,10 +294,8 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
     rng = np.random.default_rng(seed)
     controls = list(sampler.include)
     controls += [sampler.sample(rng, sys, i) for i in range(count)]
-    margins = np.empty(len(controls))
-    for i, ctrl in enumerate(controls):
-        _, data = floquet_of(sys, ctrl, tolerances)
-        margins[i] = data.margin
+    phi, b = _period_maps(sys, controls)
+    margins = _spectrum(phi)[1]
     best = int(np.argmin(margins))
     min_margin = float(margins[best])
     refuted = min_margin <= tolerances.unit_tol
@@ -279,12 +304,8 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
     # bracket-rank proxy at the periodic point of the extremal control.
     proxy_rank = None
     proxy_full = None
-    sol = periodic_solution(sys, controls[best], tolerances)
-    point = None
-    if isinstance(sol, Unique):
-        point = sol.x0
-    elif isinstance(sol, AffineFamily):
-        point = sol.y0
+    point = _solution_point(_solve(np.eye(sys.n) - phi[best], b[best], min_margin,
+                                   tolerances))
     if point is not None and np.all(np.isfinite(point)):
         proxy_rank = larc_rank(sys, point, rank_tol=tolerances.rank_tol)
         proxy_full = proxy_rank == sys.n
@@ -375,12 +396,11 @@ class ContinuationResult:
     crossings: list
 
 
-def _near_kernel(phi: np.ndarray, eig_tol: float) -> np.ndarray:
-    """Right singular vectors of (I - phi) at the smallest singular value."""
-    M = np.eye(phi.shape[0]) - phi
+def _near_kernel(M: np.ndarray, eig_tol: float) -> np.ndarray:
+    """Right singular vectors of M = I - phi at the smallest singular value."""
     _, sv, vt = np.linalg.svd(M)
     if sv.size == 0:
-        return np.zeros((phi.shape[0], 0))
+        return np.zeros((M.shape[0], 0))
     cutoff = max(10.0 * sv[-1], eig_tol * max(1.0, sv[0]))
     keep = sv <= cutoff
     return vt[keep].T.copy()
@@ -399,51 +419,51 @@ def _sphere_distance(x: np.ndarray, basis: np.ndarray) -> float:
     return float(np.linalg.norm(xhat - p / np_))
 
 
-def _evaluate_path_point(sys, path, alpha, tolerances, refined=False):
-    ctrl = path.at(alpha)
-    mono, data = floquet_of(sys, ctrl, tolerances)
-    det_gap = float(np.linalg.det(np.eye(sys.n) - mono.phi))
-    sol = periodic_solution(sys, ctrl, tolerances)
-    if isinstance(sol, Unique):
-        norm_x = float(np.linalg.norm(sol.x0))
-        point = sol.x0
-    elif isinstance(sol, AffineFamily):
-        norm_x = float(np.linalg.norm(sol.y0))
-        point = sol.y0
-    else:
-        norm_x = float("nan")
-        point = None
-    kernel_angle = float("nan")
-    if point is not None and data.margin <= tolerances.kernel_window:
-        kernel_angle = _sphere_distance(point, _near_kernel(mono.phi, tolerances.eig_tol))
-    return ContinuationRecord(alpha=float(alpha), tau=mono.tau, control=ctrl,
-                              det_gap=det_gap, margin=data.margin, solution=sol,
-                              norm_x=norm_x, kernel_angle=kernel_angle,
-                              refined=refined)
+def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
+    """Continuation records at the alphas, from one batch of period maps."""
+    controls = [path.at(alpha) for alpha in alphas]
+    phi, b = _period_maps(sys, controls)
+    M = np.eye(sys.n) - phi
+    records = []
+    for alpha, ctrl, Mi, bi, det_gap, margin in zip(
+            alphas, controls, M, b, np.linalg.det(M), _spectrum(phi)[1]):
+        sol = _solve(Mi, bi, margin, tolerances)
+        point = _solution_point(sol)
+        norm_x = float(np.linalg.norm(point)) if point is not None else float("nan")
+        kernel_angle = float("nan")
+        if point is not None and margin <= tolerances.kernel_window:
+            kernel_angle = _sphere_distance(point, _near_kernel(Mi, tolerances.eig_tol))
+        records.append(ContinuationRecord(
+            alpha=float(alpha), tau=ctrl.period, control=ctrl, det_gap=float(det_gap),
+            margin=float(margin), solution=sol, norm_x=norm_x,
+            kernel_angle=kernel_angle, refined=refined))
+    return records
 
 
-def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances, iters=60):
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ctrl = path.at(mid)
-        phi = principal_matrix(sys, ctrl, ctrl.period, 0.0)
-        gap = float(np.linalg.det(np.eye(sys.n) - phi))
+def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):
+    """Zero of the det gap in [lo, hi], whose sign at lo is that of gap_lo.
+
+    Halves until the midpoint no longer splits [lo, hi] in floating point,
+    so a crossing on a mesh node (lo == hi) takes no step.
+    """
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        phi, _ = _period_maps(sys, [path.at(mid)])
+        gap = float(np.linalg.det(np.eye(sys.n) - phi[0]))
         if gap == 0.0:
             lo = hi = mid
-            break
-        if np.sign(gap) == np.sign(gap_lo):
+        elif np.sign(gap) == np.sign(gap_lo):
             lo, gap_lo = mid, gap
         else:
             hi = mid
     alpha = 0.5 * (lo + hi)
     ctrl = path.at(alpha)
-    mono, data = floquet_of(sys, ctrl, tolerances)
-    kernel = _near_kernel(mono.phi, tolerances.eig_tol)
-    sol = periodic_solution(sys, ctrl, tolerances)
-    det_gap = float(np.linalg.det(np.eye(sys.n) - mono.phi))
-    return Crossing(alpha=float(alpha), tau=mono.tau, control=ctrl,
-                    margin=data.margin, det_gap=det_gap, kernel=kernel,
-                    solution=sol)
+    phi, b = _period_maps(sys, [ctrl])
+    M = np.eye(sys.n) - phi[0]
+    margin = float(_spectrum(phi)[1][0])
+    return Crossing(alpha=float(alpha), tau=ctrl.period, control=ctrl, margin=margin,
+                    det_gap=float(np.linalg.det(M)),
+                    kernel=_near_kernel(M, tolerances.eig_tol),
+                    solution=_solve(M, b[0], margin, tolerances))
 
 
 def continuation(sys: AffineSystem, path: ControlPath, steps: int,
@@ -454,16 +474,18 @@ def continuation(sys: AffineSystem, path: ControlPath, steps: int,
 
     Walks a uniform alpha-mesh recording the det gap det(I - Phi), the
     solution trichotomy, the solution norm, and (near unit multipliers)
-    the alignment of the solution direction with the near-kernel.  Sign
-    changes of the det gap are located by bisection; around each crossing
-    extra records are inserted on a geometric ladder of offsets, which is
-    where blow-up of the solution norms becomes visible.
+    the alignment of the solution direction with the near-kernel, mapping the
+    whole mesh in one batch.  Sign changes of the det gap are located by
+    bisection until the midpoint no longer splits the bracket in floating
+    point (no step for a crossing on a node); around each crossing one more
+    batch adds records on a geometric ladder of offsets, which is where
+    blow-up of the solution norms becomes visible.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     mesh = np.linspace(0.0, 1.0, steps)
     spacing = 1.0 / (steps - 1)
-    records = [_evaluate_path_point(sys, path, a, tolerances) for a in mesh]
+    records = _evaluate_path_points(sys, path, mesh, tolerances)
     crossings = []
     if not path.constant:
         scale = max(abs(r.det_gap) for r in records) or 1.0
@@ -484,14 +506,11 @@ def continuation(sys: AffineSystem, path: ControlPath, steps: int,
                     sys, path, r0.alpha, r1.alpha, r0.det_gap, tolerances))
         crossings.sort(key=lambda c: c.alpha)
     if refine_crossings and crossings:
-        spacing = 1.0 / (steps - 1)
-        extra = []
-        for crossing in crossings:
-            for j in range(refine_decades + 1):
-                delta = 0.5 * spacing * 10.0 ** (-j)
-                for a in (crossing.alpha - delta, crossing.alpha + delta):
-                    if 0.0 < a < 1.0:
-                        extra.append(_evaluate_path_point(
-                            sys, path, a, tolerances, refined=True))
-        records = sorted(records + extra, key=lambda r: r.alpha)
+        ladder = [a for crossing in crossings for j in range(refine_decades + 1)
+                  for a in (crossing.alpha - 0.5 * spacing * 10.0 ** (-j),
+                            crossing.alpha + 0.5 * spacing * 10.0 ** (-j))
+                  if 0.0 < a < 1.0]
+        if ladder:
+            records = sorted(records + _evaluate_path_points(
+                sys, path, ladder, tolerances, refined=True), key=lambda r: r.alpha)
     return ContinuationResult(records=records, crossings=crossings)

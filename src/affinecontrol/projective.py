@@ -527,14 +527,15 @@ def infinity_boundary_chain(emb: HomEmbedding, subdivisions: int, controls,
     tolerance defaults to two embedded-sphere box diameters.
     """
     ambient = emb.dim
+    omega_check = emb.as_affine_system().contains_control
     big_sphere = SphereGrid(ambient, subdivisions)
-    big_graph = build_sphere_graph(emb.system_matrix, None, big_sphere, controls,
+    big_graph = build_sphere_graph(emb.system_matrix, omega_check, big_sphere, controls,
                                    dt, pts_per_box, seed, memory_cap)
     big = sphere_chain_components(big_graph)
 
     hom_matrix = lambda u: emb.system_matrix(u)[:ambient - 1, :ambient - 1]
     hom_sphere = SphereGrid(ambient - 1, subdivisions)
-    hom_graph = build_sphere_graph(hom_matrix, None, hom_sphere, controls,
+    hom_graph = build_sphere_graph(hom_matrix, omega_check, hom_sphere, controls,
                                    dt, pts_per_box, seed, memory_cap)
     hom = sphere_chain_components(hom_graph)
 

@@ -129,10 +129,13 @@ class AffineSystem:
         return self.system_matrix(u) @ x + self.forcing(u)
 
     def contains_control(self, u, slack: float = _OMEGA_SLACK) -> bool:
-        u = np.asarray(u, dtype=float).reshape(self.m)
+        return bool(self._in_box(np.asarray(u, dtype=float).reshape(self.m), slack))
+
+    def _in_box(self, values: np.ndarray, slack: float = _OMEGA_SLACK) -> np.ndarray:
+        """Per row of `values` (..., m): does it lie in the slackened box?"""
         width = np.maximum(1.0, self.omega_hi - self.omega_lo)
-        return bool(np.all(u >= self.omega_lo - slack * width)
-                    and np.all(u <= self.omega_hi + slack * width))
+        return np.all((values >= self.omega_lo - slack * width)
+                      & (values <= self.omega_hi + slack * width), axis=-1)
 
     def generators(self) -> list["AffineVectorField"]:
         """Vector fields f_0(x) = Ax + d and f_i(x) = B_i x + c_i."""
@@ -282,7 +285,7 @@ class AffineVectorField:
 
     def flow(self, x, t: float) -> np.ndarray:
         """Exact time-t flow map, via the augmented exponential."""
-        E = expm(float(t) * _augment(self.M, self.a))
+        E = expm(float(t) * np.block([[self.M, self.a[:, None]], [np.zeros(self.n + 1)]]))
         x = np.asarray(x, dtype=float).reshape(self.n)
         return E[:-1, :-1] @ x + E[:-1, -1]
 
@@ -392,12 +395,17 @@ def larc_rank(sys: AffineSystem, x, max_depth: int | None = None,
     return int(np.sum(sv > rank_tol * sv[0]))
 
 
-def _augment(M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = M
-    out[:n, n] = z
-    return out
+def _segment_maps(sys: AffineSystem, values, durations) -> np.ndarray:
+    """Augmented segment maps [[G, h], [0, 1]] (k, n+1, n+1) of values (k, m), durations (k,).
+
+    One stacked `expm` of all augmented generators [[A(u), Cu+d], [0, 0]] dt;
+    it treats every slice on its own, so a row's map ignores the other rows.
+    """
+    n = sys.n
+    aug = np.zeros((values.shape[0], n + 1, n + 1))
+    aug[:, :n, :n] = sys.A + np.einsum("ki,ijl->kjl", values, sys.B)
+    aug[:, :n, n] = np.einsum("ki,ji->kj", values, sys.C) + sys.d
+    return expm(aug * np.asarray(durations, dtype=float).reshape(-1, 1, 1))
 
 
 def segment_map(sys: AffineSystem, u, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -406,18 +414,20 @@ def segment_map(sys: AffineSystem, u, dt: float) -> tuple[np.ndarray, np.ndarray
     Returns (G, h) with x(dt) = G x(0) + h, read off the exponential of
     the augmented matrix [[A(u), Cu+d], [0, 0]].  dt may be negative.
     """
-    E = expm(float(dt) * _augment(sys.system_matrix(u), sys.forcing(u)))
-    n = sys.n
-    return E[:n, :n], E[:n, n]
+    E = _segment_maps(sys, sys._check_u(u)[None, :], float(dt))[0]
+    return E[:-1, :-1], E[:-1, -1]
 
 
-def _check_control(sys: AffineSystem, ctrl: PiecewiseControl):
-    if ctrl.m != sys.m:
-        raise ValueError(f"control dimension {ctrl.m} does not match system ({sys.m})")
-    for k in range(ctrl.num_segments):
-        if not sys.contains_control(ctrl.values[k]):
-            raise ValueError(
-                f"control value {ctrl.values[k]} lies outside the control box")
+def _check_control(sys: AffineSystem, *controls: PiecewiseControl):
+    """Raise ValueError unless every segment value of the controls is admissible."""
+    for ctrl in controls:
+        if ctrl.m != sys.m:
+            raise ValueError(f"control dimension {ctrl.m} does not match system ({sys.m})")
+    values = np.concatenate([ctrl.values for ctrl in controls])
+    inside = sys._in_box(values)
+    if not np.all(inside):
+        raise ValueError(
+            f"control value {values[np.argmin(inside)]} lies outside the control box")
 
 
 def propagate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float) -> np.ndarray:

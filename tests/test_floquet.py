@@ -5,10 +5,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from affinecontrol import floquet
 from affinecontrol.config import Tolerances
 from affinecontrol.floquet import (
     AffineFamily,
     ControlSampler,
+    EigenSolverError,
     Obstructed,
     Unique,
     concat_path,
@@ -102,6 +104,26 @@ def test_floquet_oscillator_at_minus_one():
     assert data.unit_multiplier
     direction = data.unit_eigenspace[:, 0]
     assert abs(abs(direction[0]) - 1.0) < 1e-9 and abs(direction[1]) < 1e-9
+
+
+def overflowing_system():
+    # e^{400 * 2} overflows, so the monodromy over period 2 holds inf and NaN
+    return AffineSystem(np.diag([400.0, -1.0]), np.zeros((1, 2, 2)), np.zeros((2, 1)),
+                        np.zeros(2), [-1.0], [1.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("entry", [
+    lambda sys, ctrl: floquet_of(sys, ctrl),
+    lambda sys, ctrl: periodic_solution(sys, ctrl),
+    lambda sys, ctrl: hyperbolicity_scan(sys, ControlSampler(include=(ctrl,)), 3, seed=0),
+], ids=["floquet_of", "periodic_solution", "hyperbolicity_scan"])
+def test_non_finite_monodromy_raises_eigen_solver_error(entry):
+    ctrl = PiecewiseControl.constant([0.0], 2.0)
+    with pytest.raises(EigenSolverError, match="control 0") as exc:
+        entry(overflowing_system(), ctrl)
+    assert exc.value.condition == np.inf
 
 
 def test_floquet_planar_saddle_margin():
@@ -416,6 +438,33 @@ def test_continuation_detects_blowup_crossing():
     # norm growth of roughly 10x per decade of approach
     by_alpha = sorted(near, key=lambda r: abs(r.alpha - crossing.alpha))
     assert by_alpha[0].norm_x >= 10.0 * by_alpha[-1].norm_x
+
+
+def test_bisection_stops_on_node_and_at_float_resolution(monkeypatch):
+    batches = []
+    period_maps = floquet._period_maps
+
+    def counting(sys, controls):
+        batches.append(len(controls))
+        return period_maps(sys, controls)
+
+    monkeypatch.setattr(floquet, "_period_maps", counting)
+    sys = symmetric_coupling_system()
+    path = concat_path(PiecewiseControl.constant([-0.7], 1.0),
+                       PiecewiseControl.constant([-0.4], 1.0))
+    # alpha = 3/4 is node 30 of 41: the mesh batch, then the crossing itself
+    on_node = continuation(sys, path, steps=41, refine_crossings=False)
+    assert [c.alpha for c in on_node.crossings] == [0.75]
+    assert batches == [41, 1]
+    batches.clear()
+    off_mesh = continuation(sys, path, steps=40, refine_crossings=False)
+    assert len(off_mesh.crossings) == 1
+    crossing = off_mesh.crossings[0]
+    assert abs(crossing.alpha - 0.75) <= 1e-12
+    assert crossing.margin <= TOL.unit_tol
+    steps = len(batches) - 2
+    # bracket 1/39 wide, halved until it no longer splits near 0.75
+    assert 40 <= steps < 60 and set(batches[1:]) == {1}
 
 
 def test_continuation_rejects_bad_steps():

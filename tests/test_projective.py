@@ -12,6 +12,7 @@ from affinecontrol.projective import (
     build_sphere_graph,
     embed_point,
     embed_system,
+    infinity_boundary_chain,
     infinity_boundary_directions,
     lyapunov_estimate,
     proj_metric,
@@ -338,3 +339,9 @@ def test_infinity_directions_ingests_blowup_records():
     assert not report.empty
     diag = ProjPoint.from_vector([1.0, 1.0, 0.0])
     assert min(proj_metric(diag, d) for d in report.directions) < 0.02
+
+
+def test_infinity_boundary_chain_rejects_controls_outside_the_box():
+    emb = embed_system(planar_saddle_system())  # controls in [-1, 1]
+    with pytest.raises(ValueError, match="outside the control box"):
+        infinity_boundary_chain(emb, 4, [[0.0], [5.0]], 0.1)
