@@ -290,7 +290,14 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
     samples drawn deterministically from `seed`.  Reports the minimal
     margin, the control attaining it, and the interior-hypothesis proxy
     (full bracket rank at the periodic point of the argmin control).
+    Raises ValueError for a negative `count` or when there is no control
+    to scan.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count == 0 and not sampler.include:
+        raise ValueError("the scan has no controls: count is 0 and the "
+                         "sampler's include list is empty")
     rng = np.random.default_rng(seed)
     controls = list(sampler.include)
     controls += [sampler.sample(rng, sys, i) for i in range(count)]

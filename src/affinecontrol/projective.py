@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import qmc
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import BoxSet, MemoryBudgetError, _chain_positions, _edges_to_csr, _self_loops
+from .reach import (BoxSet, MemoryBudgetError, _chain_positions, _edges_to_csr,
+                    _halton_offsets, _self_loops)
 from .system import AffineSystem, PiecewiseControl
 
 __all__ = [
@@ -356,8 +356,12 @@ def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
     """Directed box graph of the projectivized flow on the sphere quotient.
 
     `matrix_of(u)` supplies the ambient linear generator for control u.
-    Test points per box are the center plus seeded Halton offsets inside
-    the cube cell.  Deterministic for a fixed seed.
+    Test points per box are the center plus `pts_per_box - 1` offsets inside
+    the cube cell: Owen-scrambled Halton points drawn from
+    `np.random.default_rng(seed)`, identical to SciPy's
+    `Halton(scramble=True)` sampler for an int seed.  Deterministic for a fixed
+    seed.  Raises FloatingPointError when `expm(dt * matrix_of(u))` is not
+    finite (shorten dt), instead of sorting overflowed images into boxes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -373,15 +377,19 @@ def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
             f"{work} point-control samples exceed the cap of {memory_cap}")
     offsets = [np.full((1, sphere.face_dims), 0.5)]
     if pts_per_box > 1:
-        sampler = qmc.Halton(d=sphere.face_dims, scramble=True, seed=seed)
-        offsets.append(sampler.random(pts_per_box - 1))
+        offsets.append(_halton_offsets(sphere.face_dims, pts_per_box - 1, seed))
     offsets = np.concatenate(offsets)
     points = sphere.cube_points(ids, offsets)  # (P, N, ambient)
 
     src = np.tile(np.arange(n_boxes, dtype=np.int64), points.shape[0] * controls.shape[0])
     tgt_chunks = []
     for u in controls:
-        E = expm(dt * matrix_of(u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = expm(dt * matrix_of(u))
+        if not np.all(np.isfinite(E)):
+            raise FloatingPointError(
+                f"exponential of the generator for control {u} over dt={dt} "
+                f"is not finite; shorten dt")
         for k in range(points.shape[0]):
             images = points[k] @ E.T
             tgt_chunks.append(sphere.box_of(images))

@@ -6,19 +6,21 @@ reachability closures approximate reachable sets, intersections of forward
 and backward closures approximate control sets, and strongly connected
 components approximate chain control sets (the box diameter plays the role
 of the chain jump size, the step time the role of the minimal chain time).
-Edges come from finitely many test points per box, so a transition that no
-test point realises is missing from the graph: the approximations are not
-guaranteed to contain the true sets, and can be strictly smaller.  Results
-are always relative to the window: transitions leaving it go to an
-absorbing sink that closures exclude.
+Edges come from finitely many test points per box: the center plus
+Owen-scrambled Halton offsets drawn from `np.random.default_rng(seed)`,
+identical to SciPy's `Halton(scramble=True)` sampler for an int seed.  A
+transition that no test point realises is missing from the graph: the
+approximations are not guaranteed to contain the true sets, and can be
+strictly smaller.  Results are always relative to the window: transitions
+leaving it go to an absorbing sink that closures exclude.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.stats import qmc
 
 from .config import DEFAULT_MEMORY_CAP
 from .system import AffineSystem, segment_map
@@ -315,15 +317,61 @@ class TransitionGraph:
         return _self_loops(self.indptr, self.targets)
 
 
+def _primes(count: int) -> list[int]:
+    """The first `count` primes."""
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _halton_offsets(dim: int, count: int, seed: int) -> np.ndarray:
+    """(count, dim) Owen-scrambled Halton points in [0, 1)^dim.
+
+    Owen's randomized Halton (arXiv:1706.02808): axis i has the i-th prime
+    base b and ceil(54/log2 b) - 1 digit permutations, shuffled rows of
+    arange(b) drawn in axis order from `np.random.default_rng(seed)`; point
+    j is sum_k perm_k[(j // b**k) % b] * scale_k with scale_k = 1/b**(k+1).
+    Building scale_k by repeated division and adding the digits in order
+    from the lowest gives bit for bit SciPy's
+    `Halton(dim, scramble=True, seed=seed).random(count)` for an int seed.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(count, dtype=np.int64)
+    out = np.empty((count, dim))
+    for axis, base in enumerate(_primes(dim)):
+        rows = math.ceil(54 / math.log2(base)) - 1
+        perms = np.tile(np.arange(base), (rows, 1))
+        for perm in perms:
+            rng.shuffle(perm)
+        scales = []
+        scale = 1.0
+        for _ in range(rows):
+            scale /= base
+            scales.append(scale)
+        digits = index // base ** np.arange(rows, dtype=np.int64)[:, None] % base
+        terms = np.take_along_axis(perms, digits, axis=1) * np.array(scales)[:, None]
+        out[:, axis] = terms.cumsum(axis=0)[-1]  # sequential sum, lowest digit first
+    return out
+
+
 def _test_points(grid: BoxGrid, boxes: np.ndarray, pts_per_box: int,
                  seed: int) -> np.ndarray:
-    """(P, N, dim) test points: box centers plus seeded Halton offsets."""
+    """(P, N, dim) test points: box centers plus `pts_per_box - 1` offsets.
+
+    The offsets are Owen-scrambled Halton points from `_halton_offsets`
+    (drawn from `np.random.default_rng(seed)`, identical to SciPy's
+    `Halton(scramble=True)` sampler for an int seed), at the same relative
+    position in every box.
+    """
     centers = grid.centers(boxes)
     pts = [centers]
     extra = pts_per_box - 1
     if extra > 0:
-        sampler = qmc.Halton(d=grid.dim, scramble=True, seed=seed)
-        offsets = sampler.random(extra)  # same relative offsets in every box
+        offsets = _halton_offsets(grid.dim, extra, seed)
         lower = grid.lower_corners(boxes)
         for k in range(extra):
             pts.append(lower + offsets[k] * grid.widths)
@@ -336,8 +384,10 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
                            memory_cap: int = DEFAULT_MEMORY_CAP) -> TransitionGraph:
     """Sample the dt-flow from every box under every control value.
 
-    For each test point (center plus seeded low-discrepancy samples) and
-    each control the exact dt-map is applied; an edge is added to the box
+    For each test point (the center plus `pts_per_box - 1` Owen-scrambled
+    Halton offsets drawn from `np.random.default_rng(seed)`, identical to
+    SciPy's `Halton(scramble=True)` for an int seed) and each control
+    the exact dt-map is applied; an edge is added to the box
     containing the image, or the source is flagged as feeding the sink
     when the image leaves the window (or the active subset).  Deterministic
     for a fixed seed.

@@ -354,6 +354,16 @@ def test_scan_deterministic_in_seed():
     assert np.array_equal(r1.margins, r2.margins)
 
 
+def test_scan_without_controls_raises():
+    sys = planar_saddle_system()
+    with pytest.raises(ValueError, match="no controls"):
+        hyperbolicity_scan(sys, ControlSampler(), 0, seed=0)
+    witness = PiecewiseControl.constant([0.0], 1.0)
+    for sampler in (ControlSampler(), ControlSampler(include=(witness,))):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            hyperbolicity_scan(sys, sampler, -1, seed=0)
+
+
 # ------------------------------------------------------------- paths and runs
 
 def test_concat_path_endpoints_and_junction():

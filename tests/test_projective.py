@@ -1,5 +1,7 @@
 """Tests for the embedding, projective points, sphere grids, and estimators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +297,18 @@ def test_sphere_graph_saddle_components():
             dist = min(min(np.linalg.norm(d - t), np.linalg.norm(d + t))
                        for t in targets)
             assert dist <= 2 * analysis.box_diameter
+
+
+def test_sphere_graph_rejects_overflowed_exponential():
+    # exp(400 dt) overflows at dt = 2; dt = 0.01 gives four components
+    A = np.diag([400.0, -400.0, 0.0])
+    grid = SphereGrid(3, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"control \[0\.\] over dt=2\.0"):
+            build_sphere_graph(lambda u: A, None, grid, [[0.0]], 2.0)
+    graph = build_sphere_graph(lambda u: A, None, grid, [[0.0]], 0.01)
+    assert len(sphere_chain_components(graph).components) == 4
 
 
 # ------------------------------------------------------- estimator (a) basics
