@@ -16,8 +16,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import (BoxSet, MemoryBudgetError, _chain_positions, _edges_to_csr,
-                    _halton_offsets, _self_loops)
+from .reach import (BoxSet, MemoryBudgetError, _chain_positions, _halton_offsets,
+                    _rows_to_csr, _self_loops)
 from .system import AffineSystem, PiecewiseControl
 
 __all__ = [
@@ -365,6 +365,8 @@ def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if pts_per_box < 1:
+        raise ValueError("pts_per_box must be >= 1")
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     for u in controls:
         if omega_check is not None and not omega_check(u):
@@ -381,22 +383,19 @@ def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
     offsets = np.concatenate(offsets)
     points = sphere.cube_points(ids, offsets)  # (P, N, ambient)
 
-    src = np.tile(np.arange(n_boxes, dtype=np.int64), points.shape[0] * controls.shape[0])
-    tgt_chunks = []
-    for u in controls:
+    P = points.shape[0]
+    tgt = np.empty((controls.shape[0] * P, n_boxes), dtype=np.int64)
+    for c, u in enumerate(controls):
         with np.errstate(over="ignore", invalid="ignore"):
             E = expm(dt * matrix_of(u))
         if not np.all(np.isfinite(E)):
             raise FloatingPointError(
                 f"exponential of the generator for control {u} over dt={dt} "
                 f"is not finite; shorten dt")
-        for k in range(points.shape[0]):
-            images = points[k] @ E.T
-            tgt_chunks.append(sphere.box_of(images))
-    tgt_ids = np.concatenate(tgt_chunks)
-    tgt_pos = np.searchsorted(ids, tgt_ids)
-    tgt_pos = np.clip(tgt_pos, 0, n_boxes - 1)
-    indptr, targets = _edges_to_csr(src, tgt_pos, n_boxes)
+        for k in range(P):
+            tgt[c * P + k] = sphere.box_of(points[k] @ E.T)
+    tgt = np.clip(np.searchsorted(ids, tgt), 0, n_boxes - 1)
+    indptr, targets, _ = _rows_to_csr(tgt)
     return SphereGraph(sphere=sphere, boxes=ids, indptr=indptr, targets=targets,
                        dt=float(dt), controls=controls, pts_per_box=pts_per_box,
                        seed=seed)

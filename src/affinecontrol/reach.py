@@ -105,13 +105,16 @@ class BoxGrid:
     def box_of(self, points) -> np.ndarray:
         """Flat box index per point, or -1 for points outside the window."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        rel = np.floor((pts - self.lo) / self.widths).astype(np.int64)
-        inside = np.all((rel >= 0) & (rel < self.subdivisions), axis=1)
-        inside &= np.all(np.isfinite(pts), axis=1)
-        out = np.full(pts.shape[0], -1, dtype=np.int64)
-        if np.any(inside):
-            out[inside] = np.ravel_multi_index(tuple(rel[inside].T), self.subdivisions)
-        return out
+        widths = self.widths
+        flat = np.zeros(pts.shape[0], dtype=np.int64)
+        inside = np.ones(pts.shape[0], dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # those points are outside
+            for k, sub in enumerate(self.subdivisions):
+                rel = np.floor((pts[:, k] - self.lo[k]) / widths[k])
+                inside &= (rel >= 0) & (rel < sub)  # False for NaN and +-inf
+                flat = flat * sub + rel.astype(np.int64)
+        flat[~inside] = -1
+        return flat
 
     def box_containing(self, point) -> int:
         idx = self.box_of(np.asarray(point, dtype=float)[None, :])[0]
@@ -164,15 +167,21 @@ class BoxSet:
 
     def dilate(self, radius: int = 1) -> "BoxSet":
         """Chebyshev dilation by `radius` boxes, clipped to the window."""
+        if radius < 0:
+            raise ValueError("radius must be >= 0")
         if len(self) == 0 or radius == 0:
             return self
-        multi = self.grid.multi_index(self.indices)
-        offsets = np.stack(np.meshgrid(
-            *([np.arange(-radius, radius + 1)] * self.grid.dim),
-            indexing="ij"), axis=-1).reshape(-1, self.grid.dim)
-        grown = (multi[:, None, :] + offsets[None, :, :]).reshape(-1, self.grid.dim)
-        ok = np.all((grown >= 0) & (grown < self.grid.subdivisions), axis=1)
-        return BoxSet(self.grid, self.grid.flat_index(grown[ok]))
+        # one 1-D dilation per axis; the last axis has stride 1
+        idx = self.indices
+        stride = 1
+        for sub in self.grid.subdivisions[::-1]:
+            coord = idx // stride % sub
+            steps = range(1, min(radius, sub - 1) + 1)
+            idx = _sorted_unique(np.concatenate(
+                [idx] + [idx[coord >= r] - r * stride for r in steps]
+                + [idx[coord < sub - r] + r * stride for r in steps]))
+            stride *= sub
+        return BoxSet(self.grid, idx)
 
     def run_length_encoding(self) -> list:
         """Sorted indices as [start, length] runs (compact JSON form)."""
@@ -187,7 +196,9 @@ class BoxSet:
 
 # ------------------------------------------------------------- graph core
 # Graphs on positions 0..n-1 as CSR (indptr, targets) with sorted, distinct
-# rows; shared by TransitionGraph and projective.SphereGraph.
+# rows; shared by TransitionGraph and projective.SphereGraph.  Both builders
+# fill one (C, n) block of target positions, a row per (control, test point)
+# and a column per node, and `_rows_to_csr` sorts each node's C samples.
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """Distinct values, sorted; sorts `values` in place (np.unique hashes, slower)."""
@@ -198,12 +209,16 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _edges_to_csr(src: np.ndarray, tgt: np.ndarray,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the distinct edges src -> tgt on n nodes."""
-    edges = _sorted_unique(src * np.int64(n) + tgt)
-    e_src, targets = np.divmod(edges, n)
-    return np.searchsorted(e_src, np.arange(n + 1, dtype=np.int64)), targets
+def _rows_to_csr(tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR of a (C, n) block of target positions, column j holding the C
+    samples of node j, negative for the sink: (indptr, targets, sink)."""
+    rows = np.ascontiguousarray(tgt.T)
+    rows.sort(axis=1)
+    keep = rows >= 0
+    np.logical_and(keep[:, 1:], rows[:, 1:] != rows[:, :-1], out=keep[:, 1:])
+    indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return indptr, rows[keep], np.any(rows[:, :1] < 0, axis=1)
 
 
 def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -389,8 +404,10 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     SciPy's `Halton(scramble=True)` for an int seed) and each control
     the exact dt-map is applied; an edge is added to the box
     containing the image, or the source is flagged as feeding the sink
-    when the image leaves the window (or the active subset).  Deterministic
-    for a fixed seed.
+    when the image leaves the window (or the active subset).  The images of
+    one (control, test point) pair fill one row of a (C, n) block of target
+    positions, which `_rows_to_csr` turns into per-box sorted, distinct
+    successor rows.  Deterministic for a fixed seed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -399,9 +416,10 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     if controls.shape[1] != sys.m:
         raise ValueError("control samples must have the system's control dimension")
-    for u in controls:
-        if not sys.contains_control(u):
-            raise ValueError(f"control sample {u} outside the control box")
+    inside = sys._in_box(controls)
+    if not np.all(inside):
+        raise ValueError(f"control sample {controls[np.argmin(inside)]} "
+                         f"outside the control box")
     boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
     n_boxes = boxes.size
     work_items = n_boxes * pts_per_box * controls.shape[0]
@@ -412,23 +430,18 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
 
     points = _test_points(grid, boxes, pts_per_box, seed)  # (P, N, dim)
     P = points.shape[0]
-    src = np.tile(np.arange(n_boxes, dtype=np.int64), P * controls.shape[0])
-    tgt_chunks = []
-    for u in controls:
+    tgt = np.empty((controls.shape[0] * P, n_boxes), dtype=np.int64)
+    for c, u in enumerate(controls):
         G, h = segment_map(sys, u, dt)
         for k in range(P):
             with np.errstate(over="ignore", invalid="ignore"):
                 images = points[k] @ G.T + h
-            tgt_chunks.append(grid.box_of(images))
-    tgt_boxes = np.concatenate(tgt_chunks) if tgt_chunks else np.empty(0, dtype=np.int64)
-
-    # outside the window (box -1) or the active subset -> sink
-    tgt_pos = _positions(boxes, tgt_boxes)
-    sink = np.zeros(n_boxes, dtype=bool)
-    to_sink = tgt_pos < 0
-    sink[src[to_sink]] = True
-    keep = ~to_sink
-    indptr, targets = _edges_to_csr(src[keep], tgt_pos[keep], n_boxes)
+            tgt[c * P + k] = grid.box_of(images)
+    # on the full grid box index == position; outside the window (-1) or
+    # the active subset -> sink
+    if active is not None:
+        tgt = _positions(boxes, tgt)
+    indptr, targets, sink = _rows_to_csr(tgt)
     return TransitionGraph(grid=grid, boxes=boxes.copy(), indptr=indptr,
                            targets=targets, sink=sink, dt=float(dt),
                            controls=controls, pts_per_box=pts_per_box, seed=seed)

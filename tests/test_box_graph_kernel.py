@@ -1,0 +1,175 @@
+"""Reference tests of the row-wise box-graph kernel.
+
+`BoxGrid.box_of`, `build_transition_graph` and `BoxSet.dilate` are compared
+with brute-force versions written here point by point and box by box: a
+scalar floor lookup per point, a Python set of (source, target) pairs, and
+a Chebyshev-distance mask over all boxes.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from affinecontrol.reach import (
+    BoxGrid,
+    BoxSet,
+    _test_points,
+    build_transition_graph,
+)
+from affinecontrol.system import AffineSystem, segment_map
+
+
+def scalar_box(grid: BoxGrid, x) -> int:
+    """Flat box index of one point by per-axis floor, or -1 outside."""
+    flat = 0
+    for k in range(grid.dim):
+        rel = (float(x[k]) - float(grid.lo[k])) / float(grid.widths[k])
+        if not math.isfinite(rel):
+            return -1
+        r = math.floor(rel)
+        sub = int(grid.subdivisions[k])
+        if not 0 <= r < sub:
+            return -1
+        flat = flat * sub + r
+    return flat
+
+
+@st.composite
+def grids(draw, max_sub=6):
+    dim = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.floats(-3.0, 1.0), min_size=dim, max_size=dim)))
+    span = np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim)))
+    subs = draw(st.lists(st.integers(1, max_sub), min_size=dim, max_size=dim))
+    return BoxGrid(lo, lo + span, subs)
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(), st.data())
+def test_box_of_matches_scalar_lookup(grid, data):
+    n = data.draw(st.integers(0, 30))
+    coord = st.one_of(st.floats(-6.0, 6.0), st.sampled_from(SPECIAL),
+                      st.floats(allow_nan=True, allow_infinity=True))
+    pts = np.array(data.draw(st.lists(st.lists(coord, min_size=grid.dim,
+                                               max_size=grid.dim),
+                                      min_size=n, max_size=n)),
+                   dtype=float).reshape(n, grid.dim)
+    # window corners: lo on an axis is box 0 there; hi is decided by the floor
+    pts = np.concatenate([pts, grid.lo[None, :], grid.hi[None, :]])
+    got = grid.box_of(pts)
+    assert got.dtype == np.int64
+    assert got.tolist() == [scalar_box(grid, x) for x in pts]
+
+
+def test_box_of_window_edges_and_nonfinite_points():
+    grid = BoxGrid([0.0, -1.0, 2.0], [1.0, 1.0, 4.0], [4, 2, 8])  # exact widths
+    pts = np.array([
+        [0.0, -1.0, 2.0],       # lo: box (0, 0, 0)
+        [0.5, 0.0, 3.0],        # interior: box (2, 1, 4)
+        [1.0, 0.0, 3.0],        # on hi of axis 0
+        [0.5, 1.0, 3.0],        # on hi of axis 1
+        [0.5, 0.0, 4.0],        # on hi of axis 2
+        [np.nan, 0.0, 3.0],
+        [0.5, np.inf, 3.0],
+        [0.5, 0.0, -np.inf],
+        [1e300, 0.0, 3.0],
+        [0.5, -1e300, 3.0],
+    ])
+    expected = [0, grid.flat_index([[2, 1, 4]])[0]] + [-1] * 8
+    assert grid.box_of(pts).tolist() == expected
+
+
+def affine_systems(n):
+    entry = st.floats(-2.0, 2.0)
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    return st.builds(
+        lambda A, B, c, d: AffineSystem(A, [B], np.array(c)[:, None], d, [-1.0], [1.0]),
+        square, square, vector, vector)
+
+
+@st.composite
+def graph_cases(draw):
+    grid = draw(grids())
+    sys = draw(affine_systems(grid.dim))
+    controls = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                      max_size=3)))[:, None]
+    dt = draw(st.floats(0.05, 1.0))
+    pts_per_box = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    active = None
+    if draw(st.booleans()):
+        active = BoxSet(grid, draw(st.lists(st.integers(0, grid.size - 1),
+                                            unique=True)))
+    return sys, grid, controls, dt, pts_per_box, seed, active
+
+
+def reference_graph(sys, grid, controls, dt, pts_per_box, seed, active):
+    """(indptr, targets, sink) from a set of (source, target) position pairs."""
+    boxes = active.indices if active is not None else np.arange(grid.size)
+    position = {int(b): p for p, b in enumerate(boxes)}
+    points = _test_points(grid, boxes, pts_per_box, seed)
+    edges, sink = set(), set()
+    for u in controls:
+        G, h = segment_map(sys, u, dt)
+        for pts in points:
+            with np.errstate(over="ignore", invalid="ignore"):
+                images = pts @ G.T + h
+            for src, x in enumerate(images):
+                tgt = position.get(scalar_box(grid, x), -1)
+                if tgt < 0:
+                    sink.add(src)
+                else:
+                    edges.add((src, tgt))
+    n = boxes.size
+    rows = [sorted(t for s, t in edges if s == src) for src in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return indptr, [t for r in rows for t in r], [src in sink for src in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_cases())
+def test_transition_graph_matches_pairwise_reference(case):
+    graph = build_transition_graph(*case[:6], active=case[6])
+    indptr, targets, sink = reference_graph(*case)
+    assert graph.indptr.dtype == graph.targets.dtype == np.int64
+    assert graph.indptr.tolist() == indptr.tolist()
+    assert graph.targets.tolist() == targets
+    assert graph.sink.tolist() == sink
+
+
+def test_transition_graph_without_controls_is_empty():
+    grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], [3, 4])
+    sys = AffineSystem(np.eye(2), np.zeros((1, 2, 2)), np.ones((2, 1)), np.zeros(2),
+                       [-1.0], [1.0])
+    graph = build_transition_graph(sys, grid, np.zeros((0, 1)), 0.1, 2, seed=0)
+    assert graph.indptr.tolist() == [0] * (grid.size + 1)
+    assert graph.targets.size == 0
+    assert graph.sink.tolist() == [False] * grid.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids(), st.one_of(st.integers(0, 3), st.just(7)), st.data())
+def test_dilate_matches_chebyshev_mask(grid, radius, data):
+    chosen = data.draw(st.lists(st.integers(0, grid.size - 1), unique=True))
+    box_set = BoxSet(grid, chosen)
+    every = np.array(list(itertools.product(*map(range, grid.subdivisions))))
+    multi = grid.multi_index(box_set.indices)
+    if multi.size:
+        dist = np.abs(every[:, None, :] - multi[None, :, :]).max(axis=2).min(axis=1)
+        expected = grid.flat_index(every[dist <= radius])
+    else:
+        expected = np.empty(0, dtype=np.int64)
+    assert box_set.dilate(radius).indices.tolist() == sorted(expected.tolist())
+
+
+def test_dilate_rejects_negative_radius():
+    grid = BoxGrid([0.0, 0.0], [1.0, 1.0], [4, 4])
+    for box_set in (BoxSet(grid, [5]), BoxSet(grid, [])):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            box_set.dilate(-1)

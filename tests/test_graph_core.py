@@ -13,7 +13,7 @@ from affinecontrol.reach import (
     BoxGrid,
     BoxSet,
     TransitionGraph,
-    _edges_to_csr,
+    _rows_to_csr,
     chain_components,
     closure,
 )
@@ -44,9 +44,12 @@ def expected_components(reach: np.ndarray) -> list:
 
 
 def wrap(n, edges):
-    src = np.array([e[0] for e in edges], dtype=np.int64)
-    tgt = np.array([e[1] for e in edges], dtype=np.int64)
-    indptr, targets = _edges_to_csr(src, tgt, n)
+    # one row per edge, -1 (the sink) except at the edge's source
+    rows = np.full((len(edges), n), -1, dtype=np.int64)
+    for i, (src, tgt) in enumerate(edges):
+        rows[i, src] = tgt
+    indptr, targets, sink = _rows_to_csr(rows)
+    assert sink.tolist() == [any(src != j for src, _ in edges) for j in range(n)]
     grid = BoxGrid([0.0], [1.0], [n])
     graph = TransitionGraph(grid=grid, boxes=np.arange(n, dtype=np.int64),
                             indptr=indptr, targets=targets,

@@ -311,6 +311,15 @@ def test_sphere_graph_rejects_overflowed_exponential():
     assert len(sphere_chain_components(graph).components) == 4
 
 
+def test_sphere_graph_rejects_nonpositive_pts_per_box():
+    # checked before the memory cap, which zero or negative work would pass
+    grid = SphereGrid(2, 4)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="pts_per_box must be >= 1"):
+            build_sphere_graph(lambda u: np.diag([1.0, -1.0]), None, grid, [[0.0]],
+                               0.1, pts_per_box=bad, memory_cap=1)
+
+
 # ------------------------------------------------------- estimator (a) basics
 
 def test_infinity_directions_bounded_set_is_empty():
