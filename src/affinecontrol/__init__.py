@@ -15,12 +15,9 @@ from .system import (
     AffineVectorField,
     Trajectory,
     BlowUpError,
-    system_matrix,
-    vector_field,
     lie_bracket,
     larc_rank,
     simulate,
-    propagate,
     equilibrium,
 )
 from .floquet import (

@@ -29,9 +29,9 @@ class Tolerances:
         |z|-coordinate of a unit representative below this classifies a
         projective point as lying on the level at infinity.
     cluster_tol
-        Clustering radius (projective metric) for direction estimates.
-        None picks an estimator-specific default: 3 sphere-box diameters
-        for the chain estimator, 0.1 for the box-center estimator.
+        Clustering radius (projective metric) of the box-center estimator
+        `infinity_boundary_directions` only; None means 0.1.  The chain
+        estimator has its own `match_tol` argument.
     kernel_window
         Kernel alignment of periodic initial values is reported when the
         unit-multiplier margin falls below this.

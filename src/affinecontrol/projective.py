@@ -7,17 +7,21 @@ space is represented by unit vectors with canonical sign (first nonzero
 coordinate positive), the sphere is covered by cube-face boxes with
 antipodal identification, and directions at infinity of a control set are
 estimated either from far-out box centers or from chain components of the
-sphere dynamics.
+sphere dynamics.  Every projectivised flow (`proj_step`, `lyapunov_estimate`,
+`build_sphere_graph`) applies the exponential in renormalised chunks, so a
+long step of a strongly expanding generator does not overflow.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
 from .reach import (BoxSet, MemoryBudgetError, _chain_positions, _halton_offsets,
-                    _rows_to_csr, _self_loops)
+                    _label_groups, _rows_to_csr, _self_loops)
 from .system import AffineSystem, PiecewiseControl
 
 __all__ = [
@@ -80,10 +84,11 @@ def embed_system(sys: AffineSystem) -> HomEmbedding:
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(np.abs(v) > 1e-12)
-    if nz.size and v[nz[0]] < 0:
-        return -v
-    return v
+    """v (a vector, or rows) negated where its first entry above 1e-12 in
+    modulus is negative."""
+    big = np.abs(v) > 1e-12
+    first = np.argmax(big, axis=-1)[..., None]
+    return np.where(np.take_along_axis(big & (v < 0), first, axis=-1), -v, v)
 
 
 @dataclass(frozen=True)
@@ -137,30 +142,36 @@ def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots))
 
 
-def _apply_chunked(M: np.ndarray, dt: float, W: np.ndarray) -> np.ndarray:
-    """exp(dt M) applied to rows of W with renormalization between chunks."""
-    scale = float(np.linalg.norm(M)) or 1.0
-    n_sub = max(1, int(np.ceil(abs(dt) * scale / MAX_EXP_GROWTH)))
+def _flow_rows(M: np.ndarray, dt: float, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(dt M) applied to the rows (last axis) of W, in chunks: (rows, logs).
+
+    One `expm` of (dt / n_sub) M with n_sub = ceil(|dt| ||M||_F / MAX_EXP_GROWTH).
+    Rows are renormalised between chunks, not after the last one, and `logs`
+    sums the log of the norms divided out: log ||exp(dt M) w|| is
+    logs + log ||rows||.
+    """
+    n_sub = max(1, int(np.ceil(abs(dt) * np.linalg.norm(M) / MAX_EXP_GROWTH)))
     E = expm((dt / n_sub) * M)
-    out = W
-    for _ in range(n_sub):
-        out = out @ E.T
-        norms = np.linalg.norm(out, axis=-1, keepdims=True)
-        out = out / norms
-    return out
+    logs = np.zeros(W.shape[:-1])
+    for _ in range(n_sub - 1):
+        W = W @ E.T
+        norms = np.linalg.norm(W, axis=-1)
+        W = W / norms[..., None]
+        logs += np.log(norms)
+    return W @ E.T, logs
 
 
 def proj_step(emb: HomEmbedding, p: ProjPoint, u, dt: float,
               level_tol: float = DEFAULT_TOLERANCES.level_tol) -> ProjPoint:
     """Image of a projective point under the time-dt embedded linear flow.
 
-    The representative is propagated by the segment exponential and
-    renormalized eagerly (chunked for long steps), then re-canonicalized.
-    Level 0 is invariant because the blocks' last row vanishes.
+    The representative is propagated by the segment exponential, in
+    renormalised chunks for long steps, then re-canonicalized.  Level 0 is
+    invariant because the blocks' last row vanishes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    w = _apply_chunked(emb.system_matrix(u), dt, p.vec[None, :])[0]
+    w, _ = _flow_rows(emb.system_matrix(u), dt, p.vec)
     return ProjPoint.from_vector(w, level_tol)
 
 
@@ -179,29 +190,23 @@ def unembed_point(p: ProjPoint) -> ProjPoint:
 def lyapunov_estimate(model, ctrl: PiecewiseControl, x, T: float) -> float:
     """Finite-time exponential growth rate of the homogeneous flow.
 
-    Computes log(||Phi(T, 0) x|| / ||x||) / T by accumulating per-segment
-    log-norms with running renormalization, so no overflow occurs even for
-    strongly expanding dynamics.  `model` is an affine system (its
-    homogeneous part is used) or an embedding.
+    Computes log(||Phi(T, 0) x|| / ||x||) / T by summing the log-norms that
+    the chunked, renormalised flow of each segment divides out, so no
+    overflow occurs even for strongly expanding dynamics.  `model` is an
+    affine system (its homogeneous part is used) or an embedding.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     x = np.asarray(x, dtype=float).reshape(-1)
     if np.linalg.norm(x) == 0.0:
         raise ValueError("the growth rate of the zero vector is undefined")
-    matrix_of = model.system_matrix
     w = x / np.linalg.norm(x)
     total = 0.0
     for u, dt in ctrl.pieces(0.0, T):
-        M = matrix_of(u)
-        scale = float(np.linalg.norm(M)) or 1.0
-        n_sub = max(1, int(np.ceil(dt * scale / MAX_EXP_GROWTH)))
-        E = expm((dt / n_sub) * M)
-        for _ in range(n_sub):
-            w = E @ w
-            nw = np.linalg.norm(w)
-            total += np.log(nw)
-            w = w / nw
+        w, logs = _flow_rows(model.system_matrix(u), dt, w)
+        norm = np.linalg.norm(w)
+        total += logs + np.log(norm)
+        w = w / norm
     return float(total / T)
 
 
@@ -262,18 +267,24 @@ class SphereGrid:
         return raw[raw <= self.antipode(raw)]
 
     def box_of(self, points: np.ndarray) -> np.ndarray:
-        """Canonical box id of each (row) point; points need not be normalized."""
+        """Canonical box id of each (row) point; points need not be normalized.
+
+        The anchor is the largest coordinate in modulus; face coordinate j
+        is coordinate j (j < axis) or j + 1 (j >= axis) over |anchor|.  The
+        canonical id is the one on the positive face, so bins are flipped
+        to sub - 1 - b where the anchor is negative.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         axis = np.argmax(np.abs(pts), axis=1)
         anchor = pts[np.arange(pts.shape[0]), axis]
-        neg = (anchor < 0).astype(np.int64)
-        cube = pts / np.abs(anchor)[:, None]
-        mask = np.ones(pts.shape, dtype=bool)
-        mask[np.arange(pts.shape[0]), axis] = False
-        coords = cube[mask].reshape(pts.shape[0], self.face_dims)
-        bins = np.clip(((coords + 1.0) * 0.5 * self.subdivisions).astype(np.int64),
-                       0, self.subdivisions - 1)
-        return self.canonical(self._join(axis, neg, bins))
+        scale, neg = np.abs(anchor), anchor < 0
+        sub = self.subdivisions
+        cell = np.zeros(pts.shape[0], dtype=np.int64)
+        for j in range(self.face_dims):
+            coord = np.where(j < axis, pts[:, j], pts[:, j + 1]) / scale
+            b = np.clip(((coord + 1.0) * 0.5 * sub).astype(np.int64), 0, sub - 1)
+            cell = cell * sub + np.where(neg, sub - 1 - b, b)
+        return 2 * axis * self.cells_per_face + cell
 
     def cube_points(self, raw: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Sphere points at relative cell positions; offsets in [0, 1]^face_dims.
@@ -306,9 +317,12 @@ class SphereGrid:
         return self.cube_points(raw, combos)
 
     def box_diameter(self) -> float:
-        """Largest projective diameter of a box (max over all boxes)."""
-        ids = self.canonical_ids()
-        corners = self.corners(ids)  # (c, N, ambient)
+        """Largest projective diameter of a box.
+
+        All 2 * ambient faces are congruent, so the maximum is taken over
+        the boxes of face 0.
+        """
+        corners = self.corners(np.arange(self.cells_per_face))  # (c, N, ambient)
         c = corners.shape[0]
         best = 0.0
         for i in range(c):
@@ -360,8 +374,10 @@ def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
     the cube cell: Owen-scrambled Halton points drawn from
     `np.random.default_rng(seed)`, identical to SciPy's
     `Halton(scramble=True)` sampler for an int seed.  Deterministic for a fixed
-    seed.  Raises FloatingPointError when `expm(dt * matrix_of(u))` is not
-    finite (shorten dt), instead of sorting overflowed images into boxes.
+    seed.  Each control's exponential acts on the whole (P, N, ambient) block
+    of test points through `_flow_rows`, in renormalised chunks when
+    |dt| ||matrix_of(u)||_F exceeds MAX_EXP_GROWTH, so a long step of a
+    strongly expanding generator is taken rather than overflowing.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -386,14 +402,9 @@ def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
     P = points.shape[0]
     tgt = np.empty((controls.shape[0] * P, n_boxes), dtype=np.int64)
     for c, u in enumerate(controls):
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = expm(dt * matrix_of(u))
-        if not np.all(np.isfinite(E)):
-            raise FloatingPointError(
-                f"exponential of the generator for control {u} over dt={dt} "
-                f"is not finite; shorten dt")
-        for k in range(P):
-            tgt[c * P + k] = sphere.box_of(points[k] @ E.T)
+        images, _ = _flow_rows(matrix_of(u), dt, points)
+        tgt[c * P:(c + 1) * P] = sphere.box_of(
+            images.reshape(-1, sphere.ambient)).reshape(P, n_boxes)
     tgt = np.clip(np.searchsorted(ids, tgt), 0, n_boxes - 1)
     indptr, targets, _ = _rows_to_csr(tgt)
     return SphereGraph(sphere=sphere, boxes=ids, indptr=indptr, targets=targets,
@@ -446,29 +457,6 @@ class InfinityBoundaryReport:
         return len(self.directions) == 0
 
 
-def _single_linkage(points: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Union-find clustering of unit rows under the projective metric."""
-    k = points.shape[0]
-    parent = np.arange(k)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    dist = proj_dist_vectors(points, points)
-    close = np.argwhere((dist <= tol) & (np.triu(np.ones((k, k), dtype=bool), 1)))
-    for i, j in close:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(k)])
-    clusters = [np.flatnonzero(roots == r) for r in np.unique(roots)]
-    clusters.sort(key=lambda c: (-c.size, int(c[0])))
-    return clusters
-
-
 def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
                                  cluster_tol: float | None = None,
                                  blowup_records=(),
@@ -486,26 +474,25 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
         raise ValueError("norm_floor must be positive")
     if cluster_tol is None:
         cluster_tol = tolerances.cluster_tol if tolerances.cluster_tol is not None else 0.1
-    centers = control_set.centers() if len(control_set) else np.empty((0, control_set.grid.dim))
-    norms = np.linalg.norm(centers, axis=1) if centers.size else np.empty(0)
-    states = [centers[norms >= norm_floor]]
+    centers = control_set.centers()  # (0, dim) for an empty set
+    states = [centers[np.linalg.norm(centers, axis=1) >= norm_floor]]
     for rec in blowup_records:
         sol = getattr(rec, "solution", None)
         x0 = getattr(sol, "x0", None)
         if x0 is not None and np.isfinite(rec.norm_x) and rec.norm_x >= norm_floor:
             states.append(np.asarray(x0, dtype=float)[None, :])
-    pts = np.concatenate([s for s in states if s.size > 0]) if any(
-        s.size for s in states) else np.empty((0, control_set.grid.dim))
+    pts = np.concatenate(states)
     if pts.shape[0] == 0:
         return InfinityBoundaryReport("box-directions", [], [], [])
     if pts.shape[0] > max_points:
         stride = int(np.ceil(pts.shape[0] / max_points))
         pts = pts[::stride]
     dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    dirs = np.hstack([dirs, np.zeros((dirs.shape[0], 1))])
-    for i in range(dirs.shape[0]):
-        dirs[i] = _canonical_sign(dirs[i])
-    clusters = _single_linkage(dirs, cluster_tol)
+    dirs = _canonical_sign(np.hstack([dirs, np.zeros((dirs.shape[0], 1))]))
+    # single linkage: the connected components of the threshold graph
+    n_clusters, labels = csgraph.connected_components(
+        sparse.csr_matrix(proj_dist_vectors(dirs, dirs) <= cluster_tol), directed=False)
+    clusters = _label_groups(labels, np.ones(n_clusters, dtype=bool))
     reps = []
     sizes = []
     for members in clusters:
@@ -547,8 +534,7 @@ def infinity_boundary_chain(emb: HomEmbedding, subdivisions: int, controls,
     hom = sphere_chain_components(hom_graph)
 
     if match_tol is None:
-        match_tol = (tolerances.cluster_tol if tolerances.cluster_tol is not None
-                     else 2.0 * big.box_diameter)
+        match_tol = 2.0 * big.box_diameter
 
     # level-0 slice directions per embedded component (exactly on the level)
     def slice_directions(boxes: np.ndarray) -> np.ndarray:

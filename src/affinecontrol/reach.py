@@ -103,16 +103,22 @@ class BoxGrid:
         return self.lo + self.multi_index(indices) * self.widths
 
     def box_of(self, points) -> np.ndarray:
-        """Flat box index per point, or -1 for points outside the window."""
+        """Flat box index per point, or -1 for points outside the window.
+
+        The window is half open, lo <= x < hi per axis; a point just below
+        hi whose quotient rounds up to `subdivisions` stays in the last box.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         widths = self.widths
         flat = np.zeros(pts.shape[0], dtype=np.int64)
         inside = np.ones(pts.shape[0], dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # those points are outside
             for k, sub in enumerate(self.subdivisions):
-                rel = np.floor((pts[:, k] - self.lo[k]) / widths[k])
-                inside &= (rel >= 0) & (rel < sub)  # False for NaN and +-inf
-                flat = flat * sub + rel.astype(np.int64)
+                x = pts[:, k]
+                inside &= (x >= self.lo[k]) & (x < self.hi[k])  # False for NaN
+                # inside, the quotient is >= 0, so the cast is the floor
+                flat *= sub
+                flat += np.minimum(((x - self.lo[k]) / widths[k]).astype(np.int64), sub - 1)
         flat[~inside] = -1
         return flat
 
@@ -253,12 +259,17 @@ def _chain_positions(indptr: np.ndarray, targets: np.ndarray,
         return []
     n_comp, labels = csgraph.connected_components(
         _csr_matrix(indptr, targets), directed=True, connection="strong")
-    counts = np.bincount(labels, minlength=n_comp)
-    kept = counts >= 2
+    kept = np.bincount(labels, minlength=n_comp) >= 2
     kept[labels[loops]] = True
+    return _label_groups(labels, kept)
+
+
+def _label_groups(labels: np.ndarray, kept: np.ndarray) -> list[np.ndarray]:
+    """Positions of each label flagged in `kept` as sorted arrays, by size
+    descending, then smallest position."""
     members = np.flatnonzero(kept[labels])
     members = members[np.argsort(labels[members], kind="stable")]
-    sizes = counts[kept]
+    sizes = np.bincount(labels, minlength=kept.size)[kept]
     ends = np.cumsum(sizes)
     groups = np.split(members, ends[:-1])
     return [groups[k] for k in np.lexsort((members[ends - sizes], -sizes))]

@@ -22,12 +22,9 @@ __all__ = [
     "AffineVectorField",
     "Trajectory",
     "BlowUpError",
-    "system_matrix",
-    "vector_field",
     "lie_bracket",
     "larc_rank",
     "simulate",
-    "propagate",
     "segment_map",
     "equilibrium",
 ]
@@ -311,16 +308,6 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
 
-def system_matrix(sys: AffineSystem, u) -> np.ndarray:
-    """State matrix A(u) = A + sum_i u_i B_i for the control value u."""
-    return sys.system_matrix(u)
-
-
-def vector_field(sys: AffineSystem, u, x) -> np.ndarray:
-    """Right-hand side A(u) x + C u + d (control containment is the caller's contract)."""
-    return sys.rhs(x, u)
-
-
 def lie_bracket(X: AffineVectorField, Y: AffineVectorField) -> AffineVectorField:
     """Bracket of affine fields: [X, Y](x) = -(MN - NM) x - (M b - N a).
 
@@ -428,29 +415,6 @@ def _check_control(sys: AffineSystem, *controls: PiecewiseControl):
     if not np.all(inside):
         raise ValueError(
             f"control value {values[np.argmin(inside)]} lies outside the control box")
-
-
-def propagate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float) -> np.ndarray:
-    """Endpoint state phi(t, x0, u) without intermediate samples."""
-    _check_control(sys, ctrl)
-    x = np.asarray(x0, dtype=float).reshape(sys.n)
-    t = float(t)
-    if t == 0.0:
-        return x.copy()
-    if t < 0.0:
-        piece_list = [(u, -dt) for u, dt in ctrl.pieces(t, 0.0)][::-1]
-    else:
-        piece_list = list(ctrl.pieces(0.0, t))
-    clock = 0.0
-    for u, dt in piece_list:
-        G, h = segment_map(sys, u, dt)
-        x_next = G @ x + h
-        if not np.all(np.isfinite(x_next)):
-            raise BlowUpError(
-                f"state overflowed while propagating to {t:+.6g}", x, clock)
-        x = x_next
-        clock += dt
-    return x
 
 
 def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,

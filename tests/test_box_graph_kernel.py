@@ -23,17 +23,16 @@ from affinecontrol.system import AffineSystem, segment_map
 
 
 def scalar_box(grid: BoxGrid, x) -> int:
-    """Flat box index of one point by per-axis floor, or -1 outside."""
+    """Flat box index of one point, or -1 outside the half-open window
+    lo <= x < hi; per axis the floor, clipped to the last box."""
     flat = 0
     for k in range(grid.dim):
-        rel = (float(x[k]) - float(grid.lo[k])) / float(grid.widths[k])
-        if not math.isfinite(rel):
+        xk = float(x[k])
+        if not float(grid.lo[k]) <= xk < float(grid.hi[k]):  # False for NaN
             return -1
-        r = math.floor(rel)
         sub = int(grid.subdivisions[k])
-        if not 0 <= r < sub:
-            return -1
-        flat = flat * sub + r
+        r = math.floor((xk - float(grid.lo[k])) / float(grid.widths[k]))
+        flat = flat * sub + min(r, sub - 1)
     return flat
 
 
@@ -59,7 +58,7 @@ def test_box_of_matches_scalar_lookup(grid, data):
                                                max_size=grid.dim),
                                       min_size=n, max_size=n)),
                    dtype=float).reshape(n, grid.dim)
-    # window corners: lo on an axis is box 0 there; hi is decided by the floor
+    # window corners: lo on an axis is box 0 there; hi is outside
     pts = np.concatenate([pts, grid.lo[None, :], grid.hi[None, :]])
     got = grid.box_of(pts)
     assert got.dtype == np.int64
@@ -82,6 +81,18 @@ def test_box_of_window_edges_and_nonfinite_points():
     ])
     expected = [0, grid.flat_index([[2, 1, 4]])[0]] + [-1] * 8
     assert grid.box_of(pts).tolist() == expected
+
+
+def test_box_of_upper_edge_on_inexact_widths():
+    # whichever way (hi - lo) / width rounds, hi itself is outside and the
+    # float just below it is in the last box
+    rng = np.random.default_rng(0)
+    for lo, span in zip(rng.uniform(-5.0, 5.0, 200), rng.uniform(0.1, 10.0, 200)):
+        for sub in range(1, 50):
+            grid = BoxGrid([lo], [lo + span], [sub])
+            hi = grid.hi[0]
+            below = np.nextafter(hi, grid.lo[0])
+            assert grid.box_of([[hi], [below]]).tolist() == [-1, sub - 1], (lo, span, sub)
 
 
 def affine_systems(n):

@@ -21,7 +21,7 @@ from affinecontrol.floquet import (
     periodic_solution,
     principal_matrix,
 )
-from affinecontrol.system import AffineSystem, PiecewiseControl, propagate
+from affinecontrol.system import AffineSystem, PiecewiseControl, simulate
 
 from conftest import (
     damped_oscillator_system,
@@ -238,7 +238,7 @@ def test_unique_solutions_verified_by_resimulation():
             continue
         sol = periodic_solution(sys, ctrl)
         assert isinstance(sol, Unique)
-        back = propagate(sys, ctrl, sol.x0, ctrl.period)
+        back = simulate(sys, ctrl, sol.x0, ctrl.period).states[-1]
         assert np.linalg.norm(back - sol.x0) <= 1e-8 * (1.0 + np.linalg.norm(sol.x0))
         checked += 1
 

@@ -4,7 +4,9 @@ records spans, and restores every name it wrapped."""
 import importlib.util
 from pathlib import Path
 
-from affinecontrol import reach
+import numpy as np
+
+from affinecontrol import projective, reach
 from affinecontrol.system import AffineSystem
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -59,3 +61,26 @@ def test_tracer_installs_records_and_restores():
     assert layers["reach.chain_components.s"] > 0.0
     assert counts["reach.edges"] == graph.num_edges
     assert 0.0 < counts["reach.scc.kept_ratio"] <= 1.0
+
+
+def test_tracer_records_the_projective_names():
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        emb = projective.embed_system(AffineSystem(
+            np.diag([1.0, -1.0]), np.eye(2)[None, :, :], np.ones((2, 1)), [1.0, 0.0],
+            [-0.5], [0.5]))
+        with tracer.recording():
+            report = projective.infinity_boundary_chain(emb, 4, [[-0.5], [0.5]], 0.1)
+        _, counts = spans.layer_metrics(tracer)
+    finally:
+        tracer.uninstall()
+    names = {s[0] for s in tracer.spans}
+    assert {"projective.infinity_boundary_chain", "projective.build_sphere_graph",
+            "projective.sphere_box_of", "projective.box_diameter",
+            "projective.sphere_chain_components", "projective.proj_dist_vectors",
+            "system.expm"} <= names
+    assert counts["system.expm.calls"] == 4  # one per control and sphere
+    big, hom = report.details
+    assert counts["projective.sphere_edges"] == big.graph.targets.size + hom.graph.targets.size

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from affinecontrol.config import Tolerances
 from affinecontrol.floquet import concat_path, continuation, floquet_of
 from affinecontrol.projective import (
     HomEmbedding,
@@ -17,13 +19,14 @@ from affinecontrol.projective import (
     infinity_boundary_chain,
     infinity_boundary_directions,
     lyapunov_estimate,
+    proj_dist_vectors,
     proj_metric,
     proj_step,
     sphere_chain_components,
     unembed_point,
 )
-from affinecontrol.reach import BoxGrid, BoxSet
-from affinecontrol.system import AffineSystem, PiecewiseControl, propagate, simulate
+from affinecontrol.reach import BoxGrid, BoxSet, _halton_offsets
+from affinecontrol.system import AffineSystem, PiecewiseControl, simulate
 
 from conftest import (
     damped_oscillator_system,
@@ -59,8 +62,8 @@ def test_embedded_level_one_reproduces_affine_trajectories():
     emb = embed_system(sys).as_affine_system()
     ctrl = random_control(rng, m=2, segments=3)
     x0 = rng.normal(size=3)
-    lifted = propagate(emb, ctrl, np.concatenate([x0, [1.0]]), 2.1)
-    plain = propagate(sys, ctrl, x0, 2.1)
+    lifted = simulate(emb, ctrl, np.concatenate([x0, [1.0]]), 2.1).states[-1]
+    plain = simulate(sys, ctrl, x0, 2.1).states[-1]
     assert abs(lifted[-1] - 1.0) < 1e-12
     assert np.linalg.norm(lifted[:3] - plain) <= 1e-10 * (1 + np.linalg.norm(plain))
 
@@ -71,8 +74,8 @@ def test_embedded_level_zero_reproduces_homogeneous_trajectories():
     emb = embed_system(sys).as_affine_system()
     ctrl = random_control(rng, m=1, segments=2)
     x0 = rng.normal(size=3)
-    lifted = propagate(emb, ctrl, np.concatenate([x0, [0.0]]), 1.7)
-    hom = propagate(sys.homogeneous(), ctrl, x0, 1.7)
+    lifted = simulate(emb, ctrl, np.concatenate([x0, [0.0]]), 1.7).states[-1]
+    hom = simulate(sys.homogeneous(), ctrl, x0, 1.7).states[-1]
     assert lifted[-1] == 0.0
     assert np.linalg.norm(lifted[:3] - hom) <= 1e-10 * (1 + np.linalg.norm(hom))
 
@@ -275,6 +278,86 @@ def test_sphere_grid_level_zero_touching():
     assert touching.size > 0
 
 
+def reference_sphere_box(grid: SphereGrid, x) -> int:
+    """Canonical id of one point's box via the face split: anchor axis (the
+    first largest modulus), face sign, and per-axis bins of x / |anchor|."""
+    axis = int(np.argmax(np.abs(x)))
+    coords = np.delete(x, axis) / abs(x[axis])
+    bins = np.clip(((coords + 1.0) * 0.5 * grid.subdivisions).astype(np.int64),
+                   0, grid.subdivisions - 1)
+    return int(grid.canonical(grid._join(axis, int(x[axis] < 0), bins)))
+
+
+def reference_box_diameter(grid: SphereGrid) -> float:
+    """Largest corner-to-corner projective distance over all canonical boxes."""
+    corners = grid.corners(grid.canonical_ids())
+    best = 0.0
+    for i in range(corners.shape[0]):
+        for j in range(i + 1, corners.shape[0]):
+            dots = np.clip(np.abs(np.sum(corners[i] * corners[j], axis=1)), 0, 1)
+            best = max(best, float(np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots)).max()))
+    return best
+
+
+@st.composite
+def sphere_points(draw):
+    """A sphere grid and nonzero points with ties |x_i| == |x_j| and zeros."""
+    grid = SphereGrid(draw(st.integers(2, 5)), draw(st.integers(1, 9)))
+    coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0]),
+                      st.floats(-4.0, 4.0).filter(lambda v: v == 0.0 or abs(v) > 1e-200))
+    rows = draw(st.lists(st.lists(coord, min_size=grid.ambient, max_size=grid.ambient)
+                         .filter(any), min_size=1, max_size=12))
+    return grid, np.array(rows)
+
+
+def on_bin_boundary(grid: SphereGrid, x) -> bool:
+    """Whether a face coordinate of x lies within rounding of an inner bin edge."""
+    axis = int(np.argmax(np.abs(x)))
+    t = (np.delete(x, axis) / abs(x[axis]) + 1.0) * 0.5 * grid.subdivisions
+    edge = np.round(t)
+    return bool(np.any((edge > 0) & (edge < grid.subdivisions)
+                       & (np.abs(t - edge) <= 1e-9 * grid.subdivisions)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sphere_points(), st.integers(-8, 8))
+def test_sphere_box_of_properties(case, k):
+    grid, pts = case
+    ids = grid.box_of(pts)
+    assert ids.tolist() == [reference_sphere_box(grid, x) for x in pts]
+    assert np.array_equal(grid.box_of(2.0 ** k * pts), ids)
+    off_edges = [not on_bin_boundary(grid, x) for x in pts]
+    assert np.array_equal(grid.box_of(-pts)[off_edges], ids[off_edges])
+    boxes = grid.canonical_ids()
+    assert np.array_equal(grid.box_of(grid.centers(boxes)), boxes)
+
+
+@pytest.mark.xfail(strict=True, reason="box_of bins x / |anchor| and flips the bins of "
+                   "negative anchors, so x and -x part on inner bin edges")
+def test_sphere_box_of_antipodes_on_bin_edges():
+    grid = SphereGrid(2, 2)
+    pts = np.array([[1.0, 0.0], [0.6, 0.0]])
+    assert np.array_equal(grid.box_of(-pts), grid.box_of(pts))
+
+
+def test_sphere_box_diameter_matches_all_boxes():
+    # the faces are congruent, but sqrt(2 - 2 |dot|) turns a last-bit
+    # rounding of the dot product into about eps / d in the diameter d, so
+    # another face's maximum can differ in a few ulps (6 at ambient 4, 9 bins)
+    for ambient in range(2, 6):
+        for subdivisions in range(1, 10):
+            grid = SphereGrid(ambient, subdivisions)
+            reference = reference_box_diameter(grid)
+            assert (abs(grid.box_diameter() - reference)
+                    <= 2.0 * np.finfo(float).eps / reference), (ambient, subdivisions)
+
+
+def test_sphere_box_diameter_bit_identical_on_benchmark_grids():
+    for ambient in (3, 4):
+        grid = SphereGrid(ambient, 24)
+        assert grid.box_diameter() == reference_box_diameter(grid)
+
+
 def test_sphere_graph_saddle_components():
     # flow diag(2, -2): the circle dynamics has exactly the two axis
     # directions as chain-recurrent points; the surviving box components
@@ -299,16 +382,28 @@ def test_sphere_graph_saddle_components():
             assert dist <= 2 * analysis.box_diameter
 
 
-def test_sphere_graph_rejects_overflowed_exponential():
-    # exp(400 dt) overflows at dt = 2; dt = 0.01 gives four components
+def test_sphere_graph_chunks_long_steps():
+    # exp(800) overflows, so dt = 2 is taken in 23 renormalised chunks; the
+    # e1 direction attracts everything and is the one chain component
     A = np.diag([400.0, -400.0, 0.0])
     grid = SphereGrid(3, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FloatingPointError, match=r"control \[0\.\] over dt=2\.0"):
-            build_sphere_graph(lambda u: A, None, grid, [[0.0]], 2.0)
+        graph = build_sphere_graph(lambda u: A, None, grid, [[0.0]], 2.0)
+    components = sphere_chain_components(graph).components
+    assert [c.tolist() for c in components] == [grid.box_of([[1.0, 0.0, 0.0]]).tolist()]
     graph = build_sphere_graph(lambda u: A, None, grid, [[0.0]], 0.01)
     assert len(sphere_chain_components(graph).components) == 4
+    # exp(80) is still finite: the 3 chunks give the targets of one exponential
+    A = np.diag([40.0, -40.0, 0.0])
+    graph = build_sphere_graph(lambda u: A, None, grid, [[0.0]], 2.0, pts_per_box=3)
+    offsets = np.vstack([np.full((1, 2), 0.5), _halton_offsets(2, 2, 0)])
+    images = grid.cube_points(graph.boxes, offsets) @ expm(2.0 * A).T
+    rows = [sorted({int(np.searchsorted(graph.boxes, grid.box_of(images[:, j])[k]))
+                    for k in range(images.shape[0])})
+            for j in range(graph.num_boxes)]
+    assert graph.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+    assert graph.targets.tolist() == [t for r in rows for t in r]
 
 
 def test_sphere_graph_rejects_nonpositive_pts_per_box():
@@ -349,6 +444,50 @@ def test_infinity_directions_two_clusters_for_coupling_equilibria():
     assert all(d.level == 0 for d in report.directions)
 
 
+def union_find_directions(centers, norm_floor, tol):
+    """Box-center estimator by loops: per-row sign, union-find single
+    linkage, clusters by (-size, first member), sign-aligned means."""
+    pts = centers[np.linalg.norm(centers, axis=1) >= norm_floor]
+    dirs = np.hstack([pts / np.linalg.norm(pts, axis=1, keepdims=True),
+                      np.zeros((pts.shape[0], 1))])
+    for i, v in enumerate(dirs):
+        nz = np.flatnonzero(np.abs(v) > 1e-12)
+        if nz.size and v[nz[0]] < 0:
+            dirs[i] = -v
+    parent = list(range(dirs.shape[0]))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(proj_dist_vectors(dirs, dirs) <= tol)):
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    roots = np.array([find(i) for i in range(dirs.shape[0])])
+    clusters = sorted((np.flatnonzero(roots == r) for r in np.unique(roots)),
+                      key=lambda c: (-c.size, int(c[0])))
+    reps = []
+    for members in clusters:
+        block = dirs[members]
+        signs = np.where(block @ block[0] >= 0, 1.0, -1.0)
+        reps.append(ProjPoint.from_vector((block * signs[:, None]).mean(axis=0)).vec)
+    return reps, [int(c.size) for c in clusters]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([0.02, 0.1, 0.3]))
+def test_infinity_directions_match_union_find_reference(seed, tol):
+    rng = np.random.default_rng(seed)
+    grid = BoxGrid([-50.0, -50.0], [50.0, 50.0], [60, 60])
+    box_set = BoxSet(grid, rng.choice(grid.size, int(rng.integers(1, 300)), replace=False))
+    report = infinity_boundary_directions(box_set, norm_floor=30.0, cluster_tol=tol)
+    reps, sizes = union_find_directions(box_set.centers(), 30.0, tol)
+    assert report.cluster_sizes == sizes
+    assert all(np.array_equal(p.vec, r) for p, r in zip(report.directions, reps))
+    assert len(report.directions) == len(reps)
+
+
 def test_infinity_directions_ingests_blowup_records():
     sys = symmetric_coupling_system()
     u = PiecewiseControl.constant([-0.7], 1.0)
@@ -362,6 +501,19 @@ def test_infinity_directions_ingests_blowup_records():
     assert not report.empty
     diag = ProjPoint.from_vector([1.0, 1.0, 0.0])
     assert min(proj_metric(diag, d) for d in report.directions) < 0.02
+
+
+def test_chain_matches_ignore_cluster_tol():
+    # cluster_tol is the box-center estimator's radius; the chain estimator
+    # matches within its own match_tol (None: 2 embedded-sphere box diameters)
+    emb = embed_system(planar_saddle_system())
+    controls = [[-1.0], [0.0], [1.0]]
+    base = infinity_boundary_chain(emb, 8, controls, 0.1)
+    tight = infinity_boundary_chain(emb, 8, controls, 0.1,
+                                    tolerances=Tolerances(cluster_tol=1e-9))
+    assert any(d > 1e-9 for _, _, d in base.matches)
+    assert tight.matches == base.matches
+    assert all(d <= 2.0 * base.details[0].box_diameter for _, _, d in base.matches)
 
 
 def test_infinity_boundary_chain_rejects_controls_outside_the_box():

@@ -13,11 +13,8 @@ from affinecontrol.system import (
     equilibrium,
     larc_rank,
     lie_bracket,
-    propagate,
     segment_map,
     simulate,
-    system_matrix,
-    vector_field,
 )
 
 from conftest import (
@@ -33,26 +30,26 @@ from conftest import (
 
 def test_system_matrix_planar_saddle_at_one():
     sys = planar_saddle_system()
-    assert np.array_equal(system_matrix(sys, [1.0]), np.diag([3.0, -1.0]))
+    assert np.array_equal(sys.system_matrix([1.0]), np.diag([3.0, -1.0]))
 
 
 def test_system_matrix_zero_control_returns_A():
     sys = random_system(np.random.default_rng(0), n=3, m=2)
-    assert np.array_equal(system_matrix(sys, np.zeros(2)), sys.A)
+    assert np.array_equal(sys.system_matrix(np.zeros(2)), sys.A)
 
 
 def test_system_matrix_symmetric_coupling_half():
     sys = symmetric_coupling_system()
-    assert np.allclose(system_matrix(sys, [0.5]), np.ones((2, 2)), atol=0.0)
+    assert np.allclose(sys.system_matrix([0.5]), np.ones((2, 2)), atol=0.0)
 
 
 def test_system_matrix_dimension_mismatch():
     sys = planar_saddle_system()
     with pytest.raises(ValueError):
-        system_matrix(sys, [1.0, 2.0])
+        sys.system_matrix([1.0, 2.0])
 
 
-# ---------------------------------------------------------------- vector_field
+# ------------------------------------------------------------------------- rhs
 
 @pytest.mark.parametrize("u", [-1.0, -0.5, 0.0, 0.5, 1.0])
 def test_vector_field_vanishes_at_planar_equilibria(u):
@@ -60,20 +57,20 @@ def test_vector_field_vanishes_at_planar_equilibria(u):
     sys = planar_saddle_system()
     x_u = -(3 * u + 3) / (2 + u)
     y_u = 3 * u / (2 - u)
-    assert np.allclose(vector_field(sys, [u], [x_u, y_u]), 0.0, atol=1e-13)
+    assert np.allclose(sys.rhs([x_u, y_u], [u]), 0.0, atol=1e-13)
 
 
 def test_vector_field_zero_system():
     sys = AffineSystem(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((2, 1)),
                        np.zeros(2), [-1.0], [1.0])
-    assert np.array_equal(vector_field(sys, [0.3], [4.0, -7.0]), np.zeros(2))
+    assert np.array_equal(sys.rhs([4.0, -7.0], [0.3]), np.zeros(2))
 
 
 def test_vector_field_oscillator_equilibrium():
     # at u=0 the state (x, 0) is an equilibrium iff -x + d = 0
     sys = damped_oscillator_system(rho=1.1, d=0.5)
-    assert np.allclose(vector_field(sys, [0.0], [0.5, 0.0]), 0.0, atol=1e-15)
-    assert not np.allclose(vector_field(sys, [0.0], [0.7, 0.0]), 0.0)
+    assert np.allclose(sys.rhs([0.5, 0.0], [0.0]), 0.0, atol=1e-15)
+    assert not np.allclose(sys.rhs([0.7, 0.0], [0.0]), 0.0)
 
 
 def test_equilibrium_solver_matches_formulas():
@@ -213,9 +210,9 @@ def test_simulate_flow_property():
         ctrl = random_control(rng, m=2, segments=3)
         x0 = rng.normal(size=3)
         s, t = 0.7, 1.9
-        direct = propagate(sys, ctrl, x0, s + t)
-        mid = propagate(sys, ctrl, x0, s)
-        two_step = propagate(sys, ctrl.shifted(s), mid, t)
+        direct = simulate(sys, ctrl, x0, s + t).states[-1]
+        mid = simulate(sys, ctrl, x0, s).states[-1]
+        two_step = simulate(sys, ctrl.shifted(s), mid, t).states[-1]
         scale = max(1.0, np.linalg.norm(direct))
         assert np.linalg.norm(direct - two_step) <= 1e-12 * scale
 
@@ -225,9 +222,9 @@ def test_simulate_backward_inverts_forward():
     sys = random_system(rng, n=2, m=1)
     ctrl = random_control(rng, m=1, segments=2)
     x0 = rng.normal(size=2)
-    xf = propagate(sys, ctrl, x0, 1.3)
+    xf = simulate(sys, ctrl, x0, 1.3).states[-1]
     # reversing from the endpoint under the time-shifted control returns to x0
-    back = propagate(sys, ctrl.shifted(1.3), xf, -1.3)
+    back = simulate(sys, ctrl.shifted(1.3), xf, -1.3).states[0]
     assert np.allclose(back, x0, atol=1e-11)
     traj = simulate(sys, ctrl, x0, -0.8)
     assert traj.times[0] == -0.8 and traj.times[-1] == 0.0
@@ -247,7 +244,7 @@ def test_simulate_matches_ode_oracle():
             sol = solve_ivp(lambda _, y, uu=u: sys.rhs(y, uu), (0.0, dt), x,
                             method="DOP853", rtol=1e-12, atol=1e-12)
             x = sol.y[:, -1]
-        ours = propagate(sys, ctrl, x0, t_end)
+        ours = simulate(sys, ctrl, x0, t_end).states[-1]
         assert np.linalg.norm(ours - x) <= 1e-8 * max(1.0, np.linalg.norm(x))
 
 
@@ -326,6 +323,7 @@ def test_flow_property_random_times(seed):
     x0 = rng.normal(size=2)
     s = float(rng.uniform(0.05, 2.0))
     t = float(rng.uniform(0.05, 2.0))
-    direct = propagate(sys, ctrl, x0, s + t)
-    two_step = propagate(sys, ctrl.shifted(s), propagate(sys, ctrl, x0, s), t)
+    direct = simulate(sys, ctrl, x0, s + t).states[-1]
+    two_step = simulate(sys, ctrl.shifted(s), simulate(sys, ctrl, x0, s).states[-1],
+                        t).states[-1]
     assert np.linalg.norm(direct - two_step) <= 1e-11 * max(1.0, np.linalg.norm(direct))
