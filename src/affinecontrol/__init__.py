@@ -50,7 +50,6 @@ from .reach import (
     MemoryBudgetError,
 )
 from .projective import (
-    HomEmbedding,
     ProjPoint,
     SphereGrid,
     InfinityBoundaryReport,

@@ -6,6 +6,8 @@ decision lives here, so reports can echo the configuration they ran with.
 
 from dataclasses import dataclass, asdict, replace
 
+__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "DEFAULT_MEMORY_CAP", "MAX_EXP_GROWTH"]
+
 
 @dataclass(frozen=True)
 class Tolerances:

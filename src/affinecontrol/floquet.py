@@ -16,7 +16,7 @@ from .config import Tolerances, DEFAULT_TOLERANCES
 from .system import (
     AffineSystem,
     PiecewiseControl,
-    _check_control,
+    _check_values,
     _segment_maps,
     larc_rank,
 )
@@ -119,10 +119,10 @@ def _period_maps(sys: AffineSystem, controls) -> tuple[np.ndarray, np.ndarray]:
     so no control's result depends on the rest of the batch.  Raises
     EigenSolverError, naming the control, when a map is not finite.
     """
-    _check_control(sys, *controls)
+    values = np.concatenate([c.values for c in controls])
+    _check_values(sys, values)
     counts = np.array([ctrl.num_segments for ctrl in controls])
-    E = _segment_maps(sys, np.concatenate([c.values for c in controls]),
-                      np.concatenate([c.durations for c in controls]))
+    E = _segment_maps(sys, values, np.concatenate([c.durations for c in controls]))
     first = np.cumsum(counts) - counts
     maps = np.empty((len(controls),) + E.shape[1:])
     for k in np.unique(counts):

@@ -1,18 +1,20 @@
 """Projective compactification and the boundary at infinity.
 
-The affine system embeds into a bilinear system one dimension up via the
-block matrices [[A, d], [0, 0]] and [[B_i, c_i], [0, 0]]; level z = 1
-carries the affine dynamics, level z = 0 the homogeneous ones.  Projective
-space is represented by unit vectors with canonical sign (first nonzero
-coordinate positive), the sphere is covered by cube-face boxes with
-antipodal identification, and directions at infinity of a control set are
-estimated either from far-out box centers or from chain components of the
-sphere dynamics.  Every projectivised flow (`proj_step`, `lyapunov_estimate`,
-`build_sphere_graph`) applies the exponential in renormalised chunks, so a
-long step of a strongly expanding generator does not overflow.
+The affine system embeds into a bilinear system one dimension up, itself a
+drift-free `AffineSystem` with generators [[A, d], [0, 0]] and
+[[B_i, c_i], [0, 0]]; level z = 1 carries the affine dynamics, level z = 0
+the homogeneous ones.  Projective space is represented by unit vectors with
+canonical sign (first nonzero coordinate positive), the sphere is covered
+by cube-face boxes with antipodal identification, and directions at
+infinity of a control set are estimated either from far-out box centers or
+from chain components of the sphere dynamics.  Every projectivised flow
+(`proj_step`, `lyapunov_estimate`, `build_sphere_graph`) applies the
+exponential in renormalised chunks, so a long step of a strongly expanding
+generator does not overflow.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -20,12 +22,11 @@ from scipy.linalg import expm
 from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import (BoxSet, MemoryBudgetError, _chain_positions, _halton_offsets,
-                    _label_groups, _rows_to_csr, _self_loops)
+from .reach import (BoxSet, _chain_positions, _halton_offsets, _label_groups,
+                    _sampled_controls, _sampled_csr, _self_loops)
 from .system import AffineSystem, PiecewiseControl
 
 __all__ = [
-    "HomEmbedding",
     "ProjPoint",
     "SphereGrid",
     "SphereGraph",
@@ -45,33 +46,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomEmbedding:
-    """Bilinear embedding blocks; last row of every block is zero."""
-
-    A_hat: np.ndarray
-    B_hat: np.ndarray
-    omega_lo: np.ndarray
-    omega_hi: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.A_hat.shape[0]
-
-    def system_matrix(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        return self.A_hat + np.tensordot(u, self.B_hat, axes=(0, 0))
-
-    def as_affine_system(self) -> AffineSystem:
-        """The embedding as a drift-free system one dimension up."""
-        k = self.dim
-        m = self.B_hat.shape[0]
-        return AffineSystem(self.A_hat, self.B_hat, np.zeros((k, m)),
-                            np.zeros(k), self.omega_lo, self.omega_hi)
-
-
-def embed_system(sys: AffineSystem) -> HomEmbedding:
-    """Blocks [[A, d], [0, 0]] and [[B_i, c_i], [0, 0]] of the embedding."""
+def embed_system(sys: AffineSystem) -> AffineSystem:
+    """The embedding one dimension up: the drift-free system with generators
+    [[A, d], [0, 0]] and [[B_i, c_i], [0, 0]] and the same control box."""
     n, m = sys.n, sys.m
     A_hat = np.zeros((n + 1, n + 1))
     A_hat[:n, :n] = sys.A
@@ -80,7 +57,8 @@ def embed_system(sys: AffineSystem) -> HomEmbedding:
     for i in range(m):
         B_hat[i, :n, :n] = sys.B[i]
         B_hat[i, :n, n] = sys.C[:, i]
-    return HomEmbedding(A_hat, B_hat, sys.omega_lo.copy(), sys.omega_hi.copy())
+    return AffineSystem(A_hat, B_hat, np.zeros((n + 1, m)), np.zeros(n + 1),
+                        sys.omega_lo, sys.omega_hi)
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -161,13 +139,14 @@ def _flow_rows(M: np.ndarray, dt: float, W: np.ndarray) -> tuple[np.ndarray, np.
     return W @ E.T, logs
 
 
-def proj_step(emb: HomEmbedding, p: ProjPoint, u, dt: float,
+def proj_step(emb: AffineSystem, p: ProjPoint, u, dt: float,
               level_tol: float = DEFAULT_TOLERANCES.level_tol) -> ProjPoint:
-    """Image of a projective point under the time-dt embedded linear flow.
+    """Image of a projective point under the time-dt linear flow of `emb`.
 
-    The representative is propagated by the segment exponential, in
+    `emb` is the embedding `embed_system(sys)`; only A(u) acts.  The
+    representative is propagated by the segment exponential, in
     renormalised chunks for long steps, then re-canonicalized.  Level 0 is
-    invariant because the blocks' last row vanishes.
+    invariant because the generators' last row vanishes.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -187,13 +166,13 @@ def unembed_point(p: ProjPoint) -> ProjPoint:
     return ProjPoint.from_vector(p.vec[:-1])
 
 
-def lyapunov_estimate(model, ctrl: PiecewiseControl, x, T: float) -> float:
-    """Finite-time exponential growth rate of the homogeneous flow.
+def lyapunov_estimate(sys: AffineSystem, ctrl: PiecewiseControl, x, T: float) -> float:
+    """Finite-time exponential growth rate of the homogeneous flow of `sys`.
 
     Computes log(||Phi(T, 0) x|| / ||x||) / T by summing the log-norms that
     the chunked, renormalised flow of each segment divides out, so no
-    overflow occurs even for strongly expanding dynamics.  `model` is an
-    affine system (its homogeneous part is used) or an embedding.
+    overflow occurs even for strongly expanding dynamics.  Only A(u) acts;
+    pass `embed_system(sys)` for the rate of the embedded flow.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -203,7 +182,7 @@ def lyapunov_estimate(model, ctrl: PiecewiseControl, x, T: float) -> float:
     w = x / np.linalg.norm(x)
     total = 0.0
     for u, dt in ctrl.pieces(0.0, T):
-        w, logs = _flow_rows(model.system_matrix(u), dt, w)
+        w, logs = _flow_rows(sys.system_matrix(u), dt, w)
         norm = np.linalg.norm(w)
         total += logs + np.log(norm)
         w = w / norm
@@ -270,20 +249,19 @@ class SphereGrid:
         """Canonical box id of each (row) point; points need not be normalized.
 
         The anchor is the largest coordinate in modulus; face coordinate j
-        is coordinate j (j < axis) or j + 1 (j >= axis) over |anchor|.  The
-        canonical id is the one on the positive face, so bins are flipped
-        to sub - 1 - b where the anchor is negative.
+        is coordinate j (j < axis) or j + 1 (j >= axis) over the anchor.
+        That is the positive-face point of the representative with positive
+        anchor, whose id is the canonical one, so x and -x get the same id.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         axis = np.argmax(np.abs(pts), axis=1)
         anchor = pts[np.arange(pts.shape[0]), axis]
-        scale, neg = np.abs(anchor), anchor < 0
         sub = self.subdivisions
         cell = np.zeros(pts.shape[0], dtype=np.int64)
         for j in range(self.face_dims):
-            coord = np.where(j < axis, pts[:, j], pts[:, j + 1]) / scale
-            b = np.clip(((coord + 1.0) * 0.5 * sub).astype(np.int64), 0, sub - 1)
-            cell = cell * sub + np.where(neg, sub - 1 - b, b)
+            coord = np.where(j < axis, pts[:, j], pts[:, j + 1]) / anchor
+            cell = cell * sub + np.clip(((coord + 1.0) * 0.5 * sub).astype(np.int64),
+                                        0, sub - 1)
         return 2 * axis * self.cells_per_face + cell
 
     def cube_points(self, raw: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -364,49 +342,33 @@ class SphereGraph:
         return int(self.boxes.size)
 
 
-def build_sphere_graph(matrix_of, omega_check, sphere: SphereGrid, controls,
-                       dt: float, pts_per_box: int = 3, seed: int = 0,
+def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: float,
+                       pts_per_box: int = 3, seed: int = 0,
                        memory_cap: int = DEFAULT_MEMORY_CAP) -> SphereGraph:
-    """Directed box graph of the projectivized flow on the sphere quotient.
+    """Directed box graph of the projectivized flow of `sys` on the sphere quotient.
 
-    `matrix_of(u)` supplies the ambient linear generator for control u.
+    `sys` is linear (C and d zero, as for `embed_system`) and acts on the
+    sphere of its own dimension through the generators `sys.system_matrix(u)`.
     Test points per box are the center plus `pts_per_box - 1` offsets inside
     the cube cell: Owen-scrambled Halton points drawn from
     `np.random.default_rng(seed)`, identical to SciPy's
     `Halton(scramble=True)` sampler for an int seed.  Deterministic for a fixed
     seed.  Each control's exponential acts on the whole (P, N, ambient) block
     of test points through `_flow_rows`, in renormalised chunks when
-    |dt| ||matrix_of(u)||_F exceeds MAX_EXP_GROWTH, so a long step of a
-    strongly expanding generator is taken rather than overflowing.
+    |dt| ||A(u)||_F exceeds MAX_EXP_GROWTH, so a long step of a strongly
+    expanding generator is taken rather than overflowing.  The controls, dt,
+    pts_per_box and the memory cap are checked as in `build_transition_graph`.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if pts_per_box < 1:
-        raise ValueError("pts_per_box must be >= 1")
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    for u in controls:
-        if omega_check is not None and not omega_check(u):
-            raise ValueError(f"control sample {u} outside the control box")
+    if np.any(sys.C) or np.any(sys.d):
+        raise ValueError("the sphere graph needs a linear system: C and d must be zero")
     ids = sphere.canonical_ids()
-    n_boxes = ids.size
-    work = n_boxes * pts_per_box * controls.shape[0]
-    if work > memory_cap:
-        raise MemoryBudgetError(
-            f"{work} point-control samples exceed the cap of {memory_cap}")
-    offsets = [np.full((1, sphere.face_dims), 0.5)]
-    if pts_per_box > 1:
-        offsets.append(_halton_offsets(sphere.face_dims, pts_per_box - 1, seed))
-    offsets = np.concatenate(offsets)
+    controls = _sampled_controls(sys, controls, dt, pts_per_box, ids.size, memory_cap)
+    offsets = np.vstack([np.full((1, sphere.face_dims), 0.5),
+                         _halton_offsets(sphere.face_dims, pts_per_box - 1, seed)])
     points = sphere.cube_points(ids, offsets)  # (P, N, ambient)
-
-    P = points.shape[0]
-    tgt = np.empty((controls.shape[0] * P, n_boxes), dtype=np.int64)
-    for c, u in enumerate(controls):
-        images, _ = _flow_rows(matrix_of(u), dt, points)
-        tgt[c * P:(c + 1) * P] = sphere.box_of(
-            images.reshape(-1, sphere.ambient)).reshape(P, n_boxes)
-    tgt = np.clip(np.searchsorted(ids, tgt), 0, n_boxes - 1)
-    indptr, targets, _ = _rows_to_csr(tgt)
+    indptr, targets, _ = _sampled_csr(
+        sphere, ids, points.shape[0], controls,
+        lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0], True)
     return SphereGraph(sphere=sphere, boxes=ids, indptr=indptr, targets=targets,
                        dt=float(dt), controls=controls, pts_per_box=pts_per_box,
                        seed=seed)
@@ -419,7 +381,11 @@ class SphereChainAnalysis:
     graph: SphereGraph
     components: list
     level_zero: list
-    box_diameter: float
+
+    @cached_property
+    def box_diameter(self) -> float:
+        """The sphere grid's box diameter, computed on first read."""
+        return self.graph.sphere.box_diameter()
 
 
 def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
@@ -429,8 +395,7 @@ def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
     touches = graph.sphere.level_zero_touching(graph.boxes)
     comps = [graph.boxes[members] for members in chains]
     touching = [graph.boxes[members[touches[members]]] for members in chains]
-    return SphereChainAnalysis(graph=graph, components=comps, level_zero=touching,
-                               box_diameter=graph.sphere.box_diameter())
+    return SphereChainAnalysis(graph=graph, components=comps, level_zero=touching)
 
 
 # ------------------------------------------------------ boundary at infinity
@@ -505,7 +470,7 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     return InfinityBoundaryReport("box-directions", reps, sizes, [])
 
 
-def infinity_boundary_chain(emb: HomEmbedding, subdivisions: int, controls,
+def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
                             dt: float, pts_per_box: int = 3, seed: int = 0,
                             match_tol: float | None = None,
                             tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -513,36 +478,27 @@ def infinity_boundary_chain(emb: HomEmbedding, subdivisions: int, controls,
                             ) -> InfinityBoundaryReport:
     """Directions at infinity via chain components of the sphere dynamics.
 
-    Builds box graphs on the projective quotients of the spheres in the
-    embedded dimension and in the original dimension (the homogeneous
-    part), takes strongly connected components of both, and matches each
-    embedded-space component touching the level at infinity against the
-    homogeneous components embedded via the zero-append map.  The match
-    tolerance defaults to two embedded-sphere box diameters.
+    `emb` is the embedding `embed_system(sys)`.  Builds box graphs on the
+    projective quotients of the spheres in the embedded dimension (`emb`)
+    and in the original dimension (its leading block, the homogeneous part
+    of `sys`), takes strongly connected components of both, and matches
+    each embedded-space component touching the level at infinity against
+    the homogeneous components embedded via the zero-append map.  The
+    match tolerance defaults to two embedded-sphere box diameters.
     """
-    ambient = emb.dim
-    omega_check = emb.as_affine_system().contains_control
+    ambient = emb.n
     big_sphere = SphereGrid(ambient, subdivisions)
-    big_graph = build_sphere_graph(emb.system_matrix, omega_check, big_sphere, controls,
-                                   dt, pts_per_box, seed, memory_cap)
-    big = sphere_chain_components(big_graph)
+    big = sphere_chain_components(build_sphere_graph(
+        emb, big_sphere, controls, dt, pts_per_box, seed, memory_cap))
 
-    hom_matrix = lambda u: emb.system_matrix(u)[:ambient - 1, :ambient - 1]
+    hom_sys = AffineSystem(emb.A[:-1, :-1], emb.B[:, :-1, :-1], emb.C[:-1], emb.d[:-1],
+                           emb.omega_lo, emb.omega_hi)
     hom_sphere = SphereGrid(ambient - 1, subdivisions)
-    hom_graph = build_sphere_graph(hom_matrix, omega_check, hom_sphere, controls,
-                                   dt, pts_per_box, seed, memory_cap)
-    hom = sphere_chain_components(hom_graph)
+    hom = sphere_chain_components(build_sphere_graph(
+        hom_sys, hom_sphere, controls, dt, pts_per_box, seed, memory_cap))
 
     if match_tol is None:
         match_tol = 2.0 * big.box_diameter
-
-    # level-0 slice directions per embedded component (exactly on the level)
-    def slice_directions(boxes: np.ndarray) -> np.ndarray:
-        if boxes.size == 0:
-            return np.empty((0, ambient))
-        centers = big_sphere.centers(boxes)
-        centers[:, -1] = 0.0
-        return centers / np.linalg.norm(centers, axis=1, keepdims=True)
 
     # All homogeneous component directions, component j from row starts[j];
     # every sphere box has a successor, so there is at least one component.
@@ -553,9 +509,12 @@ def infinity_boundary_chain(emb: HomEmbedding, subdivisions: int, controls,
     matches = []
     directions = []
     for i, slice_boxes in enumerate(big.level_zero):
-        dirs = slice_directions(slice_boxes)
-        if dirs.shape[0] == 0:
+        if slice_boxes.size == 0:
             continue
+        # the component's level-0 slice directions, exactly on the level
+        dirs = big_sphere.centers(slice_boxes)
+        dirs[:, -1] = 0.0
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         directions.extend(
             ProjPoint.from_vector(v, tolerances.level_tol) for v in dirs)
         dmin = np.minimum.reduceat(proj_dist_vectors(dirs, hom_dirs).min(axis=0), starts)

@@ -23,7 +23,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .config import DEFAULT_MEMORY_CAP
-from .system import AffineSystem, segment_map
+from .system import AffineSystem, _check_values, segment_map
 
 __all__ = [
     "BoxGrid",
@@ -203,8 +203,10 @@ class BoxSet:
 # ------------------------------------------------------------- graph core
 # Graphs on positions 0..n-1 as CSR (indptr, targets) with sorted, distinct
 # rows; shared by TransitionGraph and projective.SphereGraph.  Both builders
-# fill one (C, n) block of target positions, a row per (control, test point)
-# and a column per node, and `_rows_to_csr` sorts each node's C samples.
+# take one sampling path: `_sampled_controls` checks the inputs and the cap,
+# `_sampled_csr` fills one (C, n) block of target positions, a row per
+# (control, test point) and a column per node, and `_rows_to_csr` sorts each
+# node's C samples.
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """Distinct values, sorted; sorts `values` in place (np.unique hashes, slower)."""
@@ -225,6 +227,43 @@ def _rows_to_csr(tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
     return indptr, rows[keep], np.any(rows[:, :1] < 0, axis=1)
+
+
+def _sampled_controls(sys: AffineSystem, controls, dt: float, pts_per_box: int,
+                      n_boxes: int, memory_cap: int) -> np.ndarray:
+    """The controls as a (C, m) array, once dt, pts_per_box, every control
+    value and the point-control work of n_boxes boxes are checked; raises
+    before anything is allocated for the graph."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if pts_per_box < 1:
+        raise ValueError("pts_per_box must be >= 1")
+    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    _check_values(sys, controls)
+    work_items = n_boxes * pts_per_box * controls.shape[0]
+    if work_items > memory_cap:
+        raise MemoryBudgetError(
+            f"{work_items} point-control samples exceed the cap of {memory_cap}; "
+            f"coarsen the grid, reduce samples, or raise the cap")
+    return controls
+
+
+def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray, image_rows,
+                 positions: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, targets, sink) of the graph on `boxes` sampled by P test points.
+
+    `image_rows(u)` yields the (N, dim) images of the k-th test points under
+    u, k = 0..P-1; their `grid.box_of` fills row c * P + k of the (C * P, N)
+    block.  With `positions`, ids are looked up in the sorted `boxes`
+    (absent ids go to the sink); otherwise they are positions already.
+    """
+    tgt = np.empty((controls.shape[0] * P, boxes.size), dtype=np.int64)
+    for c, u in enumerate(controls):
+        for k, images in enumerate(image_rows(u)):
+            tgt[c * P + k] = grid.box_of(images)
+    if positions:
+        tgt = _positions(boxes, tgt)  # rebound, so the id block is freed first
+    return _rows_to_csr(tgt)
 
 
 def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -393,15 +432,9 @@ def _test_points(grid: BoxGrid, boxes: np.ndarray, pts_per_box: int,
     `Halton(scramble=True)` sampler for an int seed), at the same relative
     position in every box.
     """
-    centers = grid.centers(boxes)
-    pts = [centers]
-    extra = pts_per_box - 1
-    if extra > 0:
-        offsets = _halton_offsets(grid.dim, extra, seed)
-        lower = grid.lower_corners(boxes)
-        for k in range(extra):
-            pts.append(lower + offsets[k] * grid.widths)
-    return np.stack(pts)
+    lower = grid.lower_corners(boxes)
+    offsets = _halton_offsets(grid.dim, pts_per_box - 1, seed)
+    return np.stack([grid.centers(boxes)] + [lower + off * grid.widths for off in offsets])
 
 
 def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
@@ -415,44 +448,25 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     SciPy's `Halton(scramble=True)` for an int seed) and each control
     the exact dt-map is applied; an edge is added to the box
     containing the image, or the source is flagged as feeding the sink
-    when the image leaves the window (or the active subset).  The images of
-    one (control, test point) pair fill one row of a (C, n) block of target
-    positions, which `_rows_to_csr` turns into per-box sorted, distinct
-    successor rows.  Deterministic for a fixed seed.
+    when the image leaves the window (or the active subset).  The graph
+    comes from `_sampled_csr`, the sampling path that
+    `projective.build_sphere_graph` shares.  Deterministic for a fixed seed.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if pts_per_box < 1:
-        raise ValueError("pts_per_box must be >= 1")
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    if controls.shape[1] != sys.m:
-        raise ValueError("control samples must have the system's control dimension")
-    inside = sys._in_box(controls)
-    if not np.all(inside):
-        raise ValueError(f"control sample {controls[np.argmin(inside)]} "
-                         f"outside the control box")
     boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
-    n_boxes = boxes.size
-    work_items = n_boxes * pts_per_box * controls.shape[0]
-    if work_items > memory_cap:
-        raise MemoryBudgetError(
-            f"{work_items} point-control samples exceed the cap of {memory_cap}; "
-            f"coarsen the grid, reduce samples, or raise the cap")
-
+    controls = _sampled_controls(sys, controls, dt, pts_per_box, boxes.size, memory_cap)
     points = _test_points(grid, boxes, pts_per_box, seed)  # (P, N, dim)
-    P = points.shape[0]
-    tgt = np.empty((controls.shape[0] * P, n_boxes), dtype=np.int64)
-    for c, u in enumerate(controls):
+
+    def image_rows(u):
         G, h = segment_map(sys, u, dt)
-        for k in range(P):
+        for pts in points:
             with np.errstate(over="ignore", invalid="ignore"):
-                images = points[k] @ G.T + h
-            tgt[c * P + k] = grid.box_of(images)
+                images = pts @ G.T + h
+            yield images
+
     # on the full grid box index == position; outside the window (-1) or
     # the active subset -> sink
-    if active is not None:
-        tgt = _positions(boxes, tgt)
-    indptr, targets, sink = _rows_to_csr(tgt)
+    indptr, targets, sink = _sampled_csr(grid, boxes, points.shape[0], controls,
+                                         image_rows, active is not None)
     return TransitionGraph(grid=grid, boxes=boxes.copy(), indptr=indptr,
                            targets=targets, sink=sink, dt=float(dt),
                            controls=controls, pts_per_box=pts_per_box, seed=seed)

@@ -125,15 +125,6 @@ class AffineSystem:
         x = np.asarray(x, dtype=float).reshape(self.n)
         return self.system_matrix(u) @ x + self.forcing(u)
 
-    def contains_control(self, u, slack: float = _OMEGA_SLACK) -> bool:
-        return bool(self._in_box(np.asarray(u, dtype=float).reshape(self.m), slack))
-
-    def _in_box(self, values: np.ndarray, slack: float = _OMEGA_SLACK) -> np.ndarray:
-        """Per row of `values` (..., m): does it lie in the slackened box?"""
-        width = np.maximum(1.0, self.omega_hi - self.omega_lo)
-        return np.all((values >= self.omega_lo - slack * width)
-                      & (values <= self.omega_hi + slack * width), axis=-1)
-
     def generators(self) -> list["AffineVectorField"]:
         """Vector fields f_0(x) = Ax + d and f_i(x) = B_i x + c_i."""
         fields = [AffineVectorField(self.A, self.d)]
@@ -405,13 +396,15 @@ def segment_map(sys: AffineSystem, u, dt: float) -> tuple[np.ndarray, np.ndarray
     return E[:-1, :-1], E[:-1, -1]
 
 
-def _check_control(sys: AffineSystem, *controls: PiecewiseControl):
-    """Raise ValueError unless every segment value of the controls is admissible."""
-    for ctrl in controls:
-        if ctrl.m != sys.m:
-            raise ValueError(f"control dimension {ctrl.m} does not match system ({sys.m})")
-    values = np.concatenate([ctrl.values for ctrl in controls])
-    inside = sys._in_box(values)
+def _check_values(sys: AffineSystem, values: np.ndarray):
+    """Raise ValueError unless every row of the (k, m) control values has the
+    system's control dimension and lies in the control box, up to a slack."""
+    if values.shape[-1] != sys.m:
+        raise ValueError(
+            f"control dimension {values.shape[-1]} does not match system ({sys.m})")
+    width = np.maximum(1.0, sys.omega_hi - sys.omega_lo)
+    inside = np.all((values >= sys.omega_lo - _OMEGA_SLACK * width)
+                    & (values <= sys.omega_hi + _OMEGA_SLACK * width), axis=-1)
     if not np.all(inside):
         raise ValueError(
             f"control value {values[np.argmin(inside)]} lies outside the control box")
@@ -431,7 +424,7 @@ def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,
     Raises BlowUpError when the state stops being finite; the error
     carries the last finite state.
     """
-    _check_control(sys, ctrl)
+    _check_values(sys, ctrl.values)
     x = np.asarray(x0, dtype=float).reshape(sys.n)
     t = float(t)
     if t == 0.0:

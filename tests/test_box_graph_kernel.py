@@ -1,9 +1,10 @@
 """Reference tests of the row-wise box-graph kernel.
 
-`BoxGrid.box_of`, `build_transition_graph` and `BoxSet.dilate` are compared
-with brute-force versions written here point by point and box by box: a
-scalar floor lookup per point, a Python set of (source, target) pairs, and
-a Chebyshev-distance mask over all boxes.
+`BoxGrid.box_of`, `build_transition_graph`, `build_sphere_graph` and
+`BoxSet.dilate` are compared with brute-force versions written here point
+by point and box by box: a scalar floor lookup per point, Python sets of
+(source, target) pairs, and a Chebyshev-distance mask over all boxes.  Both
+graph builders share one sampling path, so they reject the same inputs.
 """
 
 import itertools
@@ -12,10 +13,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
+from affinecontrol.config import MAX_EXP_GROWTH
+from affinecontrol.projective import SphereGrid, build_sphere_graph
 from affinecontrol.reach import (
     BoxGrid,
     BoxSet,
+    MemoryBudgetError,
+    _halton_offsets,
     _test_points,
     build_transition_graph,
 )
@@ -152,6 +158,81 @@ def test_transition_graph_matches_pairwise_reference(case):
     assert graph.indptr.tolist() == indptr.tolist()
     assert graph.targets.tolist() == targets
     assert graph.sink.tolist() == sink
+
+
+@st.composite
+def sphere_graph_cases(draw):
+    """A linear system on a sphere grid, with |dt| ||A(u)||_F <= 16 < MAX_EXP_GROWTH."""
+    ambient = draw(st.integers(2, 4))
+    sphere = SphereGrid(ambient, draw(st.integers(1, 6)))
+    square = st.lists(st.lists(st.floats(-2.0, 2.0), min_size=ambient, max_size=ambient),
+                      min_size=ambient, max_size=ambient)
+    sys = AffineSystem(draw(square), [draw(square)], np.zeros((ambient, 1)),
+                       np.zeros(ambient), [-1.0], [1.0])
+    controls = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1,
+                                      max_size=3)))[:, None]
+    return (sys, sphere, controls, draw(st.floats(0.05, 1.0)), draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**16)))
+
+
+def reference_sphere_graph(sys, sphere, controls, dt, pts_per_box, seed):
+    """(indptr, targets) from a set of (source, target) position pairs, with
+    one exponential per control."""
+    boxes = sphere.canonical_ids()
+    position = {int(b): p for p, b in enumerate(boxes)}
+    offsets = np.vstack([np.full((1, sphere.face_dims), 0.5),
+                         _halton_offsets(sphere.face_dims, pts_per_box - 1, seed)])
+    points = sphere.cube_points(boxes, offsets)
+    edges = set()
+    for u in controls:
+        M = sys.system_matrix(u)
+        assert dt * np.linalg.norm(M) < MAX_EXP_GROWTH  # so the builder takes one step
+        for images in points @ expm(dt * M).T:
+            for src, tgt in enumerate(sphere.box_of(images)):
+                edges.add((src, position[int(tgt)]))  # KeyError: not a canonical id
+    rows = [sorted(t for s, t in edges if s == src) for src in range(boxes.size)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return indptr, [t for r in rows for t in r]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sphere_graph_cases())
+def test_sphere_graph_matches_pairwise_reference(case):
+    graph = build_sphere_graph(*case)
+    indptr, targets = reference_sphere_graph(*case)
+    assert graph.indptr.dtype == graph.targets.dtype == np.int64
+    assert graph.indptr.tolist() == indptr.tolist()
+    assert graph.targets.tolist() == targets
+
+
+def build_on_box_grid(sys, controls, dt, pts_per_box, memory_cap):
+    grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4])
+    return build_transition_graph(sys, grid, controls, dt, pts_per_box, 0,
+                                  memory_cap=memory_cap)
+
+
+def build_on_sphere(sys, controls, dt, pts_per_box, memory_cap):
+    return build_sphere_graph(sys, SphereGrid(2, 4), controls, dt, pts_per_box, 0,
+                              memory_cap)
+
+
+@pytest.mark.parametrize("build, boxes", [(build_on_box_grid, 16), (build_on_sphere, 8)])
+def test_graph_builders_reject_bad_input(build, boxes):
+    sys = AffineSystem(np.diag([1.0, -1.0]), np.eye(2)[None, :, :], np.zeros((2, 1)),
+                       np.zeros(2), [-1.0], [1.0])
+    good = {"controls": [[-1.0], [1.0]], "dt": 0.1, "pts_per_box": 2,
+            "memory_cap": boxes * 2 * 2}  # exactly the work of the good input
+    build(sys, **good)
+    for bad, error, message in [
+            ({"dt": 0.0}, ValueError, "dt must be positive"),
+            ({"dt": -0.1}, ValueError, "dt must be positive"),
+            ({"pts_per_box": 0, "memory_cap": 1}, ValueError, "pts_per_box must be >= 1"),
+            ({"pts_per_box": -3}, ValueError, "pts_per_box must be >= 1"),
+            ({"controls": [[0.0, 0.0]]}, ValueError, "control dimension 2"),
+            ({"controls": [[0.0], [1.5]]}, ValueError, "outside the control box"),
+            ({"memory_cap": boxes * 2 * 2 - 1}, MemoryBudgetError, "exceed the cap")]:
+        with pytest.raises(error, match=message):
+            build(sys, **{**good, **bad})
 
 
 def test_transition_graph_without_controls_is_empty():

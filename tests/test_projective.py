@@ -10,7 +10,6 @@ from scipy.linalg import expm
 from affinecontrol.config import Tolerances
 from affinecontrol.floquet import concat_path, continuation, floquet_of
 from affinecontrol.projective import (
-    HomEmbedding,
     ProjPoint,
     SphereGrid,
     build_sphere_graph,
@@ -42,24 +41,28 @@ from conftest import (
 def test_embedding_blocks_have_zero_last_row():
     sys = damped_oscillator_system()
     emb = embed_system(sys)
-    assert np.array_equal(emb.A_hat[-1], np.zeros(3))
-    assert np.array_equal(emb.B_hat[:, -1, :], np.zeros((1, 3)))
-    assert np.array_equal(emb.A_hat[:2, :2], sys.A)
-    assert np.array_equal(emb.A_hat[:2, 2], sys.d)
+    assert np.array_equal(emb.A[-1], np.zeros(3))
+    assert np.array_equal(emb.B[:, -1, :], np.zeros((1, 3)))
+    assert np.array_equal(emb.A[:2, :2], sys.A)
+    assert np.array_equal(emb.A[:2, 2], sys.d)
+    # the embedding is drift-free, with the same control box
+    assert not emb.C.any() and not emb.d.any()
+    assert np.array_equal(emb.omega_lo, sys.omega_lo)
+    assert np.array_equal(emb.omega_hi, sys.omega_hi)
 
 
 def test_embedding_zero_system():
     sys = AffineSystem(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((2, 1)),
                        np.zeros(2), [-1.0], [1.0])
     emb = embed_system(sys)
-    assert np.array_equal(emb.A_hat, np.zeros((3, 3)))
-    assert np.array_equal(emb.B_hat, np.zeros((1, 3, 3)))
+    assert np.array_equal(emb.A, np.zeros((3, 3)))
+    assert np.array_equal(emb.B, np.zeros((1, 3, 3)))
 
 
 def test_embedded_level_one_reproduces_affine_trajectories():
     rng = np.random.default_rng(3)
     sys = random_system(rng, n=3, m=2)
-    emb = embed_system(sys).as_affine_system()
+    emb = embed_system(sys)
     ctrl = random_control(rng, m=2, segments=3)
     x0 = rng.normal(size=3)
     lifted = simulate(emb, ctrl, np.concatenate([x0, [1.0]]), 2.1).states[-1]
@@ -71,7 +74,7 @@ def test_embedded_level_one_reproduces_affine_trajectories():
 def test_embedded_level_zero_reproduces_homogeneous_trajectories():
     rng = np.random.default_rng(5)
     sys = random_system(rng, n=3, m=1)
-    emb = embed_system(sys).as_affine_system()
+    emb = embed_system(sys)
     ctrl = random_control(rng, m=1, segments=2)
     x0 = rng.normal(size=3)
     lifted = simulate(emb, ctrl, np.concatenate([x0, [0.0]]), 1.7).states[-1]
@@ -134,7 +137,8 @@ def test_proj_step_preserves_level_zero():
 
 def test_proj_step_saddle_attracts_to_expanding_axis():
     # homogeneous flow diag(2, -2) on directions: (1,1)/sqrt(2) slides to (1,0)
-    emb = HomEmbedding(np.diag([2.0, -2.0]), np.zeros((1, 2, 2)), [-1.0], [1.0])
+    emb = AffineSystem(np.diag([2.0, -2.0]), np.zeros((1, 2, 2)), np.zeros((2, 1)),
+                       np.zeros(2), [-1.0], [1.0])
     p = ProjPoint.from_vector([1.0, 1.0])
     target = ProjPoint.from_vector([1.0, 0.0])
     dists = [proj_metric(p, target)]
@@ -280,12 +284,13 @@ def test_sphere_grid_level_zero_touching():
 
 def reference_sphere_box(grid: SphereGrid, x) -> int:
     """Canonical id of one point's box via the face split: anchor axis (the
-    first largest modulus), face sign, and per-axis bins of x / |anchor|."""
+    first largest modulus), and per-axis bins of x / anchor on the positive
+    face, which holds the canonical id."""
     axis = int(np.argmax(np.abs(x)))
-    coords = np.delete(x, axis) / abs(x[axis])
+    coords = np.delete(x, axis) / x[axis]
     bins = np.clip(((coords + 1.0) * 0.5 * grid.subdivisions).astype(np.int64),
                    0, grid.subdivisions - 1)
-    return int(grid.canonical(grid._join(axis, int(x[axis] < 0), bins)))
+    return int(grid._join(axis, 0, bins))
 
 
 def reference_box_diameter(grid: SphereGrid) -> float:
@@ -310,15 +315,6 @@ def sphere_points(draw):
     return grid, np.array(rows)
 
 
-def on_bin_boundary(grid: SphereGrid, x) -> bool:
-    """Whether a face coordinate of x lies within rounding of an inner bin edge."""
-    axis = int(np.argmax(np.abs(x)))
-    t = (np.delete(x, axis) / abs(x[axis]) + 1.0) * 0.5 * grid.subdivisions
-    edge = np.round(t)
-    return bool(np.any((edge > 0) & (edge < grid.subdivisions)
-                       & (np.abs(t - edge) <= 1e-9 * grid.subdivisions)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(sphere_points(), st.integers(-8, 8))
 def test_sphere_box_of_properties(case, k):
@@ -326,14 +322,11 @@ def test_sphere_box_of_properties(case, k):
     ids = grid.box_of(pts)
     assert ids.tolist() == [reference_sphere_box(grid, x) for x in pts]
     assert np.array_equal(grid.box_of(2.0 ** k * pts), ids)
-    off_edges = [not on_bin_boundary(grid, x) for x in pts]
-    assert np.array_equal(grid.box_of(-pts)[off_edges], ids[off_edges])
+    assert np.array_equal(grid.box_of(-pts), ids)
     boxes = grid.canonical_ids()
     assert np.array_equal(grid.box_of(grid.centers(boxes)), boxes)
 
 
-@pytest.mark.xfail(strict=True, reason="box_of bins x / |anchor| and flips the bins of "
-                   "negative anchors, so x and -x part on inner bin edges")
 def test_sphere_box_of_antipodes_on_bin_edges():
     grid = SphereGrid(2, 2)
     pts = np.array([[1.0, 0.0], [0.6, 0.0]])
@@ -358,13 +351,19 @@ def test_sphere_box_diameter_bit_identical_on_benchmark_grids():
         assert grid.box_diameter() == reference_box_diameter(grid)
 
 
+def linear(A) -> AffineSystem:
+    """The linear system dx/dt = A x, with one idle control in [-1, 1]."""
+    n = len(A)
+    return AffineSystem(A, np.zeros((1, n, n)), np.zeros((n, 1)), np.zeros(n),
+                        [-1.0], [1.0])
+
+
 def test_sphere_graph_saddle_components():
     # flow diag(2, -2): the circle dynamics has exactly the two axis
     # directions as chain-recurrent points; the surviving box components
     # hug them within a couple of box diameters
     grid = SphereGrid(2, 64)
-    matrix_of = lambda u: np.diag([2.0, -2.0])
-    graph = build_sphere_graph(matrix_of, None, grid, [[0.0]], dt=0.25,
+    graph = build_sphere_graph(linear(np.diag([2.0, -2.0])), grid, [[0.0]], dt=0.25,
                                pts_per_box=6, seed=0)
     analysis = sphere_chain_components(graph)
     assert analysis.components
@@ -389,14 +388,14 @@ def test_sphere_graph_chunks_long_steps():
     grid = SphereGrid(3, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        graph = build_sphere_graph(lambda u: A, None, grid, [[0.0]], 2.0)
+        graph = build_sphere_graph(linear(A), grid, [[0.0]], 2.0)
     components = sphere_chain_components(graph).components
     assert [c.tolist() for c in components] == [grid.box_of([[1.0, 0.0, 0.0]]).tolist()]
-    graph = build_sphere_graph(lambda u: A, None, grid, [[0.0]], 0.01)
+    graph = build_sphere_graph(linear(A), grid, [[0.0]], 0.01)
     assert len(sphere_chain_components(graph).components) == 4
     # exp(80) is still finite: the 3 chunks give the targets of one exponential
     A = np.diag([40.0, -40.0, 0.0])
-    graph = build_sphere_graph(lambda u: A, None, grid, [[0.0]], 2.0, pts_per_box=3)
+    graph = build_sphere_graph(linear(A), grid, [[0.0]], 2.0, pts_per_box=3)
     offsets = np.vstack([np.full((1, 2), 0.5), _halton_offsets(2, 2, 0)])
     images = grid.cube_points(graph.boxes, offsets) @ expm(2.0 * A).T
     rows = [sorted({int(np.searchsorted(graph.boxes, grid.box_of(images[:, j])[k]))
@@ -411,8 +410,16 @@ def test_sphere_graph_rejects_nonpositive_pts_per_box():
     grid = SphereGrid(2, 4)
     for bad in (0, -3):
         with pytest.raises(ValueError, match="pts_per_box must be >= 1"):
-            build_sphere_graph(lambda u: np.diag([1.0, -1.0]), None, grid, [[0.0]],
-                               0.1, pts_per_box=bad, memory_cap=1)
+            build_sphere_graph(linear(np.diag([1.0, -1.0])), grid, [[0.0]], 0.1,
+                               pts_per_box=bad, memory_cap=1)
+
+
+def test_sphere_graph_rejects_affine_systems():
+    grid = SphereGrid(2, 4)
+    for C, d in ((np.ones((2, 1)), np.zeros(2)), (np.zeros((2, 1)), [0.0, 1e-300])):
+        sys = AffineSystem(np.eye(2), np.zeros((1, 2, 2)), C, d, [-1.0], [1.0])
+        with pytest.raises(ValueError, match="C and d must be zero"):
+            build_sphere_graph(sys, grid, [[0.0]], 0.1)
 
 
 # ------------------------------------------------------- estimator (a) basics

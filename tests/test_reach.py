@@ -310,7 +310,7 @@ def test_chain_components_disjoint_and_closed():
         assert len(comp.difference(fwd.intersection(bwd))) == 0
 
 
-def test_chain_component_contains_control_set():
+def test_chain_component_includes_control_set():
     sys = planar_saddle_system()
     grid = BoxGrid([-4.0, -3.0], [2.0, 5.0], [48, 48])
     controls = [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
