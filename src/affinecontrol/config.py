@@ -31,8 +31,8 @@ class Tolerances:
         |z|-coordinate of a unit representative below this classifies a
         projective point as lying on the level at infinity.
     cluster_tol
-        Clustering radius (projective metric) of the box-center estimator
-        `infinity_boundary_directions` only; None means 0.1.  The chain
+        Single-linkage clustering radius (projective metric) of the
+        box-center estimator `infinity_boundary_directions` only.  The chain
         estimator has its own `match_tol` argument.
     kernel_window
         Kernel alignment of periodic initial values is reported when the
@@ -45,7 +45,7 @@ class Tolerances:
     eig_tol: float = 1e-6
     cross_tol: float = 1e-10
     level_tol: float = 1e-6
-    cluster_tol: float | None = None
+    cluster_tol: float = 0.1
     kernel_window: float = 0.1
 
     def replace(self, **kwargs) -> "Tolerances":

@@ -495,23 +495,18 @@ def continuation(sys: AffineSystem, path: ControlPath, steps: int,
     records = _evaluate_path_points(sys, path, mesh, tolerances)
     crossings = []
     if not path.constant:
-        scale = max(abs(r.det_gap) for r in records) or 1.0
-        # nodes already sitting on a zero of the det gap
-        node_hits = [r for r in records
-                     if abs(r.det_gap) <= tolerances.cross_tol * scale]
-        for r in node_hits:
+        gaps = np.array([r.det_gap for r in records])
+        # nodes already sitting on a zero of the det gap, and strict sign
+        # changes between two nodes that are not; event 2i is node i, event
+        # 2i + 1 the pair (i, i + 1), so event order is alpha order
+        events = np.zeros(2 * gaps.size - 1, dtype=bool)
+        events[::2] = np.abs(gaps) <= tolerances.cross_tol * (np.abs(gaps).max() or 1.0)
+        events[1::2] = ((np.sign(gaps[:-1]) != np.sign(gaps[1:]))
+                        & ~events[:-1:2] & ~events[2::2])
+        for i, pair in zip(*np.divmod(np.flatnonzero(events), 2)):
+            lo, hi = records[i], records[i + pair]
             crossings.append(_bisect_crossing(
-                sys, path, r.alpha, r.alpha, r.det_gap, tolerances))
-        # strict sign changes away from those nodes
-        hit_alphas = [r.alpha for r in node_hits]
-        for r0, r1 in zip(records[:-1], records[1:]):
-            if any(abs(a - r0.alpha) < 0.5 * spacing
-                   or abs(a - r1.alpha) < 0.5 * spacing for a in hit_alphas):
-                continue
-            if np.sign(r0.det_gap) != np.sign(r1.det_gap):
-                crossings.append(_bisect_crossing(
-                    sys, path, r0.alpha, r1.alpha, r0.det_gap, tolerances))
-        crossings.sort(key=lambda c: c.alpha)
+                sys, path, lo.alpha, hi.alpha, lo.det_gap, tolerances))
     if refine_crossings and crossings:
         ladder = [a for crossing in crossings for j in range(refine_decades + 1)
                   for a in (crossing.alpha - 0.5 * spacing * 10.0 ** (-j),

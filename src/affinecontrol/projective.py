@@ -4,10 +4,12 @@ The affine system embeds into a bilinear system one dimension up, itself a
 drift-free `AffineSystem` with generators [[A, d], [0, 0]] and
 [[B_i, c_i], [0, 0]]; level z = 1 carries the affine dynamics, level z = 0
 the homogeneous ones.  Projective space is represented by unit vectors with
-canonical sign (first nonzero coordinate positive), the sphere is covered
-by cube-face boxes with antipodal identification, and directions at
-infinity of a control set are estimated either from far-out box centers or
-from chain components of the sphere dynamics.  Every projectivised flow
+canonical sign (first nonzero coordinate positive).  `SphereGrid` covers it
+by cube-face boxes of the sphere modulo +-, numbered directly on the
+quotient: one id per antipodal pair, 0..num_boxes-1, so a sphere graph's
+box ids are its node positions.  Directions at infinity of a control set
+are estimated either from far-out box centers or from chain components of
+the sphere dynamics.  Every projectivised flow
 (`proj_step`, `lyapunov_estimate`, `build_sphere_graph`) applies the
 exponential in renormalised chunks, so a long step of a strongly expanding
 generator does not overflow.
@@ -193,12 +195,13 @@ def lyapunov_estimate(sys: AffineSystem, ctrl: PiecewiseControl, x, T: float) ->
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Cube-face box covering of the unit sphere with antipodal identification.
+    """Cube-face box covering of projective space, the sphere modulo +-.
 
     The sphere in ambient dimension `ambient` is covered by the 2*ambient
-    cube faces, each subdivided into `subdivisions` bins per axis.  Boxes
-    are identified with their antipodes, so the quotient covers projective
-    space; `canonical` box ids are the smaller id of each antipodal pair.
+    cube faces, each subdivided into `subdivisions` bins per axis.  A box
+    and its antipode are one box of the quotient, numbered on the positive
+    face of its anchor axis: id = axis * cells_per_face + cell, with `cell`
+    the row-major bin on that face, so the ids run 0..num_boxes-1.
     """
 
     ambient: int
@@ -219,39 +222,22 @@ class SphereGrid:
         return self.subdivisions ** self.face_dims
 
     @property
-    def num_raw(self) -> int:
-        return 2 * self.ambient * self.cells_per_face
+    def num_boxes(self) -> int:
+        return self.ambient * self.cells_per_face
 
-    def _split(self, raw: np.ndarray):
-        face, cell = np.divmod(np.asarray(raw, dtype=np.int64), self.cells_per_face)
-        axis, neg = np.divmod(face, 2)
+    def _split(self, ids: np.ndarray):
+        axis, cell = np.divmod(np.asarray(ids, dtype=np.int64), self.cells_per_face)
         bins = np.stack(np.unravel_index(cell, (self.subdivisions,) * self.face_dims),
                         axis=-1)
-        return axis, neg, bins
-
-    def _join(self, axis, neg, bins) -> np.ndarray:
-        cell = np.ravel_multi_index(tuple(np.asarray(bins, dtype=np.int64).T),
-                                    (self.subdivisions,) * self.face_dims)
-        return (2 * np.asarray(axis) + np.asarray(neg)) * self.cells_per_face + cell
-
-    def antipode(self, raw: np.ndarray) -> np.ndarray:
-        axis, neg, bins = self._split(raw)
-        return self._join(axis, 1 - neg, self.subdivisions - 1 - bins)
-
-    def canonical(self, raw: np.ndarray) -> np.ndarray:
-        return np.minimum(np.asarray(raw, dtype=np.int64), self.antipode(raw))
-
-    def canonical_ids(self) -> np.ndarray:
-        raw = np.arange(self.num_raw, dtype=np.int64)
-        return raw[raw <= self.antipode(raw)]
+        return axis, bins
 
     def box_of(self, points: np.ndarray) -> np.ndarray:
-        """Canonical box id of each (row) point; points need not be normalized.
+        """Box id of each (row) point; points need not be normalized.
 
         The anchor is the largest coordinate in modulus; face coordinate j
         is coordinate j (j < axis) or j + 1 (j >= axis) over the anchor.
         That is the positive-face point of the representative with positive
-        anchor, whose id is the canonical one, so x and -x get the same id.
+        anchor, so x and -x get the same id.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         axis = np.argmax(np.abs(pts), axis=1)
@@ -262,43 +248,35 @@ class SphereGrid:
             coord = np.where(j < axis, pts[:, j], pts[:, j + 1]) / anchor
             cell = cell * sub + np.clip(((coord + 1.0) * 0.5 * sub).astype(np.int64),
                                         0, sub - 1)
-        return 2 * axis * self.cells_per_face + cell
+        return axis * self.cells_per_face + cell
 
-    def cube_points(self, raw: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    def cube_points(self, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Sphere points at relative cell positions; offsets in [0, 1]^face_dims.
 
-        Returns (num_offsets, num_boxes, ambient) unit vectors.
+        Returns (num_offsets, num_boxes, ambient) unit vectors, anchor
+        coordinate positive.
         """
-        raw = np.asarray(raw, dtype=np.int64)
-        axis, neg, bins = self._split(raw)
-        width = 2.0 / self.subdivisions
-        out = np.empty((offsets.shape[0], raw.size, self.ambient))
-        mask = np.ones((raw.size, self.ambient), dtype=bool)
-        mask[np.arange(raw.size), axis] = False
-        anchor_val = np.where(neg == 1, -1.0, 1.0)
-        for k, off in enumerate(offsets):
-            coords = -1.0 + (bins + off) * width
-            pts = np.zeros((raw.size, self.ambient))
-            pts[np.arange(raw.size), axis] = anchor_val
-            pts[mask] = coords.ravel()
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            out[k] = pts
-        return out
+        axis, bins = self._split(ids)
+        pts = np.ones((offsets.shape[0], bins.shape[0], self.ambient))
+        coords = -1.0 + (bins + offsets[:, None, :]) * (2.0 / self.subdivisions)
+        pts[:, np.arange(self.ambient) != axis[:, None]] = coords.reshape(
+            offsets.shape[0], bins.size)
+        return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
-    def centers(self, raw: np.ndarray) -> np.ndarray:
-        return self.cube_points(raw, np.full((1, self.face_dims), 0.5))[0]
+    def centers(self, ids: np.ndarray) -> np.ndarray:
+        return self.cube_points(ids, np.full((1, self.face_dims), 0.5))[0]
 
-    def corners(self, raw: np.ndarray) -> np.ndarray:
+    def corners(self, ids: np.ndarray) -> np.ndarray:
         """(2^face_dims, num_boxes, ambient) unit corner points."""
         combos = np.stack(np.meshgrid(*([np.array([0.0, 1.0])] * self.face_dims),
                                       indexing="ij"), axis=-1).reshape(-1, self.face_dims)
-        return self.cube_points(raw, combos)
+        return self.cube_points(ids, combos)
 
     def box_diameter(self) -> float:
         """Largest projective diameter of a box.
 
-        All 2 * ambient faces are congruent, so the maximum is taken over
-        the boxes of face 0.
+        All faces are congruent, so the maximum is taken over the boxes of
+        face 0.
         """
         corners = self.corners(np.arange(self.cells_per_face))  # (c, N, ambient)
         c = corners.shape[0]
@@ -310,23 +288,18 @@ class SphereGrid:
                 best = max(best, float(d.max()))
         return best
 
-    def level_zero_touching(self, raw: np.ndarray) -> np.ndarray:
+    def level_zero_touching(self, ids: np.ndarray) -> np.ndarray:
         """Boxes whose closure meets the hyperplane last-coordinate = 0."""
-        raw = np.asarray(raw, dtype=np.int64)
-        axis, neg, bins = self._split(raw)
+        axis, bins = self._split(ids)
         width = 2.0 / self.subdivisions
-        z_axis = self.ambient - 1
-        on_z_face = axis == z_axis
-        # for other faces, the z coordinate is the last cell coordinate
+        # off the z face, the z coordinate is the last cell coordinate
         z_lo = -1.0 + bins[:, -1] * width
-        z_hi = z_lo + width
-        touches = (~on_z_face) & (z_lo <= 0.0) & (z_hi >= 0.0)
-        return touches
+        return (axis != self.ambient - 1) & (z_lo <= 0.0) & (z_lo + width >= 0.0)
 
 
 @dataclass(frozen=True)
 class SphereGraph:
-    """One-step transition graph on the projective quotient of a sphere grid."""
+    """One-step transition graph on the projective quotient; positions are box ids."""
 
     sphere: SphereGrid
     boxes: np.ndarray
@@ -347,6 +320,7 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
                        memory_cap: int = DEFAULT_MEMORY_CAP) -> SphereGraph:
     """Directed box graph of the projectivized flow of `sys` on the sphere quotient.
 
+    Nodes are all `sphere.num_boxes` boxes, a box's id being its position.
     `sys` is linear (C and d zero, as for `embed_system`) and acts on the
     sphere of its own dimension through the generators `sys.system_matrix(u)`.
     Test points per box are the center plus `pts_per_box - 1` offsets inside
@@ -356,19 +330,21 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     seed.  Each control's exponential acts on the whole (P, N, ambient) block
     of test points through `_flow_rows`, in renormalised chunks when
     |dt| ||A(u)||_F exceeds MAX_EXP_GROWTH, so a long step of a strongly
-    expanding generator is taken rather than overflowing.  The controls, dt,
-    pts_per_box and the memory cap are checked as in `build_transition_graph`.
+    expanding generator is taken rather than overflowing.  The system
+    dimension, controls, dt, pts_per_box and the memory cap are checked as in
+    `build_transition_graph`.
     """
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")
-    ids = sphere.canonical_ids()
-    controls = _sampled_controls(sys, controls, dt, pts_per_box, ids.size, memory_cap)
+    ids = np.arange(sphere.num_boxes, dtype=np.int64)
+    controls = _sampled_controls(sys, sphere.ambient, controls, dt, pts_per_box, ids.size,
+                                 memory_cap)
     offsets = np.vstack([np.full((1, sphere.face_dims), 0.5),
                          _halton_offsets(sphere.face_dims, pts_per_box - 1, seed)])
     points = sphere.cube_points(ids, offsets)  # (P, N, ambient)
     indptr, targets, _ = _sampled_csr(
         sphere, ids, points.shape[0], controls,
-        lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0], True)
+        lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0], False)
     return SphereGraph(sphere=sphere, boxes=ids, indptr=indptr, targets=targets,
                        dt=float(dt), controls=controls, pts_per_box=pts_per_box,
                        seed=seed)
@@ -423,22 +399,22 @@ class InfinityBoundaryReport:
 
 
 def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
-                                 cluster_tol: float | None = None,
                                  blowup_records=(),
                                  tolerances: Tolerances = DEFAULT_TOLERANCES,
                                  max_points: int = 20000) -> InfinityBoundaryReport:
     """Directions at infinity from far-out boxes of a control-set approximation.
 
     Box centers with norm at least `norm_floor` are mapped to directions
-    on the level at infinity and clustered by projective distance.
-    Continuation records whose periodic solutions blew up past the floor
-    are ingested as additional high-confidence directions.  An empty
-    report signals a set that stays bounded inside the window.
+    on the level at infinity and clustered by single linkage within
+    `tolerances.cluster_tol` (projective distance), a row block of the
+    distance matrix at a time, so memory grows with the number of
+    directions, not its square.  Continuation records whose periodic
+    solutions blew up past the floor are ingested as additional
+    high-confidence directions.  An empty report signals a set that stays
+    bounded inside the window.
     """
     if norm_floor <= 0:
         raise ValueError("norm_floor must be positive")
-    if cluster_tol is None:
-        cluster_tol = tolerances.cluster_tol if tolerances.cluster_tol is not None else 0.1
     centers = control_set.centers()  # (0, dim) for an empty set
     states = [centers[np.linalg.norm(centers, axis=1) >= norm_floor]]
     for rec in blowup_records:
@@ -454,20 +430,29 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
         pts = pts[::stride]
     dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     dirs = _canonical_sign(np.hstack([dirs, np.zeros((dirs.shape[0], 1))]))
-    # single linkage: the connected components of the threshold graph
-    n_clusters, labels = csgraph.connected_components(
-        sparse.csr_matrix(proj_dist_vectors(dirs, dirs) <= cluster_tol), directed=False)
+    # single linkage: the connected components of the threshold graph, one
+    # row block (about 2**19 distances) at a time; after each block the edges
+    # so far shrink to one per point, to the first member of its component
+    k = dirs.shape[0]
+    step = max(1, 2**19 // k)
+    heads = np.arange(k)
+    for start in range(0, k, step):
+        rows, cols = np.nonzero(
+            proj_dist_vectors(dirs[start:start + step], dirs) <= tolerances.cluster_tol)
+        src = np.concatenate([np.arange(k), rows + start])
+        dst = np.concatenate([heads, cols])
+        n_clusters, labels = csgraph.connected_components(sparse.coo_matrix(
+            (np.ones(src.size, dtype=bool), (src, dst)), shape=(k, k)), directed=False)
+        heads = np.unique(labels, return_index=True)[1][labels]
     clusters = _label_groups(labels, np.ones(n_clusters, dtype=bool))
     reps = []
-    sizes = []
-    for members in clusters:
+    for members in clusters:  # sign-aligned mean, anchored at the first member
         block = dirs[members]
-        anchor = block[0]
-        signs = np.where(block @ anchor >= 0, 1.0, -1.0)
-        mean = (block * signs[:, None]).mean(axis=0)
-        reps.append(ProjPoint.from_vector(mean, tolerances.level_tol))
-        sizes.append(int(members.size))
-    return InfinityBoundaryReport("box-directions", reps, sizes, [])
+        signs = np.where(block @ block[0] >= 0, 1.0, -1.0)
+        reps.append(ProjPoint.from_vector((block * signs[:, None]).mean(axis=0),
+                                          tolerances.level_tol))
+    return InfinityBoundaryReport("box-directions", reps,
+                                  [int(c.size) for c in clusters], [])
 
 
 def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,

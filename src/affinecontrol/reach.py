@@ -229,11 +229,14 @@ def _rows_to_csr(tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, rows[keep], np.any(rows[:, :1] < 0, axis=1)
 
 
-def _sampled_controls(sys: AffineSystem, controls, dt: float, pts_per_box: int,
-                      n_boxes: int, memory_cap: int) -> np.ndarray:
-    """The controls as a (C, m) array, once dt, pts_per_box, every control
-    value and the point-control work of n_boxes boxes are checked; raises
-    before anything is allocated for the graph."""
+def _sampled_controls(sys: AffineSystem, dim: int, controls, dt: float,
+                      pts_per_box: int, n_boxes: int, memory_cap: int) -> np.ndarray:
+    """The controls as a (C, m) array, once the system dimension against the
+    grid's `dim`, dt, pts_per_box, every control value and the point-control
+    work of n_boxes boxes are checked; raises before anything is allocated
+    for the graph."""
+    if sys.n != dim:
+        raise ValueError(f"system dimension {sys.n} does not match the grid ({dim})")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if pts_per_box < 1:
@@ -453,7 +456,8 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     `projective.build_sphere_graph` shares.  Deterministic for a fixed seed.
     """
     boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
-    controls = _sampled_controls(sys, controls, dt, pts_per_box, boxes.size, memory_cap)
+    controls = _sampled_controls(sys, grid.dim, controls, dt, pts_per_box, boxes.size,
+                                 memory_cap)
     points = _test_points(grid, boxes, pts_per_box, seed)  # (P, N, dim)
 
     def image_rows(u):

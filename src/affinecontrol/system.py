@@ -139,8 +139,7 @@ class AffineSystem:
 
     def _check_u(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float).reshape(-1)
-        if u.shape != (self.m,):
-            raise ValueError(f"control has length {u.shape[0]}, expected {self.m}")
+        _check_values(self, u[None, :])
         return u
 
 

@@ -178,7 +178,7 @@ def sphere_graph_cases(draw):
 def reference_sphere_graph(sys, sphere, controls, dt, pts_per_box, seed):
     """(indptr, targets) from a set of (source, target) position pairs, with
     one exponential per control."""
-    boxes = sphere.canonical_ids()
+    boxes = np.arange(sphere.num_boxes)
     position = {int(b): p for p, b in enumerate(boxes)}
     offsets = np.vstack([np.full((1, sphere.face_dims), 0.5),
                          _halton_offsets(sphere.face_dims, pts_per_box - 1, seed)])
@@ -189,7 +189,7 @@ def reference_sphere_graph(sys, sphere, controls, dt, pts_per_box, seed):
         assert dt * np.linalg.norm(M) < MAX_EXP_GROWTH  # so the builder takes one step
         for images in points @ expm(dt * M).T:
             for src, tgt in enumerate(sphere.box_of(images)):
-                edges.add((src, position[int(tgt)]))  # KeyError: not a canonical id
+                edges.add((src, position[int(tgt)]))  # KeyError: not a box id
     rows = [sorted(t for s, t in edges if s == src) for src in range(boxes.size)]
     indptr = np.cumsum([0] + [len(r) for r in rows])
     return indptr, [t for r in rows for t in r]
@@ -233,6 +233,10 @@ def test_graph_builders_reject_bad_input(build, boxes):
             ({"memory_cap": boxes * 2 * 2 - 1}, MemoryBudgetError, "exceed the cap")]:
         with pytest.raises(error, match=message):
             build(sys, **{**good, **bad})
+    sys3 = AffineSystem(np.eye(3), np.zeros((1, 3, 3)), np.zeros((3, 1)), np.zeros(3),
+                        [-1.0], [1.0])
+    with pytest.raises(ValueError, match=r"system dimension 3 does not match the grid \(2\)"):
+        build(sys3, **{**good, "memory_cap": 1})  # checked before the cap
 
 
 def test_transition_graph_without_controls_is_empty():

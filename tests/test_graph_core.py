@@ -56,7 +56,7 @@ def wrap(n, edges):
                             sink=np.zeros(n, dtype=bool), dt=1.0,
                             controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
     sphere = SphereGrid(2, 12)
-    sphere_graph = SphereGraph(sphere=sphere, boxes=sphere.canonical_ids()[:n],
+    sphere_graph = SphereGraph(sphere=sphere, boxes=np.arange(n),
                                indptr=indptr, targets=targets, dt=1.0,
                                controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
     return graph, sphere_graph

@@ -1,5 +1,6 @@
 """Tests for the embedding, projective points, sphere grids, and estimators."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -255,15 +256,12 @@ def test_lyapunov_no_overflow_for_strong_expansion():
 def test_sphere_grid_quotient_counts():
     for ambient, subs in ((2, 8), (3, 16)):
         grid = SphereGrid(ambient, subs)
-        ids = grid.canonical_ids()
-        assert ids.size == (ambient) * subs ** (ambient - 1)
-        anti = grid.antipode(ids)
-        assert np.all(grid.canonical(anti) == ids)
+        assert grid.num_boxes == ambient * subs ** (ambient - 1)
 
 
 def test_sphere_grid_point_lookup_roundtrip():
     grid = SphereGrid(3, 16)
-    ids = grid.canonical_ids()
+    ids = np.arange(grid.num_boxes)
     centers = grid.centers(ids)
     assert np.allclose(np.linalg.norm(centers, axis=1), 1.0)
     looked = grid.box_of(centers)
@@ -274,7 +272,7 @@ def test_sphere_grid_point_lookup_roundtrip():
 
 def test_sphere_grid_level_zero_touching():
     grid = SphereGrid(3, 16)
-    ids = grid.canonical_ids()
+    ids = np.arange(grid.num_boxes)
     touching = ids[grid.level_zero_touching(ids)]
     z = grid.centers(touching)[:, -1]
     width = 2.0 / 16
@@ -283,19 +281,20 @@ def test_sphere_grid_level_zero_touching():
 
 
 def reference_sphere_box(grid: SphereGrid, x) -> int:
-    """Canonical id of one point's box via the face split: anchor axis (the
-    first largest modulus), and per-axis bins of x / anchor on the positive
-    face, which holds the canonical id."""
+    """Id of one point's box via the face split: anchor axis (the first
+    largest modulus), and the row-major cell of the per-axis bins of
+    x / anchor on that axis's positive face."""
     axis = int(np.argmax(np.abs(x)))
     coords = np.delete(x, axis) / x[axis]
     bins = np.clip(((coords + 1.0) * 0.5 * grid.subdivisions).astype(np.int64),
                    0, grid.subdivisions - 1)
-    return int(grid._join(axis, 0, bins))
+    cell = np.ravel_multi_index(tuple(bins), (grid.subdivisions,) * grid.face_dims)
+    return axis * grid.cells_per_face + int(cell)
 
 
 def reference_box_diameter(grid: SphereGrid) -> float:
-    """Largest corner-to-corner projective distance over all canonical boxes."""
-    corners = grid.corners(grid.canonical_ids())
+    """Largest corner-to-corner projective distance over all boxes."""
+    corners = grid.corners(np.arange(grid.num_boxes))
     best = 0.0
     for i in range(corners.shape[0]):
         for j in range(i + 1, corners.shape[0]):
@@ -323,7 +322,7 @@ def test_sphere_box_of_properties(case, k):
     assert ids.tolist() == [reference_sphere_box(grid, x) for x in pts]
     assert np.array_equal(grid.box_of(2.0 ** k * pts), ids)
     assert np.array_equal(grid.box_of(-pts), ids)
-    boxes = grid.canonical_ids()
+    boxes = np.arange(grid.num_boxes)
     assert np.array_equal(grid.box_of(grid.centers(boxes)), boxes)
 
 
@@ -488,11 +487,29 @@ def test_infinity_directions_match_union_find_reference(seed, tol):
     rng = np.random.default_rng(seed)
     grid = BoxGrid([-50.0, -50.0], [50.0, 50.0], [60, 60])
     box_set = BoxSet(grid, rng.choice(grid.size, int(rng.integers(1, 300)), replace=False))
-    report = infinity_boundary_directions(box_set, norm_floor=30.0, cluster_tol=tol)
+    report = infinity_boundary_directions(box_set, norm_floor=30.0,
+                                          tolerances=Tolerances(cluster_tol=tol))
     reps, sizes = union_find_directions(box_set.centers(), 30.0, tol)
     assert report.cluster_sizes == sizes
     assert all(np.array_equal(p.vec, r) for p, r in zip(report.directions, reps))
     assert len(report.directions) == len(reps)
+
+
+def test_infinity_directions_memory_stays_below_one_distance_matrix():
+    # every box of the window: about 3500 directions around the circle,
+    # chained into one cluster, so the threshold graph is dense as well
+    grid = BoxGrid([-150.0, -150.0], [150.0, 150.0], [60, 60])
+    box_set = BoxSet(grid, np.arange(grid.size))
+    k = int(np.count_nonzero(np.linalg.norm(box_set.centers(), axis=1) >= 30.0))
+    assert k >= 3000
+    tracemalloc.start()
+    try:
+        report = infinity_boundary_directions(box_set, norm_floor=30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cluster_sizes == [k]
+    assert peak < k * k * np.dtype(float).itemsize
 
 
 def test_infinity_directions_ingests_blowup_records():

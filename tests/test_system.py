@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from affinecontrol.projective import ProjPoint, embed_system, lyapunov_estimate, proj_step
 from affinecontrol.system import (
     AffineSystem,
     AffineVectorField,
@@ -312,6 +313,25 @@ def test_simulate_rejects_control_outside_box():
     ctrl = PiecewiseControl.constant([2.0], period=1.0)
     with pytest.raises(ValueError):
         simulate(sys, ctrl, [0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda sys, u: sys.system_matrix(u),
+    lambda sys, u: sys.forcing(u),
+    lambda sys, u: sys.rhs([0.0, 0.0], u),
+    lambda sys, u: segment_map(sys, u, 0.1),
+    lambda sys, u: equilibrium(sys, u),
+    lambda sys, u: proj_step(embed_system(sys), ProjPoint.from_vector([1.0, 0.0, 1.0]),
+                             u, 0.1),
+    lambda sys, u: lyapunov_estimate(sys, PiecewiseControl.constant(u, 1.0),
+                                     [1.0, 0.0], 1.0),
+], ids=["system_matrix", "forcing", "rhs", "segment_map", "equilibrium", "proj_step",
+        "lyapunov_estimate"])
+def test_entry_points_reject_control_outside_box(entry):
+    sys = planar_saddle_system()
+    entry(sys, [1.0])  # the box edge is admissible
+    with pytest.raises(ValueError, match="outside the control box"):
+        entry(sys, [50.0])
 
 
 @settings(max_examples=25, deadline=None)
