@@ -4,8 +4,10 @@ For a periodic piecewise-constant control the period map [[Phi, b], [0, 1]]
 is the ordered product of augmented segment exponentials (Van Loan's block
 form), so the monodromy, the forced integral, the multipliers and the
 periodic-solution trichotomy (unique / affine family / obstructed) come
-from closed-form maps rather than an ODE stepper.  Every entry point maps
-its controls in one batch, one stacked exponential for all segments.
+from closed-form maps rather than an ODE stepper.  Every entry point maps a
+flat batch (values, durations, segment counts), filled directly by the scan's
+sampler or a path, through one vectorised exponential of all segments
+(`system._expm`, after Higham 2005); controls are built only for reports.
 """
 
 from dataclasses import dataclass, field
@@ -111,20 +113,34 @@ class Obstructed:
         return "obstructed"
 
 
-def _period_maps(sys: AffineSystem, controls) -> tuple[np.ndarray, np.ndarray]:
-    """Monodromies Phi (N, n, n) and forced integrals b (N, n) of N controls.
+def _flatten(controls) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat batch (values, durations, counts) of a sequence of controls."""
+    return (np.concatenate([c.values for c in controls]),
+            np.concatenate([c.durations for c in controls]),
+            np.array([c.num_segments for c in controls]))
+
+
+def _control(values, durations, counts, i: int) -> PiecewiseControl:
+    """Control i of a flat batch."""
+    lo = int(np.sum(counts[:i]))
+    return PiecewiseControl(values[lo:lo + counts[i]], durations[lo:lo + counts[i]])
+
+
+def _period_maps(sys: AffineSystem, values, durations, counts
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Monodromies Phi (N, n, n) and forced integrals b (N, n) of N controls,
+    control i being the next counts[i] rows of values (K, m) and durations (K,).
 
     The augmented segment maps of all controls come from one stacked
     exponential and are multiplied with batched matmul per segment count,
     so no control's result depends on the rest of the batch.  Raises
     EigenSolverError, naming the control, when a map is not finite.
     """
-    values = np.concatenate([c.values for c in controls])
     _check_values(sys, values)
-    counts = np.array([ctrl.num_segments for ctrl in controls])
-    E = _segment_maps(sys, values, np.concatenate([c.durations for c in controls]))
+    counts = np.asarray(counts)
+    E = _segment_maps(sys, values, durations)
     first = np.cumsum(counts) - counts
-    maps = np.empty((len(controls),) + E.shape[1:])
+    maps = np.empty((counts.size,) + E.shape[1:])
     for k in np.unique(counts):
         rows = np.flatnonzero(counts == k)
         P = E[first[rows]]
@@ -135,7 +151,8 @@ def _period_maps(sys: AffineSystem, controls) -> tuple[np.ndarray, np.ndarray]:
     finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise EigenSolverError(f"period map of control {i} ({controls[i]}) is not finite",
+        ctrl = _control(values, durations, counts, i)
+        raise EigenSolverError(f"period map of control {i} ({ctrl}) is not finite",
                                float("inf"))
     return phi, b
 
@@ -162,7 +179,7 @@ def principal_matrix(sys: AffineSystem, ctrl: PiecewiseControl,
     pieces = list(ctrl.pieces(s, t))
     if not pieces:
         return np.eye(sys.n)
-    return _period_maps(sys, [PiecewiseControl.from_segments(pieces)])[0][0]
+    return _period_maps(sys, *_flatten([PiecewiseControl.from_segments(pieces)]))[0][0]
 
 
 def floquet_of(sys: AffineSystem, ctrl: PiecewiseControl,
@@ -170,7 +187,7 @@ def floquet_of(sys: AffineSystem, ctrl: PiecewiseControl,
                ) -> tuple[Monodromy, FloquetData]:
     """Monodromy over one period and the derived Floquet data."""
     tau = ctrl.period
-    phi = _period_maps(sys, [ctrl])[0][0]
+    phi = _period_maps(sys, *_flatten([ctrl]))[0][0]
     multipliers, margin = _spectrum(phi)
     margin = float(margin)
     # exponents lambda_j = (1/tau) log|rho_j|, sorted descending
@@ -193,7 +210,7 @@ def forced_integral(sys: AffineSystem, ctrl: PiecewiseControl) -> np.ndarray:
     Computed exactly as the translation part of the composed augmented
     segment maps, so no quadrature error enters.
     """
-    return _period_maps(sys, [ctrl])[1][0]
+    return _period_maps(sys, *_flatten([ctrl]))[1][0]
 
 
 def _solve(M: np.ndarray, b: np.ndarray, margin: float, tolerances: Tolerances):
@@ -224,7 +241,7 @@ def periodic_solution(sys: AffineSystem, ctrl: PiecewiseControl,
     fixed-point system in the least-squares sense: a small residual means
     an affine family of periodic solutions, a large one means none exist.
     """
-    phi, b = _period_maps(sys, [ctrl])
+    phi, b = _period_maps(sys, *_flatten([ctrl]))
     return _solve(np.eye(sys.n) - phi[0], b[0], float(_spectrum(phi)[1][0]), tolerances)
 
 
@@ -244,18 +261,50 @@ class ControlSampler:
     segments_range: tuple[int, int] = (1, 4)
     include: tuple[PiecewiseControl, ...] = ()
 
+    def __post_init__(self):
+        (p0, p1), (k0, k1) = self.period_range, self.segments_range
+        if self.kind not in ("bang", "levels", "mixed"):
+            raise ValueError(f"kind must be 'bang', 'levels' or 'mixed', got {self.kind!r}")
+        if not 0.0 < p0 <= p1 < np.inf:
+            raise ValueError(f"period_range needs 0 < low <= high < inf, got {(p0, p1)}")
+        if not 1 <= k0 <= k1:
+            raise ValueError(f"segments_range needs 1 <= low <= high, got {(k0, k1)}")
+
     def sample(self, rng: np.random.Generator, sys: AffineSystem,
                index: int) -> PiecewiseControl:
-        tau = rng.uniform(*self.period_range)
-        k = int(rng.integers(self.segments_range[0], self.segments_range[1] + 1))
-        durations = rng.dirichlet(np.ones(k)) * tau
-        bang = self.kind == "bang" or (self.kind == "mixed" and index % 2 == 0)
-        if bang:
-            pick = rng.integers(0, 2, size=(k, sys.m))
-            values = np.where(pick == 0, sys.omega_lo, sys.omega_hi)
-        else:
-            values = rng.uniform(sys.omega_lo, sys.omega_hi, size=(k, sys.m))
+        values, durations, _ = self.sample_batch(rng, sys, 1, start=index)
         return PiecewiseControl(values, durations)
+
+    def sample_batch(self, rng: np.random.Generator, sys: AffineSystem, count: int,
+                     start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Samples start, ..., start + count - 1 as a flat (values, durations, counts).
+
+        A sample splits a period uniform in period_range by Dirichlet(1, ..., 1)
+        weights into k segments, valued at box corners ("bang") or uniformly.
+        The loop reads the rng's bit stream as numpy's `uniform(a, b)` and
+        `dirichlet(ones(k))` would, through cheaper calls whose arithmetic
+        (a + (b - a) * random(); exponentials times 1 / their running sum)
+        runs here on whole arrays, bit for bit.
+        """
+        index = np.arange(start, start + count)
+        bang = (self.kind == "bang") | ((self.kind == "mixed") & (index % 2 == 0))
+        uniform, counts = np.empty(count), np.empty(count, dtype=int)
+        gammas, draws = [np.empty(0)], [np.empty((0, sys.m))]
+        for i in range(count):
+            uniform[i] = rng.random()
+            k = counts[i] = rng.integers(self.segments_range[0], self.segments_range[1] + 1)
+            gammas.append(rng.standard_exponential(k))
+            draws.append(rng.integers(0, 2, size=(k, sys.m)) if bang[i] else
+                         rng.random((k, sys.m)))
+        gammas, draws = np.concatenate(gammas), np.concatenate(draws)
+        owner = np.repeat(np.arange(count), counts)
+        total = np.bincount(owner, weights=gammas, minlength=count)  # sums in segment order
+        lo, hi = self.period_range
+        durations = gammas * (1.0 / total)[owner] * (lo + (hi - lo) * uniform)[owner]
+        values = np.where(bang[owner, None],
+                          np.where(draws == 0, sys.omega_lo, sys.omega_hi),
+                          sys.omega_lo + (sys.omega_hi - sys.omega_lo) * draws)
+        return values, durations, counts
 
 
 @dataclass(frozen=True)
@@ -298,15 +347,18 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
     if count == 0 and not sampler.include:
         raise ValueError("the scan has no controls: count is 0 and the "
                          "sampler's include list is empty")
-    rng = np.random.default_rng(seed)
-    controls = list(sampler.include)
-    controls += [sampler.sample(rng, sys, i) for i in range(count)]
-    phi, b = _period_maps(sys, controls)
+    batch = sampler.sample_batch(np.random.default_rng(seed), sys, count)
+    if sampler.include:
+        include = _flatten(sampler.include)
+        _check_values(sys, include[0])
+        batch = [np.concatenate(p) for p in zip(include, batch)]
+    phi, b = _period_maps(sys, *batch)
     margins = _spectrum(phi)[1]
     best = int(np.argmin(margins))
     min_margin = float(margins[best])
     refuted = min_margin <= tolerances.unit_tol
-    witness = controls[best] if refuted else None
+    argmin_control = _control(*batch, best)
+    witness = argmin_control if refuted else None
     # Interior-of-semigroup hypothesis is undecidable here; record the
     # bracket-rank proxy at the periodic point of the extremal control.
     proxy_rank = None
@@ -316,8 +368,8 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
     if point is not None and np.all(np.isfinite(point)):
         proxy_rank = larc_rank(sys, point, rank_tol=tolerances.rank_tol)
         proxy_full = proxy_rank == sys.n
-    return ScanReport(count=len(controls), min_margin=min_margin,
-                      argmin_control=controls[best],
+    return ScanReport(count=margins.size, min_margin=min_margin,
+                      argmin_control=argmin_control,
                       verdict="REFUTED" if refuted else "NOT-REFUTED",
                       witness=witness, margins=margins,
                       rank_proxy=proxy_rank, rank_proxy_full=proxy_full)
@@ -341,20 +393,31 @@ class ControlPath:
     v: PiecewiseControl
     constant: bool = False
 
-    def at(self, alpha: float) -> PiecewiseControl:
-        if not 0.0 <= alpha <= 1.0:
+    def __post_init__(self):
+        if self.u.m != self.v.m:
+            raise ValueError("controls have different dimensions")
+
+    def segments(self, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The controls at the alphas as one flat (values, durations, counts); both
+        endpoints are cut for all alphas at once, as `pieces` cuts them for one."""
+        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        if not np.all((alphas >= 0.0) & (alphas <= 1.0)):
             raise ValueError("alpha must lie in [0, 1]")
+        u, v, a = self.u, self.v, alphas.size
         if self.constant:
-            return self.u
-        sigma = self.u.period
-        tau = self.v.period
-        if alpha <= 0.5:
-            suffix = 2.0 * alpha * tau
-            segments = list(self.u.pieces(0.0, sigma)) + self.v.truncated(suffix)
-        else:
-            prefix = (2.0 - 2.0 * alpha) * sigma
-            segments = self.u.truncated(prefix) + list(self.v.pieces(0.0, tau))
-        return PiecewiseControl.from_segments(segments)
+            k = u.num_segments
+            return np.tile(u.values, (a, 1)), np.tile(u.durations, a), np.full(a, k)
+        first, twice = alphas <= 0.5, 2.0 * alphas
+        su, tu, ku = u._cuts(0.0, np.where(first, u.period, (2.0 - twice) * u.period))
+        sv, tv, kv = v._cuts(0.0, np.where(first, twice * v.period, v.period))
+        kept = np.hstack([ku, kv])
+        rows, slots = np.nonzero(kept)
+        values = np.concatenate([u.values[su], v.values[sv]])
+        return values[slots], np.hstack([tu, tv])[rows, slots], kept.sum(axis=1)
+
+    def at(self, alpha: float) -> PiecewiseControl:
+        values, durations, _ = self.segments([alpha])
+        return self.u if self.constant else PiecewiseControl(values, durations)
 
 
 def concat_path(u: PiecewiseControl, v: PiecewiseControl) -> ControlPath:
@@ -362,8 +425,6 @@ def concat_path(u: PiecewiseControl, v: PiecewiseControl) -> ControlPath:
 
     Identical endpoint controls give the constant path.
     """
-    if u.m != v.m:
-        raise ValueError("controls have different dimensions")
     return ControlPath(u, v, constant=u.same_as(v))
 
 
@@ -428,8 +489,9 @@ def _sphere_distance(x: np.ndarray, basis: np.ndarray) -> float:
 
 def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
     """Continuation records at the alphas, from one batch of period maps."""
-    controls = [path.at(alpha) for alpha in alphas]
-    phi, b = _period_maps(sys, controls)
+    batch = path.segments(alphas)
+    controls = PiecewiseControl._batch(*batch)
+    phi, b = _period_maps(sys, *batch)
     M = np.eye(sys.n) - phi
     records = []
     for alpha, ctrl, Mi, bi, det_gap, margin in zip(
@@ -454,7 +516,7 @@ def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):
     so a crossing on a mesh node (lo == hi) takes no step.
     """
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        phi, _ = _period_maps(sys, [path.at(mid)])
+        phi, _ = _period_maps(sys, *path.segments([mid]))
         gap = float(np.linalg.det(np.eye(sys.n) - phi[0]))
         if gap == 0.0:
             lo = hi = mid
@@ -464,7 +526,7 @@ def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):
             hi = mid
     alpha = 0.5 * (lo + hi)
     ctrl = path.at(alpha)
-    phi, b = _period_maps(sys, [ctrl])
+    phi, b = _period_maps(sys, *_flatten([ctrl]))
     M = np.eye(sys.n) - phi[0]
     margin = float(_spectrum(phi)[1][0])
     return Crossing(alpha=float(alpha), tau=ctrl.period, control=ctrl, margin=margin,

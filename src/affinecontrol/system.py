@@ -12,9 +12,9 @@ augmented (n+1) x (n+1) matrix [[A(u), Cu+d], [0, 0]].
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import factorial
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "AffineSystem",
@@ -31,6 +31,11 @@ __all__ = [
 
 # Relative slack when testing containment of control values in the box.
 _OMEGA_SLACK = 1e-12
+# [13/13] Pade coefficients (26 - k)! / (k! (13 - k)!) of exp, and the largest
+# 1-norm at which that approximant is accurate to double precision (Higham 2005).
+_PADE13 = [float(factorial(26 - k) // factorial(k) // factorial(13 - k)) for k in range(14)]
+_THETA13 = 5.371920351148152
+_EXPM_SLAB = 1024  # slices per slab of `_expm`, which bounds its temporaries
 
 
 class BlowUpError(RuntimeError):
@@ -180,6 +185,16 @@ class PiecewiseControl:
         durs = [float(t) for _, t in segments]
         return cls(np.stack(vals), np.array(durs))
 
+    @classmethod
+    def _batch(cls, values, durations, counts) -> list["PiecewiseControl"]:
+        """Controls of consecutive runs of counts[i] >= 1 segments, validated
+        once as a whole; each holds read-only views of the flat arrays."""
+        whole, ends = cls(values, durations), np.cumsum(counts)
+        controls = [object.__new__(cls) for _ in ends]
+        for c, lo, hi in zip(controls, ends - counts, ends):
+            c.__dict__.update(values=whole.values[lo:hi], durations=whole.durations[lo:hi])
+        return controls
+
     @property
     def m(self) -> int:
         return self.values.shape[1]
@@ -210,32 +225,35 @@ class PiecewiseControl:
         """
         if t < s:
             raise ValueError("pieces requires s <= t")
-        tau = self.period
-        tiny = 1e-14 * tau
-        remaining = float(t - s)
-        if remaining <= tiny:
-            return
-        phase = float(s) % tau
-        cum = self._cumulative
-        idx = int(np.searchsorted(cum, phase, side="right"))
-        idx = min(idx, self.num_segments - 1)
-        left_in_seg = cum[idx] - phase
-        while remaining > tiny:
-            take = min(left_in_seg, remaining)
-            if take > tiny:
-                yield self.values[idx], float(take)
-            remaining -= take
-            idx = (idx + 1) % self.num_segments
-            left_in_seg = self.durations[idx]
+        segment, take, kept = self._cuts(s, [float(t - s)])
+        for j in np.flatnonzero(kept[0]):
+            yield self.values[segment[j]], float(take[0, j])
+
+    def _cuts(self, s: float, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`pieces(s, s + L)` for all L of lengths (a,) at once: the segment of each
+        slot (J,), and the slot durations and kept (not sliver) flags (a, J)."""
+        tiny = 1e-14 * self.period
+        phase = float(s) % self.period
+        first = min(int(np.searchsorted(self._cumulative, phase, side="right")),
+                    self.num_segments - 1)
+        left = self._cumulative[first] - phase
+        remaining = np.array(lengths, dtype=float)
+        takes, kept = [], []
+        while np.any(active := remaining > tiny):
+            take = np.minimum(left, remaining)
+            takes.append(take)
+            kept.append(active & (take > tiny))
+            remaining = np.where(active, remaining - take, remaining)
+            left = self.durations[(first + len(takes)) % self.num_segments]
+        shape = (len(takes), remaining.size)
+        return ((first + np.arange(len(takes))) % self.num_segments,
+                np.array(takes, dtype=float).reshape(shape).T,
+                np.array(kept, dtype=bool).reshape(shape).T)
 
     def shifted(self, s: float) -> "PiecewiseControl":
         """The control t -> u(t + s), again as a periodic segment list."""
         segs = list(self.pieces(s, s + self.period))
         return PiecewiseControl.from_segments(segs)
-
-    def truncated(self, length: float) -> list:
-        """Prefix of total duration `length` as a segment list (may be empty)."""
-        return list(self.pieces(0.0, length))
 
     def same_as(self, other: "PiecewiseControl") -> bool:
         return (self.values.shape == other.values.shape
@@ -272,7 +290,8 @@ class AffineVectorField:
 
     def flow(self, x, t: float) -> np.ndarray:
         """Exact time-t flow map, via the augmented exponential."""
-        E = expm(float(t) * np.block([[self.M, self.a[:, None]], [np.zeros(self.n + 1)]]))
+        aug = np.block([[self.M, self.a[:, None]], [np.zeros(self.n + 1)]])
+        E = _expm(float(t) * aug[None])[0]
         x = np.asarray(x, dtype=float).reshape(self.n)
         return E[:-1, :-1] @ x + E[:-1, -1]
 
@@ -372,17 +391,50 @@ def larc_rank(sys: AffineSystem, x, max_depth: int | None = None,
     return int(np.sum(sv > rank_tol * sv[0]))
 
 
+def _expm(X: np.ndarray) -> np.ndarray:
+    """Exponentials of a stack X (k, p, p): scaling and squaring with the [13/13]
+    Pade approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179), in slabs.
+
+    Slice i is scaled by 2**-s_i, s_i from its own 1-norm, and squared s_i
+    times, so it ignores the rest of the stack.  A non-finite slice gives NaN
+    and an overflowing one inf or NaN, with no warning or exception.
+    """
+    b, out = _PADE13, np.empty(X.shape)
+    for lo in range(0, X.shape[0], _EXPM_SLAB):
+        A = X[lo:lo + _EXPM_SLAB]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.abs(A).sum(axis=1).max(axis=1)
+            bad = ~np.isfinite(norm)
+            frac, exp = np.frexp(np.where(bad, 0.0, norm) / _THETA13)
+            s = np.maximum(exp - (frac == 0.5), 0)  # ceil(log2(norm / theta)), exactly
+            A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
+            A2 = A @ A
+            A4 = A2 @ A2
+            A6 = A4 @ A2
+            eye = np.eye(A.shape[-1])
+            U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                     + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+            V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+                 + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+            R = np.linalg.solve(V - U, V + U)
+            for j in range(s.max()):
+                R[s > j] = R[s > j] @ R[s > j]
+        R[bad] = np.nan
+        out[lo:lo + _EXPM_SLAB] = R
+    return out
+
+
 def _segment_maps(sys: AffineSystem, values, durations) -> np.ndarray:
     """Augmented segment maps [[G, h], [0, 1]] (k, n+1, n+1) of values (k, m), durations (k,).
 
-    One stacked `expm` of all augmented generators [[A(u), Cu+d], [0, 0]] dt;
-    it treats every slice on its own, so a row's map ignores the other rows.
+    One `_expm` of all augmented generators [[A(u), Cu+d], [0, 0]] dt; it
+    treats every slice on its own, so a row's map ignores the other rows.
     """
     n = sys.n
     aug = np.zeros((values.shape[0], n + 1, n + 1))
     aug[:, :n, :n] = sys.A + np.einsum("ki,ijl->kjl", values, sys.B)
     aug[:, :n, n] = np.einsum("ki,ji->kj", values, sys.C) + sys.d
-    return expm(aug * np.asarray(durations, dtype=float).reshape(-1, 1, 1))
+    return _expm(aug * np.asarray(durations, dtype=float).reshape(-1, 1, 1))
 
 
 def segment_map(sys: AffineSystem, u, dt: float) -> tuple[np.ndarray, np.ndarray]:

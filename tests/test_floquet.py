@@ -9,6 +9,7 @@ from affinecontrol import floquet
 from affinecontrol.config import Tolerances
 from affinecontrol.floquet import (
     AffineFamily,
+    ControlPath,
     ControlSampler,
     EigenSolverError,
     Obstructed,
@@ -364,6 +365,38 @@ def test_scan_without_controls_raises():
             hyperbolicity_scan(sys, sampler, -1, seed=0)
 
 
+
+@pytest.mark.parametrize("settings, message", [
+    ({"kind": "bangz"}, "kind must be"),
+    ({"kind": "Bang"}, "kind must be"),
+    ({"period_range": (0.0, 1.0)}, "period_range"),
+    ({"period_range": (-1.0, 2.0)}, "period_range"),
+    ({"period_range": (2.0, 1.0)}, "period_range"),
+    ({"period_range": (1.0, np.inf)}, "period_range"),
+    ({"period_range": (np.nan, 1.0)}, "period_range"),
+    ({"segments_range": (0, 0)}, "segments_range"),
+    ({"segments_range": (0, 3)}, "segments_range"),
+    ({"segments_range": (3, 2)}, "segments_range"),
+])
+def test_sampler_rejects_bad_settings(settings, message):
+    with pytest.raises(ValueError, match=message):
+        ControlSampler(**settings)
+
+
+def test_scan_rejects_include_of_other_control_dimension():
+    sampler = ControlSampler(include=(PiecewiseControl.constant([0.1, 0.2]),))
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="control dimension 2 does not match"):
+            hyperbolicity_scan(planar_saddle_system(), sampler, count, seed=0)
+
+
+def test_sampler_accepts_degenerate_ranges():
+    sys = planar_saddle_system()
+    sampler = ControlSampler(kind="levels", period_range=(1.5, 1.5), segments_range=(2, 2))
+    ctrl = sampler.sample(np.random.default_rng(0), sys, 0)
+    assert ctrl.num_segments == 2 and abs(ctrl.period - 1.5) <= 1e-15
+
+
 # ------------------------------------------------------------- paths and runs
 
 def test_concat_path_endpoints_and_junction():
@@ -380,6 +413,13 @@ def test_concat_path_endpoints_and_junction():
     expected = (principal_matrix(sys, v, v.period, 0.0)
                 @ principal_matrix(sys, u, u.period, 0.0))
     assert np.allclose(phi_mid, expected, atol=1e-11)
+
+
+def test_control_path_rejects_mixed_control_dimensions():
+    u, v = PiecewiseControl.constant([0.1]), PiecewiseControl.constant([0.1, 0.2])
+    for make in (ControlPath, concat_path):
+        with pytest.raises(ValueError, match="controls have different dimensions"):
+            make(u, v)
 
 
 def test_concat_path_monodromy_continuity():
@@ -454,9 +494,9 @@ def test_bisection_stops_on_node_and_at_float_resolution(monkeypatch):
     batches = []
     period_maps = floquet._period_maps
 
-    def counting(sys, controls):
-        batches.append(len(controls))
-        return period_maps(sys, controls)
+    def counting(sys, values, durations, counts):
+        batches.append(len(counts))
+        return period_maps(sys, values, durations, counts)
 
     monkeypatch.setattr(floquet, "_period_maps", counting)
     sys = symmetric_coupling_system()

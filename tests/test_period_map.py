@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from affinecontrol.floquet import (
     ControlSampler,
     Unique,
+    _flatten,
     _period_maps,
     floquet_of,
     hyperbolicity_scan,
@@ -47,9 +48,9 @@ def product_of_segment_maps(sys, ctrl):
 @given(systems_and_controls())
 def test_batch_invariance(case):
     sys, controls = case
-    phi, b = _period_maps(sys, controls)
+    phi, b = _period_maps(sys, *_flatten(controls))
     for i, ctrl in enumerate(controls):
-        phi_i, b_i = _period_maps(sys, [ctrl])
+        phi_i, b_i = _period_maps(sys, *_flatten([ctrl]))
         assert np.array_equal(phi[i], phi_i[0])
         assert np.array_equal(b[i], b_i[0])
 
@@ -67,7 +68,7 @@ def test_scan_margins_equal_floquet_of(case):
 @given(systems_and_controls())
 def test_period_map_is_ordered_product_of_segment_maps(case):
     sys, controls = case
-    phi, b = _period_maps(sys, controls)
+    phi, b = _period_maps(sys, *_flatten(controls))
     for i, ctrl in enumerate(controls):
         G, h = product_of_segment_maps(sys, ctrl)
         assert np.linalg.norm(phi[i] - G) <= 1e-12 * max(1.0, np.linalg.norm(G))
