@@ -493,10 +493,13 @@ def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
     controls = PiecewiseControl._batch(*batch)
     phi, b = _period_maps(sys, *batch)
     M = np.eye(sys.n) - phi
+    margins = _spectrum(phi)[1]
+    unique = margins > tolerances.unit_tol  # _solve's Unique case, in one batch
+    x0 = iter(np.linalg.solve(M[unique], b[unique][..., None])[..., 0])
     records = []
-    for alpha, ctrl, Mi, bi, det_gap, margin in zip(
-            alphas, controls, M, b, np.linalg.det(M), _spectrum(phi)[1]):
-        sol = _solve(Mi, bi, margin, tolerances)
+    for alpha, ctrl, Mi, bi, det_gap, margin, is_unique in zip(
+            alphas, controls, M, b, np.linalg.det(M), margins, unique):
+        sol = Unique(next(x0)) if is_unique else _solve(Mi, bi, margin, tolerances)
         point = _solution_point(sol)
         norm_x = float(np.linalg.norm(point)) if point is not None else float("nan")
         kernel_angle = float("nan")

@@ -24,8 +24,8 @@ from scipy.linalg import expm
 from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import (BoxSet, _chain_positions, _halton_offsets, _label_groups,
-                    _sampled_controls, _sampled_csr, _self_loops)
+from .reach import (BoxSet, _halton_offsets, _label_groups, _sampled_controls,
+                    _sampled_csr, _scc_labels, _self_loops)
 from .system import AffineSystem, PiecewiseControl
 
 __all__ = [
@@ -366,8 +366,8 @@ class SphereChainAnalysis:
 
 def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
     """Strongly connected components (with an internal edge), size-descending."""
-    chains = _chain_positions(graph.indptr, graph.targets,
-                              _self_loops(graph.indptr, graph.targets))
+    chains = _label_groups(*_scc_labels(graph.indptr, graph.targets,
+                                        _self_loops(graph.indptr, graph.targets)))
     touches = graph.sphere.level_zero_touching(graph.boxes)
     comps = [graph.boxes[members] for members in chains]
     touching = [graph.boxes[members[touches[members]]] for members in chains]

@@ -2,10 +2,14 @@
 
 A compact window is covered by an axis-aligned grid of boxes.  Sampled
 controls applied for a fixed step define a directed graph on boxes; its
-reachability closures approximate reachable sets, intersections of forward
-and backward closures approximate control sets, and strongly connected
-components approximate chain control sets (the box diameter plays the role
-of the chain jump size, the step time the role of the minimal chain time).
+reachability closures approximate reachable sets, and its strongly
+connected components (SCCs) approximate both control sets and chain
+control sets (the box diameter plays the role of the chain jump size, the
+step time the role of the minimal chain time).  The control set of a seed
+box is the seed's SCC when the seed lies on a cycle, which is the
+intersection of its strict forward and backward closures; the chain
+components are all SCCs with an internal edge.  Both read one SCC
+labelling, computed once per graph and cached on it.
 Edges come from finitely many test points per box: the center plus
 Owen-scrambled Halton offsets drawn from `np.random.default_rng(seed)`,
 identical to SciPy's `Halton(scramble=True)` sampler for an int seed.  A
@@ -230,11 +234,13 @@ def _rows_to_csr(tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sampled_controls(sys: AffineSystem, dim: int, controls, dt: float,
-                      pts_per_box: int, n_boxes: int, memory_cap: int) -> np.ndarray:
+                      pts_per_box: int, n_boxes: int, memory_cap: int,
+                      table_words: int = 0) -> np.ndarray:
     """The controls as a (C, m) array, once the system dimension against the
-    grid's `dim`, dt, pts_per_box, every control value and the point-control
-    work of n_boxes boxes are checked; raises before anything is allocated
-    for the graph."""
+    grid's `dim`, dt, pts_per_box, every control value and the memory are
+    checked; raises before anything is allocated for the graph.  The cap
+    counts int64 words: one per point-control sample of the n_boxes boxes,
+    plus `table_words` for `_sampled_csr`'s position table."""
     if sys.n != dim:
         raise ValueError(f"system dimension {sys.n} does not match the grid ({dim})")
     if dt <= 0:
@@ -243,11 +249,12 @@ def _sampled_controls(sys: AffineSystem, dim: int, controls, dt: float,
         raise ValueError("pts_per_box must be >= 1")
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     _check_values(sys, controls)
-    work_items = n_boxes * pts_per_box * controls.shape[0]
-    if work_items > memory_cap:
+    samples = n_boxes * pts_per_box * controls.shape[0]
+    if samples + table_words > memory_cap:
         raise MemoryBudgetError(
-            f"{work_items} point-control samples exceed the cap of {memory_cap}; "
-            f"coarsen the grid, reduce samples, or raise the cap")
+            f"{samples} point-control samples and {table_words} position-table words "
+            f"exceed the cap of {memory_cap}; coarsen the grid, reduce samples, "
+            f"or raise the cap")
     return controls
 
 
@@ -257,15 +264,19 @@ def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray, image_ro
 
     `image_rows(u)` yields the (N, dim) images of the k-th test points under
     u, k = 0..P-1; their `grid.box_of` fills row c * P + k of the (C * P, N)
-    block.  With `positions`, ids are looked up in the sorted `boxes`
-    (absent ids go to the sink); otherwise they are positions already.
+    block.  With `positions`, ids become positions in the sorted `boxes`
+    through a table of grid.size + 1 words, -1 for ids not in `boxes` and
+    in the last entry, which id -1 (the sink) reads; otherwise they are
+    positions already.
     """
     tgt = np.empty((controls.shape[0] * P, boxes.size), dtype=np.int64)
     for c, u in enumerate(controls):
         for k, images in enumerate(image_rows(u)):
             tgt[c * P + k] = grid.box_of(images)
     if positions:
-        tgt = _positions(boxes, tgt)  # rebound, so the id block is freed first
+        table = np.full(grid.size + 1, -1, dtype=np.int64)
+        table[boxes] = np.arange(boxes.size)
+        tgt = table[tgt]  # rebound, so the id block is freed first
     return _rows_to_csr(tgt)
 
 
@@ -292,18 +303,17 @@ def _self_loops(indptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return loops
 
 
-def _chain_positions(indptr: np.ndarray, targets: np.ndarray,
-                     loops: np.ndarray) -> list[np.ndarray]:
-    """Strongly connected components with an internal edge (`loops`: per-node
-    self-loop flags) as sorted position arrays, by size descending, then
-    smallest position."""
+def _scc_labels(indptr: np.ndarray, targets: np.ndarray,
+                loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SCC label per position, and per label whether the SCC has an internal
+    edge (two or more members, or a self-loop; `loops`: per-node flags)."""
     if indptr.size == 1:
-        return []
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
     n_comp, labels = csgraph.connected_components(
         _csr_matrix(indptr, targets), directed=True, connection="strong")
     kept = np.bincount(labels, minlength=n_comp) >= 2
     kept[labels[loops]] = True
-    return _label_groups(labels, kept)
+    return labels, kept
 
 
 def _label_groups(labels: np.ndarray, kept: np.ndarray) -> list[np.ndarray]:
@@ -340,7 +350,9 @@ class TransitionGraph:
 
     `boxes` lists the participating flat box indices (sorted); adjacency is
     CSR over positions into that list.  `sink` marks boxes with at least
-    one sampled transition leaving the window (or the active subset).
+    one sampled transition leaving the window (or the active subset).  The
+    reversed graph and the SCC labelling are computed on first use and
+    cached; `chain_components` and `control_set_approx` share the latter.
     """
 
     grid: BoxGrid
@@ -353,6 +365,7 @@ class TransitionGraph:
     pts_per_box: int
     seed: int
     _reverse: tuple = field(repr=False, default=None)
+    _scc: tuple = field(repr=False, default=None)
 
     @property
     def num_boxes(self) -> int:
@@ -377,6 +390,14 @@ class TransitionGraph:
         rev = (rmat.indptr.astype(np.int64), rmat.indices.astype(np.int64))
         object.__setattr__(self, "_reverse", rev)
         return rev
+
+    def scc(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, kept): SCC label per position, and per label whether the
+        SCC has two or more members or a self-loop (cached)."""
+        if self._scc is None:
+            object.__setattr__(self, "_scc", _scc_labels(self.indptr, self.targets,
+                                                         self.has_self_loop()))
+        return self._scc
 
     def to_sparse(self) -> sparse.csr_matrix:
         return _csr_matrix(self.indptr, self.targets)
@@ -454,10 +475,15 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     when the image leaves the window (or the active subset).  The graph
     comes from `_sampled_csr`, the sampling path that
     `projective.build_sphere_graph` shares.  Deterministic for a fixed seed.
+
+    `memory_cap` bounds int64 words: one per point-control sample (boxes x
+    pts_per_box x controls), plus grid.size + 1 for the position table when
+    `active` is given.  Exceeding it raises `MemoryBudgetError` before any
+    allocation.
     """
     boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
     controls = _sampled_controls(sys, grid.dim, controls, dt, pts_per_box, boxes.size,
-                                 memory_cap)
+                                 memory_cap, 0 if active is None else grid.size + 1)
     points = _test_points(grid, boxes, pts_per_box, seed)  # (P, N, dim)
 
     def image_rows(u):
@@ -503,18 +529,21 @@ def closure(graph: TransitionGraph, from_set: BoxSet, direction: str = "forward"
 def control_set_approx(graph: TransitionGraph, seed_box: int) -> BoxSet:
     """Approximate the control set whose interior contains the seed box.
 
-    Intersection of the strictly-forward and strictly-backward reachable
-    sets of the seed box: exactly the boxes lying on a directed cycle
-    through the seed, so seeds in the interior of the same control set
-    give identical results.  A wandering seed yields the empty set.
+    The boxes lying on a directed cycle through the seed: its strongly
+    connected component when the seed lies on a cycle (two or more members,
+    or a self-loop), which is the intersection of the strictly-forward and
+    strictly-backward reachable sets of the seed box.  Seeds in the
+    interior of the same control set give identical results; a wandering
+    seed yields the empty set.  Reads the graph's cached SCC labelling,
+    the one `chain_components` uses.
     """
     pos = graph.position_of(np.array([seed_box]))[0]
     if pos < 0:
         raise ValueError("seed box is not part of the graph")
-    seed_set = BoxSet(graph.grid, np.array([seed_box]))
-    fwd = closure(graph, seed_set, "forward", include_start=False)
-    bwd = closure(graph, seed_set, "backward", include_start=False)
-    return fwd.intersection(bwd)
+    labels, kept = graph.scc()
+    if not kept[labels[pos]]:
+        return BoxSet(graph.grid, np.empty(0, dtype=np.int64))
+    return BoxSet(graph.grid, graph.boxes[labels == labels[pos]])
 
 
 def chain_components(graph: TransitionGraph) -> list[BoxSet]:
@@ -524,10 +553,11 @@ def chain_components(graph: TransitionGraph) -> list[BoxSet]:
     approximate chain control sets and shrink as the grid refines, but they
     are not guaranteed outer approximations: a transition that no test
     point realises is missing from the graph, so a component can be
-    smaller than the chain control set it approximates.
+    smaller than the chain control set it approximates.  Groups the graph's
+    cached SCC labelling, the one `control_set_approx` reads.
     """
-    return [BoxSet(graph.grid, graph.boxes[members]) for members in
-            _chain_positions(graph.indptr, graph.targets, graph.has_self_loop())]
+    return [BoxSet(graph.grid, graph.boxes[members])
+            for members in _label_groups(*graph.scc())]
 
 
 def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
@@ -539,6 +569,9 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     The refined graph is restricted to the children of the kept boxes plus
     a one-box collar in the fine grid; transitions leaving that covering
     go to the sink.  Intended loop: chain_components -> refine -> repeat.
+    `memory_cap` counts the samples of the active boxes plus the fine
+    grid's size + 1 words of the position table, as in
+    `build_transition_graph`.
     """
     if factor < 2:
         raise ValueError("factor must be >= 2")

@@ -490,6 +490,22 @@ def test_continuation_detects_blowup_crossing():
     assert by_alpha[0].norm_x >= 10.0 * by_alpha[-1].norm_x
 
 
+def test_continuation_solutions_match_periodic_solution():
+    # the mesh node 0.75 sits on the crossing, so the batch of Unique
+    # solves skips one record, which _solve classifies alone
+    sys = symmetric_coupling_system()
+    path = concat_path(PiecewiseControl.constant([-0.7], 1.0),
+                       PiecewiseControl.constant([-0.4], 1.0))
+    records = continuation(sys, path, steps=41).records
+    kinds = [type(r.solution).__name__ for r in records]
+    assert kinds.count("Unique") == len(records) - 1
+    for r in records:
+        single = periodic_solution(sys, r.control)
+        assert type(r.solution) is type(single)
+        if hasattr(single, "x0"):
+            assert np.array_equal(r.solution.x0, single.x0)
+
+
 def test_bisection_stops_on_node_and_at_float_resolution(monkeypatch):
     batches = []
     period_maps = floquet._period_maps

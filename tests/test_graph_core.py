@@ -6,7 +6,7 @@ query is compared with a brute-force Warshall reachability matrix.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affinecontrol.projective import SphereGraph, SphereGrid, sphere_chain_components
 from affinecontrol.reach import (
@@ -16,6 +16,7 @@ from affinecontrol.reach import (
     _rows_to_csr,
     chain_components,
     closure,
+    control_set_approx,
 )
 
 
@@ -93,3 +94,37 @@ def test_graph_core_matches_warshall(case):
         for include_start, expected in ((True, stepped | start_mask), (False, stepped)):
             result = closure(graph, from_set, direction, include_start)
             assert result.indices.tolist() == np.flatnonzero(expected).tolist()
+
+
+def closure_intersection(graph, seed):
+    """Control set by strict forward and backward closures (the reference)."""
+    seed_set = BoxSet(graph.grid, [seed])
+    fwd = closure(graph, seed_set, "forward", include_start=False)
+    bwd = closure(graph, seed_set, "backward", include_start=False)
+    return fwd.intersection(bwd).indices.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs())
+@example((3, [(0, 1), (1, 2), (2, 1)], [0]))  # 0 wanders into the cycle {1, 2}
+@example((3, [(0, 1), (1, 1), (1, 2)], [0]))  # 1's only cycle is its self-loop
+def test_control_set_is_the_closure_intersection(case):
+    n, edges, _ = case
+    graph, _ = wrap(n, edges)
+    got = [control_set_approx(graph, seed).indices.tolist() for seed in range(n)]
+    assert graph._reverse is None  # the control sets never reversed the graph
+    untouched, _ = wrap(n, edges)
+    for seed in range(n):
+        seed_set = BoxSet(graph.grid, [seed])
+        assert (closure(graph, seed_set, "backward").indices.tolist()
+                == closure(untouched, seed_set, "backward").indices.tolist())
+    assert got == [closure_intersection(graph, seed) for seed in range(n)]
+    assert [c.indices.tolist() for c in chain_components(graph)] == [
+        c.indices.tolist() for c in chain_components(untouched)]
+
+
+def test_control_set_of_wandering_and_self_loop_seeds():
+    graph, _ = wrap(4, [(0, 1), (1, 1), (1, 2), (2, 3), (3, 2)])
+    assert control_set_approx(graph, 0).indices.tolist() == []
+    assert control_set_approx(graph, 1).indices.tolist() == [1]
+    assert control_set_approx(graph, 3).indices.tolist() == [2, 3]

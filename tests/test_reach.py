@@ -149,6 +149,25 @@ def test_memory_budget_checked_before_allocation():
                                memory_cap=1000)
 
 
+def test_memory_budget_counts_the_position_table():
+    # 3 active boxes x 2 points x 1 control = 6 samples, but an active
+    # subset also needs a position table of grid.size + 1 words
+    grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], [100, 100])
+    active = BoxSet(grid, [0, 1, 5050])
+    need = 6 + grid.size + 1
+    with pytest.raises(MemoryBudgetError, match="10001 position-table words"):
+        build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 2, seed=0,
+                               active=active, memory_cap=need - 1)
+    graph = build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 2, seed=0,
+                                   active=active, memory_cap=need)
+    assert graph.boxes.tolist() == [0, 1, 5050]
+    assert graph.targets.tolist() == [0, 1, 2]
+    coarse = build_transition_graph(zero_field(), BoxGrid([-1.0, -1.0], [1.0, 1.0],
+                                                          [50, 50]), [[0.0]], 0.5, 2, seed=0)
+    with pytest.raises(MemoryBudgetError, match="position-table"):
+        refine(zero_field(), coarse, BoxSet(coarse.grid, [0]), 2, memory_cap=grid.size)
+
+
 # ----------------------------------------------------------- control sets
 
 def test_control_set_zero_field_is_seed_box():
