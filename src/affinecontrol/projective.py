@@ -115,11 +115,18 @@ def proj_metric(p: ProjPoint, q: ProjPoint) -> float:
 
 
 def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise projective distances between rows of X and Y (any scaling)."""
-    Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-    Yn = Y / np.linalg.norm(Y, axis=1, keepdims=True)
-    dots = np.clip(np.abs(Xn @ Yn.T), 0.0, 1.0)
-    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots))
+    """Pairwise projective distances between rows of X and Y (any scaling).
+
+    Raises ValueError for a zero or non-finite row, which names no point.
+    """
+    Xnorm = np.linalg.norm(X, axis=1, keepdims=True)
+    Ynorm = np.linalg.norm(Y, axis=1, keepdims=True)
+    if not (np.all(np.isfinite(Xnorm) & (Xnorm > 0))
+            and np.all(np.isfinite(Ynorm) & (Ynorm > 0))):
+        raise ValueError("projective distance needs nonzero finite rows")
+    # |cos| of the unit rows, capped at 1 against rounding, so 2 - 2 dots >= 0
+    dots = np.minimum(np.abs((X / Xnorm) @ (Y / Ynorm).T), 1.0)
+    return np.sqrt(2.0 - 2.0 * dots)
 
 
 def _flow_rows(M: np.ndarray, dt: float, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,11 +244,14 @@ class SphereGrid:
         The anchor is the largest coordinate in modulus; face coordinate j
         is coordinate j (j < axis) or j + 1 (j >= axis) over the anchor.
         That is the positive-face point of the representative with positive
-        anchor, so x and -x get the same id.
+        anchor, so x and -x get the same id.  Raises ValueError for a zero
+        or non-finite point, which names no direction.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        axis = np.argmax(np.abs(pts), axis=1)
+        axis = np.argmax(np.abs(pts), axis=1)  # the first NaN, if any
         anchor = pts[np.arange(pts.shape[0]), axis]
+        if not np.all(np.isfinite(anchor) & (anchor != 0)):
+            raise ValueError("sphere box of a zero or non-finite point")
         sub = self.subdivisions
         cell = np.zeros(pts.shape[0], dtype=np.int64)
         for j in range(self.face_dims):

@@ -47,9 +47,13 @@ class MemoryBudgetError(RuntimeError):
     """Planned allocation exceeds the configured cap; raised before allocating."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxGrid:
-    """Uniform axis-aligned box covering of a rectangular window."""
+    """Uniform axis-aligned box covering of a rectangular window.
+
+    Two grids are equal when their lo, hi and subdivisions are; box sets,
+    closures and refinements combine only boxes of equal grids.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -74,6 +78,18 @@ class BoxGrid:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "subdivisions", subs)
+
+    def _key(self) -> tuple:
+        return (tuple(self.lo.tolist()), tuple(self.hi.tolist()),
+                tuple(self.subdivisions.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, BoxGrid):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def dim(self) -> int:
@@ -133,6 +149,11 @@ class BoxGrid:
         return int(idx)
 
 
+def _check_same_grid(grid: BoxGrid, other: BoxGrid) -> None:
+    if grid != other:
+        raise ValueError("the box sets or graphs lie on different grids")
+
+
 @dataclass(frozen=True)
 class BoxSet:
     """Subset of a grid's boxes, stored as a sorted unique index array."""
@@ -162,17 +183,21 @@ class BoxSet:
         return self.grid.centers(self.indices)
 
     def union(self, other: "BoxSet") -> "BoxSet":
+        _check_same_grid(self.grid, other.grid)
         return BoxSet(self.grid, np.concatenate([self.indices, other.indices]))
 
     def intersection(self, other: "BoxSet") -> "BoxSet":
+        _check_same_grid(self.grid, other.grid)
         return BoxSet(self.grid, np.intersect1d(self.indices, other.indices,
                                                 assume_unique=True))
 
     def difference(self, other: "BoxSet") -> "BoxSet":
+        _check_same_grid(self.grid, other.grid)
         return BoxSet(self.grid, np.setdiff1d(self.indices, other.indices,
                                               assume_unique=True))
 
     def equals(self, other: "BoxSet") -> bool:
+        _check_same_grid(self.grid, other.grid)
         return np.array_equal(self.indices, other.indices)
 
     def dilate(self, radius: int = 1) -> "BoxSet":
@@ -481,6 +506,8 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     `active` is given.  Exceeding it raises `MemoryBudgetError` before any
     allocation.
     """
+    if active is not None:
+        _check_same_grid(grid, active.grid)
     boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
     controls = _sampled_controls(sys, grid.dim, controls, dt, pts_per_box, boxes.size,
                                  memory_cap, 0 if active is None else grid.size + 1)
@@ -512,6 +539,7 @@ def closure(graph: TransitionGraph, from_set: BoxSet, direction: str = "forward"
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
+    _check_same_grid(graph.grid, from_set.grid)
     if len(from_set) == 0:
         raise ValueError("from_set must be nonempty")
     starts = graph.position_of(from_set.indices)
@@ -576,6 +604,7 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     if factor < 2:
         raise ValueError("factor must be >= 2")
     grid = graph.grid
+    _check_same_grid(grid, keep.grid)
     fine = BoxGrid(grid.lo, grid.hi, grid.subdivisions * factor)
     coarse_multi = grid.multi_index(keep.indices)
     offsets = np.stack(np.meshgrid(*([np.arange(factor)] * grid.dim),
@@ -597,6 +626,7 @@ def is_invariant_in_window(graph: TransitionGraph, box_set: BoxSet,
     Any sampled transition to the sink from the closure makes the answer
     False: invariance can only be certified relative to the window.
     """
+    _check_same_grid(graph.grid, box_set.grid)
     if len(box_set) == 0:
         return True
     fwd = closure(graph, box_set, "forward")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+import affinecontrol as ac
 from affinecontrol import projective, reach
 from affinecontrol.system import AffineSystem
 
@@ -84,3 +85,29 @@ def test_tracer_records_the_projective_names():
     assert counts["system.expm.calls"] == 4  # one per control and sphere
     big, hom = report.details
     assert counts["projective.sphere_edges"] == big.graph.targets.size + hom.graph.targets.size
+
+
+def test_tracer_records_calls_through_the_package_names():
+    # the benchmark's workloads call the library as `ac.<name>`
+    spans = load_spans()
+    originals = {"build_transition_graph": reach.build_transition_graph,
+                 "infinity_boundary_chain": projective.infinity_boundary_chain}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(ac, n) is not f for n, f in originals.items())
+        sys = AffineSystem([[-1.0]], [[[0.0]]], [[0.0]], [0.0], [-1.0], [1.0])
+        emb = ac.embed_system(AffineSystem(
+            np.diag([1.0, -1.0]), np.eye(2)[None, :, :], np.ones((2, 1)), [1.0, 0.0],
+            [-0.5], [0.5]))
+        with tracer.recording():
+            ac.build_transition_graph(sys, ac.BoxGrid([-1.0], [1.0], [8]), [[0.0]], 0.5, 1,
+                                      seed=0)
+            ac.infinity_boundary_chain(emb, 4, [[-0.5], [0.5]], 0.1)
+    finally:
+        tracer.uninstall()
+    assert {"reach.build_transition_graph",
+            "projective.infinity_boundary_chain"} <= {s[0] for s in tracer.spans}
+    assert all(getattr(ac, n) is f for n, f in originals.items())
+    # read from the module on every access, so no wrapper is left behind
+    assert not set(originals) & set(vars(ac))

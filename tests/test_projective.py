@@ -280,6 +280,18 @@ def test_sphere_grid_level_zero_touching():
     assert touching.size > 0
 
 
+def test_degenerate_rows_are_rejected():
+    grid = SphereGrid(3, 4)
+    for row in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1.0, np.nan, 0.0],
+                [np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError):
+            grid.box_of(np.array([[1.0, 2.0, 3.0], row]))
+        with pytest.raises(ValueError):
+            proj_dist_vectors(np.array([row]), np.eye(3))
+        with pytest.raises(ValueError):
+            proj_dist_vectors(np.eye(3), np.array([row]))
+
+
 def reference_sphere_box(grid: SphereGrid, x) -> int:
     """Id of one point's box via the face split: anchor axis (the first
     largest modulus), and the row-major cell of the per-axis bins of

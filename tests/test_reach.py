@@ -69,6 +69,36 @@ def test_boxset_operations_and_rle():
     assert abs(a.volume - 0.4) < 1e-15
 
 
+def test_grid_equality_is_by_value():
+    grid = BoxGrid([0, 0], [1, 1], [4, 4])
+    same = BoxGrid([0.0, -0.0], [1.0, 1.0], [4, 4])
+    assert grid == same and hash(grid) == hash(same) and len({grid, same}) == 1
+    for other in (BoxGrid([0, 0], [2, 2], [4, 4]), BoxGrid([0, 0], [1, 1], [4, 8]),
+                  BoxGrid([0], [1], [4])):
+        assert grid != other
+    assert BoxSet(grid, [1, 2]).union(BoxSet(same, [3])).indices.tolist() == [1, 2, 3]
+
+
+def test_mixed_grids_are_rejected():
+    # same subdivisions, so the foreign indices are in range for the graph
+    grid = BoxGrid([0.0, 0.0], [1.0, 1.0], [4, 4])
+    other = BoxGrid([0.0, 0.0], [2.0, 2.0], [4, 4])
+    graph = build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 1, seed=0)
+    foreign = BoxSet(other, [0, 5])
+    mine = BoxSet(grid, [0, 5])
+    calls = [lambda: closure(graph, foreign),
+             lambda: refine(zero_field(), graph, foreign, 2),
+             lambda: is_invariant_in_window(graph, foreign),
+             lambda: is_invariant_in_window(graph, BoxSet(other, [])),
+             lambda: build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 1, seed=0,
+                                            active=foreign)]
+    calls += [lambda op=op: op(foreign)
+              for op in (mine.union, mine.intersection, mine.difference, mine.equals)]
+    for call in calls:
+        with pytest.raises(ValueError, match="different grids"):
+            call()
+
+
 # --------------------------------------------------------------------- graphs
 
 def test_zero_field_gives_only_self_loops():
