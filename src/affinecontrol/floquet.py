@@ -8,6 +8,9 @@ from closed-form maps rather than an ODE stepper.  Every entry point maps a
 flat batch (values, durations, segment counts), filled directly by the scan's
 sampler or a path, through one vectorised exponential of all segments
 (`system._expm`, after Higham 2005); controls are built only for reports.
+The sampler draws a batch's random stream in four bulk calls, so a seed
+determines the whole batch, and continuation records are filled from
+stacked solves, norms and singular value decompositions.
 """
 
 from dataclasses import dataclass, field
@@ -54,7 +57,7 @@ class EigenSolverError(RuntimeError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Monodromy:
     """Principal fundamental solution over one period of the control."""
 
@@ -63,7 +66,7 @@ class Monodromy:
     control: PiecewiseControl = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FloquetData:
     """Multipliers, exponents, and the eigenspace for multiplier one.
 
@@ -79,7 +82,7 @@ class FloquetData:
     unit_eigenspace: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unique:
     """Exactly one periodic solution; x0 is its initial value."""
 
@@ -90,7 +93,7 @@ class Unique:
         return "unique"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineFamily:
     """Every point of y0 + span(basis) starts a periodic solution."""
 
@@ -253,7 +256,9 @@ class ControlSampler:
 
     kind: "bang" (values at box corners), "levels" (uniform in the box),
     or "mixed" (alternating).  `include` controls are evaluated before the
-    random samples.
+    random samples.  Samples are drawn a batch at a time (`sample_batch`),
+    so an rng state determines the whole batch rather than each sample on
+    its own.
     """
 
     kind: str = "mixed"
@@ -272,6 +277,8 @@ class ControlSampler:
 
     def sample(self, rng: np.random.Generator, sys: AffineSystem,
                index: int) -> PiecewiseControl:
+        """The one-sample batch `sample_batch(rng, sys, 1, start=index)`; `index`
+        sets only the bang/levels parity of a "mixed" sampler."""
         values, durations, _ = self.sample_batch(rng, sys, 1, start=index)
         return PiecewiseControl(values, durations)
 
@@ -280,34 +287,34 @@ class ControlSampler:
         """Samples start, ..., start + count - 1 as a flat (values, durations, counts).
 
         A sample splits a period uniform in period_range by Dirichlet(1, ..., 1)
-        weights into k segments, valued at box corners ("bang") or uniformly.
-        The loop reads the rng's bit stream as numpy's `uniform(a, b)` and
-        `dirichlet(ones(k))` would, through cheaper calls whose arithmetic
-        (a + (b - a) * random(); exponentials times 1 / their running sum)
-        runs here on whole arrays, bit for bit.
+        weights into k segments, valued at box corners ("bang") or uniformly
+        in the box ("levels"); for "mixed", sample start + i is bang when
+        start + i is even.  The batch reads the rng's stream in four bulk
+        calls, whatever `count` is: `random(count)` for the periods,
+        `integers(k0, k1 + 1, count)` for the segment counts,
+        `standard_exponential(K)` for the Dirichlet weights of all K segments
+        (normalised by their sum in segment order) and `random((K, m))` for
+        the values, a corner coordinate being the box's low end below 0.5.
+        So the seed determines the whole batch: sample i of a batch is not
+        the one-sample batch drawn from the same seed.
         """
         index = np.arange(start, start + count)
         bang = (self.kind == "bang") | ((self.kind == "mixed") & (index % 2 == 0))
-        uniform, counts = np.empty(count), np.empty(count, dtype=int)
-        gammas, draws = [np.empty(0)], [np.empty((0, sys.m))]
-        for i in range(count):
-            uniform[i] = rng.random()
-            k = counts[i] = rng.integers(self.segments_range[0], self.segments_range[1] + 1)
-            gammas.append(rng.standard_exponential(k))
-            draws.append(rng.integers(0, 2, size=(k, sys.m)) if bang[i] else
-                         rng.random((k, sys.m)))
-        gammas, draws = np.concatenate(gammas), np.concatenate(draws)
+        (lo, hi), (k0, k1) = self.period_range, self.segments_range
+        uniform = rng.random(count)
+        counts = rng.integers(k0, k1 + 1, count)
         owner = np.repeat(np.arange(count), counts)
+        gammas = rng.standard_exponential(owner.size)
+        draws = rng.random((owner.size, sys.m))
         total = np.bincount(owner, weights=gammas, minlength=count)  # sums in segment order
-        lo, hi = self.period_range
         durations = gammas * (1.0 / total)[owner] * (lo + (hi - lo) * uniform)[owner]
         values = np.where(bang[owner, None],
-                          np.where(draws == 0, sys.omega_lo, sys.omega_hi),
+                          np.where(draws < 0.5, sys.omega_lo, sys.omega_hi),
                           sys.omega_lo + (sys.omega_hi - sys.omega_lo) * draws)
         return values, durations, counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
     """Outcome of a finite hyperbolicity scan.
 
@@ -430,7 +437,7 @@ def concat_path(u: PiecewiseControl, v: PiecewiseControl) -> ControlPath:
 
 # --------------------------------------------------------------- continuation
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuationRecord:
     """State of the periodic-solution problem at one path parameter."""
 
@@ -445,7 +452,7 @@ class ContinuationRecord:
     refined: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Crossing:
     """Unit-multiplier crossing located by bisection on the det gap."""
 
@@ -458,58 +465,77 @@ class Crossing:
     solution: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuationResult:
     records: list
     crossings: list
 
 
+def _kernel_size(sv: np.ndarray, eig_tol: float) -> np.ndarray:
+    """How many of the descending singular values sv (or rows of them) sit
+    at the smallest: those within max(10 sv_min, eig_tol max(1, sv_max))."""
+    cutoff = np.maximum(10.0 * sv[..., -1:], eig_tol * np.maximum(1.0, sv[..., :1]))
+    return np.sum(sv <= cutoff, axis=-1)
+
+
 def _near_kernel(M: np.ndarray, eig_tol: float) -> np.ndarray:
     """Right singular vectors of M = I - phi at the smallest singular value."""
     _, sv, vt = np.linalg.svd(M)
-    if sv.size == 0:
-        return np.zeros((M.shape[0], 0))
-    cutoff = max(10.0 * sv[-1], eig_tol * max(1.0, sv[0]))
-    keep = sv <= cutoff
-    return vt[keep].T.copy()
+    return vt[M.shape[0] - _kernel_size(sv, eig_tol):].T.copy()
 
 
-def _sphere_distance(x: np.ndarray, basis: np.ndarray) -> float:
-    """Distance of x/||x|| to the unit sphere of span(basis)."""
-    nx = np.linalg.norm(x)
-    if nx == 0.0 or basis.shape[1] == 0:
-        return float("nan")
-    xhat = x / nx
-    p = basis @ (basis.T @ xhat)
-    np_ = np.linalg.norm(p)
-    if np_ == 0.0:
-        return float(np.sqrt(2.0))
-    return float(np.linalg.norm(xhat - p / np_))
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of X, each bit for bit `np.linalg.norm(row)`."""
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
 def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
-    """Continuation records at the alphas, from one batch of period maps."""
+    """Continuation records at the alphas, from one batch of period maps.
+
+    Solutions, norms and kernel angles come from stacked array calls over
+    the batch, bit for bit the values that `_solve`, `np.linalg.norm` and
+    `_near_kernel` give one record at a time; only `_solve`'s rare
+    non-Unique rows and the record objects take a loop.
+    """
     batch = path.segments(alphas)
     controls = PiecewiseControl._batch(*batch)
     phi, b = _period_maps(sys, *batch)
     M = np.eye(sys.n) - phi
     margins = _spectrum(phi)[1]
     unique = margins > tolerances.unit_tol  # _solve's Unique case, in one batch
-    x0 = iter(np.linalg.solve(M[unique], b[unique][..., None])[..., 0])
-    records = []
-    for alpha, ctrl, Mi, bi, det_gap, margin, is_unique in zip(
-            alphas, controls, M, b, np.linalg.det(M), margins, unique):
-        sol = Unique(next(x0)) if is_unique else _solve(Mi, bi, margin, tolerances)
-        point = _solution_point(sol)
-        norm_x = float(np.linalg.norm(point)) if point is not None else float("nan")
-        kernel_angle = float("nan")
-        if point is not None and margin <= tolerances.kernel_window:
-            kernel_angle = _sphere_distance(point, _near_kernel(Mi, tolerances.eig_tol))
-        records.append(ContinuationRecord(
-            alpha=float(alpha), tau=ctrl.period, control=ctrl, det_gap=float(det_gap),
-            margin=float(margin), solution=sol, norm_x=norm_x,
-            kernel_angle=kernel_angle, refined=refined))
-    return records
+    points = np.full(b.shape, np.nan)
+    points[unique] = np.linalg.solve(M[unique], b[unique][..., None])[..., 0]
+    solutions = np.empty(margins.size, dtype=object)
+    solutions[unique] = [Unique(x) for x in points[unique]]
+    for i in np.flatnonzero(~unique):
+        sol = solutions[i] = _solve(M[i], b[i], margins[i], tolerances)
+        if (point := _solution_point(sol)) is not None:
+            points[i] = point
+    norm_x = _row_norms(points)
+    # kernel angles: the distance of x/|x| to the unit sphere of the span of
+    # the right singular vectors of M at its smallest singular values, a
+    # trailing block of vt; rows keeping k of them share one (n, k) basis
+    # shape, so their products take the BLAS calls of the one-record form
+    kernel_angle = np.full(margins.size, np.nan)
+    window = np.flatnonzero((norm_x > 0.0) & (margins <= tolerances.kernel_window))
+    _, sv, vt = np.linalg.svd(M[window])
+    kept = _kernel_size(sv, tolerances.eig_tol)
+    xhat = points[window] / norm_x[window, None]
+    for k in np.unique(kept):
+        rows = np.flatnonzero(kept == k)
+        basis = np.ascontiguousarray(vt[rows, sys.n - k:].transpose(0, 2, 1))
+        p = (basis @ (basis.transpose(0, 2, 1) @ xhat[rows, :, None]))[..., 0]
+        norm_p = _row_norms(p)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            kernel_angle[window[rows]] = np.where(
+                norm_p == 0.0, np.sqrt(2.0), _row_norms(xhat[rows] - p / norm_p[:, None]))
+    return [ContinuationRecord(
+                alpha=float(alpha), tau=ctrl.period, control=ctrl, det_gap=float(det_gap),
+                margin=float(margin), solution=sol, norm_x=float(nx),
+                kernel_angle=float(angle), refined=refined)
+            for alpha, ctrl, det_gap, margin, sol, nx, angle in zip(
+                alphas, controls, np.linalg.det(M), margins, solutions, norm_x,
+                kernel_angle)]
 
 
 def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):

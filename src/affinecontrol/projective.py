@@ -71,7 +71,7 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(big & (v < 0), first, axis=-1), -v, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjPoint:
     """Point of projective space: unit representative with canonical sign.
 
@@ -117,9 +117,11 @@ def proj_metric(p: ProjPoint, q: ProjPoint) -> float:
 def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise projective distances between rows of X and Y (any scaling).
 
-    Raises ValueError for a zero or non-finite row, which names no point.
+    X may be a stack (..., r, d) of row blocks, each multiplied with Y on
+    its own; the result is then (..., r, len(Y)).  Raises ValueError for a
+    zero or non-finite row, which names no point.
     """
-    Xnorm = np.linalg.norm(X, axis=1, keepdims=True)
+    Xnorm = np.linalg.norm(X, axis=-1, keepdims=True)
     Ynorm = np.linalg.norm(Y, axis=1, keepdims=True)
     if not (np.all(np.isfinite(Xnorm) & (Xnorm > 0))
             and np.all(np.isfinite(Ynorm) & (Ynorm > 0))):
@@ -307,7 +309,7 @@ class SphereGrid:
         return (axis != self.ambient - 1) & (z_lo <= 0.0) & (z_lo + width >= 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGraph:
     """One-step transition graph on the projective quotient; positions are box ids."""
 
@@ -360,7 +362,7 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
                        seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereChainAnalysis:
     """Chain components of a sphere graph plus level-at-infinity bookkeeping."""
 
@@ -386,7 +388,7 @@ def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
 
 # ------------------------------------------------------ boundary at infinity
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfinityBoundaryReport:
     """Estimated directions at infinity of a control set.
 
@@ -501,20 +503,24 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     starts = np.cumsum(sizes) - sizes
     hom_boxes = np.concatenate(hom.components)
     hom_dirs = np.hstack([hom_sphere.centers(hom_boxes), np.zeros((hom_boxes.size, 1))])
+    # the level-0 slice directions of all components, exactly on the level
+    slice_sizes = np.array([s.size for s in big.level_zero])
+    dirs = big_sphere.centers(np.concatenate(big.level_zero))
+    dirs[:, -1] = 0.0
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    directions = [ProjPoint.from_vector(v, tolerances.level_tol) for v in dirs]
+    # least distance of each nonempty slice to each homogeneous component:
+    # one call, each direction a one-row block (so its distances do not
+    # depend on the other rows), reduced over the slice's rows and then
+    # over the component's columns
+    sliced = np.flatnonzero(slice_sizes)
     matches = []
-    directions = []
-    for i, slice_boxes in enumerate(big.level_zero):
-        if slice_boxes.size == 0:
-            continue
-        # the component's level-0 slice directions, exactly on the level
-        dirs = big_sphere.centers(slice_boxes)
-        dirs[:, -1] = 0.0
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        directions.extend(
-            ProjPoint.from_vector(v, tolerances.level_tol) for v in dirs)
-        dmin = np.minimum.reduceat(proj_dist_vectors(dirs, hom_dirs).min(axis=0), starts)
-        matches.extend((i, int(j), float(dmin[j]))
-                       for j in np.flatnonzero(dmin <= match_tol))
+    if sliced.size:
+        dist = proj_dist_vectors(dirs[:, None, :], hom_dirs)[:, 0]
+        dmin = np.minimum.reduceat(np.minimum.reduceat(
+            dist, (np.cumsum(slice_sizes) - slice_sizes)[sliced], axis=0), starts, axis=1)
+        matches = [(int(sliced[r]), int(j), float(dmin[r, j]))
+                   for r, j in zip(*np.nonzero(dmin <= match_tol))]
     return InfinityBoundaryReport("sphere-chain", directions,
                                   [len(c) for c in big.level_zero],
                                   matches, details=(big, hom))

@@ -154,9 +154,12 @@ def _check_same_grid(grid: BoxGrid, other: BoxGrid) -> None:
         raise ValueError("the box sets or graphs lie on different grids")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxSet:
-    """Subset of a grid's boxes, stored as a sorted unique index array."""
+    """Subset of a grid's boxes, stored as a sorted unique index array.
+
+    `==` and `hash` go by identity; `equals` compares the boxes.
+    """
 
     grid: BoxGrid
     indices: np.ndarray
@@ -369,7 +372,7 @@ def _reachable(indptr: np.ndarray, targets: np.ndarray, starts: np.ndarray,
     return np.sort(order[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionGraph:
     """Directed one-step transition graph over (a subset of) a grid's boxes.
 

@@ -56,7 +56,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSystem:
     """System data: matrices A, B_1..B_m, columns c_1..c_m, drift d, control box.
 
@@ -148,13 +148,13 @@ class AffineSystem:
         return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseControl:
     """Piecewise-constant control, extended periodically.
 
     `values` is (k, m), `durations` is (k,) with positive entries; the
     period is the total duration and evaluation at time t uses t modulo
-    the period.
+    the period.  `==` and `hash` go by identity; `same_as` compares values.
     """
 
     values: np.ndarray
@@ -188,11 +188,20 @@ class PiecewiseControl:
     @classmethod
     def _batch(cls, values, durations, counts) -> list["PiecewiseControl"]:
         """Controls of consecutive runs of counts[i] >= 1 segments, validated
-        once as a whole; each holds read-only views of the flat arrays."""
-        whole, ends = cls(values, durations), np.cumsum(counts)
+        once as a whole; each holds read-only views of the flat arrays and its
+        `period`, summed for all controls of one segment count at once (per
+        row, the sum `period` takes of one control)."""
+        whole, counts = cls(values, durations), np.asarray(counts)
+        ends = np.cumsum(counts)
+        periods = np.empty(counts.size)
+        for k in np.unique(counts):
+            rows = np.flatnonzero(counts == k)
+            periods[rows] = np.sum(whole.durations[ends[rows, None] - k + np.arange(k)],
+                                   axis=1)
         controls = [object.__new__(cls) for _ in ends]
-        for c, lo, hi in zip(controls, ends - counts, ends):
-            c.__dict__.update(values=whole.values[lo:hi], durations=whole.durations[lo:hi])
+        for c, lo, hi, period in zip(controls, ends - counts, ends, periods.tolist()):
+            c.__dict__.update(values=whole.values[lo:hi], durations=whole.durations[lo:hi],
+                              period=period)
         return controls
 
     @property
@@ -261,7 +270,7 @@ class PiecewiseControl:
                 and np.array_equal(self.durations, other.durations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineVectorField:
     """The vector field x -> M x + a."""
 
@@ -296,7 +305,7 @@ class AffineVectorField:
         return E[:-1, :-1] @ x + E[:-1, -1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled solution: strictly increasing times and the states at them."""
 

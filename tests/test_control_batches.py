@@ -1,19 +1,29 @@
 """Flat control batches against the one-control code they replace.
 
 The scan's sampler and a path's controls are filled as flat (values,
-durations, counts) arrays.  The references below are the per-control
-implementations, kept here verbatim: one `uniform`/`integers`/`dirichlet`
-draw sequence per sample, the sequential-subtraction `pieces` loop, and
-`ControlPath.at` assembled from those pieces.  Every comparison is bit for
-bit.
+durations, counts) arrays, and continuation records are computed from
+stacked arrays.  The references below build one control or one record at a
+time: the sampler's bulk stream (four draws per batch) split control by
+control, the sequential-subtraction `pieces` loop, `ControlPath.at`
+assembled from those pieces, and the per-record continuation loop with its
+`_near_kernel`/`_sphere_distance` helpers, kept here verbatim.  Every
+comparison is bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affinecontrol.config import DEFAULT_TOLERANCES
 from affinecontrol.floquet import (
+    ContinuationRecord,
     ControlSampler,
+    Unique,
+    _evaluate_path_points,
+    _period_maps,
+    _solution_point,
+    _solve,
+    _spectrum,
     concat_path,
     continuation,
     hyperbolicity_scan,
@@ -23,17 +33,29 @@ from affinecontrol.system import AffineSystem, PiecewiseControl
 from conftest import damped_oscillator_system, random_control, symmetric_coupling_system
 
 
-def reference_sample(sampler, rng, sys, index):
-    tau = rng.uniform(*sampler.period_range)
-    k = int(rng.integers(sampler.segments_range[0], sampler.segments_range[1] + 1))
-    durations = rng.dirichlet(np.ones(k)) * tau
-    bang = sampler.kind == "bang" or (sampler.kind == "mixed" and index % 2 == 0)
-    if bang:
-        pick = rng.integers(0, 2, size=(k, sys.m))
-        values = np.where(pick == 0, sys.omega_lo, sys.omega_hi)
-    else:
-        values = rng.uniform(sys.omega_lo, sys.omega_hi, size=(k, sys.m))
-    return PiecewiseControl(values, durations)
+def reference_batch(sampler, rng, sys, count, start=0):
+    """The bulk stream, one control at a time: the batch's four draws, then
+    each control from its own share of them, its weights summed in order."""
+    (lo, hi), (k0, k1) = sampler.period_range, sampler.segments_range
+    uniform = rng.random(count)
+    counts = rng.integers(k0, k1 + 1, count)
+    gammas = rng.standard_exponential(int(np.sum(counts)))
+    draws = rng.random((int(np.sum(counts)), sys.m))
+    controls, first = [], 0
+    for i, k in enumerate(counts):
+        weights, picks = gammas[first:first + k], draws[first:first + k]
+        first += k
+        total = 0.0
+        for w in weights:
+            total += w
+        durations = weights * (1.0 / total) * (lo + (hi - lo) * uniform[i])
+        index = start + i
+        if sampler.kind == "bang" or (sampler.kind == "mixed" and index % 2 == 0):
+            values = np.where(picks < 0.5, sys.omega_lo, sys.omega_hi)
+        else:
+            values = sys.omega_lo + (sys.omega_hi - sys.omega_lo) * picks
+        controls.append(PiecewiseControl(values, durations))
+    return controls
 
 
 def reference_pieces(ctrl, s, t):
@@ -81,35 +103,96 @@ def split(values, durations, counts):
 
 # ------------------------------------------------------------------ sampler
 
+def box_system(m, seed):
+    box = np.random.default_rng(1000 + seed)
+    lo, hi = -box.uniform(0.0, 2.0, size=m), box.uniform(0.1, 2.0, size=m)
+    return AffineSystem(np.eye(2), np.zeros((m, 2, 2)), np.zeros((2, m)), np.zeros(2),
+                        lo, hi)
+
+
 @pytest.mark.parametrize("kind", ["bang", "levels", "mixed"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_sample_batch_is_the_one_control_draws(kind, m):
+    # each control of a batch is the reference's control built on its own
+    # from its share of the batch's bulk draws
     for seed in range(51):
-        box = np.random.default_rng(1000 + seed)
-        lo, hi = -box.uniform(0.0, 2.0, size=m), box.uniform(0.1, 2.0, size=m)
-        sys = AffineSystem(np.eye(2), np.zeros((m, 2, 2)), np.zeros((2, m)), np.zeros(2),
-                           lo, hi)
+        sys = box_system(m, seed)
         sampler = ControlSampler(kind=kind, period_range=(0.3, 2.9), segments_range=(1, 5))
         start = seed % 3
         batch = sampler.sample_batch(np.random.default_rng(seed), sys, 9, start=start)
         assert batch[2].dtype.kind == "i"
-        rng = np.random.default_rng(seed)
-        for i, (values, durations) in enumerate(split(*batch)):
-            assert_same(reference_sample(sampler, rng, sys, start + i), values, durations)
+        expected = reference_batch(sampler, np.random.default_rng(seed), sys, 9, start)
+        assert len(expected) == batch[2].size
+        for ctrl, (values, durations) in zip(expected, split(*batch)):
+            assert_same(ctrl, values, durations)
         ctrl = sampler.sample(np.random.default_rng(seed), sys, start)
-        assert_same(reference_sample(sampler, np.random.default_rng(seed), sys, start),
-                    ctrl.values, ctrl.durations)
+        (one,) = reference_batch(sampler, np.random.default_rng(seed), sys, 1, start)
+        assert_same(one, ctrl.values, ctrl.durations)
 
 
 def test_scan_controls_are_the_one_control_draws():
     sys = damped_oscillator_system()
     sampler = ControlSampler()
     report = hyperbolicity_scan(sys, sampler, 300, seed=5)
-    rng = np.random.default_rng(5)
-    controls = [reference_sample(sampler, rng, sys, i) for i in range(300)]
+    controls = reference_batch(sampler, np.random.default_rng(5), sys, 300)
     best = int(np.argmin(report.margins))
     assert_same(controls[best], report.argmin_control.values,
                 report.argmin_control.durations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["bang", "levels", "mixed"]), st.integers(1, 3),
+       st.integers(0, 40), st.integers(0, 5), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 4.0), st.floats(0.0, 4.0), st.integers(1, 4), st.integers(0, 6))
+def test_sample_batch_properties(kind, m, count, start, seed, p0, dp, k0, dk):
+    sys = box_system(m, seed % 97)
+    sampler = ControlSampler(kind=kind, period_range=(p0, p0 + dp),
+                             segments_range=(k0, k0 + dk))
+    values, durations, counts = sampler.sample_batch(
+        np.random.default_rng(seed), sys, count, start=start)
+    assert counts.shape == (count,) and np.all((counts >= k0) & (counts <= k0 + dk))
+    assert values.shape == (np.sum(counts), m) and durations.shape == (np.sum(counts),)
+    assert np.all(durations > 0.0)
+    # the periods are the batch's first draw, in range up to the rounding
+    # of lo + (hi - lo) * u
+    lo, hi = sampler.period_range
+    periods = lo + (hi - lo) * np.random.default_rng(seed).random(count)
+    assert np.all((periods >= lo) & (periods <= hi + np.spacing(hi)))
+    for i, (v, d) in enumerate(split(values, durations, counts)):
+        # k weights over their rounded sum, times the period, then summed:
+        # at most about 2k + 3 roundings of the period's size
+        assert abs(np.sum(d) - periods[i]) <= (2 * d.size + 3) * np.spacing(periods[i])
+        assert np.all((v >= sys.omega_lo) & (v <= sys.omega_hi))
+        if kind == "bang" or (kind == "mixed" and (start + i) % 2 == 0):
+            assert np.all((v == sys.omega_lo) | (v == sys.omega_hi))
+    one = sampler.sample(np.random.default_rng(seed), sys, start)
+    single = sampler.sample_batch(np.random.default_rng(seed), sys, 1, start=start)
+    assert_same(one, single[0], single[1])
+
+
+class CountingRng:
+    """A Generator whose method calls are counted."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_sample_batch_draws_per_batch_not_per_control():
+    sys, sampler = damped_oscillator_system(), ControlSampler()
+    calls = []
+    for count in (10, 4000):
+        rng = CountingRng(np.random.default_rng(0))
+        sampler.sample_batch(rng, sys, count)
+        calls.append(rng.calls)
+    assert calls[0] == calls[1] > 0
 
 
 def test_scan_and_continuation_build_few_controls(monkeypatch):
@@ -228,3 +311,119 @@ def test_path_coupling_crossing_controls_unchanged():
         expected = reference_at(path, record.alpha)
         assert_same(expected, record.control.values, record.control.durations)
         assert record.tau == expected.period
+
+
+# ------------------------------------------------------------ records
+
+def reference_near_kernel(M, eig_tol):
+    """Right singular vectors of M = I - phi at the smallest singular value."""
+    _, sv, vt = np.linalg.svd(M)
+    if sv.size == 0:
+        return np.zeros((M.shape[0], 0))
+    cutoff = max(10.0 * sv[-1], eig_tol * max(1.0, sv[0]))
+    keep = sv <= cutoff
+    return vt[keep].T.copy()
+
+
+def reference_sphere_distance(x, basis):
+    """Distance of x/||x|| to the unit sphere of span(basis)."""
+    nx = np.linalg.norm(x)
+    if nx == 0.0 or basis.shape[1] == 0:
+        return float("nan")
+    xhat = x / nx
+    p = basis @ (basis.T @ xhat)
+    np_ = np.linalg.norm(p)
+    if np_ == 0.0:
+        return float(np.sqrt(2.0))
+    return float(np.linalg.norm(xhat - p / np_))
+
+
+def reference_records(sys, path, alphas, tolerances, refined=False):
+    batch = path.segments(alphas)
+    controls = PiecewiseControl._batch(*batch)
+    phi, b = _period_maps(sys, *batch)
+    M = np.eye(sys.n) - phi
+    margins = _spectrum(phi)[1]
+    unique = margins > tolerances.unit_tol  # _solve's Unique case, in one batch
+    x0 = iter(np.linalg.solve(M[unique], b[unique][..., None])[..., 0])
+    records = []
+    for alpha, ctrl, Mi, bi, det_gap, margin, is_unique in zip(
+            alphas, controls, M, b, np.linalg.det(M), margins, unique):
+        sol = Unique(next(x0)) if is_unique else _solve(Mi, bi, margin, tolerances)
+        point = _solution_point(sol)
+        norm_x = float(np.linalg.norm(point)) if point is not None else float("nan")
+        kernel_angle = float("nan")
+        if point is not None and margin <= tolerances.kernel_window:
+            kernel_angle = reference_sphere_distance(
+                point, reference_near_kernel(Mi, tolerances.eig_tol))
+        records.append(ContinuationRecord(
+            alpha=float(alpha), tau=ctrl.period, control=ctrl, det_gap=float(det_gap),
+            margin=float(margin), solution=sol, norm_x=norm_x,
+            kernel_angle=kernel_angle, refined=refined))
+    return records
+
+
+def same_number(a, b):
+    return type(a) is type(b) and (a == b or (np.isnan(a) and np.isnan(b)))
+
+
+def assert_same_records(got, expected):
+    assert len(got) == len(expected)
+    for r, e in zip(got, expected):
+        for name in ("alpha", "tau", "det_gap", "margin", "norm_x", "kernel_angle"):
+            assert same_number(getattr(r, name), getattr(e, name)), name
+        assert r.refined is e.refined
+        assert r.tau == float(np.sum(r.control.durations))
+        assert_same(e.control, r.control.values, r.control.durations)
+        assert type(r.solution) is type(e.solution)
+        for name, value in vars(e.solution).items():
+            got_value = getattr(r.solution, name)
+            assert np.asarray(got_value).dtype == np.asarray(value).dtype
+            assert np.array_equal(got_value, value), name
+
+
+@st.composite
+def systems(draw):
+    """Random systems of dimension 1-4, with the all-zero system (Phi = I, an
+    affine family everywhere) and forcing-only systems (obstructed) among them."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    A, B = scale * rng.normal(size=(n, n)), scale * rng.normal(size=(m, n, n))
+    forcing = draw(st.sampled_from([0.0, 1.0]))
+    C, d = forcing * rng.normal(size=(n, m)), forcing * rng.normal(size=n)
+    return AffineSystem(A, B, C, d, -np.ones(m), np.ones(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.data())
+def test_records_are_the_per_record_loop(sys, data):
+    pair = data.draw(st.tuples(controls(sys.m), controls(sys.m)))
+    path = concat_path(*pair)
+    alphas = np.linspace(0.0, 1.0, 41)
+    expected = reference_records(sys, path, alphas, DEFAULT_TOLERANCES, refined=True)
+    assert_same_records(
+        _evaluate_path_points(sys, path, alphas, DEFAULT_TOLERANCES, refined=True),
+        expected)
+
+
+def test_records_cover_every_solution_kind_and_the_kernel_window():
+    # the coupling path around its crossing at 3/4: Unique rows inside and
+    # outside the kernel window, and the Obstructed row at the crossing
+    sys = symmetric_coupling_system()
+    path = concat_path(PiecewiseControl.constant([-0.7], 1.0),
+                       PiecewiseControl.constant([-0.4], 1.0))
+    alphas = np.concatenate([np.linspace(0.0, 1.0, 41), 0.75 + np.logspace(-9, -1, 9),
+                             0.75 - np.logspace(-9, -1, 9)])
+    records = _evaluate_path_points(sys, path, alphas, DEFAULT_TOLERANCES)
+    assert_same_records(records, reference_records(sys, path, alphas, DEFAULT_TOLERANCES))
+    kinds = {type(r.solution).__name__ for r in records}
+    assert {"Unique", "Obstructed"} <= kinds
+    assert sum(np.isfinite(r.kernel_angle) for r in records) >= 10
+    # Phi = I everywhere: affine families through 0, so norm 0 and no angle
+    zero = AffineSystem(np.zeros((3, 3)), np.zeros((1, 3, 3)), np.zeros((3, 1)),
+                        np.zeros(3), [-1.0], [1.0])
+    records = _evaluate_path_points(zero, path, alphas, DEFAULT_TOLERANCES)
+    assert_same_records(records, reference_records(zero, path, alphas, DEFAULT_TOLERANCES))
+    assert all(type(r.solution).__name__ == "AffineFamily" and r.norm_x == 0.0
+               for r in records)

@@ -26,3 +26,12 @@ def test_workload_pass_has_no_failed_operation(name):
     assert ops.failed == 0, ops.problems
     assert ops.attempted > 0
     assert summary is not None
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_floquet_path_checks_hold_at_every_seed(seed):
+    # the seed drives the scan's sampler, so its checks must hold whichever
+    # seed the benchmark is run with
+    ops = WORKLOADS.Operations()
+    WORKLOADS.WORKLOADS["floquet_path"](seed).run(ops)
+    assert ops.failed == 0, ops.problems

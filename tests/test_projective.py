@@ -552,6 +552,57 @@ def test_chain_matches_ignore_cluster_tol():
     assert all(d <= 2.0 * base.details[0].box_diameter for _, _, d in base.matches)
 
 
+def reference_chain_matches(big, hom, match_tol, level_tol):
+    """The per-slice loop: one distance call per nonempty level-0 slice."""
+    sizes = np.array([c.size for c in hom.components])
+    starts = np.cumsum(sizes) - sizes
+    hom_boxes = np.concatenate(hom.components)
+    hom_dirs = np.hstack([hom.graph.sphere.centers(hom_boxes),
+                          np.zeros((hom_boxes.size, 1))])
+    matches = []
+    directions = []
+    for i, slice_boxes in enumerate(big.level_zero):
+        if slice_boxes.size == 0:
+            continue
+        dirs = big.graph.sphere.centers(slice_boxes)
+        dirs[:, -1] = 0.0
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        directions.extend(ProjPoint.from_vector(v, level_tol) for v in dirs)
+        dmin = np.minimum.reduceat(proj_dist_vectors(dirs, hom_dirs).min(axis=0), starts)
+        matches.extend((i, int(j), float(dmin[j]), slice_boxes.size)
+                       for j in np.flatnonzero(dmin <= match_tol))
+    return directions, matches
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_matches_are_the_per_slice_loop(seed, monkeypatch):
+    import affinecontrol.projective as projective
+    calls = []
+    dist = projective.proj_dist_vectors
+
+    def counted(X, Y):
+        calls.append(X.shape)
+        return dist(X, Y)
+
+    sys = (planar_saddle_system() if seed == 0
+           else random_system(np.random.default_rng(seed), n=3))
+    emb, controls = embed_system(sys), [[-0.5], [0.0], [0.5]]
+    monkeypatch.setattr(projective, "proj_dist_vectors", counted)
+    report = infinity_boundary_chain(emb, 6 + 2 * seed, controls, 0.1, seed=seed)
+    assert len(calls) <= 1
+    big, hom = report.details
+    directions, matches = reference_chain_matches(
+        big, hom, 2.0 * big.box_diameter, Tolerances().level_tol)
+    assert [p.vec.tobytes() for p in report.directions] == [
+        p.vec.tobytes() for p in directions]
+    assert [p.level for p in report.directions] == [p.level for p in directions]
+    assert [m[:2] for m in report.matches] == [m[:2] for m in matches]
+    for (_, _, d), (_, _, e, rows) in zip(report.matches, matches):
+        # one row per product: a one-row slice is the same vector-matrix
+        # product; a longer slice's matrix product may round its dots apart
+        assert d == e if rows == 1 else abs(d * d - e * e) <= 8 * np.finfo(float).eps
+
+
 def test_infinity_boundary_chain_rejects_controls_outside_the_box():
     emb = embed_system(planar_saddle_system())  # controls in [-1, 1]
     with pytest.raises(ValueError, match="outside the control box"):
