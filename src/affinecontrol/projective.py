@@ -344,7 +344,9 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     |dt| ||A(u)||_F exceeds MAX_EXP_GROWTH, so a long step of a strongly
     expanding generator is taken rather than overflowing.  The system
     dimension, controls, dt, pts_per_box and the memory cap are checked as in
-    `build_transition_graph`.
+    `build_transition_graph`: `memory_cap` counts one word per point-control
+    sample (num_boxes x pts_per_box x controls), 4 bytes when the box ids fit
+    in int32, else 8; no position table is needed.
     """
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")

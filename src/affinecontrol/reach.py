@@ -129,17 +129,31 @@ class BoxGrid:
         hi whose quotient rounds up to `subdivisions` stays in the last box.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        n = pts.shape[0]
         widths = self.widths
-        flat = np.zeros(pts.shape[0], dtype=np.int64)
-        inside = np.ones(pts.shape[0], dtype=bool)
+        flat = np.zeros(n, dtype=np.int64)
+        inside = np.ones(n, dtype=bool)
+        # one set of buffers for all axes; a column of pts is contiguous
+        # when pts is the transpose of a (dim, n) array
+        test = np.empty(n, dtype=bool)
+        quotient = np.empty(n)
+        cell = np.empty(n, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):  # those points are outside
             for k, sub in enumerate(self.subdivisions):
                 x = pts[:, k]
-                inside &= (x >= self.lo[k]) & (x < self.hi[k])  # False for NaN
+                np.greater_equal(x, self.lo[k], out=test)  # False for NaN
+                inside &= test
+                np.less(x, self.hi[k], out=test)
+                inside &= test
+                np.subtract(x, self.lo[k], out=quotient)
+                quotient /= widths[k]
                 # inside, the quotient is >= 0, so the cast is the floor
+                np.copyto(cell, quotient, casting="unsafe")
+                np.minimum(cell, sub - 1, out=cell)
                 flat *= sub
-                flat += np.minimum(((x - self.lo[k]) / widths[k]).astype(np.int64), sub - 1)
-        flat[~inside] = -1
+                flat += cell
+        np.logical_not(inside, out=test)
+        flat[test] = -1
         return flat
 
     def box_containing(self, point) -> int:
@@ -238,7 +252,11 @@ class BoxSet:
 # take one sampling path: `_sampled_controls` checks the inputs and the cap,
 # `_sampled_csr` fills one (C, n) block of target positions, a row per
 # (control, test point) and a column per node, and `_rows_to_csr` sorts each
-# node's C samples.
+# node's C samples in the block's transpose.  The block is int32 whenever
+# every id fits (always under DEFAULT_MEMORY_CAP), else int64; indptr and
+# targets are int64 either way.  On a BoxGrid the images come
+# coordinate-major: a (dim, n) array per (control, test point), whose
+# transpose box_of reads column by column from contiguous memory.
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """Distinct values, sorted; sorts `values` in place (np.unique hashes, slower)."""
@@ -249,16 +267,24 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _rows_to_csr(tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR of a (C, n) block of target positions, column j holding the C
-    samples of node j, negative for the sink: (indptr, targets, sink)."""
-    rows = np.ascontiguousarray(tgt.T)
+def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR of a C-contiguous (n, C) array of target positions, row j holding
+    the C samples of node j, -1 for the sink: (indptr, targets, sink).
+    Sorts `rows` in place; rows may be int32 or int64, indptr and targets
+    are int64."""
     rows.sort(axis=1)
-    keep = rows >= 0
-    np.logical_and(keep[:, 1:], rows[:, 1:] != rows[:, :-1], out=keep[:, 1:])
+    # a sample is kept when it differs from its left neighbour, compared
+    # across the flat array; a row's first sample is kept unless it is -1,
+    # and the sorted row's other -1s equal their neighbours
+    flat = rows.ravel()
+    keep = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    keep = keep.reshape(rows.shape)
+    np.greater_equal(rows[:, :1], 0, out=keep[:, :1])
     indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    return indptr, rows[keep], np.any(rows[:, :1] < 0, axis=1)
+    targets = np.compress(keep.ravel(), flat).astype(np.int64)
+    return indptr, targets, np.any(rows[:, :1] < 0, axis=1)
 
 
 def _sampled_controls(sys: AffineSystem, dim: int, controls, dt: float,
@@ -267,8 +293,9 @@ def _sampled_controls(sys: AffineSystem, dim: int, controls, dt: float,
     """The controls as a (C, m) array, once the system dimension against the
     grid's `dim`, dt, pts_per_box, every control value and the memory are
     checked; raises before anything is allocated for the graph.  The cap
-    counts int64 words: one per point-control sample of the n_boxes boxes,
-    plus `table_words` for `_sampled_csr`'s position table."""
+    counts words of `_sampled_csr`'s id block, one per point-control sample
+    of the n_boxes boxes, plus `table_words` for its position table; a word
+    is 4 bytes when the ids fit in int32, else 8."""
     if sys.n != dim:
         raise ValueError(f"system dimension {sys.n} does not match the grid ({dim})")
     if dt <= 0:
@@ -292,20 +319,26 @@ def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray, image_ro
 
     `image_rows(u)` yields the (N, dim) images of the k-th test points under
     u, k = 0..P-1; their `grid.box_of` fills row c * P + k of the (C * P, N)
-    block.  With `positions`, ids become positions in the sorted `boxes`
-    through a table of grid.size + 1 words, -1 for ids not in `boxes` and
-    in the last entry, which id -1 (the sink) reads; otherwise they are
-    positions already.
+    block.  With `positions`, each row's ids become positions in the sorted
+    `boxes` as it is filled, through a table of grid.size + 1 words, -1 for
+    ids not in `boxes` and in the last entry, which id -1 (the sink) reads;
+    otherwise they are positions already.  Block and table are int32 when
+    every id fits.
     """
-    tgt = np.empty((controls.shape[0] * P, boxes.size), dtype=np.int64)
+    id_count = grid.size + 1 if positions else boxes.size
+    dtype = np.int32 if id_count < 2**31 else np.int64
+    table = None
+    if positions:
+        table = np.full(grid.size + 1, -1, dtype=dtype)
+        table[boxes] = np.arange(boxes.size)
+    block = np.empty((controls.shape[0] * P, boxes.size), dtype=dtype)
     for c, u in enumerate(controls):
         for k, images in enumerate(image_rows(u)):
-            tgt[c * P + k] = grid.box_of(images)
-    if positions:
-        table = np.full(grid.size + 1, -1, dtype=np.int64)
-        table[boxes] = np.arange(boxes.size)
-        tgt = table[tgt]  # rebound, so the id block is freed first
-    return _rows_to_csr(tgt)
+            ids = grid.box_of(images)
+            block[c * P + k] = ids if table is None else table[ids]
+    rows = np.ascontiguousarray(block.T)
+    del block, table  # freed before _rows_to_csr, which holds the peak
+    return _rows_to_csr(rows)
 
 
 def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -482,11 +515,21 @@ def _test_points(grid: BoxGrid, boxes: np.ndarray, pts_per_box: int,
     The offsets are Owen-scrambled Halton points from `_halton_offsets`
     (drawn from `np.random.default_rng(seed)`, identical to SciPy's
     `Halton(scramble=True)` sampler for an int seed), at the same relative
-    position in every box.
+    position in every box.  The array is a view of a coordinate-major
+    (P, dim, N) one, so the transpose of each point set is contiguous.
     """
-    lower = grid.lower_corners(boxes)
     offsets = _halton_offsets(grid.dim, pts_per_box - 1, seed)
-    return np.stack([grid.centers(boxes)] + [lower + off * grid.widths for off in offsets])
+    widths = grid.widths
+    points = np.empty((pts_per_box, grid.dim, boxes.size))
+    # per axis, the expressions of grid.centers and grid.lower_corners on
+    # one unravel
+    for k, m in enumerate(grid.multi_index(boxes).T):
+        lo, w = grid.lo[k], widths[k]
+        points[0, k] = lo + (m + 0.5) * w
+        lower = lo + m * w
+        for j, off in enumerate(offsets[:, k], 1):
+            points[j, k] = lower + off * w
+    return points.transpose(0, 2, 1)
 
 
 def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
@@ -504,10 +547,11 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     comes from `_sampled_csr`, the sampling path that
     `projective.build_sphere_graph` shares.  Deterministic for a fixed seed.
 
-    `memory_cap` bounds int64 words: one per point-control sample (boxes x
+    `memory_cap` bounds words: one per point-control sample (boxes x
     pts_per_box x controls), plus grid.size + 1 for the position table when
-    `active` is given.  Exceeding it raises `MemoryBudgetError` before any
-    allocation.
+    `active` is given.  A word is 4 bytes (int32) when the ids fit, which
+    DEFAULT_MEMORY_CAP guarantees, else 8.  Exceeding the cap raises
+    `MemoryBudgetError` before any allocation.
     """
     if active is not None:
         _check_same_grid(grid, active.grid)
@@ -519,9 +563,12 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     def image_rows(u):
         G, h = segment_map(sys, u, dt)
         for pts in points:
+            # coordinate-major (dim, N) from the contiguous pts.T: bit for
+            # bit pts @ G.T + h, and box_of reads contiguous columns
             with np.errstate(over="ignore", invalid="ignore"):
-                images = pts @ G.T + h
-            yield images
+                images = G @ pts.T
+                images += h[:, None]
+            yield images.T
 
     # on the full grid box index == position; outside the window (-1) or
     # the active subset -> sink
@@ -600,8 +647,8 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     The refined graph is restricted to the children of the kept boxes plus
     a one-box collar in the fine grid; transitions leaving that covering
     go to the sink.  Intended loop: chain_components -> refine -> repeat.
-    `memory_cap` counts the samples of the active boxes plus the fine
-    grid's size + 1 words of the position table, as in
+    `memory_cap` counts a word per sample of the active boxes plus the fine
+    grid's size + 1 words of the position table, 4 or 8 bytes each, as in
     `build_transition_graph`.
     """
     if factor < 2:

@@ -24,6 +24,7 @@ from affinecontrol.reach import (
     _halton_offsets,
     _test_points,
     build_transition_graph,
+    refine,
 )
 from affinecontrol.system import AffineSystem, segment_map
 
@@ -66,9 +67,13 @@ def test_box_of_matches_scalar_lookup(grid, data):
                    dtype=float).reshape(n, grid.dim)
     # window corners: lo on an axis is box 0 there; hi is outside
     pts = np.concatenate([pts, grid.lo[None, :], grid.hi[None, :]])
-    got = grid.box_of(pts)
-    assert got.dtype == np.int64
-    assert got.tolist() == [scalar_box(grid, x) for x in pts]
+    expected = [scalar_box(grid, x) for x in pts]
+    # row-major points, and the layout build_transition_graph passes: the
+    # transpose of a (dim, n) array, whose columns are contiguous
+    for layout in (pts, np.ascontiguousarray(pts.T).T):
+        got = grid.box_of(layout)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
 
 
 def test_box_of_window_edges_and_nonfinite_points():
@@ -203,6 +208,55 @@ def test_sphere_graph_matches_pairwise_reference(case):
     assert graph.indptr.dtype == graph.targets.dtype == np.int64
     assert graph.indptr.tolist() == indptr.tolist()
     assert graph.targets.tolist() == targets
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(), st.integers(1, 5), st.integers(0, 2**16), st.data())
+def test_test_points_are_centers_and_offset_lower_corners(grid, pts_per_box, seed, data):
+    boxes = np.array(data.draw(st.lists(st.integers(0, grid.size - 1), unique=True)),
+                     dtype=np.int64)
+    offsets = _halton_offsets(grid.dim, pts_per_box - 1, seed)
+    lower = grid.lower_corners(boxes)
+    expected = np.stack([grid.centers(boxes)]
+                        + [lower + off * grid.widths for off in offsets])
+    points = _test_points(grid, boxes, pts_per_box, seed)
+    assert points.shape == expected.shape
+    assert np.array_equal(points, expected)  # bit for bit
+    assert all(pts.T.flags.c_contiguous for pts in points)
+
+
+def assert_matches_reference(graph, *case):
+    indptr, targets, sink = reference_graph(*case)
+    assert graph.indptr.dtype == graph.targets.dtype == np.int64
+    assert graph.indptr.tolist() == indptr.tolist()
+    assert graph.targets.tolist() == targets
+    assert graph.sink.tolist() == sink
+
+
+def test_refined_graph_of_a_non_normal_flow_matches_pairwise_reference():
+    # a shear with rotation: G = exp(dt A(u)) is neither diagonal nor normal
+    A = np.array([[0.4, 2.5], [-0.3, -0.6]])
+    B = np.array([[[0.0, 0.5], [0.0, 0.2]]])
+    sys = AffineSystem(A, B, [[0.5], [1.0]], [0.2, -0.1], [-1.0], [1.0])
+    controls = np.array([[-1.0], [0.0], [0.6]])
+    dt, pts_per_box, seed = 0.3, 3, 11
+    G, _ = segment_map(sys, controls[2], dt)
+    assert np.count_nonzero(G - np.diag(np.diag(G))) == 2
+    assert not np.allclose(G @ G.T, G.T @ G)
+
+    grid = BoxGrid([-3.0, -2.5], [3.0, 3.5], [48, 48])
+    graph = build_transition_graph(sys, grid, controls, dt, pts_per_box, seed)
+    assert_matches_reference(graph, sys, grid, controls, dt, pts_per_box, seed, None)
+    disc = np.flatnonzero(np.hypot(*grid.centers(np.arange(grid.size)).T) < 1.5)
+    active = BoxSet(grid, disc)
+    subset = build_transition_graph(sys, grid, controls, dt, pts_per_box, seed,
+                                    active=active)
+    assert_matches_reference(subset, sys, grid, controls, dt, pts_per_box, seed, active)
+
+    fine, refined = refine(sys, graph, active, 2)
+    assert 0 < refined.num_boxes < fine.size and refined.sink.any()
+    assert_matches_reference(refined, sys, fine, controls, dt, pts_per_box, seed,
+                             BoxSet(fine, refined.boxes))
 
 
 def build_on_box_grid(sys, controls, dt, pts_per_box, memory_cap):

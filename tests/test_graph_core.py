@@ -2,7 +2,9 @@
 
 Random small digraphs (self-loops and duplicate edges included) are wrapped
 as a TransitionGraph on a 1-D grid and as a SphereGraph, and every graph
-query is compared with a brute-force Warshall reachability matrix.
+query is compared with a brute-force Warshall reachability matrix.  The
+sample rows are int32, as the graph builders make them; int64 rows give the
+same CSR.
 """
 
 import numpy as np
@@ -44,12 +46,17 @@ def expected_components(reach: np.ndarray) -> list:
     return sorted(comps, key=lambda c: (-len(c), c[0]))
 
 
-def wrap(n, edges):
-    # one row per edge, -1 (the sink) except at the edge's source
-    rows = np.full((len(edges), n), -1, dtype=np.int64)
+def edge_csr(n, edges, dtype):
+    """_rows_to_csr of one sample per edge and node: the edge's target at
+    its source, -1 (the sink) at every other node."""
+    rows = np.full((n, len(edges)), -1, dtype=dtype)
     for i, (src, tgt) in enumerate(edges):
-        rows[i, src] = tgt
-    indptr, targets, sink = _rows_to_csr(rows)
+        rows[src, i] = tgt
+    return _rows_to_csr(rows)
+
+
+def wrap(n, edges):
+    indptr, targets, sink = edge_csr(n, edges, np.int32)
     assert sink.tolist() == [any(src != j for src, _ in edges) for j in range(n)]
     grid = BoxGrid([0.0], [1.0], [n])
     graph = TransitionGraph(grid=grid, boxes=np.arange(n, dtype=np.int64),
@@ -71,6 +78,10 @@ def test_graph_core_matches_warshall(case):
     for i, j in edges:
         adj[i, j] = True
     graph, sphere_graph = wrap(n, edges)
+    # int32 rows (wrap's) and int64 rows give the same int64 CSR
+    indptr, targets, _ = edge_csr(n, edges, np.int64)
+    assert graph.indptr.dtype == graph.targets.dtype == targets.dtype == np.int64
+    assert np.array_equal(graph.indptr, indptr) and np.array_equal(graph.targets, targets)
 
     # CSR: distinct, sorted rows holding exactly the edge set
     assert graph.indptr.tolist() == np.concatenate([[0], np.cumsum(adj.sum(1))]).tolist()
