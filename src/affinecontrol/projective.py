@@ -24,8 +24,8 @@ from scipy.linalg import expm
 from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import (BoxSet, _halton_offsets, _label_groups, _sampled_controls,
-                    _sampled_csr, _scc_labels, _self_loops)
+from .reach import (BoxSet, _halton_offsets, _label_groups, _label_order,
+                    _sampled_controls, _sampled_csr, _scc_labels, _self_loops)
 from .system import AffineSystem, PiecewiseControl
 
 __all__ = [
@@ -121,6 +121,9 @@ def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     its own; the result is then (..., r, len(Y)).  Raises ValueError for a
     zero or non-finite row, which names no point.
     """
+    # in C order first: the norms and the product round their last bits
+    # differently on other memory layouts of the same rows
+    X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     Xnorm = np.linalg.norm(X, axis=-1, keepdims=True)
     Ynorm = np.linalg.norm(Y, axis=1, keepdims=True)
     if not (np.all(np.isfinite(Xnorm) & (Xnorm > 0))
@@ -132,9 +135,14 @@ def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _flow_rows(M: np.ndarray, dt: float, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(dt M) applied to the rows (last axis) of W, in chunks: (rows, logs).
+    """exp(dt M) applied to the rows of W, a stack (..., r, d) of row blocks,
+    in chunks: (rows, logs).
 
     One `expm` of (dt / n_sub) M with n_sub = ceil(|dt| ||M||_F / MAX_EXP_GROWTH).
+    Each chunk multiplies as E @ Wᵀ per block and hands back the transpose
+    view of that (..., d, r) array, so every coordinate of a block is a
+    contiguous column (and Wᵀ is contiguous when W is such a view).  Below
+    d = 8 the rows and logs have the bits of the row-major W @ E.T loop.
     Rows are renormalised between chunks, not after the last one, and `logs`
     sums the log of the norms divided out: log ||exp(dt M) w|| is
     logs + log ||rows||.
@@ -143,11 +151,11 @@ def _flow_rows(M: np.ndarray, dt: float, W: np.ndarray) -> tuple[np.ndarray, np.
     E = expm((dt / n_sub) * M)
     logs = np.zeros(W.shape[:-1])
     for _ in range(n_sub - 1):
-        W = W @ E.T
+        W = np.swapaxes(E @ np.swapaxes(W, -1, -2), -1, -2)
         norms = np.linalg.norm(W, axis=-1)
         W = W / norms[..., None]
         logs += np.log(norms)
-    return W @ E.T, logs
+    return np.swapaxes(E @ np.swapaxes(W, -1, -2), -1, -2), logs
 
 
 def proj_step(emb: AffineSystem, p: ProjPoint, u, dt: float,
@@ -161,7 +169,7 @@ def proj_step(emb: AffineSystem, p: ProjPoint, u, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    w, _ = _flow_rows(emb.system_matrix(u), dt, p.vec)
+    w, _ = _flow_rows(emb.system_matrix(u), dt, p.vec[None])
     return ProjPoint.from_vector(w, level_tol)
 
 
@@ -190,12 +198,12 @@ def lyapunov_estimate(sys: AffineSystem, ctrl: PiecewiseControl, x, T: float) ->
     x = np.asarray(x, dtype=float).reshape(-1)
     if np.linalg.norm(x) == 0.0:
         raise ValueError("the growth rate of the zero vector is undefined")
-    w = x / np.linalg.norm(x)
+    w = (x / np.linalg.norm(x))[None]  # one row
     total = 0.0
     for u, dt in ctrl.pieces(0.0, T):
         w, logs = _flow_rows(sys.system_matrix(u), dt, w)
         norm = np.linalg.norm(w)
-        total += logs + np.log(norm)
+        total += logs[0] + np.log(norm)
         w = w / norm
     return float(total / T)
 
@@ -235,48 +243,88 @@ class SphereGrid:
         return self.ambient * self.cells_per_face
 
     def _split(self, ids: np.ndarray):
+        """Anchor axis and the face_dims per-axis bins of each id."""
         axis, cell = np.divmod(np.asarray(ids, dtype=np.int64), self.cells_per_face)
-        bins = np.stack(np.unravel_index(cell, (self.subdivisions,) * self.face_dims),
-                        axis=-1)
-        return axis, bins
+        return axis, np.unravel_index(cell, (self.subdivisions,) * self.face_dims)
 
     def box_of(self, points: np.ndarray) -> np.ndarray:
         """Box id of each (row) point; points need not be normalized.
 
-        The anchor is the largest coordinate in modulus; face coordinate j
-        is coordinate j (j < axis) or j + 1 (j >= axis) over the anchor.
-        That is the positive-face point of the representative with positive
-        anchor, so x and -x get the same id.  Raises ValueError for a zero
-        or non-finite point, which names no direction.
+        The anchor is the first largest coordinate in modulus; face
+        coordinate j is coordinate j (j < axis) or j + 1 (j >= axis) over the
+        anchor.  That is the positive-face point of the representative with
+        positive anchor, so x and -x get the same id.  Raises ValueError for
+        a zero point or one with a non-finite coordinate, which names no
+        direction.  Works a column at a time in preallocated buffers, so
+        points that are the transpose of an (ambient, n) array are read from
+        contiguous memory.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        axis = np.argmax(np.abs(pts), axis=1)  # the first NaN, if any
-        anchor = pts[np.arange(pts.shape[0]), axis]
-        if not np.all(np.isfinite(anchor) & (anchor != 0)):
+        n = pts.shape[0]
+        test = np.empty(n, dtype=bool)
+        axis = np.zeros(n, dtype=np.int64)
+        anchor = pts[:, 0].copy()
+        best = np.abs(anchor)  # the largest modulus so far; NaN once any is NaN
+        coord = np.empty(n)  # the modulus of column k here, face coordinates below
+        for k in range(1, self.ambient):
+            x = pts[:, k]
+            np.abs(x, out=coord)
+            np.greater(coord, best, out=test)  # ties keep the first axis
+            np.copyto(anchor, x, where=test)
+            np.copyto(axis, k, where=test)
+            np.maximum(best, coord, out=best)
+        if not np.all(np.isfinite(best) & (best != 0)):
             raise ValueError("sphere box of a zero or non-finite point")
+        del best
         sub = self.subdivisions
-        cell = np.zeros(pts.shape[0], dtype=np.int64)
+        bins = np.empty(n, dtype=np.int64)
+        cell = np.zeros(n, dtype=np.int64)
         for j in range(self.face_dims):
-            coord = np.where(j < axis, pts[:, j], pts[:, j + 1]) / anchor
-            cell = cell * sub + np.clip(((coord + 1.0) * 0.5 * sub).astype(np.int64),
-                                        0, sub - 1)
-        return axis * self.cells_per_face + cell
+            np.copyto(coord, pts[:, j + 1])
+            np.greater(axis, j, out=test)
+            np.copyto(coord, pts[:, j], where=test)
+            coord /= anchor  # in [-1, 1], as the anchor has the largest modulus
+            coord += 1.0
+            coord *= 0.5
+            coord *= sub
+            np.copyto(bins, coord, casting="unsafe")  # the floor, coord being >= 0
+            np.minimum(bins, sub - 1, out=bins)
+            cell *= sub
+            cell += bins
+        axis *= self.cells_per_face
+        cell += axis
+        return cell
 
     def cube_points(self, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Sphere points at relative cell positions; offsets in [0, 1]^face_dims.
 
         Returns (num_offsets, num_boxes, ambient) unit vectors, anchor
-        coordinate positive.
+        coordinate positive: the transpose view of a coordinate-major
+        (num_offsets, ambient, num_boxes) array, so the transpose of each
+        point set is contiguous.  Ambient coordinate k of a box anchored on
+        `axis` is its face coordinate k (k < axis) or k - 1 (k > axis).  The
+        norms add the squares in axis order, which below ambient 8 gives the
+        bits of a row-wise `np.linalg.norm`.
         """
         axis, bins = self._split(ids)
-        pts = np.ones((offsets.shape[0], bins.shape[0], self.ambient))
-        coords = -1.0 + (bins + offsets[:, None, :]) * (2.0 / self.subdivisions)
-        pts[:, np.arange(self.ambient) != axis[:, None]] = coords.reshape(
-            offsets.shape[0], bins.size)
-        return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+        pts = np.ones((offsets.shape[0], self.ambient, axis.size))
+        for j in range(self.face_dims):
+            coord = -1.0 + (bins[j] + offsets[:, j, None]) * (2.0 / self.subdivisions)
+            np.copyto(pts[:, j], coord, where=j < axis)
+            np.copyto(pts[:, j + 1], coord, where=j >= axis)
+        # the row norms, summed over the axes in order into (P, N) buffers
+        norm = pts[:, 0] * pts[:, 0]
+        square = np.empty_like(norm)
+        for k in range(1, self.ambient):
+            np.multiply(pts[:, k], pts[:, k], out=square)
+            norm += square
+        pts /= np.sqrt(norm, out=norm)[:, None]
+        return pts.transpose(0, 2, 1)
 
     def centers(self, ids: np.ndarray) -> np.ndarray:
-        return self.cube_points(ids, np.full((1, self.face_dims), 0.5))[0]
+        """(num_boxes, ambient) unit box centers, C-contiguous."""
+        return np.ascontiguousarray(
+            self.cube_points(ids, np.full((1, self.face_dims), 0.5))[0])
 
     def corners(self, ids: np.ndarray) -> np.ndarray:
         """(2^face_dims, num_boxes, ambient) unit corner points."""
@@ -288,24 +336,27 @@ class SphereGrid:
         """Largest projective diameter of a box.
 
         All faces are congruent, so the maximum is taken over the boxes of
-        face 0.
+        face 0: sqrt(2 - 2 |dot|) over its corner pairs, from the least
+        |dot| (capped at 1), as that map is monotone.
         """
-        corners = self.corners(np.arange(self.cells_per_face))  # (c, N, ambient)
-        c = corners.shape[0]
-        best = 0.0
+        corners = self.corners(np.arange(self.cells_per_face)).transpose(0, 2, 1)
+        c = corners.shape[0]  # (c, ambient, N), contiguous
+        product = np.empty(corners.shape[1:])
+        dots = np.empty(corners.shape[2])
+        least = 1.0
         for i in range(c):
             for j in range(i + 1, c):
-                dots = np.clip(np.abs(np.sum(corners[i] * corners[j], axis=1)), 0, 1)
-                d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots))
-                best = max(best, float(d.max()))
-        return best
+                np.multiply(corners[i], corners[j], out=product)
+                np.add.reduce(product, axis=0, out=dots)
+                least = min(least, float(np.abs(dots, out=dots).min()))
+        return float(np.sqrt(2.0 - 2.0 * least))
 
     def level_zero_touching(self, ids: np.ndarray) -> np.ndarray:
         """Boxes whose closure meets the hyperplane last-coordinate = 0."""
         axis, bins = self._split(ids)
         width = 2.0 / self.subdivisions
         # off the z face, the z coordinate is the last cell coordinate
-        z_lo = -1.0 + bins[:, -1] * width
+        z_lo = -1.0 + bins[-1] * width
         return (axis != self.ambient - 1) & (z_lo <= 0.0) & (z_lo + width >= 0.0)
 
 
@@ -342,7 +393,10 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     seed.  Each control's exponential acts on the whole (P, N, ambient) block
     of test points through `_flow_rows`, in renormalised chunks when
     |dt| ||A(u)||_F exceeds MAX_EXP_GROWTH, so a long step of a strongly
-    expanding generator is taken rather than overflowing.  The system
+    expanding generator is taken rather than overflowing.  The block is
+    coordinate-major throughout: `cube_points` and `_flow_rows` give each
+    point set as the transpose view of an (ambient, N) array, which
+    `SphereGrid.box_of` reads a contiguous column at a time.  The system
     dimension, controls, dt, pts_per_box and the memory cap are checked as in
     `build_transition_graph`: `memory_cap` counts one word per point-control
     sample (num_boxes x pts_per_box x controls), 4 bytes when the box ids fit
@@ -355,7 +409,7 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
                                  memory_cap)
     offsets = np.vstack([np.full((1, sphere.face_dims), 0.5),
                          _halton_offsets(sphere.face_dims, pts_per_box - 1, seed)])
-    points = sphere.cube_points(ids, offsets)  # (P, N, ambient)
+    points = sphere.cube_points(ids, offsets)  # (P, N, ambient), coordinate-major
     indptr, targets, _ = _sampled_csr(
         sphere, ids, points.shape[0], controls,
         lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0], False)
@@ -380,11 +434,15 @@ class SphereChainAnalysis:
 
 def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
     """Strongly connected components (with an internal edge), size-descending."""
-    chains = _label_groups(*_scc_labels(graph.indptr, graph.targets,
-                                        _self_loops(graph.indptr, graph.targets)))
-    touches = graph.sphere.level_zero_touching(graph.boxes)
-    comps = [graph.boxes[members] for members in chains]
-    touching = [graph.boxes[members[touches[members]]] for members in chains]
+    members, bounds = _label_order(*_scc_labels(graph.indptr, graph.targets,
+                                                _self_loops(graph.indptr, graph.targets)))
+    # one gather and one level-0 test over all members, sliced per component
+    boxes = graph.boxes[members]
+    touches = graph.sphere.level_zero_touching(boxes)
+    comps = [boxes[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    cuts = np.concatenate([[0], np.cumsum(touches)])[bounds].tolist()
+    level = boxes[touches]
+    touching = [level[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     return SphereChainAnalysis(graph=graph, components=comps, level_zero=touching)
 
 
@@ -521,8 +579,8 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
         dist = proj_dist_vectors(dirs[:, None, :], hom_dirs)[:, 0]
         dmin = np.minimum.reduceat(np.minimum.reduceat(
             dist, (np.cumsum(slice_sizes) - slice_sizes)[sliced], axis=0), starts, axis=1)
-        matches = [(int(sliced[r]), int(j), float(dmin[r, j]))
-                   for r, j in zip(*np.nonzero(dmin <= match_tol))]
+        r, j = np.nonzero(dmin <= match_tol)
+        matches = list(zip(sliced[r].tolist(), j.tolist(), dmin[r, j].tolist()))
     return InfinityBoundaryReport("sphere-chain", directions,
                                   [len(c) for c in big.level_zero],
                                   matches, details=(big, hom))

@@ -336,6 +336,7 @@ def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray, image_ro
         for k, images in enumerate(image_rows(u)):
             ids = grid.box_of(images)
             block[c * P + k] = ids if table is None else table[ids]
+        del images  # its base, this control's images, is freed before the next are made
     rows = np.ascontiguousarray(block.T)
     del block, table  # freed before _rows_to_csr, which holds the peak
     return _rows_to_csr(rows)
@@ -377,15 +378,28 @@ def _scc_labels(indptr: np.ndarray, targets: np.ndarray,
     return labels, kept
 
 
-def _label_groups(labels: np.ndarray, kept: np.ndarray) -> list[np.ndarray]:
-    """Positions of each label flagged in `kept` as sorted arrays, by size
-    descending, then smallest position."""
+def _label_order(labels: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Positions of the labels flagged in `kept`, grouped by label: the groups
+    by size descending, then smallest position, each sorted; and the group
+    bounds, group k being positions[bounds[k]:bounds[k + 1]]."""
     members = np.flatnonzero(kept[labels])
     members = members[np.argsort(labels[members], kind="stable")]
     sizes = np.bincount(labels, minlength=kept.size)[kept]
+    starts = np.cumsum(sizes) - sizes
+    order = np.lexsort((members[starts], -sizes))
+    sizes = sizes[order]
     ends = np.cumsum(sizes)
-    groups = np.split(members, ends[:-1])
-    return [groups[k] for k in np.lexsort((members[ends - sizes], -sizes))]
+    # each member moves by its group's shift from its label-order start
+    members = members[np.repeat(starts[order] - (ends - sizes), sizes)
+                      + np.arange(members.size)]
+    return members, [0] + ends.tolist()
+
+
+def _label_groups(labels: np.ndarray, kept: np.ndarray) -> list[np.ndarray]:
+    """The groups of `_label_order` as sorted arrays, by size descending,
+    then smallest position."""
+    members, bounds = _label_order(labels, kept)
+    return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _reachable(indptr: np.ndarray, targets: np.ndarray, starts: np.ndarray,

@@ -8,6 +8,7 @@ same CSR.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from affinecontrol.projective import SphereGraph, SphereGrid, sphere_chain_components
@@ -15,7 +16,11 @@ from affinecontrol.reach import (
     BoxGrid,
     BoxSet,
     TransitionGraph,
+    _label_groups,
+    _label_order,
     _rows_to_csr,
+    _scc_labels,
+    _self_loops,
     chain_components,
     closure,
     control_set_approx,
@@ -139,3 +144,72 @@ def test_control_set_of_wandering_and_self_loop_seeds():
     assert control_set_approx(graph, 0).indices.tolist() == []
     assert control_set_approx(graph, 1).indices.tolist() == [1]
     assert control_set_approx(graph, 3).indices.tolist() == [2, 3]
+
+
+def reference_label_groups(labels, kept):
+    """Groups by np.split of the label-sorted members, kept verbatim as the
+    reference: size descending, then smallest position."""
+    members = np.flatnonzero(kept[labels])
+    members = members[np.argsort(labels[members], kind="stable")]
+    sizes = np.bincount(labels, minlength=kept.size)[kept]
+    ends = np.cumsum(sizes)
+    groups = np.split(members, ends[:-1])
+    return [groups[k] for k in np.lexsort((members[ends - sizes], -sizes))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_label_groups_are_the_split_groups(n_labels, data):
+    labels = np.array(data.draw(st.lists(st.integers(0, n_labels - 1), max_size=40)),
+                      dtype=np.int32)
+    present = np.bincount(labels, minlength=n_labels) > 0
+    kept = np.array(data.draw(st.lists(st.booleans(), min_size=n_labels,
+                                       max_size=n_labels))) & present
+    expected = reference_label_groups(labels, kept)
+    groups = _label_groups(labels, kept)
+    assert [g.tolist() for g in groups] == [g.tolist() for g in expected]
+    assert all(g.dtype == e.dtype for g, e in zip(groups, expected))
+    members, bounds = _label_order(labels, kept)
+    assert bounds == np.cumsum([0] + [g.size for g in expected]).tolist()
+    assert members.tolist() == [p for g in expected for p in g.tolist()]
+
+
+def assert_sphere_components_per_component(n, edges, boxes):
+    """sphere_chain_components of the digraph, its positions mapped to
+    `boxes`, against one gather and one level-0 filter per component."""
+    indptr, targets, _ = edge_csr(n, edges, np.int32)
+    sphere = SphereGrid(3, 4)
+    graph = SphereGraph(sphere=sphere, boxes=np.asarray(boxes, dtype=np.int64),
+                        indptr=indptr, targets=targets, dt=1.0,
+                        controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
+    chains = reference_label_groups(*_scc_labels(indptr, targets,
+                                                 _self_loops(indptr, targets)))
+    touches = sphere.level_zero_touching(graph.boxes)
+    analysis = sphere_chain_components(graph)
+    comps = [graph.boxes[members] for members in chains]
+    level_zero = [graph.boxes[members[touches[members]]] for members in chains]
+    for got, want in ((analysis.components, comps), (analysis.level_zero, level_zero)):
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+        assert all(c.dtype == np.int64 for c in got)
+    return analysis
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(), st.permutations(list(range(48))))
+def test_sphere_chain_components_are_the_per_component_loop(case, order):
+    n, edges, _ = case
+    assert_sphere_components_per_component(n, edges, sorted(order[:n]))
+
+
+@pytest.mark.parametrize("edges, some_touch, some_not", [
+    ([(0, 1), (1, 2)], False, False),  # a path: no kept SCC
+    ([(0, 0), (1, 2), (2, 1), (3, 3)], True, True),
+    ([(0, 0), (3, 3), (1, 2)], False, True),  # only the non-touching boxes loop
+])
+def test_sphere_chain_components_with_and_without_level_zero(edges, some_touch, some_not):
+    # SphereGrid(3, 4) boxes 0-3 lie on face 0, z bins 0-3: boxes 1 and 2
+    # touch the level z = 0, boxes 0 and 3 do not
+    analysis = assert_sphere_components_per_component(4, edges, [0, 1, 2, 3])
+    sizes = [s.size for s in analysis.level_zero]
+    assert any(sizes) == some_touch and (0 in sizes) == some_not
+    assert len(analysis.components) == len(sizes)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from affinecontrol.config import Tolerances
+from affinecontrol.config import MAX_EXP_GROWTH, Tolerances
 from affinecontrol.floquet import concat_path, continuation, floquet_of
 from affinecontrol.projective import (
     ProjPoint,
     SphereGrid,
+    _flow_rows,
     build_sphere_graph,
     embed_point,
     embed_system,
@@ -124,6 +125,89 @@ def test_proj_metric_axioms(seed):
 
 
 # ------------------------------------------------------------------ proj_step
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_proj_dist_vectors_ignores_memory_layout(d, r, s, seed):
+    # the same rows in C order, in Fortran order and as transposed views, and
+    # stacks of one-row blocks in either order, give the same distances
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((r, d)) * 10.0 ** rng.integers(-3, 4, size=(r, 1))
+    Y = rng.standard_normal((s, d))
+    expected = proj_dist_vectors(X, Y)
+    for X_layout in (X, np.asfortranarray(X), np.ascontiguousarray(X.T).T):
+        for Y_layout in (Y, np.asfortranarray(Y), np.ascontiguousarray(Y.T).T):
+            assert np.array_equal(proj_dist_vectors(X_layout, Y_layout), expected)
+    stacked = proj_dist_vectors(X[:, None, :], Y)
+    for blocks in (np.asfortranarray(X[:, None, :]), np.asfortranarray(X)[:, None, :],
+                   np.ascontiguousarray(X.T).T[:, None, :]):
+        assert np.array_equal(proj_dist_vectors(blocks, Y), stacked)
+
+
+def reference_flow_rows(M, dt, W):
+    """The row-major flow: W @ E.T per chunk, kept verbatim as the reference."""
+    n_sub = max(1, int(np.ceil(abs(dt) * np.linalg.norm(M) / MAX_EXP_GROWTH)))
+    E = expm((dt / n_sub) * M)
+    logs = np.zeros(W.shape[:-1])
+    for _ in range(n_sub - 1):
+        W = W @ E.T
+        norms = np.linalg.norm(W, axis=-1)
+        W = W / norms[..., None]
+        logs += np.log(norms)
+    return W @ E.T, logs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.sampled_from(["vector", "rows", "stack", "columns"]),
+       st.sampled_from([0.3, 3.5]), st.integers(0, 2**32 - 1))
+def test_flow_rows_is_the_row_major_loop(d, shape, growth, seed):
+    # growth 3.5: |dt| ||M||_F = 3.5 MAX_EXP_GROWTH, four renormalised chunks
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((d, d))
+    dt = growth * MAX_EXP_GROWTH / np.linalg.norm(M) if growth > 1 else growth
+    P, N = rng.integers(1, 4), rng.integers(1, 200)
+    W = {"vector": lambda: rng.standard_normal(d),
+         "rows": lambda: rng.standard_normal((N, d)),
+         "stack": lambda: rng.standard_normal((P, N, d)),
+         # as SphereGrid.cube_points gives them: each point set's transpose
+         # is contiguous
+         "columns": lambda: rng.standard_normal((P, d, N)).transpose(0, 2, 1)}[shape]()
+    expected, expected_logs = reference_flow_rows(M, dt, np.ascontiguousarray(W))
+    if shape == "vector":  # one row, as proj_step and lyapunov_estimate pass it
+        rows, logs = _flow_rows(M, dt, W[None])
+        rows, logs = rows[0], logs[0]
+    else:
+        rows, logs = _flow_rows(M, dt, W)
+    assert rows.shape == expected.shape and logs.shape == expected_logs.shape
+    assert np.array_equal(rows, expected) and np.array_equal(logs, expected_logs)
+    if growth > 1:
+        assert np.any(expected_logs != 0.0)
+    if shape != "vector":  # every coordinate of a block is a contiguous column
+        assert all(block.T.flags.c_contiguous for block in rows.reshape(-1, *rows.shape[-2:]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_proj_step_and_lyapunov_are_the_row_major_flow(seed):
+    rng = np.random.default_rng(seed)
+    sys = random_system(rng, n=3)
+    emb = embed_system(sys)
+    p = ProjPoint.from_vector(rng.standard_normal(4))
+    for u, dt in ((rng.uniform(-1, 1, 1), 0.2), (rng.uniform(-1, 1, 1), 40.0)):
+        M = emb.system_matrix(u)
+        expected = ProjPoint.from_vector(reference_flow_rows(M, dt, p.vec)[0])
+        got = proj_step(emb, p, u, dt)
+        assert got.vec.tobytes() == expected.vec.tobytes() and got.level == expected.level
+    ctrl = random_control(rng, segments=4, period_range=(2.0, 30.0))
+    x = rng.standard_normal(3)
+    for T in (0.7 * ctrl.period, 3.0 * ctrl.period):
+        w, total = x / np.linalg.norm(x), 0.0
+        for u, dt in ctrl.pieces(0.0, T):
+            w, logs = reference_flow_rows(sys.system_matrix(u), dt, w)
+            norm = np.linalg.norm(w)
+            total += logs + np.log(norm)
+            w = w / norm
+        assert lyapunov_estimate(sys, ctrl, x, T) == float(total / T)
+
 
 def test_proj_step_preserves_level_zero():
     sys = damped_oscillator_system()
@@ -282,10 +366,14 @@ def test_sphere_grid_level_zero_touching():
 
 def test_degenerate_rows_are_rejected():
     grid = SphereGrid(3, 4)
-    for row in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1.0, np.nan, 0.0],
-                [np.inf, 0.0, 1.0]):
-        with pytest.raises(ValueError):
-            grid.box_of(np.array([[1.0, 2.0, 3.0], row]))
+    # zero rows, and NaN or inf on the anchor or off it
+    for row in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [np.nan, 1.0, 0.0], [1.0, np.nan, 0.0],
+                [np.inf, 0.0, 1.0], [0.5, -3.0, np.nan], [-3.0, np.inf, 0.5],
+                [2.0, 0.5, -np.inf]):
+        pts = np.array([[1.0, 2.0, 3.0], row])
+        for layout in (pts, np.ascontiguousarray(pts.T).T):
+            with pytest.raises(ValueError):
+                grid.box_of(layout)
         with pytest.raises(ValueError):
             proj_dist_vectors(np.array([row]), np.eye(3))
         with pytest.raises(ValueError):
@@ -332,6 +420,11 @@ def test_sphere_box_of_properties(case, k):
     grid, pts = case
     ids = grid.box_of(pts)
     assert ids.tolist() == [reference_sphere_box(grid, x) for x in pts]
+    # with each coordinate a contiguous column, as the sphere graph's images
+    # are, and in Fortran order
+    for layout in (np.ascontiguousarray(pts.T).T, np.asfortranarray(pts)):
+        assert ids.dtype == grid.box_of(layout).dtype == np.int64
+        assert np.array_equal(grid.box_of(layout), ids)
     assert np.array_equal(grid.box_of(2.0 ** k * pts), ids)
     assert np.array_equal(grid.box_of(-pts), ids)
     boxes = np.arange(grid.num_boxes)
@@ -342,6 +435,40 @@ def test_sphere_box_of_antipodes_on_bin_edges():
     grid = SphereGrid(2, 2)
     pts = np.array([[1.0, 0.0], [0.6, 0.0]])
     assert np.array_equal(grid.box_of(-pts), grid.box_of(pts))
+
+
+def reference_cube_points(grid: SphereGrid, ids, offsets) -> np.ndarray:
+    """The row-major mask scatter, kept verbatim as the reference."""
+    axis, cell = np.divmod(np.asarray(ids, dtype=np.int64), grid.cells_per_face)
+    bins = np.stack(np.unravel_index(cell, (grid.subdivisions,) * grid.face_dims), axis=-1)
+    pts = np.ones((offsets.shape[0], bins.shape[0], grid.ambient))
+    coords = -1.0 + (bins + offsets[:, None, :]) * (2.0 / grid.subdivisions)
+    pts[:, np.arange(grid.ambient) != axis[:, None]] = coords.reshape(
+        offsets.shape[0], bins.size)
+    return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**16),
+       st.data())
+def test_cube_points_are_the_row_major_mask_scatter(ambient, subdivisions, count, seed,
+                                                     data):
+    grid = SphereGrid(ambient, subdivisions)
+    every = np.arange(grid.num_boxes)
+    some = np.array(data.draw(st.lists(st.integers(0, grid.num_boxes - 1), max_size=20)),
+                    dtype=np.int64)
+    offsets = np.vstack([np.full((1, grid.face_dims), 0.5),
+                         _halton_offsets(grid.face_dims, count, seed)])
+    combos = np.array(list(np.ndindex((2,) * grid.face_dims)), dtype=float)
+    for ids in (every, some):
+        points = grid.cube_points(ids, offsets)
+        expected = reference_cube_points(grid, ids, offsets)
+        assert points.shape == expected.shape
+        assert np.array_equal(points, expected)  # bit for bit
+        assert all(pts.T.flags.c_contiguous for pts in points)
+        assert np.array_equal(grid.corners(ids), reference_cube_points(grid, ids, combos))
+        centers = grid.centers(ids)
+        assert centers.flags.c_contiguous and np.array_equal(centers, expected[0])
 
 
 def test_sphere_box_diameter_matches_all_boxes():
@@ -360,6 +487,22 @@ def test_sphere_box_diameter_bit_identical_on_benchmark_grids():
     for ambient in (3, 4):
         grid = SphereGrid(ambient, 24)
         assert grid.box_diameter() == reference_box_diameter(grid)
+
+
+def test_sphere_box_diameter_is_the_face_zero_pair_loop():
+    # the row-major loop over face 0's corner pairs, kept verbatim, bit for bit
+    for ambient in range(2, 6):
+        for subdivisions in range(1, 13):
+            grid = SphereGrid(ambient, subdivisions)
+            combos = np.array(list(np.ndindex((2,) * grid.face_dims)), dtype=float)
+            corners = reference_cube_points(grid, np.arange(grid.cells_per_face), combos)
+            best = 0.0
+            for i in range(corners.shape[0]):
+                for j in range(i + 1, corners.shape[0]):
+                    dots = np.clip(np.abs(np.sum(corners[i] * corners[j], axis=1)), 0, 1)
+                    d = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots))
+                    best = max(best, float(d.max()))
+            assert grid.box_diameter() == best, (ambient, subdivisions)
 
 
 def linear(A) -> AffineSystem:
