@@ -22,6 +22,7 @@ from .system import (
     AffineSystem,
     PiecewiseControl,
     _check_values,
+    _row_norms,
     _segment_maps,
     larc_rank,
 )
@@ -216,24 +217,30 @@ def forced_integral(sys: AffineSystem, ctrl: PiecewiseControl) -> np.ndarray:
     return _period_maps(sys, *_flatten([ctrl]))[1][0]
 
 
-def _solve(M: np.ndarray, b: np.ndarray, margin: float, tolerances: Tolerances):
-    """Trichotomy of the fixed-point system M x = b, where M = I - Phi."""
-    if margin > tolerances.unit_tol:
-        return Unique(np.linalg.solve(M, b))
-    U, sv, vt = np.linalg.svd(M)
-    cutoff = tolerances.eig_tol * max(1.0, sv[0] if sv.size else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    coeffs = U.T @ b
-    y0 = vt[:rank].T @ (coeffs[:rank] / sv[:rank]) if rank else np.zeros(b.size)
-    residual = float(np.linalg.norm(coeffs[rank:]))
-    if residual <= tolerances.res_tol * (1.0 + np.linalg.norm(b)):
-        return AffineFamily(y0, vt[rank:].T.copy())
-    return Obstructed(residual)
-
-
-def _solution_point(sol):
-    """x0 of a Unique, y0 of an AffineFamily, None when obstructed."""
-    return getattr(sol, "x0", getattr(sol, "y0", None))
+def _solutions(M: np.ndarray, b: np.ndarray, margins: np.ndarray,
+               tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Trichotomy of the fixed-point systems M x = b (M = I - Phi) of a batch:
+    (solutions, points).  Rows whose margin exceeds `unit_tol` are Unique, from
+    one stacked solve; the others are solved by least squares through the SVD.
+    `points` holds x0 or y0 per row, NaN where the row is Obstructed."""
+    unique = margins > tolerances.unit_tol
+    points = np.full(b.shape, np.nan)
+    points[unique] = np.linalg.solve(M[unique], b[unique][..., None])[..., 0]
+    solutions = np.empty(margins.size, dtype=object)
+    solutions[unique] = [Unique(x) for x in points[unique]]
+    for i in np.flatnonzero(~unique):
+        U, sv, vt = np.linalg.svd(M[i])
+        cutoff = tolerances.eig_tol * max(1.0, sv[0] if sv.size else 1.0)
+        rank = int(np.sum(sv > cutoff))
+        coeffs = U.T @ b[i]
+        y0 = vt[:rank].T @ (coeffs[:rank] / sv[:rank]) if rank else np.zeros(b.shape[1])
+        residual = float(np.linalg.norm(coeffs[rank:]))
+        if residual <= tolerances.res_tol * (1.0 + np.linalg.norm(b[i])):
+            solutions[i] = AffineFamily(y0, vt[rank:].T.copy())
+            points[i] = y0
+        else:
+            solutions[i] = Obstructed(residual)
+    return solutions, points
 
 
 def periodic_solution(sys: AffineSystem, ctrl: PiecewiseControl,
@@ -245,7 +252,7 @@ def periodic_solution(sys: AffineSystem, ctrl: PiecewiseControl,
     an affine family of periodic solutions, a large one means none exist.
     """
     phi, b = _period_maps(sys, *_flatten([ctrl]))
-    return _solve(np.eye(sys.n) - phi[0], b[0], float(_spectrum(phi)[1][0]), tolerances)
+    return _solutions(np.eye(sys.n) - phi, b, _spectrum(phi)[1], tolerances)[0][0]
 
 
 # --------------------------------------------------------------------- scan
@@ -368,11 +375,10 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
     witness = argmin_control if refuted else None
     # Interior-of-semigroup hypothesis is undecidable here; record the
     # bracket-rank proxy at the periodic point of the extremal control.
-    proxy_rank = None
-    proxy_full = None
-    point = _solution_point(_solve(np.eye(sys.n) - phi[best], b[best], min_margin,
-                                   tolerances))
-    if point is not None and np.all(np.isfinite(point)):
+    proxy_rank = proxy_full = None
+    point = _solutions(np.eye(sys.n) - phi[best:best + 1], b[best:best + 1],
+                       margins[best:best + 1], tolerances)[1][0]
+    if np.all(np.isfinite(point)):  # not obstructed, and no overflow
         proxy_rank = larc_rank(sys, point, rank_tol=tolerances.rank_tol)
         proxy_full = proxy_rank == sys.n
     return ScanReport(count=margins.size, min_margin=min_margin,
@@ -484,33 +490,20 @@ def _near_kernel(M: np.ndarray, eig_tol: float) -> np.ndarray:
     return vt[M.shape[0] - _kernel_size(sv, eig_tol):].T.copy()
 
 
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of X, each bit for bit `np.linalg.norm(row)`."""
-    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-
-
 def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
     """Continuation records at the alphas, from one batch of period maps.
 
     Solutions, norms and kernel angles come from stacked array calls over
-    the batch, bit for bit the values that `_solve`, `np.linalg.norm` and
-    `_near_kernel` give one record at a time; only `_solve`'s rare
-    non-Unique rows and the record objects take a loop.
+    the batch, bit for bit the values that `np.linalg.norm` and
+    `_near_kernel` give one record at a time; only the rare non-Unique rows
+    of `_solutions` and the record objects take a loop.
     """
     batch = path.segments(alphas)
     controls = PiecewiseControl._batch(*batch)
     phi, b = _period_maps(sys, *batch)
     M = np.eye(sys.n) - phi
     margins = _spectrum(phi)[1]
-    unique = margins > tolerances.unit_tol  # _solve's Unique case, in one batch
-    points = np.full(b.shape, np.nan)
-    points[unique] = np.linalg.solve(M[unique], b[unique][..., None])[..., 0]
-    solutions = np.empty(margins.size, dtype=object)
-    solutions[unique] = [Unique(x) for x in points[unique]]
-    for i in np.flatnonzero(~unique):
-        sol = solutions[i] = _solve(M[i], b[i], margins[i], tolerances)
-        if (point := _solution_point(sol)) is not None:
-            points[i] = point
+    solutions, points = _solutions(M, b, margins, tolerances)
     norm_x = _row_norms(points)
     # kernel angles: the distance of x/|x| to the unit sphere of the span of
     # the right singular vectors of M at its smallest singular values, a
@@ -556,12 +549,12 @@ def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):
     alpha = 0.5 * (lo + hi)
     ctrl = path.at(alpha)
     phi, b = _period_maps(sys, *_flatten([ctrl]))
-    M = np.eye(sys.n) - phi[0]
-    margin = float(_spectrum(phi)[1][0])
-    return Crossing(alpha=float(alpha), tau=ctrl.period, control=ctrl, margin=margin,
-                    det_gap=float(np.linalg.det(M)),
-                    kernel=_near_kernel(M, tolerances.eig_tol),
-                    solution=_solve(M, b[0], margin, tolerances))
+    M = np.eye(sys.n) - phi
+    margins = _spectrum(phi)[1]
+    return Crossing(alpha=float(alpha), tau=ctrl.period, control=ctrl,
+                    margin=float(margins[0]), det_gap=float(np.linalg.det(M[0])),
+                    kernel=_near_kernel(M[0], tolerances.eig_tol),
+                    solution=_solutions(M, b, margins, tolerances)[0][0])
 
 
 def continuation(sys: AffineSystem, path: ControlPath, steps: int,

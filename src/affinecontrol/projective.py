@@ -24,9 +24,9 @@ from scipy.linalg import expm
 from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import (BoxSet, _halton_offsets, _label_groups, _label_order,
-                    _sampled_controls, _sampled_csr, _scc_labels, _self_loops)
-from .system import AffineSystem, PiecewiseControl
+from .reach import (BoxSet, TransitionGraph, _halton_offsets, _label_groups, _label_order,
+                    _sampled_controls, _sampled_csr)
+from .system import AffineSystem, PiecewiseControl, _row_norms
 
 __all__ = [
     "ProjPoint",
@@ -88,23 +88,28 @@ class ProjPoint:
     @classmethod
     def from_vector(cls, x, level_tol: float = DEFAULT_TOLERANCES.level_tol,
                     ) -> "ProjPoint":
-        v = np.asarray(x, dtype=float).reshape(-1).copy()
-        norm = np.linalg.norm(v)
-        if norm == 0.0 or not np.all(np.isfinite(v)):
-            raise ValueError("projective point needs a nonzero finite representative")
-        v /= norm
-        level = 1
-        if abs(v[-1]) <= level_tol:
-            v[-1] = 0.0
-            v /= np.linalg.norm(v)
-            level = 0
-        v = _canonical_sign(v)
-        v.setflags(write=False)
-        return cls(v, level)
+        return _proj_points(np.asarray(x, dtype=float).reshape(1, -1), level_tol)[0]
 
     @property
     def dim(self) -> int:
         return self.vec.shape[0]
+
+
+def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
+    """The points of the rows of V, each on its own (`from_vector` is the one-row
+    case): a row's last coordinate is snapped to 0 and the row renormalised
+    where it is within `level_tol`.  Raises ValueError for a zero or non-finite row."""
+    V = np.array(V, dtype=float)
+    norms = _row_norms(V)
+    if not (np.all(np.isfinite(V)) and np.all(norms != 0.0)):
+        raise ValueError("projective point needs a nonzero finite representative")
+    V /= norms[:, None]
+    low = np.abs(V[:, -1]) <= level_tol
+    V[low, -1] = 0.0
+    V[low] /= _row_norms(V[low])[:, None]
+    V = _canonical_sign(V)
+    V.setflags(write=False)
+    return [ProjPoint(v, 0 if on_level else 1) for v, on_level in zip(V, low.tolist())]
 
 
 def proj_metric(p: ProjPoint, q: ProjPoint) -> float:
@@ -254,12 +259,15 @@ class SphereGrid:
         coordinate j is coordinate j (j < axis) or j + 1 (j >= axis) over the
         anchor.  That is the positive-face point of the representative with
         positive anchor, so x and -x get the same id.  Raises ValueError for
-        a zero point or one with a non-finite coordinate, which names no
-        direction.  Works a column at a time in preallocated buffers, so
-        points that are the transpose of an (ambient, n) array are read from
-        contiguous memory.
+        points without `ambient` coordinates, a zero point or one with a
+        non-finite coordinate, which names no direction.  Works a column at a
+        time in preallocated buffers, so points that are the transpose of an
+        (ambient, n) array are read from contiguous memory.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.ambient:
+            raise ValueError(f"points with {pts.shape[1]} coordinates on a sphere in "
+                             f"R^{self.ambient}")
         n = pts.shape[0]
         test = np.empty(n, dtype=bool)
         axis = np.zeros(n, dtype=np.int64)
@@ -360,22 +368,13 @@ class SphereGrid:
         return (axis != self.ambient - 1) & (z_lo <= 0.0) & (z_lo + width >= 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class SphereGraph:
-    """One-step transition graph on the projective quotient; positions are box ids."""
-
-    sphere: SphereGrid
-    boxes: np.ndarray
-    indptr: np.ndarray
-    targets: np.ndarray
-    dt: float
-    controls: np.ndarray
-    pts_per_box: int
-    seed: int
+class SphereGraph(TransitionGraph):
+    """One-step transition graph on the projective quotient `grid`, a SphereGrid:
+    every box is a node, so positions are box ids, and `sink` is all False."""
 
     @property
-    def num_boxes(self) -> int:
-        return int(self.boxes.size)
+    def sphere(self) -> SphereGrid:
+        return self.grid
 
 
 def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: float,
@@ -410,10 +409,10 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     offsets = np.vstack([np.full((1, sphere.face_dims), 0.5),
                          _halton_offsets(sphere.face_dims, pts_per_box - 1, seed)])
     points = sphere.cube_points(ids, offsets)  # (P, N, ambient), coordinate-major
-    indptr, targets, _ = _sampled_csr(
+    indptr, targets, sink = _sampled_csr(
         sphere, ids, points.shape[0], controls,
         lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0], False)
-    return SphereGraph(sphere=sphere, boxes=ids, indptr=indptr, targets=targets,
+    return SphereGraph(grid=sphere, boxes=ids, indptr=indptr, targets=targets, sink=sink,
                        dt=float(dt), controls=controls, pts_per_box=pts_per_box,
                        seed=seed)
 
@@ -433,9 +432,8 @@ class SphereChainAnalysis:
 
 
 def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
-    """Strongly connected components (with an internal edge), size-descending."""
-    members, bounds = _label_order(*_scc_labels(graph.indptr, graph.targets,
-                                                _self_loops(graph.indptr, graph.targets)))
+    """The graph's cached SCCs with an internal edge, size-descending."""
+    members, bounds = _label_order(*graph.scc())
     # one gather and one level-0 test over all members, sliced per component
     boxes = graph.boxes[members]
     touches = graph.sphere.level_zero_touching(boxes)
@@ -480,15 +478,19 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     on the level at infinity and clustered by single linkage within
     `tolerances.cluster_tol` (projective distance), a row block of the
     distance matrix at a time, so memory grows with the number of
-    directions, not its square.  Continuation records whose periodic
-    solutions blew up past the floor are ingested as additional
-    high-confidence directions.  An empty report signals a set that stays
+    directions, not its square.  Past `max_points` centers, every
+    ceil(count / max_points)-th is kept.  Every continuation record whose
+    periodic solution blew up past the floor is ingested as an additional
+    high-confidence direction.  An empty report signals a set that stays
     bounded inside the window.
     """
     if norm_floor <= 0:
         raise ValueError("norm_floor must be positive")
     centers = control_set.centers()  # (0, dim) for an empty set
-    states = [centers[np.linalg.norm(centers, axis=1) >= norm_floor]]
+    far = centers[np.linalg.norm(centers, axis=1) >= norm_floor]
+    if far.shape[0] > max_points:
+        far = far[::int(np.ceil(far.shape[0] / max_points))]
+    states = [far]
     for rec in blowup_records:
         sol = getattr(rec, "solution", None)
         x0 = getattr(sol, "x0", None)
@@ -497,9 +499,6 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     pts = np.concatenate(states)
     if pts.shape[0] == 0:
         return InfinityBoundaryReport("box-directions", [], [], [])
-    if pts.shape[0] > max_points:
-        stride = int(np.ceil(pts.shape[0] / max_points))
-        pts = pts[::stride]
     dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     dirs = _canonical_sign(np.hstack([dirs, np.zeros((dirs.shape[0], 1))]))
     # single linkage: the connected components of the threshold graph, one
@@ -517,13 +516,12 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
             (np.ones(src.size, dtype=bool), (src, dst)), shape=(k, k)), directed=False)
         heads = np.unique(labels, return_index=True)[1][labels]
     clusters = _label_groups(labels, np.ones(n_clusters, dtype=bool))
-    reps = []
-    for members in clusters:  # sign-aligned mean, anchored at the first member
+    means = np.empty((len(clusters), dirs.shape[1]))
+    for i, members in enumerate(clusters):  # sign-aligned mean, anchored at the first member
         block = dirs[members]
         signs = np.where(block @ block[0] >= 0, 1.0, -1.0)
-        reps.append(ProjPoint.from_vector((block * signs[:, None]).mean(axis=0),
-                                          tolerances.level_tol))
-    return InfinityBoundaryReport("box-directions", reps,
+        means[i] = (block * signs[:, None]).mean(axis=0)
+    return InfinityBoundaryReport("box-directions", _proj_points(means, tolerances.level_tol),
                                   [int(c.size) for c in clusters], [])
 
 
@@ -568,7 +566,7 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     dirs = big_sphere.centers(np.concatenate(big.level_zero))
     dirs[:, -1] = 0.0
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    directions = [ProjPoint.from_vector(v, tolerances.level_tol) for v in dirs]
+    directions = _proj_points(dirs, tolerances.level_tol)
     # least distance of each nonempty slice to each homogeneous component:
     # one call, each direction a one-row block (so its distances do not
     # depend on the other rows), reduced over the slice's rows and then

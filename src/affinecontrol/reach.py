@@ -127,8 +127,11 @@ class BoxGrid:
 
         The window is half open, lo <= x < hi per axis; a point just below
         hi whose quotient rounds up to `subdivisions` stays in the last box.
+        Raises ValueError for points that do not have `dim` coordinates.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"points with {pts.shape[1]} coordinates on a {self.dim}-D grid")
         n = pts.shape[0]
         widths = self.widths
         flat = np.zeros(n, dtype=np.int64)
@@ -248,7 +251,7 @@ class BoxSet:
 
 # ------------------------------------------------------------- graph core
 # Graphs on positions 0..n-1 as CSR (indptr, targets) with sorted, distinct
-# rows; shared by TransitionGraph and projective.SphereGraph.  Both builders
+# rows, held by TransitionGraph and its subclass projective.SphereGraph.  Both builders
 # take one sampling path: `_sampled_controls` checks the inputs and the cap,
 # `_sampled_csr` fills one (C, n) block of target positions, a row per
 # (control, test point) and a column per node, and `_rows_to_csr` sorts each

@@ -56,6 +56,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of X, each bit for bit `np.linalg.norm(row)`."""
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
 @dataclass(frozen=True, eq=False)
 class AffineSystem:
     """System data: matrices A, B_1..B_m, columns c_1..c_m, drift d, control box.

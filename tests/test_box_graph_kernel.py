@@ -106,6 +106,29 @@ def test_box_of_upper_edge_on_inexact_widths():
             assert grid.box_of([[hi], [below]]).tolist() == [-1, sub - 1], (lo, span, sub)
 
 
+@pytest.mark.parametrize("grid, points", [
+    (BoxGrid([0.0], [1.0], [10]), [0.15, 0.65]),  # one 2-D point, not two 1-D ones
+    (BoxGrid([0.0, 0.0], [1.0, 1.0], [4, 4]), [[0.6, 0.1, 5.0]]),
+    (BoxGrid([0.0, 0.0], [1.0, 1.0], [4, 4]), [[0.6], [0.1]]),
+    (SphereGrid(3, 4), [[1.0, 0.2, 0.1, 99.0]]),
+    (SphereGrid(3, 4), [[1.0, 0.2], [0.3, 0.4]]),
+])
+def test_box_of_rejects_points_of_another_dimension(grid, points):
+    pts = np.array(points, dtype=float)
+    for layout in (pts, np.ascontiguousarray(pts.T).T):
+        with pytest.raises(ValueError, match="coordinates"):
+            grid.box_of(layout)
+    if isinstance(grid, BoxGrid) and pts.ndim == 2:
+        with pytest.raises(ValueError, match="coordinates"):
+            grid.box_containing(pts[0])
+
+
+def test_box_of_reads_every_coordinate():
+    assert BoxGrid([0.0], [1.0], [10]).box_of([[0.15], [0.65]]).tolist() == [1, 6]
+    assert BoxGrid([0.0, 0.0], [1.0, 1.0], [4, 4]).box_containing([0.6, 0.1]) == 8
+    assert SphereGrid(3, 4).box_of([[1.0, 0.2, 0.1]]).tolist() == [10]
+
+
 def affine_systems(n):
     entry = st.floats(-2.0, 2.0)
     square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)

@@ -1,32 +1,36 @@
 """Flat control batches against the one-control code they replace.
 
 The scan's sampler and a path's controls are filled as flat (values,
-durations, counts) arrays, and continuation records are computed from
-stacked arrays.  The references below build one control or one record at a
-time: the sampler's bulk stream (four draws per batch) split control by
-control, the sequential-subtraction `pieces` loop, `ControlPath.at`
-assembled from those pieces, and the per-record continuation loop with its
-`_near_kernel`/`_sphere_distance` helpers, kept here verbatim.  Every
-comparison is bit for bit.
+durations, counts) arrays, and continuation records and periodic solutions
+are computed from stacked arrays.  The references below build one control
+or one record at a time: the sampler's bulk stream (four draws per batch)
+split control by control, the sequential-subtraction `pieces` loop,
+`ControlPath.at` assembled from those pieces, the one-system trichotomy
+`_solve` and its `_solution_point`, and the per-record continuation loop
+with its `_near_kernel`/`_sphere_distance` helpers, kept here verbatim as
+`reference_*` functions.
+Every comparison is bit for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinecontrol.config import DEFAULT_TOLERANCES
+from affinecontrol import floquet
+from affinecontrol.config import DEFAULT_TOLERANCES, Tolerances
 from affinecontrol.floquet import (
+    AffineFamily,
     ContinuationRecord,
     ControlSampler,
+    Obstructed,
     Unique,
     _evaluate_path_points,
     _period_maps,
-    _solution_point,
-    _solve,
     _spectrum,
     concat_path,
     continuation,
     hyperbolicity_scan,
+    periodic_solution,
 )
 from affinecontrol.system import AffineSystem, PiecewiseControl
 
@@ -338,19 +342,39 @@ def reference_sphere_distance(x, basis):
     return float(np.linalg.norm(xhat - p / np_))
 
 
+def reference_solve(M: np.ndarray, b: np.ndarray, margin: float, tolerances: Tolerances):
+    """Trichotomy of the fixed-point system M x = b, where M = I - Phi."""
+    if margin > tolerances.unit_tol:
+        return Unique(np.linalg.solve(M, b))
+    U, sv, vt = np.linalg.svd(M)
+    cutoff = tolerances.eig_tol * max(1.0, sv[0] if sv.size else 1.0)
+    rank = int(np.sum(sv > cutoff))
+    coeffs = U.T @ b
+    y0 = vt[:rank].T @ (coeffs[:rank] / sv[:rank]) if rank else np.zeros(b.size)
+    residual = float(np.linalg.norm(coeffs[rank:]))
+    if residual <= tolerances.res_tol * (1.0 + np.linalg.norm(b)):
+        return AffineFamily(y0, vt[rank:].T.copy())
+    return Obstructed(residual)
+
+
+def reference_solution_point(sol):
+    """x0 of a Unique, y0 of an AffineFamily, None when obstructed."""
+    return getattr(sol, "x0", getattr(sol, "y0", None))
+
+
 def reference_records(sys, path, alphas, tolerances, refined=False):
     batch = path.segments(alphas)
     controls = PiecewiseControl._batch(*batch)
     phi, b = _period_maps(sys, *batch)
     M = np.eye(sys.n) - phi
     margins = _spectrum(phi)[1]
-    unique = margins > tolerances.unit_tol  # _solve's Unique case, in one batch
+    unique = margins > tolerances.unit_tol  # reference_solve's Unique case, in one batch
     x0 = iter(np.linalg.solve(M[unique], b[unique][..., None])[..., 0])
     records = []
     for alpha, ctrl, Mi, bi, det_gap, margin, is_unique in zip(
             alphas, controls, M, b, np.linalg.det(M), margins, unique):
-        sol = Unique(next(x0)) if is_unique else _solve(Mi, bi, margin, tolerances)
-        point = _solution_point(sol)
+        sol = Unique(next(x0)) if is_unique else reference_solve(Mi, bi, margin, tolerances)
+        point = reference_solution_point(sol)
         norm_x = float(np.linalg.norm(point)) if point is not None else float("nan")
         kernel_angle = float("nan")
         if point is not None and margin <= tolerances.kernel_window:
@@ -427,3 +451,73 @@ def test_records_cover_every_solution_kind_and_the_kernel_window():
     assert_same_records(records, reference_records(zero, path, alphas, DEFAULT_TOLERANCES))
     assert all(type(r.solution).__name__ == "AffineFamily" and r.norm_x == 0.0
                for r in records)
+
+
+def reference_solution(sys, ctrl, tolerances=DEFAULT_TOLERANCES):
+    """reference_solve of the control's fixed-point system, as the one-control
+    `periodic_solution` posed it."""
+    phi, b = _period_maps(sys, ctrl.values, ctrl.durations, [ctrl.num_segments])
+    return reference_solve(np.eye(sys.n) - phi[0], b[0], float(_spectrum(phi)[1][0]),
+                           tolerances)
+
+
+def assert_same_solution(got, expected):
+    assert type(got) is type(expected)
+    for name, value in vars(expected).items():
+        got_value = getattr(got, name)
+        assert np.asarray(got_value).dtype == np.asarray(value).dtype
+        assert np.array_equal(got_value, value), name
+
+
+def unforced(sys):
+    return AffineSystem(sys.A, sys.B, np.zeros_like(sys.C), np.zeros(sys.n),
+                        sys.omega_lo, sys.omega_hi)
+
+
+COUPLING_PATH = (PiecewiseControl.constant([-0.7], 1.0),
+                 PiecewiseControl.constant([-0.4], 1.0))
+
+
+@pytest.mark.parametrize("sys, ctrl, kind", [
+    (damped_oscillator_system(), PiecewiseControl.from_segments([(-1.1, 0.6), (0.4, 0.9)]),
+     Unique),
+    (symmetric_coupling_system(), PiecewiseControl.constant([0.3], 1.3), Unique),
+    # Phi = I and b = 0: every point is periodic
+    (AffineSystem(np.zeros((3, 3)), np.zeros((1, 3, 3)), np.zeros((3, 1)), np.zeros(3),
+                  [-1.0], [1.0]), PiecewiseControl.constant([0.5], 2.0), AffineFamily),
+    # Phi = I and b = tau d != 0: no periodic point
+    (AffineSystem(np.zeros((2, 2)), np.zeros((1, 2, 2)), np.zeros((2, 1)), [1.0, -2.0],
+                  [-1.0], [1.0]), PiecewiseControl.constant([0.5], 2.0), Obstructed),
+    # the coupling at u = -1/2, where a multiplier is 1: a line of periodic
+    # points without forcing, none with it
+    (unforced(symmetric_coupling_system()), PiecewiseControl.constant([-0.5], 1.0),
+     AffineFamily),
+    (symmetric_coupling_system(), PiecewiseControl.constant([-0.5], 1.0), Obstructed),
+])
+def test_one_control_solutions_are_the_one_system_trichotomy(monkeypatch, sys, ctrl, kind):
+    expected = reference_solution(sys, ctrl)
+    assert type(expected) is kind
+    assert_same_solution(periodic_solution(sys, ctrl), expected)
+    # the scan's bracket-rank proxy is taken at the reference's point
+    seen = []
+    larc_rank = floquet.larc_rank
+    monkeypatch.setattr(floquet, "larc_rank",
+                        lambda s, x, **kw: seen.append(x) or larc_rank(s, x, **kw))
+    hyperbolicity_scan(sys, ControlSampler(include=(ctrl,)), 0, seed=0)
+    point = reference_solution_point(expected)
+    if point is None or not np.all(np.isfinite(point)):
+        assert seen == []
+    else:
+        assert len(seen) == 1 and np.array_equal(seen[0], point)
+
+
+@pytest.mark.parametrize("sys, kind", [(symmetric_coupling_system(), Obstructed),
+                                       (unforced(symmetric_coupling_system()), AffineFamily)])
+@pytest.mark.parametrize("steps", [41, 40])  # the crossing on a mesh node, and between
+def test_crossing_solutions_are_the_one_system_trichotomy(sys, kind, steps):
+    crossings = continuation(sys, concat_path(*COUPLING_PATH), steps,
+                             refine_crossings=False).crossings
+    assert len(crossings) == 1
+    expected = reference_solution(sys, crossings[0].control)
+    assert type(expected) is kind
+    assert_same_solution(crossings[0].solution, expected)

@@ -492,7 +492,7 @@ def test_continuation_detects_blowup_crossing():
 
 def test_continuation_solutions_match_periodic_solution():
     # the mesh node 0.75 sits on the crossing, so the batch of Unique
-    # solves skips one record, which _solve classifies alone
+    # solves skips one record, which `_solutions` classifies by least squares
     sys = symmetric_coupling_system()
     path = concat_path(PiecewiseControl.constant([-0.7], 1.0),
                        PiecewiseControl.constant([-0.4], 1.0))

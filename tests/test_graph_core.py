@@ -69,9 +69,9 @@ def wrap(n, edges):
                             sink=np.zeros(n, dtype=bool), dt=1.0,
                             controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
     sphere = SphereGrid(2, 12)
-    sphere_graph = SphereGraph(sphere=sphere, boxes=np.arange(n),
-                               indptr=indptr, targets=targets, dt=1.0,
-                               controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
+    sphere_graph = SphereGraph(grid=sphere, boxes=np.arange(n),
+                               indptr=indptr, targets=targets, sink=np.zeros(n, bool),
+                               dt=1.0, controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
     return graph, sphere_graph
 
 
@@ -179,8 +179,8 @@ def assert_sphere_components_per_component(n, edges, boxes):
     `boxes`, against one gather and one level-0 filter per component."""
     indptr, targets, _ = edge_csr(n, edges, np.int32)
     sphere = SphereGrid(3, 4)
-    graph = SphereGraph(sphere=sphere, boxes=np.asarray(boxes, dtype=np.int64),
-                        indptr=indptr, targets=targets, dt=1.0,
+    graph = SphereGraph(grid=sphere, boxes=np.asarray(boxes, dtype=np.int64),
+                        indptr=indptr, targets=targets, sink=np.zeros(n, bool), dt=1.0,
                         controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
     chains = reference_label_groups(*_scc_labels(indptr, targets,
                                                  _self_loops(indptr, targets)))

@@ -9,11 +9,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from affinecontrol.config import MAX_EXP_GROWTH, Tolerances
-from affinecontrol.floquet import concat_path, continuation, floquet_of
+from affinecontrol.floquet import (ContinuationRecord, Unique, concat_path, continuation,
+                                   floquet_of)
 from affinecontrol.projective import (
     ProjPoint,
+    SphereGraph,
     SphereGrid,
+    _canonical_sign,
     _flow_rows,
+    _proj_points,
     build_sphere_graph,
     embed_point,
     embed_system,
@@ -26,7 +30,7 @@ from affinecontrol.projective import (
     sphere_chain_components,
     unembed_point,
 )
-from affinecontrol.reach import BoxGrid, BoxSet, _halton_offsets
+from affinecontrol.reach import BoxGrid, BoxSet, TransitionGraph, _halton_offsets
 from affinecontrol.system import AffineSystem, PiecewiseControl, simulate
 
 from conftest import (
@@ -99,6 +103,81 @@ def test_proj_point_canonical_sign_and_level():
 def test_proj_point_rejects_zero():
     with pytest.raises(ValueError):
         ProjPoint.from_vector([0.0, 0.0])
+
+
+def reference_from_vector(x, level_tol):
+    """The one-vector constructor's body, verbatim: (vec, level)."""
+    v = np.asarray(x, dtype=float).reshape(-1).copy()
+    norm = np.linalg.norm(v)
+    if norm == 0.0 or not np.all(np.isfinite(v)):
+        raise ValueError("projective point needs a nonzero finite representative")
+    v /= norm
+    level = 1
+    if abs(v[-1]) <= level_tol:
+        v[-1] = 0.0
+        v /= np.linalg.norm(v)
+        level = 0
+    v = _canonical_sign(v)
+    v.setflags(write=False)
+    return v, level
+
+
+@st.composite
+def representatives(draw, level_tol):
+    """Rows of dimension 2-11 scaled by 1e-8 to 1e8, with signed zeros, zero
+    or negative leading entries, and last entries at and around `level_tol`
+    times the norm of the rest."""
+    d = draw(st.integers(2, 11))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+        v = scale * rng.standard_normal(d)
+        for j in range(d):
+            v[j] = draw(st.sampled_from([v[j], v[j], 0.0, -0.0]))
+        if draw(st.booleans()):  # a negative first nonzero entry
+            lead = np.flatnonzero(np.abs(v) > 1e-12)
+            if lead.size:
+                v[lead[0]] = -abs(v[lead[0]])
+        rest = np.linalg.norm(v[:-1])
+        t = draw(st.sampled_from([None, 1.0, 0.5, 2.0, 1.0 - 1e-12, 1.0 + 1e-12]))
+        if t is not None and rest > 0.0:
+            # |last| / norm at t * level_tol, then a few ulps either way
+            v[-1] = (draw(st.sampled_from([1.0, -1.0])) * t * level_tol * rest
+                     / np.sqrt(1.0 - (t * level_tol) ** 2))
+            ulps = draw(st.integers(-2, 2))
+            for _ in range(abs(ulps)):
+                v[-1] = np.nextafter(v[-1], np.inf if ulps > 0 else -np.inf)
+        if not np.any(v):
+            v[0] = -scale
+        rows.append(v)
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1e-6, 1e-3, 0.25]).flatmap(
+    lambda tol: st.tuples(st.just(tol), representatives(tol))))
+def test_proj_points_are_the_one_vector_constructor(case):
+    level_tol, V = case
+    points = _proj_points(V, level_tol)
+    assert len(points) == V.shape[0]
+    for row, p in zip(V, points):
+        vec, level = reference_from_vector(row, level_tol)
+        assert p.vec.dtype == vec.dtype and p.vec.tobytes() == vec.tobytes()
+        assert p.level == level and type(p.level) is int
+        assert not p.vec.flags.writeable
+        one = ProjPoint.from_vector(row, level_tol)
+        assert one.vec.tobytes() == vec.tobytes() and one.level == level
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [np.nan, 1.0, 0.0],
+                                 [1.0, np.inf, 0.0], [0.0, 0.0, -np.inf]])
+def test_proj_points_reject_zero_and_non_finite_rows(bad):
+    for V in (np.array([bad]), np.array([[1.0, 2.0, 3.0], bad])):
+        with pytest.raises(ValueError, match="nonzero finite"):
+            _proj_points(V, 1e-6)
+    with pytest.raises(ValueError, match="nonzero finite"):
+        ProjPoint.from_vector(bad)
 
 
 def test_proj_metric_basics():
@@ -578,6 +657,39 @@ def test_sphere_graph_rejects_affine_systems():
 
 # ------------------------------------------------------- estimator (a) basics
 
+def test_sphere_graph_is_a_transition_graph_with_one_scc_labelling(monkeypatch):
+    from affinecontrol import reach
+    calls = []
+    connected = reach.csgraph.connected_components
+    monkeypatch.setattr(reach.csgraph, "connected_components",
+                        lambda *a, **k: calls.append(1) or connected(*a, **k))
+    sphere = SphereGrid(3, 6)
+    graph = build_sphere_graph(linear(np.diag([1.0, -1.0, -2.0])), sphere, [[0.0]], 0.1,
+                               pts_per_box=3, seed=1)
+    assert type(graph) is SphereGraph and isinstance(graph, TransitionGraph)
+    assert graph.sphere is graph.grid is sphere
+    ids = np.arange(sphere.num_boxes)
+    assert np.array_equal(graph.boxes, ids) and graph.num_boxes == ids.size
+    assert graph.sink.shape == ids.shape and not graph.sink.any()
+    # positions are box ids
+    order = np.random.default_rng(0).permutation(ids)
+    assert np.array_equal(graph.position_of(order), order)
+    assert graph.position_of([ids.size, -1]).tolist() == [-1, -1]
+    for p in ids:
+        succ = graph.successors(p)
+        assert np.array_equal(succ, graph.targets[graph.indptr[p]:graph.indptr[p + 1]])
+        assert np.array_equal(graph.boxes[succ], succ)
+    # the SCC labelling is computed on first use, then read from the graph
+    assert graph._scc is None and not calls
+    first = sphere_chain_components(graph)
+    assert len(calls) == 1 and graph._scc is not None
+    labels, kept = graph.scc()
+    second = sphere_chain_components(graph)
+    assert len(calls) == 1 and graph.scc()[0] is labels
+    assert [c.tolist() for c in second.components] == [c.tolist() for c in first.components]
+    assert sum(c.size for c in first.components) == np.count_nonzero(kept[labels])
+
+
 def test_infinity_directions_bounded_set_is_empty():
     grid = BoxGrid([-4.0, -3.0], [2.0, 5.0], [32, 32])
     # all boxes with centers of norm < 5 in this window -> nothing beyond floor 10
@@ -680,6 +792,25 @@ def test_infinity_directions_ingests_blowup_records():
     assert not report.empty
     diag = ProjPoint.from_vector([1.0, 1.0, 0.0])
     assert min(proj_metric(diag, d) for d in report.directions) < 0.02
+
+
+@pytest.mark.parametrize("max_points", [10**5, 48, 47, 5, 1])
+def test_infinity_directions_keep_blowup_records_past_max_points(max_points):
+    # 48 far boxes around the e1 axis, and one blown-up solution along e2
+    grid = BoxGrid([-100.0, -100.0], [100.0, 100.0], [40, 40])
+    centers = grid.centers(np.arange(grid.size))
+    far = np.flatnonzero((centers[:, 0] > 70.0) & (np.abs(centers[:, 1]) < 20.0))
+    assert far.size == 48
+    record = ContinuationRecord(alpha=0.5, tau=1.0, control=None, det_gap=0.0, margin=1.0,
+                                solution=Unique(np.array([0.0, 1e6])), norm_x=1e6,
+                                kernel_angle=float("nan"))
+    report = infinity_boundary_directions(BoxSet(grid, far), norm_floor=60.0,
+                                          blowup_records=[record], max_points=max_points)
+    e2 = ProjPoint.from_vector([0.0, 1.0, 0.0])
+    assert any(proj_metric(e2, d) == 0.0 for d in report.directions)
+    # the centers are strided to at most max_points; the record is one more
+    stride = -(-far.size // max_points)
+    assert sum(report.cluster_sizes) == len(range(0, far.size, stride)) + 1
 
 
 def test_chain_matches_ignore_cluster_tol():
