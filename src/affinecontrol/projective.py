@@ -6,7 +6,7 @@ drift-free `AffineSystem` with generators [[A, d], [0, 0]] and
 the homogeneous ones.  Projective space is represented by unit vectors with
 canonical sign (first nonzero coordinate positive).  `SphereGrid` covers it
 by cube-face boxes of the sphere modulo +-, numbered directly on the
-quotient: one id per antipodal pair, 0..num_boxes-1, so a sphere graph's
+quotient: one id per antipodal pair, 0..size-1, so a sphere graph's
 box ids are its node positions.  Directions at infinity of a control set
 are estimated either from far-out box centers or from chain components of
 the sphere dynamics.  Every projectivised flow
@@ -24,8 +24,8 @@ from scipy.linalg import expm
 from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import (BoxSet, TransitionGraph, _halton_offsets, _label_groups, _label_order,
-                    _sampled_controls, _sampled_csr)
+from .reach import (BoxSet, TransitionGraph, _label_groups, _label_order, _sampled_controls,
+                    _sampled_csr, _test_offsets)
 from .system import AffineSystem, PiecewiseControl, _row_norms
 
 __all__ = [
@@ -100,9 +100,16 @@ def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
     case): a row's last coordinate is snapped to 0 and the row renormalised
     where it is within `level_tol`.  Raises ValueError for a zero or non-finite row."""
     V = np.array(V, dtype=float)
-    norms = _row_norms(V)
-    if not (np.all(np.isfinite(V)) and np.all(norms != 0.0)):
+    with np.errstate(over="ignore"):
+        norms = _row_norms(V)
+    # a row whose sum of squares overflows or falls below the normal range is
+    # divided by its largest modulus first; the other rows keep their bits
+    rescale = ~((norms >= np.sqrt(np.finfo(float).tiny)) & (norms < np.inf))
+    peaks = np.abs(V[rescale]).max(axis=1)
+    if not (np.all(np.isfinite(V)) and np.all(peaks > 0.0)):
         raise ValueError("projective point needs a nonzero finite representative")
+    V[rescale] /= peaks[:, None]
+    norms[rescale] = _row_norms(V[rescale])
     V /= norms[:, None]
     low = np.abs(V[:, -1]) <= level_tol
     V[low, -1] = 0.0
@@ -223,7 +230,8 @@ class SphereGrid:
     cube faces, each subdivided into `subdivisions` bins per axis.  A box
     and its antipode are one box of the quotient, numbered on the positive
     face of its anchor axis: id = axis * cells_per_face + cell, with `cell`
-    the row-major bin on that face, so the ids run 0..num_boxes-1.
+    the row-major bin on that face, so the ids run 0..size-1.  It has the
+    cell contract of `reach.BoxGrid`, so `BoxSet`s hold its ids.
     """
 
     ambient: int
@@ -244,7 +252,7 @@ class SphereGrid:
         return self.subdivisions ** self.face_dims
 
     @property
-    def num_boxes(self) -> int:
+    def size(self) -> int:
         return self.ambient * self.cells_per_face
 
     def _split(self, ids: np.ndarray):
@@ -303,16 +311,17 @@ class SphereGrid:
         cell += axis
         return cell
 
-    def cube_points(self, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    def cell_points(self, ids: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Sphere points at relative cell positions; offsets in [0, 1]^face_dims.
 
-        Returns (num_offsets, num_boxes, ambient) unit vectors, anchor
-        coordinate positive: the transpose view of a coordinate-major
-        (num_offsets, ambient, num_boxes) array, so the transpose of each
-        point set is contiguous.  Ambient coordinate k of a box anchored on
-        `axis` is its face coordinate k (k < axis) or k - 1 (k > axis).  The
-        norms add the squares in axis order, which below ambient 8 gives the
-        bits of a row-wise `np.linalg.norm`.
+        Returns (num_offsets, N, ambient) unit vectors, anchor coordinate
+        positive: the transpose view of a coordinate-major
+        (num_offsets, ambient, N) array, so the transpose of each point set
+        is contiguous.  Face coordinate j is -1 + (bin + offset) * 2 / subdivisions,
+        and ambient coordinate k of a box anchored on `axis` is its face
+        coordinate k (k < axis) or k - 1 (k > axis).  The norms add the
+        squares in axis order, which below ambient 8 gives the bits of a
+        row-wise `np.linalg.norm`.
         """
         axis, bins = self._split(ids)
         pts = np.ones((offsets.shape[0], self.ambient, axis.size))
@@ -330,15 +339,13 @@ class SphereGrid:
         return pts.transpose(0, 2, 1)
 
     def centers(self, ids: np.ndarray) -> np.ndarray:
-        """(num_boxes, ambient) unit box centers, C-contiguous."""
+        """(N, ambient) unit box centers, C-contiguous."""
         return np.ascontiguousarray(
-            self.cube_points(ids, np.full((1, self.face_dims), 0.5))[0])
+            self.cell_points(ids, np.full((1, self.face_dims), 0.5))[0])
 
     def corners(self, ids: np.ndarray) -> np.ndarray:
-        """(2^face_dims, num_boxes, ambient) unit corner points."""
-        combos = np.stack(np.meshgrid(*([np.array([0.0, 1.0])] * self.face_dims),
-                                      indexing="ij"), axis=-1).reshape(-1, self.face_dims)
-        return self.cube_points(ids, combos)
+        """(2^face_dims, N, ambient) unit corner points."""
+        return self.cell_points(ids, np.array(list(np.ndindex((2,) * self.face_dims)), float))
 
     def box_diameter(self) -> float:
         """Largest projective diameter of a box.
@@ -370,7 +377,8 @@ class SphereGrid:
 
 class SphereGraph(TransitionGraph):
     """One-step transition graph on the projective quotient `grid`, a SphereGrid:
-    every box is a node, so positions are box ids, and `sink` is all False."""
+    every box is a node, so positions are box ids, and `sink` is all False.
+    `reach.closure`, `control_set_approx` and `chain_components` take it."""
 
     @property
     def sphere(self) -> SphereGrid:
@@ -382,33 +390,29 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
                        memory_cap: int = DEFAULT_MEMORY_CAP) -> SphereGraph:
     """Directed box graph of the projectivized flow of `sys` on the sphere quotient.
 
-    Nodes are all `sphere.num_boxes` boxes, a box's id being its position.
+    Nodes are all `sphere.size` boxes, a box's id being its position.
     `sys` is linear (C and d zero, as for `embed_system`) and acts on the
     sphere of its own dimension through the generators `sys.system_matrix(u)`.
-    Test points per box are the center plus `pts_per_box - 1` offsets inside
-    the cube cell: Owen-scrambled Halton points drawn from
-    `np.random.default_rng(seed)`, identical to SciPy's
-    `Halton(scramble=True)` sampler for an int seed.  Deterministic for a fixed
-    seed.  Each control's exponential acts on the whole (P, N, ambient) block
-    of test points through `_flow_rows`, in renormalised chunks when
-    |dt| ||A(u)||_F exceeds MAX_EXP_GROWTH, so a long step of a strongly
-    expanding generator is taken rather than overflowing.  The block is
-    coordinate-major throughout: `cube_points` and `_flow_rows` give each
-    point set as the transpose view of an (ambient, N) array, which
-    `SphereGrid.box_of` reads a contiguous column at a time.  The system
-    dimension, controls, dt, pts_per_box and the memory cap are checked as in
+    The test points of a cube cell are those of `reach._test_offsets`, as on
+    a box grid.  Deterministic for a fixed seed.  Each control's exponential
+    acts on the whole (P, N, ambient) block of test points through
+    `_flow_rows`, in renormalised chunks when |dt| ||A(u)||_F exceeds
+    MAX_EXP_GROWTH, so a long step of a strongly expanding generator is
+    taken rather than overflowing.  The block is coordinate-major
+    throughout: `cell_points` and `_flow_rows` give each point set as the
+    transpose view of an (ambient, N) array, which `SphereGrid.box_of` reads
+    a contiguous column at a time.  The system dimension, controls, dt,
+    pts_per_box and the memory cap are checked as in
     `build_transition_graph`: `memory_cap` counts one word per point-control
-    sample (num_boxes x pts_per_box x controls), 4 bytes when the box ids fit
-    in int32, else 8; no position table is needed.
+    sample (size x pts_per_box x controls), 4 bytes when the box ids fit in
+    int32, else 8; no position table is needed.
     """
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")
-    ids = np.arange(sphere.num_boxes, dtype=np.int64)
+    ids = np.arange(sphere.size, dtype=np.int64)
     controls = _sampled_controls(sys, sphere.ambient, controls, dt, pts_per_box, ids.size,
                                  memory_cap)
-    offsets = np.vstack([np.full((1, sphere.face_dims), 0.5),
-                         _halton_offsets(sphere.face_dims, pts_per_box - 1, seed)])
-    points = sphere.cube_points(ids, offsets)  # (P, N, ambient), coordinate-major
+    points = sphere.cell_points(ids, _test_offsets(sphere.face_dims, pts_per_box, seed))
     indptr, targets, sink = _sampled_csr(
         sphere, ids, points.shape[0], controls,
         lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0], False)
@@ -484,8 +488,8 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     high-confidence direction.  An empty report signals a set that stays
     bounded inside the window.
     """
-    if norm_floor <= 0:
-        raise ValueError("norm_floor must be positive")
+    if norm_floor <= 0 or max_points < 1:
+        raise ValueError("norm_floor must be positive and max_points >= 1")
     centers = control_set.centers()  # (0, dim) for an empty set
     far = centers[np.linalg.norm(centers, axis=1) >= norm_floor]
     if far.shape[0] > max_points:

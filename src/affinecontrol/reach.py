@@ -10,13 +10,12 @@ box is the seed's SCC when the seed lies on a cycle, which is the
 intersection of its strict forward and backward closures; the chain
 components are all SCCs with an internal edge.  Both read one SCC
 labelling, computed once per graph and cached on it.
-Edges come from finitely many test points per box: the center plus
-Owen-scrambled Halton offsets drawn from `np.random.default_rng(seed)`,
-identical to SciPy's `Halton(scramble=True)` sampler for an int seed.  A
-transition that no test point realises is missing from the graph: the
-approximations are not guaranteed to contain the true sets, and can be
+Edges come from finitely many test points per box (`_test_offsets`), so
+the approximations are not guaranteed to contain the true sets, and can be
 strictly smaller.  Results are always relative to the window: transitions
-leaving it go to an absorbing sink that closures exclude.
+leaving it go to an absorbing sink that closures exclude.  Box sets,
+closures, control sets and chain components take the graphs of both
+grids, `BoxGrid` and `projective.SphereGrid`, which share one cell contract.
 """
 
 import math
@@ -116,11 +115,24 @@ class BoxGrid:
         multi = np.asarray(multi, dtype=np.int64)
         return np.ravel_multi_index(tuple(multi.T), self.subdivisions)
 
+    def cell_points(self, indices, offsets) -> np.ndarray:
+        """(P, N, dim) points at the relative positions `offsets` (P, dim) in
+        the boxes: coordinate k is lo + (index + offset) * width on axis k.
+        The transpose view of a coordinate-major (P, dim, N) array, so the
+        transpose of each point set is contiguous."""
+        multi = self.multi_index(np.reshape(indices, -1)).T  # (dim, N)
+        offsets = np.asarray(offsets, dtype=float)[:, :, None]  # (P, dim, 1)
+        pts = np.add(multi, offsets, out=np.empty((offsets.shape[0],) + multi.shape))
+        pts *= self.widths[:, None]
+        pts += self.lo[:, None]
+        return pts.transpose(0, 2, 1)
+
     def centers(self, indices) -> np.ndarray:
-        return self.lo + (self.multi_index(indices) + 0.5) * self.widths
+        """(N, dim) box centers, C-contiguous."""
+        return np.ascontiguousarray(self.cell_points(indices, np.full((1, self.dim), 0.5))[0])
 
     def lower_corners(self, indices) -> np.ndarray:
-        return self.lo + self.multi_index(indices) * self.widths
+        return self.cell_points(indices, np.zeros((1, self.dim)))[0]
 
     def box_of(self, points) -> np.ndarray:
         """Flat box index per point, or -1 for points outside the window.
@@ -175,10 +187,13 @@ def _check_same_grid(grid: BoxGrid, other: BoxGrid) -> None:
 class BoxSet:
     """Subset of a grid's boxes, stored as a sorted unique index array.
 
-    `==` and `hash` go by identity; `equals` compares the boxes.
+    The grid is a `BoxGrid` or a `projective.SphereGrid`, whose cell contract
+    is ids 0..size-1, `cell_points`, `centers` and `box_of`; `volume`,
+    `dilate` and `is_invariant_in_window` need a `BoxGrid`.  `==` and `hash`
+    go by identity; `equals` compares the boxes.
     """
 
-    grid: BoxGrid
+    grid: "BoxGrid | SphereGrid"
     indices: np.ndarray
 
     def __post_init__(self):
@@ -220,23 +235,18 @@ class BoxSet:
         _check_same_grid(self.grid, other.grid)
         return np.array_equal(self.indices, other.indices)
 
+    def _mask(self) -> np.ndarray:
+        """The boxes as a boolean array shaped like the grid's subdivisions."""
+        mask = np.zeros(self.grid.size, dtype=bool)
+        mask[self.indices] = True
+        return mask.reshape(self.grid.subdivisions)
+
     def dilate(self, radius: int = 1) -> "BoxSet":
-        """Chebyshev dilation by `radius` boxes, clipped to the window."""
+        """Chebyshev dilation by `radius` boxes, clipped to the window, on a
+        grid-sized boolean mask."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if len(self) == 0 or radius == 0:
-            return self
-        # one 1-D dilation per axis; the last axis has stride 1
-        idx = self.indices
-        stride = 1
-        for sub in self.grid.subdivisions[::-1]:
-            coord = idx // stride % sub
-            steps = range(1, min(radius, sub - 1) + 1)
-            idx = _sorted_unique(np.concatenate(
-                [idx] + [idx[coord >= r] - r * stride for r in steps]
-                + [idx[coord < sub - r] + r * stride for r in steps]))
-            stride *= sub
-        return BoxSet(self.grid, idx)
+        return BoxSet(self.grid, np.flatnonzero(_dilated(self._mask(), radius)))
 
     def run_length_encoding(self) -> list:
         """Sorted indices as [start, length] runs (compact JSON form)."""
@@ -247,6 +257,18 @@ class BoxSet:
         starts = np.concatenate([[0], breaks + 1])
         ends = np.concatenate([breaks, [idx.size - 1]])
         return [[int(idx[s]), int(e - s + 1)] for s, e in zip(starts, ends)]
+
+
+def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
+    """`mask` ORed in place with its shifts by 1..radius cells along each axis
+    in turn, clipped to its shape: the Chebyshev dilation by `radius`."""
+    for axis in range(mask.ndim):
+        view = np.moveaxis(mask, axis, 0)
+        before = view.copy(order="K")  # in the memory order of `mask`
+        for r in range(1, min(radius, view.shape[0] - 1) + 1):
+            view[r:] |= before[:-r]
+            view[:-r] |= before[r:]
+    return mask
 
 
 # ------------------------------------------------------------- graph core
@@ -433,7 +455,7 @@ class TransitionGraph:
     cached; `chain_components` and `control_set_approx` share the latter.
     """
 
-    grid: BoxGrid
+    grid: "BoxGrid | SphereGrid"
     boxes: np.ndarray
     indptr: np.ndarray
     targets: np.ndarray
@@ -514,39 +536,20 @@ def _halton_offsets(dim: int, count: int, seed: int) -> np.ndarray:
         perms = np.tile(np.arange(base), (rows, 1))
         for perm in perms:
             rng.shuffle(perm)
-        scales = []
-        scale = 1.0
-        for _ in range(rows):
-            scale /= base
-            scales.append(scale)
+        scales = np.divide.accumulate(np.r_[1.0, np.full(rows, float(base))])[1:]
         digits = index // base ** np.arange(rows, dtype=np.int64)[:, None] % base
-        terms = np.take_along_axis(perms, digits, axis=1) * np.array(scales)[:, None]
+        terms = np.take_along_axis(perms, digits, axis=1) * scales[:, None]
         out[:, axis] = terms.cumsum(axis=0)[-1]  # sequential sum, lowest digit first
     return out
 
 
-def _test_points(grid: BoxGrid, boxes: np.ndarray, pts_per_box: int,
-                 seed: int) -> np.ndarray:
-    """(P, N, dim) test points: box centers plus `pts_per_box - 1` offsets.
-
-    The offsets are Owen-scrambled Halton points from `_halton_offsets`
-    (drawn from `np.random.default_rng(seed)`, identical to SciPy's
-    `Halton(scramble=True)` sampler for an int seed), at the same relative
-    position in every box.  The array is a view of a coordinate-major
-    (P, dim, N) one, so the transpose of each point set is contiguous.
-    """
-    offsets = _halton_offsets(grid.dim, pts_per_box - 1, seed)
-    widths = grid.widths
-    points = np.empty((pts_per_box, grid.dim, boxes.size))
-    # per axis, the expressions of grid.centers and grid.lower_corners on
-    # one unravel
-    for k, m in enumerate(grid.multi_index(boxes).T):
-        lo, w = grid.lo[k], widths[k]
-        points[0, k] = lo + (m + 0.5) * w
-        lower = lo + m * w
-        for j, off in enumerate(offsets[:, k], 1):
-            points[j, k] = lower + off * w
-    return points.transpose(0, 2, 1)
+def _test_offsets(cell_dims: int, pts_per_box: int, seed: int) -> np.ndarray:
+    """(pts_per_box, cell_dims) test-point positions for either grid's `cell_points`,
+    the same in every cell: the center, then `pts_per_box - 1` Owen-scrambled
+    Halton points of `_halton_offsets`, drawn from `np.random.default_rng(seed)`
+    and identical to SciPy's `Halton(scramble=True)` sampler for an int seed."""
+    return np.vstack([np.full((1, cell_dims), 0.5),
+                      _halton_offsets(cell_dims, pts_per_box - 1, seed)])
 
 
 def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
@@ -555,14 +558,12 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
                            memory_cap: int = DEFAULT_MEMORY_CAP) -> TransitionGraph:
     """Sample the dt-flow from every box under every control value.
 
-    For each test point (the center plus `pts_per_box - 1` Owen-scrambled
-    Halton offsets drawn from `np.random.default_rng(seed)`, identical to
-    SciPy's `Halton(scramble=True)` for an int seed) and each control
-    the exact dt-map is applied; an edge is added to the box
-    containing the image, or the source is flagged as feeding the sink
-    when the image leaves the window (or the active subset).  The graph
-    comes from `_sampled_csr`, the sampling path that
-    `projective.build_sphere_graph` shares.  Deterministic for a fixed seed.
+    For each test point of `_test_offsets` and each control the exact
+    dt-map is applied; an edge is added to the box containing the image, or
+    the source is flagged as feeding the sink when the image leaves the
+    window (or the active subset).  The graph comes from `_sampled_csr`, the
+    sampling path that `projective.build_sphere_graph` shares.
+    Deterministic for a fixed seed.
 
     `memory_cap` bounds words: one per point-control sample (boxes x
     pts_per_box x controls), plus grid.size + 1 for the position table when
@@ -575,7 +576,7 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
     controls = _sampled_controls(sys, grid.dim, controls, dt, pts_per_box, boxes.size,
                                  memory_cap, 0 if active is None else grid.size + 1)
-    points = _test_points(grid, boxes, pts_per_box, seed)  # (P, N, dim)
+    points = grid.cell_points(boxes, _test_offsets(grid.dim, pts_per_box, seed))
 
     def image_rows(u):
         G, h = segment_map(sys, u, dt)
@@ -611,8 +612,6 @@ def closure(graph: TransitionGraph, from_set: BoxSet, direction: str = "forward"
         raise ValueError("from_set must be nonempty")
     starts = graph.position_of(from_set.indices)
     starts = starts[starts >= 0]
-    if starts.size == 0:
-        return BoxSet(graph.grid, np.empty(0, dtype=np.int64))
     if direction == "forward":
         indptr, targets = graph.indptr, graph.targets
     else:
@@ -636,9 +635,7 @@ def control_set_approx(graph: TransitionGraph, seed_box: int) -> BoxSet:
     if pos < 0:
         raise ValueError("seed box is not part of the graph")
     labels, kept = graph.scc()
-    if not kept[labels[pos]]:
-        return BoxSet(graph.grid, np.empty(0, dtype=np.int64))
-    return BoxSet(graph.grid, graph.boxes[labels == labels[pos]])
+    return BoxSet(graph.grid, graph.boxes[(labels == labels[pos]) & kept[labels[pos]]])
 
 
 def chain_components(graph: TransitionGraph) -> list[BoxSet]:
@@ -673,12 +670,10 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     grid = graph.grid
     _check_same_grid(grid, keep.grid)
     fine = BoxGrid(grid.lo, grid.hi, grid.subdivisions * factor)
-    coarse_multi = grid.multi_index(keep.indices)
-    offsets = np.stack(np.meshgrid(*([np.arange(factor)] * grid.dim),
-                                   indexing="ij"), axis=-1).reshape(-1, grid.dim)
-    children = (coarse_multi[:, None, :] * factor + offsets[None, :, :]
-                ).reshape(-1, grid.dim)
-    active = BoxSet(fine, fine.flat_index(children)).dilate(1)
+    children = keep._mask()
+    for axis in range(grid.dim):
+        children = np.repeat(children, factor, axis=axis)
+    active = BoxSet(fine, np.flatnonzero(_dilated(children, 1)))
     return fine, build_transition_graph(
         sys, fine, graph.controls, graph.dt if dt is None else dt,
         graph.pts_per_box if pts_per_box is None else pts_per_box,

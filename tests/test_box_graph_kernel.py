@@ -21,8 +21,7 @@ from affinecontrol.reach import (
     BoxGrid,
     BoxSet,
     MemoryBudgetError,
-    _halton_offsets,
-    _test_points,
+    _test_offsets,
     build_transition_graph,
     refine,
 )
@@ -158,7 +157,7 @@ def reference_graph(sys, grid, controls, dt, pts_per_box, seed, active):
     """(indptr, targets, sink) from a set of (source, target) position pairs."""
     boxes = active.indices if active is not None else np.arange(grid.size)
     position = {int(b): p for p, b in enumerate(boxes)}
-    points = _test_points(grid, boxes, pts_per_box, seed)
+    points = grid.cell_points(boxes, _test_offsets(grid.dim, pts_per_box, seed))
     edges, sink = set(), set()
     for u in controls:
         G, h = segment_map(sys, u, dt)
@@ -206,11 +205,9 @@ def sphere_graph_cases(draw):
 def reference_sphere_graph(sys, sphere, controls, dt, pts_per_box, seed):
     """(indptr, targets) from a set of (source, target) position pairs, with
     one exponential per control."""
-    boxes = np.arange(sphere.num_boxes)
+    boxes = np.arange(sphere.size)
     position = {int(b): p for p, b in enumerate(boxes)}
-    offsets = np.vstack([np.full((1, sphere.face_dims), 0.5),
-                         _halton_offsets(sphere.face_dims, pts_per_box - 1, seed)])
-    points = sphere.cube_points(boxes, offsets)
+    points = sphere.cell_points(boxes, _test_offsets(sphere.face_dims, pts_per_box, seed))
     edges = set()
     for u in controls:
         M = sys.system_matrix(u)
@@ -233,19 +230,77 @@ def test_sphere_graph_matches_pairwise_reference(case):
     assert graph.targets.tolist() == targets
 
 
-@settings(max_examples=100, deadline=None)
-@given(grids(), st.integers(1, 5), st.integers(0, 2**16), st.data())
-def test_test_points_are_centers_and_offset_lower_corners(grid, pts_per_box, seed, data):
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(grids(), st.builds(SphereGrid, st.integers(2, 4), st.integers(1, 6))),
+       st.integers(1, 5), st.integers(0, 2**16), st.data())
+def test_cell_points_of_both_grids(grid, pts_per_box, seed, data):
+    # the one cell contract of BoxGrid and SphereGrid: the test points of
+    # both graph builders, the centers, and box_of inverting them
     boxes = np.array(data.draw(st.lists(st.integers(0, grid.size - 1), unique=True)),
                      dtype=np.int64)
-    offsets = _halton_offsets(grid.dim, pts_per_box - 1, seed)
-    lower = grid.lower_corners(boxes)
-    expected = np.stack([grid.centers(boxes)]
-                        + [lower + off * grid.widths for off in offsets])
-    points = _test_points(grid, boxes, pts_per_box, seed)
-    assert points.shape == expected.shape
-    assert np.array_equal(points, expected)  # bit for bit
+    on_box_grid = isinstance(grid, BoxGrid)
+    cell_dims = grid.dim if on_box_grid else grid.face_dims
+    offsets = _test_offsets(cell_dims, pts_per_box, seed)
+    assert offsets.shape == (pts_per_box, cell_dims) and np.all(offsets[0] == 0.5)
+    points = grid.cell_points(boxes, offsets)
+    assert points.shape == (pts_per_box, boxes.size, grid.dim if on_box_grid else grid.ambient)
     assert all(pts.T.flags.c_contiguous for pts in points)
+    centers = grid.centers(boxes)
+    assert centers.flags.c_contiguous and np.array_equal(points[0], centers)  # bit for bit
+    if on_box_grid:  # the sphere's rows are pinned in test_projective
+        expected = [grid.lo + (grid.multi_index(boxes) + off) * grid.widths for off in offsets]
+        assert np.array_equal(points, np.stack(expected))
+        assert np.array_equal(grid.lower_corners(boxes),
+                              grid.lo + grid.multi_index(boxes) * grid.widths)
+    interior = data.draw(st.lists(st.lists(st.floats(0.01, 0.99), min_size=cell_dims,
+                                           max_size=cell_dims), min_size=1, max_size=4))
+    for pts in grid.cell_points(boxes, np.array(interior)):
+        assert np.array_equal(grid.box_of(pts), boxes)
+
+
+def reference_dilate(box_set: BoxSet, radius: int) -> np.ndarray:
+    """The per-axis index dilation that `BoxSet.dilate` used before its
+    boolean mask, kept as the reference: one shifted copy of the indices per
+    axis and step, made unique after each axis."""
+    idx = box_set.indices
+    stride = 1
+    for sub in box_set.grid.subdivisions[::-1]:
+        coord = idx // stride % sub
+        steps = range(1, min(radius, sub - 1) + 1)
+        idx = np.unique(np.concatenate(
+            [idx] + [idx[coord >= r] - r * stride for r in steps]
+            + [idx[coord < sub - r] + r * stride for r in steps]))
+        stride *= sub
+    return idx
+
+
+def reference_refined_boxes(grid: BoxGrid, keep: BoxSet, factor: int) -> np.ndarray:
+    """The active subset `refine` used to build from the children's
+    multi-indices, kept as the reference: every child of a kept box, then a
+    one-box collar on the fine grid."""
+    fine = BoxGrid(grid.lo, grid.hi, grid.subdivisions * factor)
+    offsets = np.stack(np.meshgrid(*([np.arange(factor)] * grid.dim), indexing="ij"),
+                       axis=-1).reshape(-1, grid.dim)
+    children = (grid.multi_index(keep.indices)[:, None, :] * factor
+                + offsets[None, :, :]).reshape(-1, grid.dim)
+    return reference_dilate(BoxSet(fine, fine.flat_index(children)), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(max_sub=5), st.integers(2, 3), st.integers(0, 3), st.data())
+def test_refine_and_dilate_match_the_index_construction(grid, factor, radius, data):
+    keep = BoxSet(grid, data.draw(st.lists(st.integers(0, grid.size - 1), unique=True)))
+    dilated = keep.dilate(radius)
+    assert dilated.grid is grid
+    assert np.array_equal(dilated.indices, reference_dilate(keep, radius))
+    n = grid.dim
+    still = AffineSystem(np.zeros((n, n)), np.zeros((1, n, n)), np.zeros((n, 1)), np.zeros(n),
+                         [-1.0], [1.0])
+    graph = build_transition_graph(still, grid, [[0.0]], 0.1, 1, 0)
+    fine, refined = refine(still, graph, keep, factor)
+    assert np.array_equal(fine.subdivisions, grid.subdivisions * factor)
+    assert refined.boxes.dtype == np.int64
+    assert np.array_equal(refined.boxes, reference_refined_boxes(grid, keep, factor))
 
 
 def assert_matches_reference(graph, *case):

@@ -30,7 +30,8 @@ from affinecontrol.projective import (
     sphere_chain_components,
     unembed_point,
 )
-from affinecontrol.reach import BoxGrid, BoxSet, TransitionGraph, _halton_offsets
+from affinecontrol.reach import (BoxGrid, BoxSet, TransitionGraph, _halton_offsets,
+                                 chain_components, closure, control_set_approx)
 from affinecontrol.system import AffineSystem, PiecewiseControl, simulate
 
 from conftest import (
@@ -180,6 +181,26 @@ def test_proj_points_reject_zero_and_non_finite_rows(bad):
         ProjPoint.from_vector(bad)
 
 
+def test_proj_points_scale_rows_whose_squares_leave_the_normal_range():
+    # squared unscaled, [1e200, 0] overflowed to [nan, nan] and the norm of
+    # [1e-170, 1e-170] underflowed to zero
+    big = ProjPoint.from_vector([1e200, 0.0])
+    assert big.vec.tolist() == [1.0, 0.0] and big.level == 0
+    small = ProjPoint.from_vector([1e-170, 1e-170])
+    assert small.level == 1 and np.allclose(small.vec, [0.5 ** 0.5] * 2, rtol=1e-15, atol=0)
+    V = np.array([[3.0, -4.0, 1.0], [-1e300, 1e300, 5.0], [1e-200, 2e-200, 2e-200],
+                  [0.5, 0.25, 1e-9], [1e154, 1e154, 1e154]])
+    points = _proj_points(V, 1e-6)
+    assert points[1].level == 0
+    assert np.allclose(points[1].vec, [0.5 ** 0.5, -(0.5 ** 0.5), 0.0], rtol=1e-15, atol=0)
+    assert points[2].level == 1
+    assert np.allclose(points[2].vec, [1 / 3, 2 / 3, 2 / 3], rtol=1e-15, atol=0)
+    assert np.allclose(points[4].vec, [3 ** -0.5] * 3, rtol=1e-15, atol=0)
+    for row in (0, 3):  # rows inside the range keep the bits of the unscaled path
+        vec, level = reference_from_vector(V[row], 1e-6)
+        assert points[row].vec.tobytes() == vec.tobytes() and points[row].level == level
+
+
 def test_proj_metric_basics():
     p = ProjPoint.from_vector([1.0, 1.0])
     q = ProjPoint.from_vector([-1.0, -1.0])
@@ -248,7 +269,7 @@ def test_flow_rows_is_the_row_major_loop(d, shape, growth, seed):
     W = {"vector": lambda: rng.standard_normal(d),
          "rows": lambda: rng.standard_normal((N, d)),
          "stack": lambda: rng.standard_normal((P, N, d)),
-         # as SphereGrid.cube_points gives them: each point set's transpose
+         # as SphereGrid.cell_points gives them: each point set's transpose
          # is contiguous
          "columns": lambda: rng.standard_normal((P, d, N)).transpose(0, 2, 1)}[shape]()
     expected, expected_logs = reference_flow_rows(M, dt, np.ascontiguousarray(W))
@@ -419,12 +440,12 @@ def test_lyapunov_no_overflow_for_strong_expansion():
 def test_sphere_grid_quotient_counts():
     for ambient, subs in ((2, 8), (3, 16)):
         grid = SphereGrid(ambient, subs)
-        assert grid.num_boxes == ambient * subs ** (ambient - 1)
+        assert grid.size == ambient * subs ** (ambient - 1)
 
 
 def test_sphere_grid_point_lookup_roundtrip():
     grid = SphereGrid(3, 16)
-    ids = np.arange(grid.num_boxes)
+    ids = np.arange(grid.size)
     centers = grid.centers(ids)
     assert np.allclose(np.linalg.norm(centers, axis=1), 1.0)
     looked = grid.box_of(centers)
@@ -435,7 +456,7 @@ def test_sphere_grid_point_lookup_roundtrip():
 
 def test_sphere_grid_level_zero_touching():
     grid = SphereGrid(3, 16)
-    ids = np.arange(grid.num_boxes)
+    ids = np.arange(grid.size)
     touching = ids[grid.level_zero_touching(ids)]
     z = grid.centers(touching)[:, -1]
     width = 2.0 / 16
@@ -473,7 +494,7 @@ def reference_sphere_box(grid: SphereGrid, x) -> int:
 
 def reference_box_diameter(grid: SphereGrid) -> float:
     """Largest corner-to-corner projective distance over all boxes."""
-    corners = grid.corners(np.arange(grid.num_boxes))
+    corners = grid.corners(np.arange(grid.size))
     best = 0.0
     for i in range(corners.shape[0]):
         for j in range(i + 1, corners.shape[0]):
@@ -506,7 +527,7 @@ def test_sphere_box_of_properties(case, k):
         assert np.array_equal(grid.box_of(layout), ids)
     assert np.array_equal(grid.box_of(2.0 ** k * pts), ids)
     assert np.array_equal(grid.box_of(-pts), ids)
-    boxes = np.arange(grid.num_boxes)
+    boxes = np.arange(grid.size)
     assert np.array_equal(grid.box_of(grid.centers(boxes)), boxes)
 
 
@@ -516,7 +537,7 @@ def test_sphere_box_of_antipodes_on_bin_edges():
     assert np.array_equal(grid.box_of(-pts), grid.box_of(pts))
 
 
-def reference_cube_points(grid: SphereGrid, ids, offsets) -> np.ndarray:
+def reference_sphere_cell_points(grid: SphereGrid, ids, offsets) -> np.ndarray:
     """The row-major mask scatter, kept verbatim as the reference."""
     axis, cell = np.divmod(np.asarray(ids, dtype=np.int64), grid.cells_per_face)
     bins = np.stack(np.unravel_index(cell, (grid.subdivisions,) * grid.face_dims), axis=-1)
@@ -530,22 +551,23 @@ def reference_cube_points(grid: SphereGrid, ids, offsets) -> np.ndarray:
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**16),
        st.data())
-def test_cube_points_are_the_row_major_mask_scatter(ambient, subdivisions, count, seed,
-                                                     data):
+def test_sphere_cell_points_are_the_row_major_mask_scatter(ambient, subdivisions, count,
+                                                            seed, data):
     grid = SphereGrid(ambient, subdivisions)
-    every = np.arange(grid.num_boxes)
-    some = np.array(data.draw(st.lists(st.integers(0, grid.num_boxes - 1), max_size=20)),
+    every = np.arange(grid.size)
+    some = np.array(data.draw(st.lists(st.integers(0, grid.size - 1), max_size=20)),
                     dtype=np.int64)
     offsets = np.vstack([np.full((1, grid.face_dims), 0.5),
                          _halton_offsets(grid.face_dims, count, seed)])
     combos = np.array(list(np.ndindex((2,) * grid.face_dims)), dtype=float)
     for ids in (every, some):
-        points = grid.cube_points(ids, offsets)
-        expected = reference_cube_points(grid, ids, offsets)
+        points = grid.cell_points(ids, offsets)
+        expected = reference_sphere_cell_points(grid, ids, offsets)
         assert points.shape == expected.shape
         assert np.array_equal(points, expected)  # bit for bit
         assert all(pts.T.flags.c_contiguous for pts in points)
-        assert np.array_equal(grid.corners(ids), reference_cube_points(grid, ids, combos))
+        assert np.array_equal(grid.corners(ids),
+                              reference_sphere_cell_points(grid, ids, combos))
         centers = grid.centers(ids)
         assert centers.flags.c_contiguous and np.array_equal(centers, expected[0])
 
@@ -574,7 +596,7 @@ def test_sphere_box_diameter_is_the_face_zero_pair_loop():
         for subdivisions in range(1, 13):
             grid = SphereGrid(ambient, subdivisions)
             combos = np.array(list(np.ndindex((2,) * grid.face_dims)), dtype=float)
-            corners = reference_cube_points(grid, np.arange(grid.cells_per_face), combos)
+            corners = reference_sphere_cell_points(grid, np.arange(grid.cells_per_face), combos)
             best = 0.0
             for i in range(corners.shape[0]):
                 for j in range(i + 1, corners.shape[0]):
@@ -630,7 +652,7 @@ def test_sphere_graph_chunks_long_steps():
     A = np.diag([40.0, -40.0, 0.0])
     graph = build_sphere_graph(linear(A), grid, [[0.0]], 2.0, pts_per_box=3)
     offsets = np.vstack([np.full((1, 2), 0.5), _halton_offsets(2, 2, 0)])
-    images = grid.cube_points(graph.boxes, offsets) @ expm(2.0 * A).T
+    images = grid.cell_points(graph.boxes, offsets) @ expm(2.0 * A).T
     rows = [sorted({int(np.searchsorted(graph.boxes, grid.box_of(images[:, j])[k]))
                     for k in range(images.shape[0])})
             for j in range(graph.num_boxes)]
@@ -668,7 +690,7 @@ def test_sphere_graph_is_a_transition_graph_with_one_scc_labelling(monkeypatch):
                                pts_per_box=3, seed=1)
     assert type(graph) is SphereGraph and isinstance(graph, TransitionGraph)
     assert graph.sphere is graph.grid is sphere
-    ids = np.arange(sphere.num_boxes)
+    ids = np.arange(sphere.size)
     assert np.array_equal(graph.boxes, ids) and graph.num_boxes == ids.size
     assert graph.sink.shape == ids.shape and not graph.sink.any()
     # positions are box ids
@@ -688,6 +710,39 @@ def test_sphere_graph_is_a_transition_graph_with_one_scc_labelling(monkeypatch):
     assert len(calls) == 1 and graph.scc()[0] is labels
     assert [c.tolist() for c in second.components] == [c.tolist() for c in first.components]
     assert sum(c.size for c in first.components) == np.count_nonzero(kept[labels])
+
+
+def test_reach_queries_take_sphere_graphs():
+    # a rotation in the x1-x2 plane attracting to it: one 16-box component
+    # around the circle x3 = 0, the repelling x3 axis, and wandering boxes
+    sphere = SphereGrid(3, 4)
+    A = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    graph = build_sphere_graph(linear(A), sphere, [[0.0]], 0.5, pts_per_box=3, seed=1)
+    analysis = sphere_chain_components(graph)
+    components = chain_components(graph)
+    assert [c.indices.tolist() for c in components] == [
+        c.tolist() for c in analysis.components]
+    assert all(c.grid is sphere for c in components) and len(components[0]) == 16
+    assert np.array_equal(components[0].centers(), sphere.centers(components[0].indices))
+    owner = {int(b): k for k, c in enumerate(analysis.components) for b in c}
+    assert 0 < len(owner) < sphere.size
+    for box in range(sphere.size):
+        cs = control_set_approx(graph, box)
+        one = BoxSet(sphere, [box])
+        strict = closure(graph, one, "forward", include_start=False).intersection(
+            closure(graph, one, "backward", include_start=False))
+        assert cs.grid is sphere and cs.equals(strict)
+        expected = analysis.components[owner[box]] if box in owner else []
+        assert cs.indices.tolist() == list(expected)
+        assert box in closure(graph, one, "forward") and box in closure(graph, one, "backward")
+
+
+@pytest.mark.parametrize("max_points", [0, -5])
+def test_infinity_directions_reject_nonpositive_max_points(max_points):
+    grid = BoxGrid([-100.0, -100.0], [100.0, 100.0], [40, 40])
+    with pytest.raises(ValueError, match="max_points"):
+        infinity_boundary_directions(BoxSet(grid, np.arange(grid.size)), norm_floor=60.0,
+                                     max_points=max_points)
 
 
 def test_infinity_directions_bounded_set_is_empty():
