@@ -146,27 +146,33 @@ class BoxGrid:
             raise ValueError(f"points with {pts.shape[1]} coordinates on a {self.dim}-D grid")
         n = pts.shape[0]
         widths = self.widths
-        flat = np.zeros(n, dtype=np.int64)
-        inside = np.ones(n, dtype=bool)
         # one set of buffers for all axes; a column of pts is contiguous
         # when pts is the transpose of a (dim, n) array
+        flat = np.empty(n, dtype=np.int64)
+        inside = np.empty(n, dtype=bool)
         test = np.empty(n, dtype=bool)
         quotient = np.empty(n)
         cell = np.empty(n, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):  # those points are outside
             for k, sub in enumerate(self.subdivisions):
                 x = pts[:, k]
-                np.greater_equal(x, self.lo[k], out=test)  # False for NaN
-                inside &= test
+                np.subtract(x, self.lo[k], out=quotient)
+                # x - lo >= 0 is x >= lo for every double, NaN (False) and
+                # +-inf too: a rounded difference of doubles has the sign of
+                # the exact one, and is 0 only when they are equal
+                np.greater_equal(quotient, 0.0, out=test if k else inside)
+                if k:
+                    inside &= test
                 np.less(x, self.hi[k], out=test)
                 inside &= test
-                np.subtract(x, self.lo[k], out=quotient)
                 quotient /= widths[k]
                 # inside, the quotient is >= 0, so the cast is the floor
-                np.copyto(cell, quotient, casting="unsafe")
-                np.minimum(cell, sub - 1, out=cell)
-                flat *= sub
-                flat += cell
+                axis_cell = cell if k else flat
+                np.copyto(axis_cell, quotient, casting="unsafe")
+                np.minimum(axis_cell, sub - 1, out=axis_cell)
+                if k:
+                    flat *= sub
+                    flat += cell
         np.logical_not(inside, out=test)
         flat[test] = -1
         return flat
@@ -197,7 +203,12 @@ class BoxSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = _sorted_unique(np.array(self.indices, dtype=np.int64))
+        idx = np.array(self.indices, dtype=np.int64)
+        # one comparison pass spares the sort of the strictly increasing
+        # arrays refine and the graph queries pass (np.unique hashes, slower)
+        if not np.all(idx[1:] > idx[:-1]):
+            idx.sort()
+            idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
         if idx.size and (idx[0] < 0 or idx[-1] >= self.grid.size):
             raise ValueError("box index out of range")
         idx.setflags(write=False)
@@ -278,18 +289,16 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # `_sampled_csr` fills one (C, n) block of target positions, a row per
 # (control, test point) and a column per node, and `_rows_to_csr` sorts each
 # node's C samples in the block's transpose.  The block is int32 whenever
-# every id fits (always under DEFAULT_MEMORY_CAP), else int64; indptr and
-# targets are int64 either way.  On a BoxGrid the images come
-# coordinate-major: a (dim, n) array per (control, test point), whose
-# transpose box_of reads column by column from contiguous memory.
+# every id fits (always under DEFAULT_MEMORY_CAP), else int64; the graph
+# stores indptr and targets as int64 either way, and csgraph gets them from
+# `_csr_matrix` as int32 with float64 data, the form it computes on.  On a
+# BoxGrid the images come coordinate-major: a (dim, n) array per (control,
+# test point), whose transpose box_of reads column by column from
+# contiguous memory.
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Distinct values, sorted; sorts `values` in place (np.unique hashes, slower)."""
-    values.sort()
-    keep = np.empty(values.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+def _index_dtype(count: int) -> type:
+    """int32 when `count` fits in it, else int64."""
+    return np.int32 if count < 2**31 else np.int64
 
 
 def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,7 +316,10 @@ def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keep = keep.reshape(rows.shape)
     np.greater_equal(rows[:, :1], 0, out=keep[:, :1])
     indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    # row counts as sums of the int8 flags in the narrowest dtype that holds
+    # C, which numpy reduces along short rows faster than count_nonzero
+    count = np.min_scalar_type(-rows.shape[1] - 1)
+    np.cumsum(keep.view(np.int8).sum(axis=1, dtype=count), out=indptr[1:])
     targets = np.compress(keep.ravel(), flat).astype(np.int64)
     return indptr, targets, np.any(rows[:, :1] < 0, axis=1)
 
@@ -350,8 +362,7 @@ def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray, image_ro
     otherwise they are positions already.  Block and table are int32 when
     every id fits.
     """
-    id_count = grid.size + 1 if positions else boxes.size
-    dtype = np.int32 if id_count < 2**31 else np.int64
+    dtype = _index_dtype(grid.size + 1 if positions else boxes.size)
     table = None
     if positions:
         table = np.full(grid.size + 1, -1, dtype=dtype)
@@ -360,7 +371,10 @@ def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray, image_ro
     for c, u in enumerate(controls):
         for k, images in enumerate(image_rows(u)):
             ids = grid.box_of(images)
-            block[c * P + k] = ids if table is None else table[ids]
+            if table is None:
+                block[c * P + k] = ids
+            else:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
+                np.take(table, ids, out=block[c * P + k], mode="wrap")
         del images  # its base, this control's images, is freed before the next are made
     rows = np.ascontiguousarray(block.T)
     del block, table  # freed before _rows_to_csr, which holds the peak
@@ -376,15 +390,19 @@ def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _csr_matrix(indptr: np.ndarray, targets: np.ndarray) -> sparse.csr_matrix:
+    """The graph as the matrix csgraph computes on, so that neither scipy's
+    constructor nor csgraph scans or converts it: float64 ones as data, and
+    int32 indptr and indices whenever the node and edge counts fit."""
     n = indptr.size - 1
-    return sparse.csr_matrix(
-        (np.ones(targets.size, dtype=np.int8), targets, indptr), shape=(n, n))
+    index = _index_dtype(max(n, targets.size))
+    return sparse.csr_matrix((np.ones(targets.size), targets.astype(index),
+                              indptr.astype(index)), shape=(n, n))
 
 
 def _self_loops(indptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per node, whether it has an edge to itself."""
     n = indptr.size - 1
-    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    sources = np.repeat(np.arange(n, dtype=_index_dtype(n)), np.diff(indptr))
     loops = np.zeros(n, dtype=bool)
     loops[targets[sources == targets]] = True
     return loops
@@ -500,6 +518,8 @@ class TransitionGraph:
         return self._scc
 
     def to_sparse(self) -> sparse.csr_matrix:
+        """The graph as a scipy CSR matrix of float64 ones, int32-indexed
+        when it fits (the graph itself stores int64 indptr and targets)."""
         return _csr_matrix(self.indptr, self.targets)
 
     def has_self_loop(self) -> np.ndarray:

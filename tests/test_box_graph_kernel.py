@@ -93,6 +93,30 @@ def test_box_of_window_edges_and_nonfinite_points():
     assert grid.box_of(pts).tolist() == expected
 
 
+def edge_values(lo, hi):
+    """Coordinates at and next to the window edges of one axis, and extremes."""
+    tiny = 5e-324  # the least subnormal
+    return [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+            np.nextafter(hi, -np.inf), lo + tiny, lo - tiny, (lo + hi) / 2,
+            np.inf, -np.inf, np.nan, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("grid", [
+    BoxGrid([-3.0, 0.3], [1.7, 2.2], [7, 9]),  # negative and positive lo, inexact widths
+    BoxGrid([0.0, -1e308], [0.1, 5e307], [3, 4]),  # subnormal neighbours of lo; x - lo overflows
+    BoxGrid([-1e308, -0.7], [5e307, -0.1], [4, 6]),
+])
+def test_box_of_edge_points_match_scalar_lookup(grid):
+    # pins the lower-edge test on x - lo >= 0 against the scalar lo <= x,
+    # on the first axis (cast straight into the flat index) and the second
+    axes = [edge_values(grid.lo[k], grid.hi[k]) for k in range(grid.dim)]
+    pts = np.array(list(itertools.product(*axes)))
+    expected = [scalar_box(grid, x) for x in pts]
+    assert 0 in expected and -1 in expected
+    for layout in (pts, np.ascontiguousarray(pts.T).T):
+        assert grid.box_of(layout).tolist() == expected
+
+
 def test_box_of_upper_edge_on_inexact_widths():
     # whichever way (hi - lo) / width rounds, hi itself is outside and the
     # float just below it is in the last box

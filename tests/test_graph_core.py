@@ -60,6 +60,61 @@ def edge_csr(n, edges, dtype):
     return _rows_to_csr(rows)
 
 
+def reference_rows_to_csr(rows):
+    """Per row, np.unique of its samples other than -1, and whether it has a -1."""
+    kept = [np.unique(r[r >= 0]) for r in rows]
+    indptr = np.cumsum([0] + [k.size for k in kept])
+    return indptr, [t for k in kept for t in k.tolist()], [bool(np.any(r < 0)) for r in rows]
+
+
+def assert_rows_to_csr_is_reference(rows):
+    expected = reference_rows_to_csr(rows.copy())
+    indptr, targets, sink = _rows_to_csr(rows)
+    assert indptr.dtype == targets.dtype == np.int64
+    assert indptr.tolist() == expected[0].tolist()
+    assert targets.tolist() == expected[1]
+    assert sink.tolist() == expected[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 10), st.sampled_from([np.int32, np.int64]),
+       st.data())
+def test_rows_to_csr_is_the_per_row_unique(n, width, dtype, data):
+    sample = st.integers(-1, 8)
+    rows = data.draw(st.lists(st.lists(sample, min_size=width, max_size=width),
+                              min_size=n, max_size=n))
+    assert_rows_to_csr_is_reference(np.array(rows, dtype=dtype).reshape(n, width))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_rows_to_csr_sink_rows_no_controls_and_wide_rows(dtype):
+    assert_rows_to_csr_is_reference(np.full((3, 5), -1, dtype=dtype))  # all sink
+    assert_rows_to_csr_is_reference(np.empty((4, 0), dtype=dtype))  # C = 0: no controls
+    # C * P >= 2**15 samples per row: a row of 40000 distinct targets
+    # overflows an int16 count
+    rng = np.random.default_rng(0)
+    wide = rng.integers(-1, 50000, (3, 40000)).astype(dtype)
+    wide[0] = rng.permutation(40000)
+    wide[1] = 7
+    assert_rows_to_csr_is_reference(wide)
+
+
+def test_sparse_matrix_is_float64_ones_with_int32_indices():
+    # the form csgraph computes on, so that it converts nothing
+    edges = [(0, 1), (1, 1), (1, 2), (2, 0), (2, 0)]
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[tuple(np.array(edges).T)] = True
+    for graph in wrap(3, edges):
+        matrix = graph.to_sparse()
+        assert matrix.data.dtype == np.float64 and np.all(matrix.data == 1.0)
+        assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+        assert np.array_equal(matrix.toarray() != 0, adj)
+        indptr, targets = graph.reverse()
+        assert indptr.dtype == targets.dtype == np.int64
+        assert [targets[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == [
+            np.flatnonzero(column).tolist() for column in adj.T]
+
+
 def wrap(n, edges):
     indptr, targets, sink = edge_csr(n, edges, np.int32)
     assert sink.tolist() == [any(src != j for src, _ in edges) for j in range(n)]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affinecontrol.reach import (
     BoxGrid,
@@ -67,6 +68,29 @@ def test_boxset_operations_and_rle():
     assert a.run_length_encoding() == [[1, 3], [7, 1]]
     assert 7 in a and 5 not in a
     assert abs(a.volume - 0.4) < 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), max_size=40),
+       st.sampled_from(["strictly increasing", "sorted with duplicates", "reversed",
+                        "as drawn"]),
+       st.sampled_from([np.int32, np.int64]))
+def test_boxset_indices_are_the_unique_of_any_input(values, order, dtype):
+    if order == "strictly increasing":
+        values = sorted(set(values))
+    elif order == "sorted with duplicates":
+        values = sorted(values + values[:3])
+    elif order == "reversed":
+        values = sorted(values, reverse=True)
+    given_array = np.array(values, dtype=dtype)
+    before = given_array.copy()
+    box_set = BoxSet(BoxGrid([0.0], [1.0], [64]), given_array)
+    assert box_set.indices.dtype == np.int64
+    assert box_set.indices.tolist() == np.unique(given_array).tolist()
+    assert not box_set.indices.flags.writeable
+    # the caller's array is neither sorted in place nor shared
+    assert np.array_equal(given_array, before)
+    assert not np.shares_memory(box_set.indices, given_array)
 
 
 def test_grid_equality_is_by_value():
