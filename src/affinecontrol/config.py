@@ -4,7 +4,7 @@ Every threshold that turns an exact spectral statement into a numerical
 decision lives here, so reports can echo the configuration they ran with.
 """
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 __all__ = ["Tolerances", "DEFAULT_TOLERANCES", "DEFAULT_MEMORY_CAP", "MAX_EXP_GROWTH"]
 
@@ -33,7 +33,7 @@ class Tolerances:
     cluster_tol
         Single-linkage clustering radius (projective metric) of the
         box-center estimator `infinity_boundary_directions` only.  The chain
-        estimator has its own `match_tol` argument.
+        estimator matches within two embedded-sphere box diameters.
     kernel_window
         Kernel alignment of periodic initial values is reported when the
         unit-multiplier margin falls below this.
@@ -47,9 +47,6 @@ class Tolerances:
     level_tol: float = 1e-6
     cluster_tol: float = 0.1
     kernel_window: float = 0.1
-
-    def replace(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
     def as_dict(self) -> dict:
         return asdict(self)

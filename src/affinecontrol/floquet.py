@@ -49,6 +49,8 @@ __all__ = [
     "continuation",
 ]
 
+_LADDER_DECADES = 5  # continuation's ladder: alpha +- 0.5 spacing 10^-j, j = 0..5
+
 
 class EigenSolverError(RuntimeError):
     """Eigenvalue extraction failed; carries a condition estimate."""
@@ -558,9 +560,7 @@ def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):
 
 
 def continuation(sys: AffineSystem, path: ControlPath, steps: int,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES,
-                 refine_crossings: bool = True,
-                 refine_decades: int = 5) -> ContinuationResult:
+                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> ContinuationResult:
     """Track the periodic-solution problem along a control path.
 
     Walks a uniform alpha-mesh recording the det gap det(I - Phi), the
@@ -568,9 +568,10 @@ def continuation(sys: AffineSystem, path: ControlPath, steps: int,
     the alignment of the solution direction with the near-kernel, mapping the
     whole mesh in one batch.  Sign changes of the det gap are located by
     bisection until the midpoint no longer splits the bracket in floating
-    point (no step for a crossing on a node); around each crossing one more
-    batch adds records on a geometric ladder of offsets, which is where
-    blow-up of the solution norms becomes visible.
+    point (no step for a crossing on a node); one more batch adds the
+    records at alpha +- 0.5 spacing 10^-j around each crossing, j = 0..5,
+    that lie in (0, 1), flagged `refined` and merged in alpha order.  That
+    ladder is where blow-up of the solution norms becomes visible.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -591,8 +592,8 @@ def continuation(sys: AffineSystem, path: ControlPath, steps: int,
             lo, hi = records[i], records[i + pair]
             crossings.append(_bisect_crossing(
                 sys, path, lo.alpha, hi.alpha, lo.det_gap, tolerances))
-    if refine_crossings and crossings:
-        ladder = [a for crossing in crossings for j in range(refine_decades + 1)
+    if crossings:
+        ladder = [a for crossing in crossings for j in range(_LADDER_DECADES + 1)
                   for a in (crossing.alpha - 0.5 * spacing * 10.0 ** (-j),
                             crossing.alpha + 0.5 * spacing * 10.0 ** (-j))
                   if 0.0 < a < 1.0]

@@ -179,8 +179,8 @@ def proj_step(emb: AffineSystem, p: ProjPoint, u, dt: float,
     renormalised chunks for long steps, then re-canonicalized.  Level 0 is
     invariant because the generators' last row vanishes.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:  # False for NaN
+        raise ValueError("dt must be positive and finite")
     w, _ = _flow_rows(emb.system_matrix(u), dt, p.vec[None])
     return ProjPoint.from_vector(w, level_tol)
 
@@ -410,12 +410,12 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")
     ids = np.arange(sphere.size, dtype=np.int64)
-    controls = _sampled_controls(sys, sphere.ambient, controls, dt, pts_per_box, ids.size,
+    controls = _sampled_controls(sys, sphere.ambient, sphere, ids, controls, dt, pts_per_box,
                                  memory_cap)
     points = sphere.cell_points(ids, _test_offsets(sphere.face_dims, pts_per_box, seed))
     indptr, targets, sink = _sampled_csr(
         sphere, ids, points.shape[0], controls,
-        lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0], False)
+        lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0])
     return SphereGraph(grid=sphere, boxes=ids, indptr=indptr, targets=targets, sink=sink,
                        dt=float(dt), controls=controls, pts_per_box=pts_per_box,
                        seed=seed)
@@ -531,7 +531,6 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
 
 def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
                             dt: float, pts_per_box: int = 3, seed: int = 0,
-                            match_tol: float | None = None,
                             tolerances: Tolerances = DEFAULT_TOLERANCES,
                             memory_cap: int = DEFAULT_MEMORY_CAP,
                             ) -> InfinityBoundaryReport:
@@ -542,8 +541,8 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     and in the original dimension (its leading block, the homogeneous part
     of `sys`), takes strongly connected components of both, and matches
     each embedded-space component touching the level at infinity against
-    the homogeneous components embedded via the zero-append map.  The
-    match tolerance defaults to two embedded-sphere box diameters.
+    the homogeneous components embedded via the zero-append map.  A slice
+    matches a component within two embedded-sphere box diameters.
     """
     ambient = emb.n
     big_sphere = SphereGrid(ambient, subdivisions)
@@ -555,9 +554,6 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     hom_sphere = SphereGrid(ambient - 1, subdivisions)
     hom = sphere_chain_components(build_sphere_graph(
         hom_sys, hom_sphere, controls, dt, pts_per_box, seed, memory_cap))
-
-    if match_tol is None:
-        match_tol = 2.0 * big.box_diameter
 
     # All homogeneous component directions, component j from row starts[j];
     # every sphere box has a successor, so there is at least one component.
@@ -581,7 +577,7 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
         dist = proj_dist_vectors(dirs[:, None, :], hom_dirs)[:, 0]
         dmin = np.minimum.reduceat(np.minimum.reduceat(
             dist, (np.cumsum(slice_sizes) - slice_sizes)[sliced], axis=0), starts, axis=1)
-        r, j = np.nonzero(dmin <= match_tol)
+        r, j = np.nonzero(dmin <= 2.0 * big.box_diameter)
         matches = list(zip(sliced[r].tolist(), j.tolist(), dmin[r, j].tolist()))
     return InfinityBoundaryReport("sphere-chain", directions,
                                   [len(c) for c in big.level_zero],

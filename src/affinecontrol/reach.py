@@ -288,10 +288,11 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # take one sampling path: `_sampled_controls` checks the inputs and the cap,
 # `_sampled_csr` fills one (C, n) block of target positions, a row per
 # (control, test point) and a column per node, and `_rows_to_csr` sorts each
-# node's C samples in the block's transpose.  The block is int32 whenever
-# every id fits (always under DEFAULT_MEMORY_CAP), else int64; the graph
-# stores indptr and targets as int64 either way, and csgraph gets them from
-# `_csr_matrix` as int32 with float64 data, the form it computes on.  On a
+# node's C samples in the block's transpose.  Ids are positions when the
+# graph has every box, else a table maps them.  Block and table are int32
+# whenever every id fits (always under DEFAULT_MEMORY_CAP), else int64; the
+# graph stores indptr and targets as int64 either way, and csgraph gets them
+# from `_csr_matrix` as int32 with float64 data, the form it computes on.  On a
 # BoxGrid the images come coordinate-major: a (dim, n) array per (control,
 # test point), whose transpose box_of reads column by column from
 # contiguous memory.
@@ -324,24 +325,25 @@ def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, targets, np.any(rows[:, :1] < 0, axis=1)
 
 
-def _sampled_controls(sys: AffineSystem, dim: int, controls, dt: float,
-                      pts_per_box: int, n_boxes: int, memory_cap: int,
-                      table_words: int = 0) -> np.ndarray:
+def _sampled_controls(sys: AffineSystem, dim: int, grid, boxes: np.ndarray, controls,
+                      dt: float, pts_per_box: int, memory_cap: int) -> np.ndarray:
     """The controls as a (C, m) array, once the system dimension against the
     grid's `dim`, dt, pts_per_box, every control value and the memory are
     checked; raises before anything is allocated for the graph.  The cap
     counts words of `_sampled_csr`'s id block, one per point-control sample
-    of the n_boxes boxes, plus `table_words` for its position table; a word
-    is 4 bytes when the ids fit in int32, else 8."""
+    of the sorted `boxes`, plus grid.size + 1 for its position table when
+    `boxes` leaves out some box of `grid`; a word is 4 bytes when the ids fit
+    in int32, else 8."""
     if sys.n != dim:
         raise ValueError(f"system dimension {sys.n} does not match the grid ({dim})")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:  # False for NaN
+        raise ValueError("dt must be positive and finite")
     if pts_per_box < 1:
         raise ValueError("pts_per_box must be >= 1")
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     _check_values(sys, controls)
-    samples = n_boxes * pts_per_box * controls.shape[0]
+    samples = boxes.size * pts_per_box * controls.shape[0]
+    table_words = grid.size + 1 if boxes.size < grid.size else 0
     if samples + table_words > memory_cap:
         raise MemoryBudgetError(
             f"{samples} point-control samples and {table_words} position-table words "
@@ -350,21 +352,21 @@ def _sampled_controls(sys: AffineSystem, dim: int, controls, dt: float,
     return controls
 
 
-def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray, image_rows,
-                 positions: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, targets, sink) of the graph on `boxes` sampled by P test points.
+def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray,
+                 image_rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, targets, sink) of the graph on the sorted `boxes`, P test points each.
 
     `image_rows(u)` yields the (N, dim) images of the k-th test points under
     u, k = 0..P-1; their `grid.box_of` fills row c * P + k of the (C * P, N)
-    block.  With `positions`, each row's ids become positions in the sorted
-    `boxes` as it is filled, through a table of grid.size + 1 words, -1 for
-    ids not in `boxes` and in the last entry, which id -1 (the sink) reads;
-    otherwise they are positions already.  Block and table are int32 when
-    every id fits.
+    block.  When `boxes` leaves out some box of `grid`, each row's ids become
+    positions in `boxes` as it is filled, through a table of grid.size + 1
+    words, -1 for ids not in `boxes` and in the last entry, which id -1 (the
+    sink) reads; otherwise every box is in `boxes` and the ids are positions
+    already.  Block and table are int32 when every id fits.
     """
-    dtype = _index_dtype(grid.size + 1 if positions else boxes.size)
+    dtype = _index_dtype(grid.size)  # ids and positions lie in [-1, grid.size)
     table = None
-    if positions:
+    if boxes.size < grid.size:
         table = np.full(grid.size + 1, -1, dtype=dtype)
         table[boxes] = np.arange(boxes.size)
     block = np.empty((controls.shape[0] * P, boxes.size), dtype=dtype)
@@ -389,13 +391,15 @@ def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.where(boxes[pos] == ids, pos, -1)
 
 
-def _csr_matrix(indptr: np.ndarray, targets: np.ndarray) -> sparse.csr_matrix:
-    """The graph as the matrix csgraph computes on, so that neither scipy's
-    constructor nor csgraph scans or converts it: float64 ones as data, and
-    int32 indptr and indices whenever the node and edge counts fit."""
+def _csr_matrix(indptr: np.ndarray, targets: np.ndarray,
+                data: type = np.float64) -> sparse.csr_matrix:
+    """The graph as a matrix of ones of dtype `data`, with int32 indptr and
+    indices whenever the node and edge counts fit.  With float64 data it is
+    the matrix csgraph computes on, so that neither scipy's constructor nor
+    csgraph scans or converts it."""
     n = indptr.size - 1
     index = _index_dtype(max(n, targets.size))
-    return sparse.csr_matrix((np.ones(targets.size), targets.astype(index),
+    return sparse.csr_matrix((np.ones(targets.size, dtype=data), targets.astype(index),
                               indptr.astype(index)), shape=(n, n))
 
 
@@ -504,7 +508,8 @@ class TransitionGraph:
         """CSR of the reversed graph (cached)."""
         if self._reverse is not None:
             return self._reverse
-        rmat = self.to_sparse().T.tocsr()
+        # int8 ones: the transpose moves one byte of data per edge, not eight
+        rmat = _csr_matrix(self.indptr, self.targets, np.int8).T.tocsr()
         rev = (rmat.indptr.astype(np.int64), rmat.indices.astype(np.int64))
         object.__setattr__(self, "_reverse", rev)
         return rev
@@ -587,15 +592,15 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
 
     `memory_cap` bounds words: one per point-control sample (boxes x
     pts_per_box x controls), plus grid.size + 1 for the position table when
-    `active` is given.  A word is 4 bytes (int32) when the ids fit, which
-    DEFAULT_MEMORY_CAP guarantees, else 8.  Exceeding the cap raises
+    `active` leaves out a box.  A word is 4 bytes (int32) when the ids fit,
+    which DEFAULT_MEMORY_CAP guarantees, else 8.  Exceeding the cap raises
     `MemoryBudgetError` before any allocation.
     """
     if active is not None:
         _check_same_grid(grid, active.grid)
     boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
-    controls = _sampled_controls(sys, grid.dim, controls, dt, pts_per_box, boxes.size,
-                                 memory_cap, 0 if active is None else grid.size + 1)
+    controls = _sampled_controls(sys, grid.dim, grid, boxes, controls, dt, pts_per_box,
+                                 memory_cap)
     points = grid.cell_points(boxes, _test_offsets(grid.dim, pts_per_box, seed))
 
     def image_rows(u):
@@ -608,10 +613,9 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
                 images += h[:, None]
             yield images.T
 
-    # on the full grid box index == position; outside the window (-1) or
-    # the active subset -> sink
+    # outside the window (-1) or the active subset -> sink
     indptr, targets, sink = _sampled_csr(grid, boxes, points.shape[0], controls,
-                                         image_rows, active is not None)
+                                         image_rows)
     return TransitionGraph(grid=grid, boxes=boxes.copy(), indptr=indptr,
                            targets=targets, sink=sink, dt=float(dt),
                            controls=controls, pts_per_box=pts_per_box, seed=seed)
@@ -673,17 +677,16 @@ def chain_components(graph: TransitionGraph) -> list[BoxSet]:
 
 
 def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
-           dt: float | None = None, pts_per_box: int | None = None,
-           seed: int | None = None,
            memory_cap: int = DEFAULT_MEMORY_CAP) -> tuple[BoxGrid, TransitionGraph]:
     """Subdivide the kept boxes by `factor` per axis and rebuild the graph.
 
     The refined graph is restricted to the children of the kept boxes plus
     a one-box collar in the fine grid; transitions leaving that covering
-    go to the sink.  Intended loop: chain_components -> refine -> repeat.
-    `memory_cap` counts a word per sample of the active boxes plus the fine
-    grid's size + 1 words of the position table, 4 or 8 bytes each, as in
-    `build_transition_graph`.
+    go to the sink; the coarse graph's controls, dt, pts_per_box and seed
+    sample it.  Intended loop: chain_components -> refine -> repeat.
+    `memory_cap` counts words as in `build_transition_graph`: one per sample
+    of the active boxes, plus the fine grid's size + 1 for the position
+    table when they leave out a fine box.
     """
     if factor < 2:
         raise ValueError("factor must be >= 2")
@@ -694,16 +697,13 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     for axis in range(grid.dim):
         children = np.repeat(children, factor, axis=axis)
     active = BoxSet(fine, np.flatnonzero(_dilated(children, 1)))
-    return fine, build_transition_graph(
-        sys, fine, graph.controls, graph.dt if dt is None else dt,
-        graph.pts_per_box if pts_per_box is None else pts_per_box,
-        graph.seed if seed is None else seed,
-        active=active, memory_cap=memory_cap)
+    return fine, build_transition_graph(sys, fine, graph.controls, graph.dt,
+                                        graph.pts_per_box, graph.seed, active=active,
+                                        memory_cap=memory_cap)
 
 
-def is_invariant_in_window(graph: TransitionGraph, box_set: BoxSet,
-                           collar: int = 1) -> bool:
-    """Whether the forward closure of the set stays inside it (up to a collar).
+def is_invariant_in_window(graph: TransitionGraph, box_set: BoxSet) -> bool:
+    """Whether the forward closure of the set stays within one box of it.
 
     Any sampled transition to the sink from the closure makes the answer
     False: invariance can only be certified relative to the window.
@@ -715,5 +715,4 @@ def is_invariant_in_window(graph: TransitionGraph, box_set: BoxSet,
     positions = graph.position_of(fwd.indices)
     if np.any(graph.sink[positions[positions >= 0]]):
         return False
-    allowed = box_set.dilate(collar)
-    return len(fwd.difference(allowed)) == 0
+    return len(fwd.difference(box_set.dilate(1))) == 0

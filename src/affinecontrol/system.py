@@ -16,6 +16,8 @@ from math import factorial
 
 import numpy as np
 
+from .config import DEFAULT_TOLERANCES
+
 __all__ = [
     "AffineSystem",
     "PiecewiseControl",
@@ -245,13 +247,16 @@ class PiecewiseControl:
 
     def _cuts(self, s: float, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`pieces(s, s + L)` for all L of lengths (a,) at once: the segment of each
-        slot (J,), and the slot durations and kept (not sliver) flags (a, J)."""
+        slot (J,), and the slot durations and kept (not sliver) flags (a, J).
+        Raises ValueError unless s and every length are finite."""
+        remaining = np.array(lengths, dtype=float)
+        if not (np.isfinite(s) and np.all(np.isfinite(remaining))):
+            raise ValueError("control times must be finite")
         tiny = 1e-14 * self.period
         phase = float(s) % self.period
         first = min(int(np.searchsorted(self._cumulative, phase, side="right")),
                     self.num_segments - 1)
         left = self._cumulative[first] - phase
-        remaining = np.array(lengths, dtype=float)
         takes, kept = [], []
         while np.any(active := remaining > tiny):
             take = np.minimum(left, remaining)
@@ -349,7 +354,7 @@ def equilibrium(sys: AffineSystem, u) -> np.ndarray:
 
 
 def larc_rank(sys: AffineSystem, x, max_depth: int | None = None,
-              rank_tol: float = 1e-9) -> int:
+              rank_tol: float = DEFAULT_TOLERANCES.rank_tol) -> int:
     """Rank at x of the bracket closure of the system's vector fields.
 
     Fields are generated by repeatedly bracketing the generators with the

@@ -382,6 +382,8 @@ def test_graph_builders_reject_bad_input(build, boxes):
     for bad, error, message in [
             ({"dt": 0.0}, ValueError, "dt must be positive"),
             ({"dt": -0.1}, ValueError, "dt must be positive"),
+            ({"dt": np.nan}, ValueError, "dt must be positive and finite"),
+            ({"dt": np.inf}, ValueError, "dt must be positive and finite"),
             ({"pts_per_box": 0, "memory_cap": 1}, ValueError, "pts_per_box must be >= 1"),
             ({"pts_per_box": -3}, ValueError, "pts_per_box must be >= 1"),
             ({"controls": [[0.0, 0.0]]}, ValueError, "control dimension 2"),

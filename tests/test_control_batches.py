@@ -515,8 +515,7 @@ def test_one_control_solutions_are_the_one_system_trichotomy(monkeypatch, sys, c
                                        (unforced(symmetric_coupling_system()), AffineFamily)])
 @pytest.mark.parametrize("steps", [41, 40])  # the crossing on a mesh node, and between
 def test_crossing_solutions_are_the_one_system_trichotomy(sys, kind, steps):
-    crossings = continuation(sys, concat_path(*COUPLING_PATH), steps,
-                             refine_crossings=False).crossings
+    crossings = continuation(sys, concat_path(*COUPLING_PATH), steps).crossings
     assert len(crossings) == 1
     expected = reference_solution(sys, crossings[0].control)
     assert type(expected) is kind

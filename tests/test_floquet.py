@@ -490,6 +490,26 @@ def test_continuation_detects_blowup_crossing():
     assert by_alpha[0].norm_x >= 10.0 * by_alpha[-1].norm_x
 
 
+@pytest.mark.parametrize("steps", [41, 40])  # the crossing on a mesh node, and between
+def test_continuation_ladder_is_six_decades_around_the_crossing(steps):
+    sys = symmetric_coupling_system()
+    path = concat_path(PiecewiseControl.constant([-0.7], 1.0),
+                       PiecewiseControl.constant([-0.4], 1.0))
+    result = continuation(sys, path, steps)
+    (crossing,) = result.crossings
+    spacing = 1.0 / (steps - 1)
+    ladder = [a for j in range(6)
+              for a in (crossing.alpha - 0.5 * spacing * 10.0 ** (-j),
+                        crossing.alpha + 0.5 * spacing * 10.0 ** (-j))
+              if 0.0 < a < 1.0]
+    assert len(ladder) == 12
+    alphas = [r.alpha for r in result.records]
+    assert alphas == sorted(alphas)
+    assert [r.alpha for r in result.records if r.refined] == sorted(ladder)
+    assert [r.alpha for r in result.records if not r.refined] == np.linspace(
+        0.0, 1.0, steps).tolist()
+
+
 def test_continuation_solutions_match_periodic_solution():
     # the mesh node 0.75 sits on the crossing, so the batch of Unique
     # solves skips one record, which `_solutions` classifies by least squares
@@ -518,19 +538,21 @@ def test_bisection_stops_on_node_and_at_float_resolution(monkeypatch):
     sys = symmetric_coupling_system()
     path = concat_path(PiecewiseControl.constant([-0.7], 1.0),
                        PiecewiseControl.constant([-0.4], 1.0))
-    # alpha = 3/4 is node 30 of 41: the mesh batch, then the crossing itself
-    on_node = continuation(sys, path, steps=41, refine_crossings=False)
+    # alpha = 3/4 is node 30 of 41: the mesh batch, the crossing itself, then
+    # its ladder of 2 x 6 offsets, all inside (0, 1)
+    on_node = continuation(sys, path, steps=41)
     assert [c.alpha for c in on_node.crossings] == [0.75]
-    assert batches == [41, 1]
+    assert batches == [41, 1, 12]
     batches.clear()
-    off_mesh = continuation(sys, path, steps=40, refine_crossings=False)
+    off_mesh = continuation(sys, path, steps=40)
     assert len(off_mesh.crossings) == 1
     crossing = off_mesh.crossings[0]
     assert abs(crossing.alpha - 0.75) <= 1e-12
     assert crossing.margin <= TOL.unit_tol
-    steps = len(batches) - 2
+    steps = len(batches) - 3
     # bracket 1/39 wide, halved until it no longer splits near 0.75
-    assert 40 <= steps < 60 and set(batches[1:]) == {1}
+    assert 40 <= steps < 60 and set(batches[1:-1]) == {1}
+    assert batches[0] == 40 and batches[-1] == 12
 
 
 def test_continuation_rejects_bad_steps():

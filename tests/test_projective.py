@@ -320,6 +320,14 @@ def test_proj_step_preserves_level_zero():
         assert back.level == 0
 
 
+def test_proj_step_rejects_bad_dt():
+    emb = embed_system(damped_oscillator_system())
+    p = ProjPoint.from_vector([0.6, -0.8, 1.0])
+    for dt in (0.0, -0.3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            proj_step(emb, p, [0.0], dt)
+
+
 def test_proj_step_saddle_attracts_to_expanding_axis():
     # homogeneous flow diag(2, -2) on directions: (1,1)/sqrt(2) slides to (1,0)
     emb = AffineSystem(np.diag([2.0, -2.0]), np.zeros((1, 2, 2)), np.zeros((2, 1)),
@@ -870,7 +878,7 @@ def test_infinity_directions_keep_blowup_records_past_max_points(max_points):
 
 def test_chain_matches_ignore_cluster_tol():
     # cluster_tol is the box-center estimator's radius; the chain estimator
-    # matches within its own match_tol (None: 2 embedded-sphere box diameters)
+    # matches within 2 embedded-sphere box diameters
     emb = embed_system(planar_saddle_system())
     controls = [[-1.0], [0.0], [1.0]]
     base = infinity_boundary_chain(emb, 8, controls, 0.1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from affinecontrol.floquet import principal_matrix
 from affinecontrol.projective import ProjPoint, embed_system, lyapunov_estimate, proj_step
 from affinecontrol.system import (
     AffineSystem,
@@ -313,6 +314,25 @@ def test_simulate_rejects_control_outside_box():
     ctrl = PiecewiseControl.constant([2.0], period=1.0)
     with pytest.raises(ValueError):
         simulate(sys, ctrl, [0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+@pytest.mark.parametrize("entry", [
+    lambda sys, ctrl, t: simulate(sys, ctrl, [1.0, 0.0], t),
+    lambda sys, ctrl, t: simulate(sys, ctrl, [1.0, 0.0], -t),
+    lambda sys, ctrl, t: list(ctrl.pieces(0.0, t)),
+    lambda sys, ctrl, t: list(ctrl.pieces(t, t)),
+    lambda sys, ctrl, t: principal_matrix(sys, ctrl, t, 0.0),
+    lambda sys, ctrl, t: principal_matrix(sys, ctrl, 0.0, -t),
+    lambda sys, ctrl, t: lyapunov_estimate(sys, ctrl, [1.0, 0.0], t),
+])
+def test_non_finite_control_times_raise(entry, t):
+    # unchecked, an infinite length cuts pieces without end and NaN passes
+    # through as a silent wrong answer
+    sys = planar_saddle_system()
+    ctrl = PiecewiseControl.from_segments([([0.5], 0.4), ([-0.5], 0.6)])
+    with pytest.raises(ValueError, match="control times must be finite"):
+        entry(sys, ctrl, t)
 
 
 @pytest.mark.parametrize("entry", [
