@@ -24,8 +24,8 @@ from scipy.linalg import expm
 from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
-from .reach import (BoxSet, TransitionGraph, _label_groups, _label_order, _sampled_controls,
-                    _sampled_csr, _test_offsets)
+from .reach import (BoxSet, TransitionGraph, _label_groups, _label_order, _ranges,
+                    _sampled_controls, _sampled_csr, _test_offsets)
 from .system import AffineSystem, PiecewiseControl, _row_norms
 
 __all__ = [
@@ -146,11 +146,17 @@ def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 - 2.0 * dots)
 
 
-def _flow_rows(M: np.ndarray, dt: float, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(dt M) applied to the rows of W, a stack (..., r, d) of row blocks,
-    in chunks: (rows, logs).
+def _flow_step(M: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
+    """(E, n_sub) for `_flow_rows`: one `expm` of (dt / n_sub) M, with
+    n_sub = ceil(|dt| ||M||_F / MAX_EXP_GROWTH), so E^n_sub = exp(dt M)."""
+    n_sub = max(1, int(np.ceil(abs(dt) * np.linalg.norm(M) / MAX_EXP_GROWTH)))
+    return expm((dt / n_sub) * M), n_sub
 
-    One `expm` of (dt / n_sub) M with n_sub = ceil(|dt| ||M||_F / MAX_EXP_GROWTH).
+
+def _flow_rows(step: tuple[np.ndarray, int], W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(dt M) applied to the rows of W, a stack (..., r, d) of row blocks,
+    in n_sub chunks of E, where (E, n_sub) = `_flow_step(M, dt)`: (rows, logs).
+
     Each chunk multiplies as E @ Wᵀ per block and hands back the transpose
     view of that (..., d, r) array, so every coordinate of a block is a
     contiguous column (and Wᵀ is contiguous when W is such a view).  Below
@@ -159,8 +165,7 @@ def _flow_rows(M: np.ndarray, dt: float, W: np.ndarray) -> tuple[np.ndarray, np.
     sums the log of the norms divided out: log ||exp(dt M) w|| is
     logs + log ||rows||.
     """
-    n_sub = max(1, int(np.ceil(abs(dt) * np.linalg.norm(M) / MAX_EXP_GROWTH)))
-    E = expm((dt / n_sub) * M)
+    E, n_sub = step
     logs = np.zeros(W.shape[:-1])
     for _ in range(n_sub - 1):
         W = np.swapaxes(E @ np.swapaxes(W, -1, -2), -1, -2)
@@ -181,7 +186,7 @@ def proj_step(emb: AffineSystem, p: ProjPoint, u, dt: float,
     """
     if not 0 < dt < np.inf:  # False for NaN
         raise ValueError("dt must be positive and finite")
-    w, _ = _flow_rows(emb.system_matrix(u), dt, p.vec[None])
+    w, _ = _flow_rows(_flow_step(emb.system_matrix(u), dt), p.vec[None])
     return ProjPoint.from_vector(w, level_tol)
 
 
@@ -213,7 +218,7 @@ def lyapunov_estimate(sys: AffineSystem, ctrl: PiecewiseControl, x, T: float) ->
     w = (x / np.linalg.norm(x))[None]  # one row
     total = 0.0
     for u, dt in ctrl.pieces(0.0, T):
-        w, logs = _flow_rows(sys.system_matrix(u), dt, w)
+        w, logs = _flow_rows(_flow_step(sys.system_matrix(u), dt), w)
         norm = np.linalg.norm(w)
         total += logs[0] + np.log(norm)
         w = w / norm
@@ -395,13 +400,14 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     sphere of its own dimension through the generators `sys.system_matrix(u)`.
     The test points of a cube cell are those of `reach._test_offsets`, as on
     a box grid.  Deterministic for a fixed seed.  Each control's exponential
-    acts on the whole (P, N, ambient) block of test points through
-    `_flow_rows`, in renormalised chunks when |dt| ||A(u)||_F exceeds
+    is computed once (`_flow_step`); `reach._sampled_csr` applies it through
+    `_flow_rows` to the (P, tile, ambient) test points of one tile of boxes
+    at a time, in renormalised chunks when |dt| ||A(u)||_F exceeds
     MAX_EXP_GROWTH, so a long step of a strongly expanding generator is
-    taken rather than overflowing.  The block is coordinate-major
+    taken rather than overflowing.  The points are coordinate-major
     throughout: `cell_points` and `_flow_rows` give each point set as the
-    transpose view of an (ambient, N) array, which `SphereGrid.box_of` reads
-    a contiguous column at a time.  The system dimension, controls, dt,
+    transpose view of an (ambient, tile) array, which `SphereGrid.box_of`
+    reads a contiguous column at a time.  The system dimension, controls, dt,
     pts_per_box and the memory cap are checked as in
     `build_transition_graph`: `memory_cap` counts one word per point-control
     sample (size x pts_per_box x controls), 4 bytes when the box ids fit in
@@ -412,10 +418,10 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     ids = np.arange(sphere.size, dtype=np.int64)
     controls = _sampled_controls(sys, sphere.ambient, sphere, ids, controls, dt, pts_per_box,
                                  memory_cap)
-    points = sphere.cell_points(ids, _test_offsets(sphere.face_dims, pts_per_box, seed))
+    steps = [_flow_step(sys.system_matrix(u), dt) for u in controls]
     indptr, targets, sink = _sampled_csr(
-        sphere, ids, points.shape[0], controls,
-        lambda u: _flow_rows(sys.system_matrix(u), dt, points)[0])
+        sphere, ids, _test_offsets(sphere.face_dims, pts_per_box, seed), steps,
+        lambda step, points: _flow_rows(step, points)[0])
     return SphereGraph(grid=sphere, boxes=ids, indptr=indptr, targets=targets, sink=sink,
                        dt=float(dt), controls=controls, pts_per_box=pts_per_box,
                        seed=seed)
@@ -472,6 +478,69 @@ class InfinityBoundaryReport:
         return len(self.directions) == 0
 
 
+# Two unit rows sorted along one coordinate are compared only when that
+# coordinate differs by at most the radius plus this, with or without a sign
+# flip; it covers the rounding of their computed distance.
+_WINDOW_SLACK = 1e-12
+# Candidate pairs per batch of `_single_linkage`.
+_PAIRS = 2**17
+
+
+def _single_linkage(dirs: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """(count, label per row) of the connected components of the graph that
+    links rows of `dirs` at projective distance <= tol, the distance of
+    `proj_metric`: min(|x - y|, |x + y|) for the unit rows x and y.
+
+    Rows within tol differ by at most tol on every coordinate, or sum to at
+    most tol in modulus.  Sorted on the coordinate that varies most, each
+    row is compared only with the later rows in its window of either sign,
+    `_PAIRS` pairs at a time.  After each batch the links so far shrink
+    to one per row, to the first row of its component.
+    """
+    k = dirs.shape[0]
+    unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    axis = int(np.argmax(unit.std(axis=0)))
+    order = np.argsort(unit[:, axis], kind="stable")
+    cols = np.ascontiguousarray(unit[order].T)  # sorted, a contiguous row per coordinate
+    key = cols[axis]
+    reach = tol + _WINDOW_SLACK
+    # the windows as ranges of sorted positions, one per row and sign, each
+    # after the row itself, so that a pair is compared once per sign
+    after = np.arange(1, k + 1)
+    firsts = np.concatenate([after, np.maximum(np.searchsorted(key, -key - reach), after)])
+    ends = np.concatenate([np.searchsorted(key, key + reach, "right"),
+                           np.maximum(np.searchsorted(key, reach - key, "right"), after)])
+    counts = ends - firsts
+    bounds = np.cumsum(counts)
+
+    def components(src, dst):
+        return csgraph.connected_components(sparse.coo_matrix(
+            (np.ones(src.size, dtype=bool), (src, dst)), shape=(k, k)), directed=False)
+
+    heads = np.arange(k)
+    a = done = 0
+    while a < counts.size:
+        b = max(a + 1, int(np.searchsorted(bounds, done + _PAIRS, "right")))
+        src = np.repeat(np.arange(a, b) % k, counts[a:b])
+        dst = _ranges(firsts[a:b], counts[a:b])
+        apart = heads[src] != heads[dst]  # pairs not yet in one component
+        src, dst = src[apart], dst[apart]
+        minus = np.zeros(src.size)
+        plus = np.zeros(src.size)
+        for col in cols:
+            x, y = col[src], col[dst]
+            minus += np.square(x - y)
+            plus += np.square(x + y)
+        close = np.sqrt(np.minimum(minus, plus, out=minus), out=minus) <= tol
+        if close.any():
+            _, labels = components(np.concatenate([np.arange(k), src[close]]),
+                                   np.concatenate([heads, dst[close]]))
+            heads = np.unique(labels, return_index=True)[1][labels]
+        a, done = b, bounds[b - 1]
+    n_clusters, labels = components(np.arange(k), heads)
+    return n_clusters, labels[np.argsort(order)]
+
+
 def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
                                  blowup_records=(),
                                  tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -480,13 +549,13 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
 
     Box centers with norm at least `norm_floor` are mapped to directions
     on the level at infinity and clustered by single linkage within
-    `tolerances.cluster_tol` (projective distance), a row block of the
-    distance matrix at a time, so memory grows with the number of
-    directions, not its square.  Past `max_points` centers, every
-    ceil(count / max_points)-th is kept.  Every continuation record whose
-    periodic solution blew up past the floor is ingested as an additional
-    high-confidence direction.  An empty report signals a set that stays
-    bounded inside the window.
+    `tolerances.cluster_tol` (projective distance) by `_single_linkage`:
+    memory grows with the number of directions, not its square, and time
+    with the pairs it compares, those close on one coordinate.  Past
+    `max_points` centers, every ceil(count / max_points)-th is kept.  Every
+    continuation record whose periodic solution blew up past the floor is
+    ingested as an additional high-confidence direction.  An empty report
+    signals a set that stays bounded inside the window.
     """
     if norm_floor <= 0 or max_points < 1:
         raise ValueError("norm_floor must be positive and max_points >= 1")
@@ -505,20 +574,8 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
         return InfinityBoundaryReport("box-directions", [], [], [])
     dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     dirs = _canonical_sign(np.hstack([dirs, np.zeros((dirs.shape[0], 1))]))
-    # single linkage: the connected components of the threshold graph, one
-    # row block (about 2**19 distances) at a time; after each block the edges
-    # so far shrink to one per point, to the first member of its component
-    k = dirs.shape[0]
-    step = max(1, 2**19 // k)
-    heads = np.arange(k)
-    for start in range(0, k, step):
-        rows, cols = np.nonzero(
-            proj_dist_vectors(dirs[start:start + step], dirs) <= tolerances.cluster_tol)
-        src = np.concatenate([np.arange(k), rows + start])
-        dst = np.concatenate([heads, cols])
-        n_clusters, labels = csgraph.connected_components(sparse.coo_matrix(
-            (np.ones(src.size, dtype=bool), (src, dst)), shape=(k, k)), directed=False)
-        heads = np.unique(labels, return_index=True)[1][labels]
+    # the last coordinate, the level's, is 0 in every row
+    n_clusters, labels = _single_linkage(dirs[:, :-1], tolerances.cluster_tol)
     clusters = _label_groups(labels, np.ones(n_clusters, dtype=bool))
     means = np.empty((len(clusters), dirs.shape[1]))
     for i, members in enumerate(clusters):  # sign-aligned mean, anchored at the first member

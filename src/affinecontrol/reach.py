@@ -284,18 +284,26 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 
 # ------------------------------------------------------------- graph core
 # Graphs on positions 0..n-1 as CSR (indptr, targets) with sorted, distinct
-# rows, held by TransitionGraph and its subclass projective.SphereGraph.  Both builders
-# take one sampling path: `_sampled_controls` checks the inputs and the cap,
-# `_sampled_csr` fills one (C, n) block of target positions, a row per
-# (control, test point) and a column per node, and `_rows_to_csr` sorts each
-# node's C samples in the block's transpose.  Ids are positions when the
-# graph has every box, else a table maps them.  Block and table are int32
-# whenever every id fits (always under DEFAULT_MEMORY_CAP), else int64; the
-# graph stores indptr and targets as int64 either way, and csgraph gets them
-# from `_csr_matrix` as int32 with float64 data, the form it computes on.  On a
-# BoxGrid the images come coordinate-major: a (dim, n) array per (control,
-# test point), whose transpose box_of reads column by column from
-# contiguous memory.
+# rows, held by TransitionGraph and its subclass projective.SphereGraph.  Both
+# builders take one sampling path: `_sampled_controls` checks the inputs and
+# the cap, and `_sampled_csr` works through the nodes in tiles of `_TILE`.
+# Per tile it makes the test points, fills a (C * P, tile) block of target
+# positions, a row per (control, test point) and a column per node, and
+# `_rows_to_csr` sorts each node's C * P samples in the block's transpose;
+# the tiles' rows are joined once, so no whole-graph block or transpose
+# exists.  Ids are positions when the graph has every box, else a table maps
+# them.  Block and table are int32 whenever every id fits (always under
+# DEFAULT_MEMORY_CAP), else int64; the graph stores indptr and targets as
+# int64 either way, and csgraph gets them from `_csr_matrix` as int32 with
+# float64 data, the form it computes on.  On a BoxGrid the images come
+# coordinate-major: a (dim, tile) array per (control, test point), whose
+# transpose box_of reads column by column from contiguous memory.
+
+# Nodes per tile of the sampled build, whose points, images and id block stay
+# in cache.  A multiple of 64: OpenBLAS gives a product G @ X cut at such
+# columns the bits of the uncut one (cut at 1 or 7 columns it need not).
+_TILE = 16384
+
 
 def _index_dtype(count: int) -> type:
     """int32 when `count` fits in it, else int64."""
@@ -305,8 +313,8 @@ def _index_dtype(count: int) -> type:
 def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR of a C-contiguous (n, C) array of target positions, row j holding
     the C samples of node j, -1 for the sink: (indptr, targets, sink).
-    Sorts `rows` in place; rows may be int32 or int64, indptr and targets
-    are int64."""
+    Sorts `rows` in place; rows may be int32 or int64, indptr is int64 and
+    targets have the dtype of `rows`."""
     rows.sort(axis=1)
     # a sample is kept when it differs from its left neighbour, compared
     # across the flat array; a row's first sample is kept unless it is -1,
@@ -321,8 +329,7 @@ def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # C, which numpy reduces along short rows faster than count_nonzero
     count = np.min_scalar_type(-rows.shape[1] - 1)
     np.cumsum(keep.view(np.int8).sum(axis=1, dtype=count), out=indptr[1:])
-    targets = np.compress(keep.ravel(), flat).astype(np.int64)
-    return indptr, targets, np.any(rows[:, :1] < 0, axis=1)
+    return indptr, np.compress(keep.ravel(), flat), np.any(rows[:, :1] < 0, axis=1)
 
 
 def _sampled_controls(sys: AffineSystem, dim: int, grid, boxes: np.ndarray, controls,
@@ -330,10 +337,10 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, boxes: np.ndarray, cont
     """The controls as a (C, m) array, once the system dimension against the
     grid's `dim`, dt, pts_per_box, every control value and the memory are
     checked; raises before anything is allocated for the graph.  The cap
-    counts words of `_sampled_csr`'s id block, one per point-control sample
-    of the sorted `boxes`, plus grid.size + 1 for its position table when
-    `boxes` leaves out some box of `grid`; a word is 4 bytes when the ids fit
-    in int32, else 8."""
+    counts one word per point-control sample of the sorted `boxes`, the
+    most edges `_sampled_csr` can keep, plus grid.size + 1 for its position
+    table when `boxes` leaves out some box of `grid`; a word is 4 bytes when
+    the ids fit in int32, else 8."""
     if sys.n != dim:
         raise ValueError(f"system dimension {sys.n} does not match the grid ({dim})")
     if not 0 < dt < math.inf:  # False for NaN
@@ -352,35 +359,46 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, boxes: np.ndarray, cont
     return controls
 
 
-def _sampled_csr(grid, boxes: np.ndarray, P: int, controls: np.ndarray,
+def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
                  image_rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, targets, sink) of the graph on the sorted `boxes`, P test points each.
+    """(indptr, targets, sink) of the graph on the sorted `boxes`, with the
+    test points `grid.cell_points(..., offsets)` and one map per control.
 
-    `image_rows(u)` yields the (N, dim) images of the k-th test points under
-    u, k = 0..P-1; their `grid.box_of` fills row c * P + k of the (C * P, N)
-    block.  When `boxes` leaves out some box of `grid`, each row's ids become
-    positions in `boxes` as it is filled, through a table of grid.size + 1
-    words, -1 for ids not in `boxes` and in the last entry, which id -1 (the
-    sink) reads; otherwise every box is in `boxes` and the ids are positions
-    already.  Block and table are int32 when every id fits.
+    Works through `boxes` in tiles of `_TILE`.  For a tile's (P, n, dim)
+    test points, `image_rows(maps[c], points)` yields the (n, dim) images of
+    the k-th test points, k = 0..P-1; their `grid.box_of` fills row c * P + k
+    of the tile's (C * P, n) block, which `_rows_to_csr` turns into the
+    tile's rows.  When `boxes` leaves out some box of `grid`, each row's ids
+    become positions in `boxes` as it is filled, through a table of
+    grid.size + 1 words, -1 for ids not in `boxes` and in the last entry,
+    which id -1 (the sink) reads; otherwise every box is in `boxes` and the
+    ids are positions already.  Block and table are int32 when every id fits.
     """
     dtype = _index_dtype(grid.size)  # ids and positions lie in [-1, grid.size)
     table = None
     if boxes.size < grid.size:
         table = np.full(grid.size + 1, -1, dtype=dtype)
         table[boxes] = np.arange(boxes.size)
-    block = np.empty((controls.shape[0] * P, boxes.size), dtype=dtype)
-    for c, u in enumerate(controls):
-        for k, images in enumerate(image_rows(u)):
-            ids = grid.box_of(images)
-            if table is None:
-                block[c * P + k] = ids
-            else:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
-                np.take(table, ids, out=block[c * P + k], mode="wrap")
-        del images  # its base, this control's images, is freed before the next are made
-    rows = np.ascontiguousarray(block.T)
-    del block, table  # freed before _rows_to_csr, which holds the peak
-    return _rows_to_csr(rows)
+    P = offsets.shape[0]
+    indptr = np.zeros(boxes.size + 1, dtype=np.int64)
+    targets, sinks = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=bool)]
+    for start in range(0, boxes.size, _TILE):
+        points = grid.cell_points(boxes[start:start + _TILE], offsets)
+        block = np.empty((len(maps) * P, points.shape[1]), dtype=dtype)
+        for c, m in enumerate(maps):
+            for k, images in enumerate(image_rows(m, points)):
+                ids = grid.box_of(images)
+                if table is None:
+                    block[c * P + k] = ids
+                else:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
+                    np.take(table, ids, out=block[c * P + k], mode="wrap")
+        tile_indptr, tile_targets, tile_sink = _rows_to_csr(np.ascontiguousarray(block.T))
+        stop = start + points.shape[1]
+        np.add(tile_indptr[1:], indptr[start], out=indptr[start + 1:stop + 1])
+        targets.append(tile_targets)
+        sinks.append(tile_sink)
+    # one int64 copy of all targets, none per tile
+    return indptr, np.concatenate(targets, dtype=np.int64), np.concatenate(sinks)
 
 
 def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -449,6 +467,12 @@ def _label_groups(labels: np.ndarray, kept: np.ndarray) -> list[np.ndarray]:
     return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges firsts[i] .. firsts[i] + counts[i] - 1."""
+    ends = np.cumsum(counts)
+    return np.repeat(firsts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
 def _reachable(indptr: np.ndarray, targets: np.ndarray, starts: np.ndarray,
                include_start: bool) -> np.ndarray:
     """Sorted positions reachable from `starts` (in zero or more steps with
@@ -456,8 +480,8 @@ def _reachable(indptr: np.ndarray, targets: np.ndarray, starts: np.ndarray,
     n = indptr.size - 1
     if include_start:
         first = starts
-    else:
-        first = _csr_matrix(indptr, targets)[starts].indices
+    else:  # the successors of the starts, row after row
+        first = targets[_ranges(indptr[starts], indptr[starts + 1] - indptr[starts])]
     # a virtual node n whose successors are the first positions to visit
     matrix = _csr_matrix(np.append(indptr, indptr[-1] + first.size),
                          np.concatenate([targets, first]))
@@ -586,8 +610,10 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     For each test point of `_test_offsets` and each control the exact
     dt-map is applied; an edge is added to the box containing the image, or
     the source is flagged as feeding the sink when the image leaves the
-    window (or the active subset).  The graph comes from `_sampled_csr`, the
-    sampling path that `projective.build_sphere_graph` shares.
+    window (or the active subset).  Each control's dt-map is computed once;
+    `_sampled_csr`, the sampling path that `projective.build_sphere_graph`
+    shares, applies them a tile of boxes at a time, so the test points, the
+    images and the id block of the whole graph never exist at once.
     Deterministic for a fixed seed.
 
     `memory_cap` bounds words: one per point-control sample (boxes x
@@ -601,12 +627,12 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
     controls = _sampled_controls(sys, grid.dim, grid, boxes, controls, dt, pts_per_box,
                                  memory_cap)
-    points = grid.cell_points(boxes, _test_offsets(grid.dim, pts_per_box, seed))
+    maps = [segment_map(sys, u, dt) for u in controls]
 
-    def image_rows(u):
-        G, h = segment_map(sys, u, dt)
+    def image_rows(segment, points):
+        G, h = segment
         for pts in points:
-            # coordinate-major (dim, N) from the contiguous pts.T: bit for
+            # coordinate-major (dim, n) from the contiguous pts.T: bit for
             # bit pts @ G.T + h, and box_of reads contiguous columns
             with np.errstate(over="ignore", invalid="ignore"):
                 images = G @ pts.T
@@ -614,8 +640,8 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
             yield images.T
 
     # outside the window (-1) or the active subset -> sink
-    indptr, targets, sink = _sampled_csr(grid, boxes, points.shape[0], controls,
-                                         image_rows)
+    indptr, targets, sink = _sampled_csr(
+        grid, boxes, _test_offsets(grid.dim, pts_per_box, seed), maps, image_rows)
     return TransitionGraph(grid=grid, boxes=boxes.copy(), indptr=indptr,
                            targets=targets, sink=sink, dt=float(dt),
                            controls=controls, pts_per_box=pts_per_box, seed=seed)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from affinecontrol import projective, reach
 from affinecontrol.config import MAX_EXP_GROWTH
 from affinecontrol.projective import SphereGrid, build_sphere_graph
 from affinecontrol.reach import (
@@ -359,6 +360,84 @@ def test_refined_graph_of_a_non_normal_flow_matches_pairwise_reference():
     assert 0 < refined.num_boxes < fine.size and refined.sink.any()
     assert_matches_reference(refined, sys, fine, controls, dt, pts_per_box, seed,
                              BoxSet(fine, refined.boxes))
+
+
+def built_per_tile_size(monkeypatch, build, module, name):
+    """The graphs `build()` makes in tiles of 64 boxes and in one tile, and
+    how often each build called `module.name`, read through the module."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or original(*args))
+    graphs, counts = [], []
+    for tile in (64, 2**30):
+        monkeypatch.setattr(reach, "_TILE", tile)
+        calls.clear()
+        graphs.append(build())
+        counts.append(len(calls))
+    return graphs, counts
+
+
+def assert_same_bits(graph, other):
+    for name in ("boxes", "indptr", "targets", "sink"):
+        a, b = getattr(graph, name), getattr(other, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+SHEAR = AffineSystem([[0.4, 2.5], [-0.3, -0.6]], [[[0.0, 0.5], [0.0, 0.2]]],
+                     [[0.5], [1.0]], [0.2, -0.1], [-1.0], [1.0])
+SHEAR_3D = AffineSystem([[0.3, 1.7, -0.4], [-1.1, -0.5, 0.6], [0.2, -0.8, -0.2]],
+                        [np.diag([0.5, -0.3, 0.2])], [[0.5], [1.0], [-0.4]],
+                        [0.2, -0.1, 0.3], [-1.0], [1.0])
+
+
+def box_graph_build(case):
+    """A builder of the case's graph and its number of controls: every box
+    of a 2-D grid or of an 11^3 grid, or a refined graph, whose active
+    subset takes the position table.  Each has more than 8 tiles of 64
+    boxes, the last partial."""
+    controls = np.array([[-1.0], [0.0], [0.6]])
+    if case == "37x29":
+        grid = BoxGrid([-3.0, -2.5], [3.0, 3.5], [37, 29])
+        return lambda: build_transition_graph(SHEAR, grid, controls, 0.3, 3, 11), 3
+    if case == "11^3":
+        cube = BoxGrid([-2.0] * 3, [2.0] * 3, [11] * 3)
+        return lambda: build_transition_graph(SHEAR_3D, cube, controls[1:], 0.4, 2, 5), 2
+    coarse = build_transition_graph(SHEAR, BoxGrid([-3.0, -2.5], [3.0, 3.5], [24, 24]),
+                                    controls, 0.3, 3, 11)
+    disc = np.flatnonzero(np.hypot(*coarse.grid.centers(np.arange(coarse.grid.size)).T) < 1.5)
+    return lambda: refine(SHEAR, coarse, BoxSet(coarse.grid, disc), 2)[1], 3
+
+
+@pytest.mark.parametrize("case", ["37x29", "refined", "11^3"])
+def test_box_graph_is_the_same_in_tiles(monkeypatch, case):
+    build, controls = box_graph_build(case)
+    (tiled, whole), counts = built_per_tile_size(monkeypatch, build, reach, "segment_map")
+    assert counts == [controls, controls]  # one dt-map per control, not per tile
+    assert tiled.num_boxes > 8 * 64 and tiled.num_boxes % 64 != 0
+    assert tiled.num_edges > 0 and tiled.sink.any()
+    if case == "refined":
+        assert tiled.num_boxes < tiled.grid.size
+    assert_same_bits(tiled, whole)
+
+
+@pytest.mark.parametrize("ambient, subdivisions", [(3, 13), (4, 6)])
+@pytest.mark.parametrize("dt", [0.3, 40.0])
+def test_sphere_graph_is_the_same_in_tiles(monkeypatch, ambient, subdivisions, dt):
+    rng = np.random.default_rng(ambient)
+    sys = AffineSystem(rng.standard_normal((ambient, ambient)),
+                       rng.standard_normal((1, ambient, ambient)), np.zeros((ambient, 1)),
+                       np.zeros(ambient), [-1.0], [1.0])
+    controls = np.array([[-1.0], [0.2], [1.0]])
+    sphere = SphereGrid(ambient, subdivisions)
+    growth = [dt * np.linalg.norm(sys.system_matrix(u)) for u in controls]
+    # dt 40: every exponential is taken in chunks
+    assert (min(growth) > MAX_EXP_GROWTH) == (dt > 1.0)
+    (tiled, whole), counts = built_per_tile_size(
+        monkeypatch, lambda: build_sphere_graph(sys, sphere, controls, dt, 3, 2),
+        projective, "expm")
+    assert counts == [3, 3]  # one exponential per control, not per tile
+    assert sphere.size > 6 * 64 and sphere.size % 64 != 0
+    assert_same_bits(tiled, whole)
 
 
 def build_on_box_grid(sys, controls, dt, pts_per_box, memory_cap):

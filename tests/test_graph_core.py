@@ -70,7 +70,7 @@ def reference_rows_to_csr(rows):
 def assert_rows_to_csr_is_reference(rows):
     expected = reference_rows_to_csr(rows.copy())
     indptr, targets, sink = _rows_to_csr(rows)
-    assert indptr.dtype == targets.dtype == np.int64
+    assert indptr.dtype == np.int64 and targets.dtype == rows.dtype
     assert indptr.tolist() == expected[0].tolist()
     assert targets.tolist() == expected[1]
     assert sink.tolist() == expected[2]
@@ -117,6 +117,7 @@ def test_sparse_matrix_is_float64_ones_with_int32_indices():
 
 def wrap(n, edges):
     indptr, targets, sink = edge_csr(n, edges, np.int32)
+    targets = targets.astype(np.int64)  # graphs store int64 targets, as the builders join them
     assert sink.tolist() == [any(src != j for src, _ in edges) for j in range(n)]
     grid = BoxGrid([0.0], [1.0], [n])
     graph = TransitionGraph(grid=grid, boxes=np.arange(n, dtype=np.int64),
@@ -138,7 +139,7 @@ def test_graph_core_matches_warshall(case):
     for i, j in edges:
         adj[i, j] = True
     graph, sphere_graph = wrap(n, edges)
-    # int32 rows (wrap's) and int64 rows give the same int64 CSR
+    # int32 rows (wrap's) and int64 rows give the same CSR
     indptr, targets, _ = edge_csr(n, edges, np.int64)
     assert graph.indptr.dtype == graph.targets.dtype == targets.dtype == np.int64
     assert np.array_equal(graph.indptr, indptr) and np.array_equal(graph.targets, targets)

@@ -2,12 +2,14 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from affinecontrol import projective
 from affinecontrol.config import MAX_EXP_GROWTH, Tolerances
 from affinecontrol.floquet import (ContinuationRecord, Unique, concat_path, continuation,
                                    floquet_of)
@@ -17,6 +19,7 @@ from affinecontrol.projective import (
     SphereGrid,
     _canonical_sign,
     _flow_rows,
+    _flow_step,
     _proj_points,
     build_sphere_graph,
     embed_point,
@@ -274,10 +277,10 @@ def test_flow_rows_is_the_row_major_loop(d, shape, growth, seed):
          "columns": lambda: rng.standard_normal((P, d, N)).transpose(0, 2, 1)}[shape]()
     expected, expected_logs = reference_flow_rows(M, dt, np.ascontiguousarray(W))
     if shape == "vector":  # one row, as proj_step and lyapunov_estimate pass it
-        rows, logs = _flow_rows(M, dt, W[None])
+        rows, logs = _flow_rows(_flow_step(M, dt), W[None])
         rows, logs = rows[0], logs[0]
     else:
-        rows, logs = _flow_rows(M, dt, W)
+        rows, logs = _flow_rows(_flow_step(M, dt), W)
     assert rows.shape == expected.shape and logs.shape == expected_logs.shape
     assert np.array_equal(rows, expected) and np.array_equal(logs, expected_logs)
     if growth > 1:
@@ -817,12 +820,24 @@ def test_infinity_directions_match_union_find_reference(seed, tol):
     rng = np.random.default_rng(seed)
     grid = BoxGrid([-50.0, -50.0], [50.0, 50.0], [60, 60])
     box_set = BoxSet(grid, rng.choice(grid.size, int(rng.integers(1, 300)), replace=False))
-    report = infinity_boundary_directions(box_set, norm_floor=30.0,
-                                          tolerances=Tolerances(cluster_tol=tol))
     reps, sizes = union_find_directions(box_set.centers(), 30.0, tol)
-    assert report.cluster_sizes == sizes
-    assert all(np.array_equal(p.vec, r) for p, r in zip(report.directions, reps))
-    assert len(report.directions) == len(reps)
+    for pairs in (projective._PAIRS, 64):  # one batch of candidate pairs, and many
+        with mock.patch.object(projective, "_PAIRS", pairs):
+            report = infinity_boundary_directions(box_set, norm_floor=30.0,
+                                                  tolerances=Tolerances(cluster_tol=tol))
+        assert report.cluster_sizes == sizes
+        assert all(np.array_equal(p.vec, r) for p, r in zip(report.directions, reps))
+        assert len(report.directions) == len(reps)
+
+
+def test_infinity_directions_join_antipodal_centers_at_any_radius():
+    # (-0.75, 147.75) and (0.75, -147.75) name one projective point; the
+    # distance sqrt(2 - 2 |cos|) of their unit rows rounds to 1.49e-8
+    grid = BoxGrid([-150.0, -150.0], [150.0, 150.0], [200, 200])
+    pair = grid.box_of(np.array([[-0.75, 147.75], [0.75, -147.75]]))
+    report = infinity_boundary_directions(BoxSet(grid, pair), norm_floor=60.0,
+                                          tolerances=Tolerances(cluster_tol=1e-9))
+    assert report.cluster_sizes == [2]
 
 
 def test_infinity_directions_memory_stays_below_one_distance_matrix():
