@@ -131,7 +131,10 @@ def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     X may be a stack (..., r, d) of row blocks, each multiplied with Y on
     its own; the result is then (..., r, len(Y)).  Raises ValueError for a
-    zero or non-finite row, which names no point.
+    zero or non-finite row, which names no point.  Distances below about
+    1e-7 are rounding noise: sqrt(2 - 2|cos|) cancels as |cos| nears 1, so
+    a row against itself or its negative may give about 1e-8, not 0.
+    `proj_metric` is exact to rounding there.
     """
     # in C order first: the norms and the product round their last bits
     # differently on other memory layouts of the same rows
@@ -409,9 +412,9 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     transpose view of an (ambient, tile) array, which `SphereGrid.box_of`
     reads a contiguous column at a time.  The system dimension, controls, dt,
     pts_per_box and the memory cap are checked as in
-    `build_transition_graph`: `memory_cap` counts one word per point-control
-    sample (size x pts_per_box x controls), 4 bytes when the box ids fit in
-    int32, else 8; no position table is needed.
+    `build_transition_graph`: `memory_cap` counts one word of the graph's
+    index dtype per point-control sample (size x pts_per_box x controls),
+    4 bytes when size + samples < 2**31; no position table is needed.
     """
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")

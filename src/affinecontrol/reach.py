@@ -189,14 +189,20 @@ def _check_same_grid(grid: BoxGrid, other: BoxGrid) -> None:
         raise ValueError("the box sets or graphs lie on different grids")
 
 
+def _check_box_grid(grid, operation: str) -> None:
+    if not isinstance(grid, BoxGrid):
+        raise TypeError(f"{operation} needs a BoxGrid, not a {type(grid).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class BoxSet:
     """Subset of a grid's boxes, stored as a sorted unique index array.
 
     The grid is a `BoxGrid` or a `projective.SphereGrid`, whose cell contract
     is ids 0..size-1, `cell_points`, `centers` and `box_of`; `volume`,
-    `dilate` and `is_invariant_in_window` need a `BoxGrid`.  `==` and `hash`
-    go by identity; `equals` compares the boxes.
+    `dilate`, `is_invariant_in_window` and `refine` raise TypeError on any
+    grid but a `BoxGrid`.  `==` and `hash` go by identity; `equals`
+    compares the boxes.
     """
 
     grid: "BoxGrid | SphereGrid"
@@ -223,6 +229,7 @@ class BoxSet:
 
     @property
     def volume(self) -> float:
+        _check_box_grid(self.grid, "BoxSet.volume")
         return len(self) * self.grid.box_volume
 
     def centers(self) -> np.ndarray:
@@ -255,6 +262,7 @@ class BoxSet:
     def dilate(self, radius: int = 1) -> "BoxSet":
         """Chebyshev dilation by `radius` boxes, clipped to the window, on a
         grid-sized boolean mask."""
+        _check_box_grid(self.grid, "BoxSet.dilate")
         if radius < 0:
             raise ValueError("radius must be >= 0")
         return BoxSet(self.grid, np.flatnonzero(_dilated(self._mask(), radius)))
@@ -292,10 +300,10 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # `_rows_to_csr` sorts each node's C * P samples in the block's transpose;
 # the tiles' rows are joined once, so no whole-graph block or transpose
 # exists.  Ids are positions when the graph has every box, else a table maps
-# them.  Block and table are int32 whenever every id fits (always under
-# DEFAULT_MEMORY_CAP), else int64; the graph stores indptr and targets as
-# int64 either way, and csgraph gets them from `_csr_matrix` as int32 with
-# float64 data, the form it computes on.  On a BoxGrid the images come
+# them.  `_sampled_csr` picks the graph's one index dtype: int32 when
+# grid.size plus the samples fit (always under DEFAULT_MEMORY_CAP), else
+# int64.  Block, table, tiles, indptr and targets all have it, and csgraph
+# computes on the int32 arrays as they are.  On a BoxGrid the images come
 # coordinate-major: a (dim, tile) array per (control, test point), whose
 # transpose box_of reads column by column from contiguous memory.
 
@@ -313,8 +321,8 @@ def _index_dtype(count: int) -> type:
 def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR of a C-contiguous (n, C) array of target positions, row j holding
     the C samples of node j, -1 for the sink: (indptr, targets, sink).
-    Sorts `rows` in place; rows may be int32 or int64, indptr is int64 and
-    targets have the dtype of `rows`."""
+    Sorts `rows` in place; rows may be int32 or int64, and indptr and
+    targets have their dtype."""
     rows.sort(axis=1)
     # a sample is kept when it differs from its left neighbour, compared
     # across the flat array; a row's first sample is kept unless it is -1,
@@ -324,7 +332,7 @@ def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     np.not_equal(flat[1:], flat[:-1], out=keep[1:])
     keep = keep.reshape(rows.shape)
     np.greater_equal(rows[:, :1], 0, out=keep[:, :1])
-    indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    indptr = np.zeros(rows.shape[0] + 1, dtype=rows.dtype)
     # row counts as sums of the int8 flags in the narrowest dtype that holds
     # C, which numpy reduces along short rows faster than count_nonzero
     count = np.min_scalar_type(-rows.shape[1] - 1)
@@ -339,8 +347,8 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, boxes: np.ndarray, cont
     checked; raises before anything is allocated for the graph.  The cap
     counts one word per point-control sample of the sorted `boxes`, the
     most edges `_sampled_csr` can keep, plus grid.size + 1 for its position
-    table when `boxes` leaves out some box of `grid`; a word is 4 bytes when
-    the ids fit in int32, else 8."""
+    table when `boxes` leaves out some box of `grid`.  A word is one element
+    of the graph's index dtype, 4 bytes when grid.size + samples < 2**31."""
     if sys.n != dim:
         raise ValueError(f"system dimension {sys.n} does not match the grid ({dim})")
     if not 0 < dt < math.inf:  # False for NaN
@@ -372,15 +380,16 @@ def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
     become positions in `boxes` as it is filled, through a table of
     grid.size + 1 words, -1 for ids not in `boxes` and in the last entry,
     which id -1 (the sink) reads; otherwise every box is in `boxes` and the
-    ids are positions already.  Block and table are int32 when every id fits.
+    ids are positions already.  Every index here and in `_reachable` is at
+    most grid.size + samples, so all index arrays take its `_index_dtype`.
     """
-    dtype = _index_dtype(grid.size)  # ids and positions lie in [-1, grid.size)
+    P = offsets.shape[0]
+    dtype = _index_dtype(grid.size + boxes.size * len(maps) * P)
     table = None
     if boxes.size < grid.size:
         table = np.full(grid.size + 1, -1, dtype=dtype)
         table[boxes] = np.arange(boxes.size)
-    P = offsets.shape[0]
-    indptr = np.zeros(boxes.size + 1, dtype=np.int64)
+    indptr = np.zeros(boxes.size + 1, dtype=dtype)
     targets, sinks = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=bool)]
     for start in range(0, boxes.size, _TILE):
         points = grid.cell_points(boxes[start:start + _TILE], offsets)
@@ -397,8 +406,7 @@ def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
         np.add(tile_indptr[1:], indptr[start], out=indptr[start + 1:stop + 1])
         targets.append(tile_targets)
         sinks.append(tile_sink)
-    # one int64 copy of all targets, none per tile
-    return indptr, np.concatenate(targets, dtype=np.int64), np.concatenate(sinks)
+    return indptr, np.concatenate(targets), np.concatenate(sinks)
 
 
 def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -411,20 +419,19 @@ def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def _csr_matrix(indptr: np.ndarray, targets: np.ndarray,
                 data: type = np.float64) -> sparse.csr_matrix:
-    """The graph as a matrix of ones of dtype `data`, with int32 indptr and
-    indices whenever the node and edge counts fit.  With float64 data it is
-    the matrix csgraph computes on, so that neither scipy's constructor nor
-    csgraph scans or converts it."""
+    """The graph as a matrix of ones of dtype `data` on `indptr` and
+    `targets` themselves.  With float64 data and the builders' int32 index
+    arrays it is the matrix csgraph computes on, so that neither scipy's
+    constructor nor csgraph scans or copies them."""
     n = indptr.size - 1
-    index = _index_dtype(max(n, targets.size))
-    return sparse.csr_matrix((np.ones(targets.size, dtype=data), targets.astype(index),
-                              indptr.astype(index)), shape=(n, n))
+    return sparse.csr_matrix((np.ones(targets.size, dtype=data), targets, indptr),
+                             shape=(n, n))
 
 
 def _self_loops(indptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per node, whether it has an edge to itself."""
     n = indptr.size - 1
-    sources = np.repeat(np.arange(n, dtype=_index_dtype(n)), np.diff(indptr))
+    sources = np.repeat(np.arange(n, dtype=targets.dtype), np.diff(indptr))
     loops = np.zeros(n, dtype=bool)
     loops[targets[sources == targets]] = True
     return loops
@@ -480,11 +487,11 @@ def _reachable(indptr: np.ndarray, targets: np.ndarray, starts: np.ndarray,
     n = indptr.size - 1
     if include_start:
         first = starts
-    else:  # the successors of the starts, row after row
-        first = targets[_ranges(indptr[starts], indptr[starts + 1] - indptr[starts])]
+    else:  # the successors of the starts, at most n distinct ones
+        first = np.unique(targets[_ranges(indptr[starts], indptr[starts + 1] - indptr[starts])])
     # a virtual node n whose successors are the first positions to visit
-    matrix = _csr_matrix(np.append(indptr, indptr[-1] + first.size),
-                         np.concatenate([targets, first]))
+    matrix = _csr_matrix(np.concatenate([indptr, [indptr[-1] + first.size]], dtype=indptr.dtype),
+                         np.concatenate([targets, first], dtype=targets.dtype))
     order = csgraph.breadth_first_order(matrix, n, directed=True,
                                         return_predecessors=False)
     return np.sort(order[1:])
@@ -495,10 +502,10 @@ class TransitionGraph:
     """Directed one-step transition graph over (a subset of) a grid's boxes.
 
     `boxes` lists the participating flat box indices (sorted); adjacency is
-    CSR over positions into that list.  `sink` marks boxes with at least
-    one sampled transition leaving the window (or the active subset).  The
-    reversed graph and the SCC labelling are computed on first use and
-    cached; `chain_components` and `control_set_approx` share the latter.
+    CSR over positions into that list, int32 under DEFAULT_MEMORY_CAP.  `sink`
+    marks boxes with a sampled transition leaving the window (or the active
+    subset).  The reversed graph and the SCC labelling are computed on first
+    use and cached; `chain_components` and `control_set_approx` share it.
     """
 
     grid: "BoxGrid | SphereGrid"
@@ -529,12 +536,12 @@ class TransitionGraph:
         return self.targets[self.indptr[position]:self.indptr[position + 1]]
 
     def reverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR of the reversed graph (cached)."""
+        """CSR of the reversed graph (cached), int32 when the graph's arrays are."""
         if self._reverse is not None:
             return self._reverse
         # int8 ones: the transpose moves one byte of data per edge, not eight
         rmat = _csr_matrix(self.indptr, self.targets, np.int8).T.tocsr()
-        rev = (rmat.indptr.astype(np.int64), rmat.indices.astype(np.int64))
+        rev = (rmat.indptr, rmat.indices)
         object.__setattr__(self, "_reverse", rev)
         return rev
 
@@ -547,8 +554,8 @@ class TransitionGraph:
         return self._scc
 
     def to_sparse(self) -> sparse.csr_matrix:
-        """The graph as a scipy CSR matrix of float64 ones, int32-indexed
-        when it fits (the graph itself stores int64 indptr and targets)."""
+        """The graph as a scipy CSR matrix of float64 ones, whose indptr and
+        indices are the graph's own arrays when they are int32."""
         return _csr_matrix(self.indptr, self.targets)
 
     def has_self_loop(self) -> np.ndarray:
@@ -618,9 +625,9 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
 
     `memory_cap` bounds words: one per point-control sample (boxes x
     pts_per_box x controls), plus grid.size + 1 for the position table when
-    `active` leaves out a box.  A word is 4 bytes (int32) when the ids fit,
-    which DEFAULT_MEMORY_CAP guarantees, else 8.  Exceeding the cap raises
-    `MemoryBudgetError` before any allocation.
+    `active` leaves out a box.  A word is one element of the graph's index
+    dtype, 4 bytes as DEFAULT_MEMORY_CAP keeps grid.size + samples < 2**31.
+    Exceeding the cap raises `MemoryBudgetError` before any allocation.
     """
     if active is not None:
         _check_same_grid(grid, active.grid)
@@ -710,14 +717,15 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     a one-box collar in the fine grid; transitions leaving that covering
     go to the sink; the coarse graph's controls, dt, pts_per_box and seed
     sample it.  Intended loop: chain_components -> refine -> repeat.
-    `memory_cap` counts words as in `build_transition_graph`: one per sample
-    of the active boxes, plus the fine grid's size + 1 for the position
-    table when they leave out a fine box.
+    `memory_cap` counts words of the graph's index dtype as in
+    `build_transition_graph`: one per sample of the active boxes, plus the
+    fine grid's size + 1 for the position table when they leave out a fine box.
     """
     if factor < 2:
         raise ValueError("factor must be >= 2")
     grid = graph.grid
     _check_same_grid(grid, keep.grid)
+    _check_box_grid(grid, "refine")
     fine = BoxGrid(grid.lo, grid.hi, grid.subdivisions * factor)
     children = keep._mask()
     for axis in range(grid.dim):
@@ -735,6 +743,7 @@ def is_invariant_in_window(graph: TransitionGraph, box_set: BoxSet) -> bool:
     False: invariance can only be certified relative to the window.
     """
     _check_same_grid(graph.grid, box_set.grid)
+    _check_box_grid(graph.grid, "is_invariant_in_window")
     if len(box_set) == 0:
         return True
     fwd = closure(graph, box_set, "forward")

@@ -24,6 +24,7 @@ from affinecontrol.reach import (
     MemoryBudgetError,
     _test_offsets,
     build_transition_graph,
+    closure,
     refine,
 )
 from affinecontrol.system import AffineSystem, segment_map
@@ -201,12 +202,19 @@ def reference_graph(sys, grid, controls, dt, pts_per_box, seed, active):
     return indptr, [t for r in rows for t in r], [src in sink for src in range(n)]
 
 
+def assert_one_int32_index(graph):
+    """indptr, targets and both reverse() arrays share one index dtype,
+    int32 under the default cap."""
+    arrays = (graph.indptr, graph.targets) + graph.reverse()
+    assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(graph_cases())
 def test_transition_graph_matches_pairwise_reference(case):
     graph = build_transition_graph(*case[:6], active=case[6])
     indptr, targets, sink = reference_graph(*case)
-    assert graph.indptr.dtype == graph.targets.dtype == np.int64
+    assert_one_int32_index(graph)
     assert graph.indptr.tolist() == indptr.tolist()
     assert graph.targets.tolist() == targets
     assert graph.sink.tolist() == sink
@@ -250,7 +258,7 @@ def reference_sphere_graph(sys, sphere, controls, dt, pts_per_box, seed):
 def test_sphere_graph_matches_pairwise_reference(case):
     graph = build_sphere_graph(*case)
     indptr, targets = reference_sphere_graph(*case)
-    assert graph.indptr.dtype == graph.targets.dtype == np.int64
+    assert_one_int32_index(graph)
     assert graph.indptr.tolist() == indptr.tolist()
     assert graph.targets.tolist() == targets
 
@@ -330,7 +338,7 @@ def test_refine_and_dilate_match_the_index_construction(grid, factor, radius, da
 
 def assert_matches_reference(graph, *case):
     indptr, targets, sink = reference_graph(*case)
-    assert graph.indptr.dtype == graph.targets.dtype == np.int64
+    assert_one_int32_index(graph)
     assert graph.indptr.tolist() == indptr.tolist()
     assert graph.targets.tolist() == targets
     assert graph.sink.tolist() == sink
@@ -438,6 +446,48 @@ def test_sphere_graph_is_the_same_in_tiles(monkeypatch, ambient, subdivisions, d
     assert counts == [3, 3]  # one exponential per control, not per tile
     assert sphere.size > 6 * 64 and sphere.size % 64 != 0
     assert_same_bits(tiled, whole)
+
+
+def built_graphs():
+    """A full-grid, an `active`, a refined and a sphere graph, with a start
+    set for closures on each."""
+    controls = np.array([[-1.0], [0.0], [0.6]])
+    grid = BoxGrid([-3.0, -2.5], [3.0, 3.5], [24, 24])
+    full = build_transition_graph(SHEAR, grid, controls, 0.3, 3, 11)
+    disc = BoxSet(grid, np.flatnonzero(np.hypot(*grid.centers(np.arange(grid.size)).T) < 1.5))
+    linear = AffineSystem(np.diag([1.0, -1.0, -2.0]), np.eye(3)[None, :, :],
+                          np.zeros((3, 1)), np.zeros(3), [-0.5], [0.5])
+    graphs = [full, build_transition_graph(SHEAR, grid, controls, 0.3, 3, 11, active=disc),
+              refine(SHEAR, full, disc, 2)[1],
+              build_sphere_graph(linear, SphereGrid(3, 6), [[-0.5], [0.5]], 0.2, 3, 1)]
+    return [(graph, BoxSet(graph.grid, graph.boxes[::7])) for graph in graphs]
+
+
+def test_built_graphs_hand_csgraph_their_own_arrays():
+    # one index dtype from the build on: to_sparse copies no index array
+    for graph, _ in built_graphs():
+        assert graph.num_edges > 0
+        assert_one_int32_index(graph)
+        matrix = graph.to_sparse()
+        assert np.shares_memory(matrix.indices, graph.targets)
+        assert np.shares_memory(matrix.indptr, graph.indptr)
+
+
+def test_int64_index_dtype_gives_the_same_graphs(monkeypatch):
+    # the wide branch, which no graph under the default cap reaches
+    narrow = built_graphs()
+    monkeypatch.setattr(reach, "_index_dtype", lambda count: np.int64)
+    for (graph, starts), (wide, wide_starts) in zip(narrow, built_graphs()):
+        assert wide.indptr.dtype == wide.targets.dtype == np.int64
+        for name in ("boxes", "indptr", "targets", "sink"):
+            assert np.array_equal(getattr(wide, name), getattr(graph, name)), name
+        for got, want in zip(wide.reverse() + wide.scc(), graph.reverse() + graph.scc()):
+            assert np.array_equal(got, want)
+        for direction in ("forward", "backward"):
+            for include_start in (True, False):
+                got = closure(wide, wide_starts, direction, include_start)
+                want = closure(graph, starts, direction, include_start)
+                assert got.equals(want) and len(want) > 0
 
 
 def build_on_box_grid(sys, controls, dt, pts_per_box, memory_cap):

@@ -70,7 +70,7 @@ def reference_rows_to_csr(rows):
 def assert_rows_to_csr_is_reference(rows):
     expected = reference_rows_to_csr(rows.copy())
     indptr, targets, sink = _rows_to_csr(rows)
-    assert indptr.dtype == np.int64 and targets.dtype == rows.dtype
+    assert indptr.dtype == targets.dtype == rows.dtype
     assert indptr.tolist() == expected[0].tolist()
     assert targets.tolist() == expected[1]
     assert sink.tolist() == expected[2]
@@ -107,17 +107,17 @@ def test_sparse_matrix_is_float64_ones_with_int32_indices():
     for graph in wrap(3, edges):
         matrix = graph.to_sparse()
         assert matrix.data.dtype == np.float64 and np.all(matrix.data == 1.0)
-        assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+        assert np.shares_memory(matrix.indices, graph.targets)
+        assert np.shares_memory(matrix.indptr, graph.indptr)
         assert np.array_equal(matrix.toarray() != 0, adj)
         indptr, targets = graph.reverse()
-        assert indptr.dtype == targets.dtype == np.int64
+        assert indptr.dtype == targets.dtype == graph.targets.dtype == np.int32
         assert [targets[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == [
             np.flatnonzero(column).tolist() for column in adj.T]
 
 
 def wrap(n, edges):
-    indptr, targets, sink = edge_csr(n, edges, np.int32)
-    targets = targets.astype(np.int64)  # graphs store int64 targets, as the builders join them
+    indptr, targets, sink = edge_csr(n, edges, np.int32)  # int32, as the builders make it
     assert sink.tolist() == [any(src != j for src, _ in edges) for j in range(n)]
     grid = BoxGrid([0.0], [1.0], [n])
     graph = TransitionGraph(grid=grid, boxes=np.arange(n, dtype=np.int64),
@@ -141,7 +141,8 @@ def test_graph_core_matches_warshall(case):
     graph, sphere_graph = wrap(n, edges)
     # int32 rows (wrap's) and int64 rows give the same CSR
     indptr, targets, _ = edge_csr(n, edges, np.int64)
-    assert graph.indptr.dtype == graph.targets.dtype == targets.dtype == np.int64
+    assert graph.indptr.dtype == graph.targets.dtype == np.int32
+    assert indptr.dtype == targets.dtype == np.int64
     assert np.array_equal(graph.indptr, indptr) and np.array_equal(graph.targets, targets)
 
     # CSR: distinct, sorted rows holding exactly the edge set

@@ -247,6 +247,20 @@ def test_proj_dist_vectors_ignores_memory_layout(d, r, s, seed):
         assert np.array_equal(proj_dist_vectors(blocks, Y), stacked)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_proj_dist_vectors_is_proj_metric_up_to_rounding_noise(d, s, seed):
+    # sqrt(2 - 2|cos|) cancels near 0, so 1e-7 bounds the noise; rows equal
+    # to, antipodal to and nearly equal to the rows of Y are the worst cases
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((s, d)) * 10.0 ** rng.integers(-3, 4, size=(s, 1))
+    nudge = 10.0 ** rng.uniform(-12, -6, size=(s, 1)) * rng.standard_normal((s, d))
+    X = np.concatenate([rng.standard_normal((s, d)), Y, -2.5 * Y, Y * (1.0 + nudge)])
+    points = [[ProjPoint.from_vector(v, level_tol=0.0) for v in M] for M in (X, Y)]
+    exact = np.array([[proj_metric(p, q) for q in points[1]] for p in points[0]])
+    assert np.max(np.abs(proj_dist_vectors(X, Y) - exact)) <= 1e-7
+
+
 def reference_flow_rows(M, dt, W):
     """The row-major flow: W @ E.T per chunk, kept verbatim as the reference."""
     n_sub = max(1, int(np.ceil(abs(dt) * np.linalg.norm(M) / MAX_EXP_GROWTH)))

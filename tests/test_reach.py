@@ -1,9 +1,12 @@
 """Tests for box grids, transition graphs, closures, and chain components."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affinecontrol.projective import SphereGrid, build_sphere_graph
 from affinecontrol.reach import (
     BoxGrid,
     BoxSet,
@@ -121,6 +124,21 @@ def test_mixed_grids_are_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="different grids"):
             call()
+
+
+@pytest.mark.parametrize("operation", ["BoxSet.volume", "BoxSet.dilate",
+                                       "is_invariant_in_window", "refine"])
+def test_box_grid_operations_name_themselves_on_sphere_sets(operation):
+    sys = AffineSystem(np.diag([1.0, -1.0, -2.0]), np.eye(3)[None, :, :], np.zeros((3, 1)),
+                       np.zeros(3), [-0.5], [0.5])
+    graph = build_sphere_graph(sys, SphereGrid(3, 4), [[0.0]], 0.1)
+    box_set = BoxSet(graph.grid, [1, 2])
+    call = {"BoxSet.volume": lambda: box_set.volume,
+            "BoxSet.dilate": lambda: box_set.dilate(1),
+            "is_invariant_in_window": lambda: is_invariant_in_window(graph, box_set),
+            "refine": lambda: refine(sys, graph, box_set, 2)}[operation]
+    with pytest.raises(TypeError, match=f"^{re.escape(operation)} needs a BoxGrid"):
+        call()
 
 
 # --------------------------------------------------------------------- graphs
