@@ -7,13 +7,16 @@ periodic-solution trichotomy (unique / affine family / obstructed) come
 from closed-form maps rather than an ODE stepper.  Every entry point maps a
 flat batch (values, durations, segment counts), filled directly by the scan's
 sampler or a path, through one vectorised exponential of all segments
-(`system._expm`, after Higham 2005); controls are built only for reports.
+(`system._expm`, after Higham 2005); the batch format lives here alone.
 The sampler draws a batch's random stream in four bulk calls, so a seed
-determines the whole batch, and continuation records are filled from
-stacked solves, norms and singular value decompositions.
+determines the whole batch.  Continuation records are filled from stacked
+solves, norms and singular value decompositions.  Controls are made for
+reports only: a scan's argmin and each crossing at once, and a record's
+from the path when it is first read.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -447,17 +450,25 @@ def concat_path(u: PiecewiseControl, v: PiecewiseControl) -> ControlPath:
 
 @dataclass(frozen=True, eq=False)
 class ContinuationRecord:
-    """State of the periodic-solution problem at one path parameter."""
+    """State of the periodic-solution problem at one path parameter; its
+    `control`, `path.at(alpha)`, is made on first read, and `tau` is its period."""
 
     alpha: float
-    tau: float
-    control: PiecewiseControl = field(repr=False)
+    path: ControlPath = field(repr=False)
     det_gap: float
     margin: float
     solution: object
     norm_x: float
     kernel_angle: float
     refined: bool = False
+
+    @cached_property
+    def control(self) -> PiecewiseControl:
+        return self.path.at(self.alpha)
+
+    @property
+    def tau(self) -> float:
+        return self.control.period
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,9 +511,7 @@ def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
     `_near_kernel` give one record at a time; only the rare non-Unique rows
     of `_solutions` and the record objects take a loop.
     """
-    batch = path.segments(alphas)
-    controls = PiecewiseControl._batch(*batch)
-    phi, b = _period_maps(sys, *batch)
+    phi, b = _period_maps(sys, *path.segments(alphas))
     M = np.eye(sys.n) - phi
     margins = _spectrum(phi)[1]
     solutions, points = _solutions(M, b, margins, tolerances)
@@ -525,12 +534,11 @@ def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
             kernel_angle[window[rows]] = np.where(
                 norm_p == 0.0, np.sqrt(2.0), _row_norms(xhat[rows] - p / norm_p[:, None]))
     return [ContinuationRecord(
-                alpha=float(alpha), tau=ctrl.period, control=ctrl, det_gap=float(det_gap),
+                alpha=float(alpha), path=path, det_gap=float(det_gap),
                 margin=float(margin), solution=sol, norm_x=float(nx),
                 kernel_angle=float(angle), refined=refined)
-            for alpha, ctrl, det_gap, margin, sol, nx, angle in zip(
-                alphas, controls, np.linalg.det(M), margins, solutions, norm_x,
-                kernel_angle)]
+            for alpha, det_gap, margin, sol, nx, angle in zip(
+                alphas, np.linalg.det(M), margins, solutions, norm_x, kernel_angle)]
 
 
 def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):

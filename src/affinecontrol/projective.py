@@ -25,7 +25,7 @@ from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
 from .reach import (BoxSet, TransitionGraph, _label_groups, _label_order, _ranges,
-                    _sampled_controls, _sampled_csr, _test_offsets)
+                    _sampled_controls, _sampled_csr, _test_offsets, _whole)
 from .system import AffineSystem, PiecewiseControl, _row_norms
 
 __all__ = [
@@ -246,6 +246,8 @@ class SphereGrid:
     subdivisions: int
 
     def __post_init__(self):
+        for name in ("ambient", "subdivisions"):
+            object.__setattr__(self, name, int(_whole(getattr(self, name), name)))
         if self.ambient < 2:
             raise ValueError("ambient dimension must be >= 2")
         if self.subdivisions < 1:
@@ -418,9 +420,9 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     """
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")
+    controls = _sampled_controls(sys, sphere.ambient, sphere, sphere.size, controls, dt,
+                                 pts_per_box, memory_cap)
     ids = np.arange(sphere.size, dtype=np.int64)
-    controls = _sampled_controls(sys, sphere.ambient, sphere, ids, controls, dt, pts_per_box,
-                                 memory_cap)
     steps = [_flow_step(sys.system_matrix(u), dt) for u in controls]
     indptr, targets, sink = _sampled_csr(
         sphere, ids, _test_offsets(sphere.face_dims, pts_per_box, seed), steps,

@@ -46,6 +46,16 @@ class MemoryBudgetError(RuntimeError):
     """Planned allocation exceeds the configured cap; raised before allocating."""
 
 
+def _whole(value, name: str) -> np.ndarray:
+    """`value` as int64, or ValueError naming `name` unless every entry is whole."""
+    raw = np.asarray(value)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        whole = raw.astype(np.int64)
+    if not np.array_equal(whole, raw):
+        raise ValueError(f"{name} must be whole, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True, eq=False)
 class BoxGrid:
     """Uniform axis-aligned box covering of a rectangular window.
@@ -61,7 +71,7 @@ class BoxGrid:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float).reshape(-1)
         hi = np.asarray(self.hi, dtype=float).reshape(-1)
-        subs = np.asarray(self.subdivisions, dtype=np.int64).reshape(-1)
+        subs = _whole(self.subdivisions, "subdivisions").reshape(-1)
         if lo.shape != hi.shape or lo.shape != subs.shape:
             raise ValueError("lo, hi, subdivisions must have equal lengths")
         if np.any(lo >= hi):
@@ -340,14 +350,14 @@ def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, np.compress(keep.ravel(), flat), np.any(rows[:, :1] < 0, axis=1)
 
 
-def _sampled_controls(sys: AffineSystem, dim: int, grid, boxes: np.ndarray, controls,
+def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
                       dt: float, pts_per_box: int, memory_cap: int) -> np.ndarray:
     """The controls as a (C, m) array, once the system dimension against the
     grid's `dim`, dt, pts_per_box, every control value and the memory are
     checked; raises before anything is allocated for the graph.  The cap
-    counts one word per point-control sample of the sorted `boxes`, the
-    most edges `_sampled_csr` can keep, plus grid.size + 1 for its position
-    table when `boxes` leaves out some box of `grid`.  A word is one element
+    counts one word per point-control sample of the graph's `count` boxes,
+    the most edges `_sampled_csr` can keep, plus grid.size + 1 for its
+    position table when `count` < grid.size.  A word is one element
     of the graph's index dtype, 4 bytes when grid.size + samples < 2**31."""
     if sys.n != dim:
         raise ValueError(f"system dimension {sys.n} does not match the grid ({dim})")
@@ -357,8 +367,8 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, boxes: np.ndarray, cont
         raise ValueError("pts_per_box must be >= 1")
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     _check_values(sys, controls)
-    samples = boxes.size * pts_per_box * controls.shape[0]
-    table_words = grid.size + 1 if boxes.size < grid.size else 0
+    samples = count * pts_per_box * controls.shape[0]
+    table_words = grid.size + 1 if count < grid.size else 0
     if samples + table_words > memory_cap:
         raise MemoryBudgetError(
             f"{samples} point-control samples and {table_words} position-table words "
@@ -631,9 +641,10 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     """
     if active is not None:
         _check_same_grid(grid, active.grid)
-    boxes = active.indices if active is not None else np.arange(grid.size, dtype=np.int64)
-    controls = _sampled_controls(sys, grid.dim, grid, boxes, controls, dt, pts_per_box,
+    count = grid.size if active is None else len(active)
+    controls = _sampled_controls(sys, grid.dim, grid, count, controls, dt, pts_per_box,
                                  memory_cap)
+    boxes = np.arange(grid.size, dtype=np.int64) if active is None else active.indices
     maps = [segment_map(sys, u, dt) for u in controls]
 
     def image_rows(segment, points):
@@ -720,13 +731,20 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     `memory_cap` counts words of the graph's index dtype as in
     `build_transition_graph`: one per sample of the active boxes, plus the
     fine grid's size + 1 for the position table when they leave out a fine box.
+    A fine grid of more boxes than the cap raises before its mask is made:
+    its position table or, when every fine box is active, its samples exceed it.
     """
+    factor = int(_whole(factor, "factor"))
     if factor < 2:
         raise ValueError("factor must be >= 2")
     grid = graph.grid
     _check_same_grid(grid, keep.grid)
     _check_box_grid(grid, "refine")
     fine = BoxGrid(grid.lo, grid.hi, grid.subdivisions * factor)
+    if fine.size > memory_cap:
+        raise MemoryBudgetError(
+            f"the fine grid's {fine.size + 1} position-table words, or its samples, "
+            f"exceed the cap of {memory_cap}; refine by a smaller factor or raise the cap")
     children = keep._mask()
     for axis in range(grid.dim):
         children = np.repeat(children, factor, axis=axis)

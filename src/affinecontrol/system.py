@@ -192,25 +192,6 @@ class PiecewiseControl:
         durs = [float(t) for _, t in segments]
         return cls(np.stack(vals), np.array(durs))
 
-    @classmethod
-    def _batch(cls, values, durations, counts) -> list["PiecewiseControl"]:
-        """Controls of consecutive runs of counts[i] >= 1 segments, validated
-        once as a whole; each holds read-only views of the flat arrays and its
-        `period`, summed for all controls of one segment count at once (per
-        row, the sum `period` takes of one control)."""
-        whole, counts = cls(values, durations), np.asarray(counts)
-        ends = np.cumsum(counts)
-        periods = np.empty(counts.size)
-        for k in np.unique(counts):
-            rows = np.flatnonzero(counts == k)
-            periods[rows] = np.sum(whole.durations[ends[rows, None] - k + np.arange(k)],
-                                   axis=1)
-        controls = [object.__new__(cls) for _ in ends]
-        for c, lo, hi, period in zip(controls, ends - counts, ends, periods.tolist()):
-            c.__dict__.update(values=whole.values[lo:hi], durations=whole.durations[lo:hi],
-                              period=period)
-        return controls
-
     @property
     def m(self) -> int:
         return self.values.shape[1]

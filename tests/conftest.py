@@ -74,6 +74,15 @@ def drifting_lane_system() -> AffineSystem:
     )
 
 
+def product_scalar_system(a, c, d) -> AffineSystem:
+    """Product of n scalar systems dx_i = (a_i + u_i) x_i + c_i u_i + d_i with
+    independent controls u in [-1, 1]^n: A = diag(a), B_i = e_i e_i^T, C = diag(c)."""
+    a, c, d = (np.asarray(x, dtype=float).reshape(-1) for x in (a, c, d))
+    n = a.size
+    return AffineSystem(A=np.diag(a), B=np.eye(n)[:, :, None] * np.eye(n)[:, None, :],
+                        C=np.diag(c), d=d, omega_lo=-np.ones(n), omega_hi=np.ones(n))
+
+
 def random_system(rng: np.random.Generator, n: int = 3, m: int = 1,
                   scale: float = 1.0) -> AffineSystem:
     A = scale * rng.normal(size=(n, n))

@@ -262,13 +262,11 @@ def test_path_segments_are_the_pieces_of_at(pair, alphas):
     alphas = [a for a in alphas if 0.0 <= a <= 1.0]
     batch = path.segments(alphas)
     assert batch[2].size == len(alphas)
-    records = PiecewiseControl._batch(*batch)
-    for alpha, (values, durations), ctrl in zip(alphas, split(*batch), records):
+    for alpha, (values, durations) in zip(alphas, split(*batch)):
         expected = reference_at(path, alpha)
         assert_same(expected, values, durations)
-        assert_same(expected, ctrl.values, ctrl.durations)
         assert_same(expected, path.at(alpha).values, path.at(alpha).durations)
-        assert ctrl.period == expected.period
+        assert path.at(alpha).period == expected.period
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,15 +293,6 @@ def test_constant_path_segments_repeat_the_control():
         path.segments([0.2, 1.5])
 
 
-def test_batch_controls_are_validated_once():
-    with pytest.raises(ValueError, match="durations must be positive"):
-        PiecewiseControl._batch(np.zeros((3, 1)), [0.5, -0.1, 0.2], [1, 2])
-    a, b = PiecewiseControl._batch(np.arange(3.0)[:, None], [0.5, 0.1, 0.2], [1, 2])
-    assert a.period == 0.5 and b.num_segments == 2 and not b.values.flags.writeable
-    with pytest.raises(AttributeError):
-        b.values = None
-
-
 def test_path_coupling_crossing_controls_unchanged():
     # the benchmark's coupling path: every record's control is the pieces one
     sys = symmetric_coupling_system()
@@ -315,6 +304,33 @@ def test_path_coupling_crossing_controls_unchanged():
         expected = reference_at(path, record.alpha)
         assert_same(expected, record.control.values, record.control.durations)
         assert record.tau == expected.period
+
+
+def test_records_make_their_control_on_first_read():
+    # the coupling path with its ladder records, and a path of three-segment
+    # controls: no record holds a control until one is read, and the one it
+    # makes is path.at(alpha) bit for bit, kept for later reads
+    u = PiecewiseControl.from_segments([([-1.1], 0.6), ([0.4], 0.9)])
+    v = PiecewiseControl.from_segments([([-0.95], 0.8), ([1.1], 0.3), ([-1.1], 0.5)])
+    refined = 0
+    for sys, path in [(symmetric_coupling_system(),
+                       concat_path(PiecewiseControl.constant([-0.7], 1.0),
+                                   PiecewiseControl.constant([-0.4], 1.0))),
+                      (damped_oscillator_system(), concat_path(u, v))]:
+        records = continuation(sys, path, steps=41).records
+        assert not any("control" in vars(r) for r in records)
+        for r in records:
+            expected = path.at(r.alpha)
+            assert_same(expected, r.control.values, r.control.durations)
+            assert r.tau == expected.period
+            assert vars(r)["control"] is r.control
+        refined += sum(r.refined for r in records)
+    assert refined > 0
+    # the control made is a validated, read-only PiecewiseControl
+    ctrl = records[-1].control
+    assert not ctrl.values.flags.writeable and not ctrl.durations.flags.writeable
+    with pytest.raises(AttributeError):
+        ctrl.values = None
 
 
 # ------------------------------------------------------------ records
@@ -363,16 +379,14 @@ def reference_solution_point(sol):
 
 
 def reference_records(sys, path, alphas, tolerances, refined=False):
-    batch = path.segments(alphas)
-    controls = PiecewiseControl._batch(*batch)
-    phi, b = _period_maps(sys, *batch)
+    phi, b = _period_maps(sys, *path.segments(alphas))
     M = np.eye(sys.n) - phi
     margins = _spectrum(phi)[1]
     unique = margins > tolerances.unit_tol  # reference_solve's Unique case, in one batch
     x0 = iter(np.linalg.solve(M[unique], b[unique][..., None])[..., 0])
     records = []
-    for alpha, ctrl, Mi, bi, det_gap, margin, is_unique in zip(
-            alphas, controls, M, b, np.linalg.det(M), margins, unique):
+    for alpha, Mi, bi, det_gap, margin, is_unique in zip(
+            alphas, M, b, np.linalg.det(M), margins, unique):
         sol = Unique(next(x0)) if is_unique else reference_solve(Mi, bi, margin, tolerances)
         point = reference_solution_point(sol)
         norm_x = float(np.linalg.norm(point)) if point is not None else float("nan")
@@ -381,7 +395,7 @@ def reference_records(sys, path, alphas, tolerances, refined=False):
             kernel_angle = reference_sphere_distance(
                 point, reference_near_kernel(Mi, tolerances.eig_tol))
         records.append(ContinuationRecord(
-            alpha=float(alpha), tau=ctrl.period, control=ctrl, det_gap=float(det_gap),
+            alpha=float(alpha), path=path, det_gap=float(det_gap),
             margin=float(margin), solution=sol, norm_x=norm_x,
             kernel_angle=kernel_angle, refined=refined))
     return records

@@ -893,7 +893,7 @@ def test_infinity_directions_keep_blowup_records_past_max_points(max_points):
     centers = grid.centers(np.arange(grid.size))
     far = np.flatnonzero((centers[:, 0] > 70.0) & (np.abs(centers[:, 1]) < 20.0))
     assert far.size == 48
-    record = ContinuationRecord(alpha=0.5, tau=1.0, control=None, det_gap=0.0, margin=1.0,
+    record = ContinuationRecord(alpha=0.5, path=None, det_gap=0.0, margin=1.0,
                                 solution=Unique(np.array([0.0, 1e6])), norm_x=1e6,
                                 kernel_angle=float("nan"))
     report = infinity_boundary_directions(BoxSet(grid, far), norm_floor=60.0,

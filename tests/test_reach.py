@@ -1,6 +1,7 @@
 """Tests for box grids, transition graphs, closures, and chain components."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,56 @@ def test_memory_budget_counts_the_position_table():
     full = build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 2, seed=0)
     for name in ("boxes", "indptr", "targets", "sink"):
         assert np.array_equal(getattr(whole, name), getattr(full, name))
+
+
+@pytest.mark.parametrize("case", ["box_grid", "sphere_grid", "refine"])
+def test_memory_cap_raises_before_grid_sized_allocations(case):
+    saddle, controls = planar_saddle_system(), np.linspace(-1.0, 1.0, 5)[:, None]
+    window = ([-3.0, -2.0], [1.0, 4.0])
+    if case == "box_grid":  # 2048^2 boxes x 5 controls x 4 points, over the default cap
+        grid = BoxGrid(*window, [2048, 2048])
+        build = lambda: build_transition_graph(saddle, grid, controls, 0.1, 4, seed=3)
+    elif case == "sphere_grid":  # 4 * 128^3 boxes x 5 controls x 3 points
+        build = lambda: build_sphere_graph(zero_field(4), SphereGrid(4, 128), controls,
+                                           0.1, 3, seed=0)
+    else:  # one box of 64^2 refined to 2048^2: the fine grid alone exceeds the cap
+        graph = build_transition_graph(saddle, BoxGrid(*window, [64, 64]), controls, 0.1,
+                                       4, seed=3)
+        build = lambda: refine(saddle, graph, BoxSet(graph.grid, [100]), 32,
+                               memory_cap=10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match="exceed the cap"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: BoxGrid([0.0], [1.0], [2.5]), "subdivisions"),
+    (lambda: BoxGrid([0.0, 0.0], [1.0, 1.0], [4, np.nan]), "subdivisions"),
+    (lambda: SphereGrid(3, 2.5), "subdivisions"),
+    (lambda: SphereGrid(2.5, 3), "ambient"),
+    (lambda: refine(zero_field(), build_transition_graph(
+        zero_field(), BoxGrid([-1.0, -1.0], [1.0, 1.0], [8, 8]), [[0.0]], 0.5, 1, seed=0),
+        BoxSet(BoxGrid([-1.0, -1.0], [1.0, 1.0], [8, 8]), [27]), 2.5), "factor"),
+])
+def test_sizes_that_are_not_whole_numbers_raise(make, name):
+    with pytest.raises(ValueError, match=f"{name} must be whole"):
+        make()
+
+
+def test_whole_float_sizes_are_accepted():
+    assert BoxGrid([0.0], [1.0], [2.0]).subdivisions.tolist() == [2]
+    sphere = SphereGrid(3.0, 4.0)
+    assert (sphere.ambient, sphere.subdivisions, sphere.size) == (3, 4, 48)
+    assert type(sphere.size) is int
+    grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], [8, 8])
+    graph = build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 1, seed=0)
+    fine, _ = refine(zero_field(), graph, BoxSet(grid, [27]), 2.0)
+    assert fine.subdivisions.tolist() == [16, 16]
 
 
 # ----------------------------------------------------------- control sets
