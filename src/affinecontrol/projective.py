@@ -280,7 +280,12 @@ class SphereGrid:
         points without `ambient` coordinates, a zero point or one with a
         non-finite coordinate, which names no direction.  Works a column at a
         time in preallocated buffers, so points that are the transpose of an
-        (ambient, n) array are read from contiguous memory.
+        (ambient, n) array are read from contiguous memory.  A face
+        coordinate c becomes the bin floor(min((c + 1) * (subdivisions / 2),
+        subdivisions - 1)), clipped in float before its one int64 cast;
+        c + 1 lies in {0} and [2**-53, 2], so halving it never rounds and the
+        product is (c + 1) / 2 * subdivisions to the bit.  The bins are
+        combined by Horner in int64, so ids are exact below 2**63 boxes.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.ambient:
@@ -303,6 +308,7 @@ class SphereGrid:
             raise ValueError("sphere box of a zero or non-finite point")
         del best
         sub = self.subdivisions
+        half, last = 0.5 * sub, float(sub - 1)
         bins = np.empty(n, dtype=np.int64)
         cell = np.zeros(n, dtype=np.int64)
         for j in range(self.face_dims):
@@ -311,10 +317,9 @@ class SphereGrid:
             np.copyto(coord, pts[:, j], where=test)
             coord /= anchor  # in [-1, 1], as the anchor has the largest modulus
             coord += 1.0
-            coord *= 0.5
-            coord *= sub
+            coord *= half  # (coord * 0.5) * sub in one rounding, * 0.5 being exact
+            np.minimum(coord, last, out=coord)
             np.copyto(bins, coord, casting="unsafe")  # the floor, coord being >= 0
-            np.minimum(bins, sub - 1, out=bins)
             cell *= sub
             cell += bins
         axis *= self.cells_per_face
@@ -360,11 +365,24 @@ class SphereGrid:
     def box_diameter(self) -> float:
         """Largest projective diameter of a box.
 
-        All faces are congruent, so the maximum is taken over the boxes of
-        face 0: sqrt(2 - 2 |dot|) over its corner pairs, from the least
-        |dot| (capped at 1), as that map is monotone.
+        All faces are congruent, so the maximum is taken on face 0:
+        sqrt(2 - 2 |dot|) over corner pairs, from the least |dot| (capped at
+        1), as that map is monotone.  Only the cells with bins
+        (subdivisions - 1) // 2 or subdivisions // 2 per axis, whose closure
+        holds the face centre, are visited (2**face_dims of them for an even
+        count of bins, one for an odd count): the face point p stands for the
+        direction (1, p), and that map shrinks a step dp by the factor
+        1 / sqrt(1 + |p|^2) across the radius and 1 / (1 + |p|^2) along it,
+        both falling as |p| grows, so a bin of fixed width subtends smaller
+        corner-pair angles the farther it lies from the centre.  Each
+        corner's bits do not depend on the other cells, so this is the pair
+        loop over every cell of face 0 to the bit whenever its maximum lies
+        in a centre cell (checked over a range of grids in the tests).
         """
-        corners = self.corners(np.arange(self.cells_per_face)).transpose(0, 2, 1)
+        combos = np.array(list(np.ndindex((2,) * self.face_dims)))
+        centre = np.ravel_multi_index(tuple(((self.subdivisions - 1 + combos) // 2).T),
+                                      (self.subdivisions,) * self.face_dims)
+        corners = self.corners(centre).transpose(0, 2, 1)
         c = corners.shape[0]  # (c, ambient, N), contiguous
         product = np.empty(corners.shape[1:])
         dots = np.empty(corners.shape[2])

@@ -150,12 +150,18 @@ class BoxGrid:
         The window is half open, lo <= x < hi per axis; a point just below
         hi whose quotient rounds up to `subdivisions` stays in the last box.
         Raises ValueError for points that do not have `dim` coordinates.
+        Per axis the float quotient (x - lo) / width is clipped to
+        subdivisions - 1 (exact up to 2**53 boxes an axis) and cast once to
+        its int64 bin; the bins are combined by Horner in int64, so ids are
+        exact for every grid of fewer than 2**63 boxes (in float64 they
+        would not be past 2**53).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"points with {pts.shape[1]} coordinates on a {self.dim}-D grid")
         n = pts.shape[0]
         widths = self.widths
+        last = (self.subdivisions - 1).astype(float)
         # one set of buffers for all axes; a column of pts is contiguous
         # when pts is the transpose of a (dim, n) array
         flat = np.empty(n, dtype=np.int64)
@@ -176,10 +182,10 @@ class BoxGrid:
                 np.less(x, self.hi[k], out=test)
                 inside &= test
                 quotient /= widths[k]
-                # inside, the quotient is >= 0, so the cast is the floor
+                # inside, the clipped quotient is >= 0, so the cast is the floor
+                np.minimum(quotient, last[k], out=quotient)
                 axis_cell = cell if k else flat
                 np.copyto(axis_cell, quotient, casting="unsafe")
-                np.minimum(axis_cell, sub - 1, out=axis_cell)
                 if k:
                     flat *= sub
                     flat += cell
@@ -310,10 +316,11 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # `_rows_to_csr` sorts each node's C * P samples in the block's transpose;
 # the tiles' rows are joined once, so no whole-graph block or transpose
 # exists.  Ids are positions when the graph has every box, else a table maps
-# them.  `_sampled_csr` picks the graph's one index dtype: int32 when
-# grid.size plus the samples fit (always under DEFAULT_MEMORY_CAP), else
-# int64.  Block, table, tiles, indptr and targets all have it, and csgraph
-# computes on the int32 arrays as they are.  On a BoxGrid the images come
+# them.  `_sampled_csr` builds in int32 when grid.size plus the samples fit
+# (always under DEFAULT_MEMORY_CAP), else int64, and stores the joined
+# indptr and targets in int32 whenever the kept graph fits, so csgraph
+# computes on the graph's own arrays and the matrices it gets carry no
+# per-edge data (`_csr_matrix`).  On a BoxGrid the images come
 # coordinate-major: a (dim, tile) array per (control, test point), whose
 # transpose box_of reads column by column from contiguous memory.
 
@@ -390,8 +397,11 @@ def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
     become positions in `boxes` as it is filled, through a table of
     grid.size + 1 words, -1 for ids not in `boxes` and in the last entry,
     which id -1 (the sink) reads; otherwise every box is in `boxes` and the
-    ids are positions already.  Every index here and in `_reachable` is at
-    most grid.size + samples, so all index arrays take its `_index_dtype`.
+    ids are positions already.  Every index of the build is at most
+    grid.size + samples, so the block, table and tiles take its
+    `_index_dtype`.  The joined graph is stored in the `_index_dtype` of
+    edges + nodes + 1, which bounds every index `_reachable` forms: int32
+    whenever the kept graph fits, the arrays csgraph computes on as they are.
     """
     P = offsets.shape[0]
     dtype = _index_dtype(grid.size + boxes.size * len(maps) * P)
@@ -416,7 +426,9 @@ def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
         np.add(tile_indptr[1:], indptr[start], out=indptr[start + 1:stop + 1])
         targets.append(tile_targets)
         sinks.append(tile_sink)
-    return indptr, np.concatenate(targets), np.concatenate(sinks)
+    stored = _index_dtype(int(indptr[-1]) + boxes.size + 1)
+    return (indptr.astype(stored, copy=False), np.concatenate(targets, dtype=stored),
+            np.concatenate(sinks))
 
 
 def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -428,23 +440,24 @@ def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def _csr_matrix(indptr: np.ndarray, targets: np.ndarray,
-                data: type = np.float64) -> sparse.csr_matrix:
-    """The graph as a matrix of ones of dtype `data` on `indptr` and
-    `targets` themselves.  With float64 data and the builders' int32 index
-    arrays it is the matrix csgraph computes on, so that neither scipy's
-    constructor nor csgraph scans or copies them."""
+                ones: type | None = None) -> sparse.csr_matrix:
+    """The graph as a matrix of ones on `indptr` and `targets` themselves:
+    a writable array of dtype `ones`, one entry per edge, or by default a
+    read-only zero-stride view of one float64 1.0, 8 bytes in all.  csgraph's
+    traversals read only the structure, so with the default and the
+    builders' int32 index arrays neither scipy's constructor nor csgraph
+    allocates, scans or copies anything per edge."""
     n = indptr.size - 1
-    return sparse.csr_matrix((np.ones(targets.size, dtype=data), targets, indptr),
-                             shape=(n, n))
+    data = (np.broadcast_to(1.0, targets.shape) if ones is None
+            else np.ones(targets.size, dtype=ones))
+    return sparse.csr_matrix((data, targets, indptr), shape=(n, n))
 
 
 def _self_loops(indptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per node, whether it has an edge to itself."""
-    n = indptr.size - 1
-    sources = np.repeat(np.arange(n, dtype=targets.dtype), np.diff(indptr))
-    loops = np.zeros(n, dtype=bool)
-    loops[targets[sources == targets]] = True
-    return loops
+    """Per node, whether it has an edge to itself: the diagonal of the
+    matrix of int8 ones (rows are distinct, so an entry is 0 or 1), which
+    scipy reads in one pass with one byte per edge, not a source per edge."""
+    return _csr_matrix(indptr, targets, np.int8).diagonal() != 0
 
 
 def _scc_labels(indptr: np.ndarray, targets: np.ndarray,
@@ -565,8 +578,10 @@ class TransitionGraph:
 
     def to_sparse(self) -> sparse.csr_matrix:
         """The graph as a scipy CSR matrix of float64 ones, whose indptr and
-        indices are the graph's own arrays when they are int32."""
-        return _csr_matrix(self.indptr, self.targets)
+        indices are the graph's own arrays when they are int32.  Its data is
+        a writable array of its own, unlike the zero-stride view in the
+        matrices the graph queries hand csgraph."""
+        return _csr_matrix(self.indptr, self.targets, np.float64)
 
     def has_self_loop(self) -> np.ndarray:
         return _self_loops(self.indptr, self.targets)

@@ -154,6 +154,38 @@ def test_box_of_reads_every_coordinate():
     assert SphereGrid(3, 4).box_of([[1.0, 0.2, 0.1]]).tolist() == [10]
 
 
+def scalar_sphere_box(grid: SphereGrid, x) -> int:
+    """Sphere box id of one point with Python ints: anchor axis times the
+    cells per face plus the Horner sum of the clipped bins of x / anchor."""
+    axis = max(range(grid.ambient), key=lambda k: (abs(x[k]), -k))
+    sub = grid.subdivisions
+    cell = 0
+    for k in range(grid.ambient):
+        if k != axis:
+            c = float(x[k]) / float(x[axis])
+            cell = cell * sub + min(math.floor((c + 1.0) * 0.5 * sub), sub - 1)
+    return axis * grid.cells_per_face + cell
+
+
+def test_box_ids_are_exact_past_2_to_the_53():
+    # neighbouring ids past 2**53 are closer than a float64 step there, so a
+    # Horner sum in float would merge them
+    sub = 2**27 + 1
+    grid = BoxGrid([0.0, 0.0], [1.0, 1.0], [sub, sub])
+    last = (np.arange(sub - 3, sub) + 0.5) / sub
+    pts = np.array(list(itertools.product(last, last)))
+    sphere = SphereGrid(5, 2**14 + 1)
+    face = -1.0 + (np.arange(sphere.subdivisions - 2, sphere.subdivisions) + 0.5) * (
+        2.0 / sphere.subdivisions)
+    rays = np.array([c + (1.0,) for c in itertools.product(face, repeat=4)])
+    for g, points, reference in ((grid, pts, scalar_box), (sphere, rays, scalar_sphere_box)):
+        expected = [reference(g, x) for x in points]
+        assert g.size > 2**53 and min(expected) > 2**53
+        assert len(set(expected)) == len(expected)
+        assert g.box_of(points).tolist() == expected
+        assert g.box_of(np.ascontiguousarray(points.T).T).tolist() == expected
+
+
 def affine_systems(n):
     entry = st.floats(-2.0, 2.0)
     square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -488,6 +520,30 @@ def test_int64_index_dtype_gives_the_same_graphs(monkeypatch):
                 got = closure(wide, wide_starts, direction, include_start)
                 want = closure(graph, starts, direction, include_start)
                 assert got.equals(want) and len(want) > 0
+
+
+def test_wide_block_stores_the_narrow_graph(monkeypatch):
+    # an int64 id block whose kept graph fits int32 is stored as int32, so
+    # scipy narrows no copy of it and reverse() keeps the graph's dtype
+    real = reach._index_dtype
+    for index, (graph, _) in enumerate(built_graphs()):
+        block = graph.grid.size + graph.num_boxes * len(graph.controls) * graph.pts_per_box
+        seen = []
+
+        def index_dtype(count, block=block):
+            seen.append(count)
+            return np.int64 if count >= block else real(count)
+
+        monkeypatch.setattr(reach, "_index_dtype", index_dtype)
+        wide = built_graphs()[index][0]
+        assert block in seen  # the block was int64
+        assert wide.indptr.dtype == wide.targets.dtype == np.int32
+        for name in ("boxes", "indptr", "targets", "sink"):
+            assert np.array_equal(getattr(wide, name), getattr(graph, name)), name
+        matrix = wide.to_sparse()
+        assert np.shares_memory(matrix.indices, wide.targets)
+        assert np.shares_memory(matrix.indptr, wide.indptr)
+        assert {a.dtype for a in wide.reverse()} == {wide.targets.dtype}
 
 
 def build_on_box_grid(sys, controls, dt, pts_per_box, memory_cap):

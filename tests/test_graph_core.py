@@ -7,6 +7,8 @@ sample rows are int32, as the graph builders make them; int64 rows give the
 same CSR.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,10 +23,13 @@ from affinecontrol.reach import (
     _rows_to_csr,
     _scc_labels,
     _self_loops,
+    build_transition_graph,
     chain_components,
     closure,
     control_set_approx,
 )
+
+from conftest import planar_saddle_system
 
 
 @st.composite
@@ -107,6 +112,7 @@ def test_sparse_matrix_is_float64_ones_with_int32_indices():
     for graph in wrap(3, edges):
         matrix = graph.to_sparse()
         assert matrix.data.dtype == np.float64 and np.all(matrix.data == 1.0)
+        assert matrix.data.flags.writeable
         assert np.shares_memory(matrix.indices, graph.targets)
         assert np.shares_memory(matrix.indptr, graph.indptr)
         assert np.array_equal(matrix.toarray() != 0, adj)
@@ -114,6 +120,29 @@ def test_sparse_matrix_is_float64_ones_with_int32_indices():
         assert indptr.dtype == targets.dtype == graph.targets.dtype == np.int32
         assert [targets[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == [
             np.flatnonzero(column).tolist() for column in adj.T]
+
+
+def traced_peak(call) -> int:
+    """Peak bytes numpy and Python allocate during `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_queries_hand_csgraph_no_per_edge_data():
+    # csgraph reads only the structure, so the matrices it gets carry a
+    # zero-stride data view, and the self-loops come from a one-byte diagonal:
+    # float64 ones alone would be 8 bytes per edge
+    grid = BoxGrid([-4.0, -4.0], [4.0, 4.0], [256, 256])
+    graph = build_transition_graph(planar_saddle_system(), grid,
+                                   np.linspace(-1.0, 1.0, 5)[:, None], 0.1, 4, 3)
+    assert graph.num_edges > 600_000
+    assert traced_peak(graph.scc) < 3 * graph.num_edges  # cold: labels computed here
+    cs = control_set_approx(graph, grid.box_containing((-1.0, 1.0)))
+    assert traced_peak(lambda: closure(graph, cs, "forward")) < 8 * graph.num_edges
 
 
 def wrap(n, edges):
