@@ -95,15 +95,14 @@ class ProjPoint:
         return self.vec.shape[0]
 
 
-def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
-    """The points of the rows of V, each on its own (`from_vector` is the one-row
-    case): a row's last coordinate is snapped to 0 and the row renormalised
-    where it is within `level_tol`.  Raises ValueError for a zero or non-finite row."""
-    V = np.array(V, dtype=float)
+def _unit_rows(V) -> np.ndarray:
+    """The rows of V over their norms, in a C-ordered float copy (`_row_norms`
+    rounds differently on other layouts).  A row whose sum of squares leaves
+    the normal range is divided by its largest modulus first; the other rows
+    keep their bits.  Raises ValueError for a zero or non-finite row."""
+    V = np.array(V, dtype=float, order="C")
     with np.errstate(over="ignore"):
         norms = _row_norms(V)
-    # a row whose sum of squares overflows or falls below the normal range is
-    # divided by its largest modulus first; the other rows keep their bits
     rescale = ~((norms >= np.sqrt(np.finfo(float).tiny)) & (norms < np.inf))
     peaks = np.abs(V[rescale]).max(axis=1)
     if not (np.all(np.isfinite(V)) and np.all(peaks > 0.0)):
@@ -111,6 +110,14 @@ def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
     V[rescale] /= peaks[:, None]
     norms[rescale] = _row_norms(V[rescale])
     V /= norms[:, None]
+    return V
+
+
+def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
+    """The points of the rows of V, each on its own (`from_vector` is the one-row
+    case): a row's last coordinate is snapped to 0 and the row renormalised
+    where it is within `level_tol`.  Raises ValueError for a zero or non-finite row."""
+    V = _unit_rows(V)
     low = np.abs(V[:, -1]) <= level_tol
     V[low, -1] = 0.0
     V[low] /= _row_norms(V[low])[:, None]
@@ -119,34 +126,37 @@ def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
     return [ProjPoint(v, 0 if on_level else 1) for v, on_level in zip(V, low.tolist())]
 
 
+def _proj_dist(x, y) -> np.ndarray:
+    """min(|x - y|, |x + y|) of unit vectors x and y, given as their
+    coordinates in order, arrays that broadcast against each other.  The
+    squares are summed a coordinate at a time, so each distance is exact to
+    rounding and 0 for a vector against itself or its negative."""
+    minus = plus = 0.0
+    for a, b in zip(x, y):
+        minus = minus + np.square(a - b)
+        plus = plus + np.square(a + b)
+    return np.sqrt(np.minimum(minus, plus))
+
+
 def proj_metric(p: ProjPoint, q: ProjPoint) -> float:
     """min(||p - q||, ||p + q||) over unit representatives."""
     if p.dim != q.dim:
         raise ValueError("points live in different projective spaces")
-    return float(min(np.linalg.norm(p.vec - q.vec), np.linalg.norm(p.vec + q.vec)))
+    return float(_proj_dist(p.vec, q.vec))
 
 
 def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise projective distances between rows of X and Y (any scaling).
 
-    X may be a stack (..., r, d) of row blocks, each multiplied with Y on
-    its own; the result is then (..., r, len(Y)).  Raises ValueError for a
-    zero or non-finite row, which names no point.  Distances below about
-    1e-7 are rounding noise: sqrt(2 - 2|cos|) cancels as |cos| nears 1, so
-    a row against itself or its negative may give about 1e-8, not 0.
-    `proj_metric` is exact to rounding there.
+    X may be a stack (..., r, d) of row blocks; the result is then
+    (..., r, len(Y)).  Each distance is `proj_metric` of the two rows'
+    points, exact to rounding and independent of the other rows and of the
+    memory layout: 0 for a row against itself, a few ulps against a multiple.
+    Raises ValueError for a zero or non-finite row, which names no point.
     """
-    # in C order first: the norms and the product round their last bits
-    # differently on other memory layouts of the same rows
-    X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
-    Xnorm = np.linalg.norm(X, axis=-1, keepdims=True)
-    Ynorm = np.linalg.norm(Y, axis=1, keepdims=True)
-    if not (np.all(np.isfinite(Xnorm) & (Xnorm > 0))
-            and np.all(np.isfinite(Ynorm) & (Ynorm > 0))):
-        raise ValueError("projective distance needs nonzero finite rows")
-    # |cos| of the unit rows, capped at 1 against rounding, so 2 - 2 dots >= 0
-    dots = np.minimum(np.abs((X / Xnorm) @ (Y / Ynorm).T), 1.0)
-    return np.sqrt(2.0 - 2.0 * dots)
+    X = np.asarray(X, dtype=float)
+    X = _unit_rows(X.reshape(-1, X.shape[-1])).reshape(X.shape)
+    return _proj_dist(np.moveaxis(X, -1, 0)[..., None], _unit_rows(Y).T)
 
 
 def _flow_step(M: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
@@ -215,10 +225,7 @@ def lyapunov_estimate(sys: AffineSystem, ctrl: PiecewiseControl, x, T: float) ->
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if np.linalg.norm(x) == 0.0:
-        raise ValueError("the growth rate of the zero vector is undefined")
-    w = (x / np.linalg.norm(x))[None]  # one row
+    w = _unit_rows(np.asarray(x, dtype=float).reshape(1, -1))
     total = 0.0
     for u, dt in ctrl.pieces(0.0, T):
         w, logs = _flow_rows(_flow_step(sys.system_matrix(u), dt), w)
@@ -438,8 +445,8 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     """
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")
-    controls = _sampled_controls(sys, sphere.ambient, sphere, sphere.size, controls, dt,
-                                 pts_per_box, memory_cap)
+    controls, pts_per_box = _sampled_controls(sys, sphere.ambient, sphere, sphere.size,
+                                              controls, dt, pts_per_box, memory_cap)
     ids = np.arange(sphere.size, dtype=np.int64)
     steps = [_flow_step(sys.system_matrix(u), dt) for u in controls]
     indptr, targets, sink = _sampled_csr(
@@ -548,13 +555,7 @@ def _single_linkage(dirs: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
         dst = _ranges(firsts[a:b], counts[a:b])
         apart = heads[src] != heads[dst]  # pairs not yet in one component
         src, dst = src[apart], dst[apart]
-        minus = np.zeros(src.size)
-        plus = np.zeros(src.size)
-        for col in cols:
-            x, y = col[src], col[dst]
-            minus += np.square(x - y)
-            plus += np.square(x + y)
-        close = np.sqrt(np.minimum(minus, plus, out=minus), out=minus) <= tol
+        close = _proj_dist((col[src] for col in cols), (col[dst] for col in cols)) <= tol
         if close.any():
             _, labels = components(np.concatenate([np.arange(k), src[close]]),
                                    np.concatenate([heads, dst[close]]))
@@ -580,8 +581,8 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     ingested as an additional high-confidence direction.  An empty report
     signals a set that stays bounded inside the window.
     """
-    if norm_floor <= 0 or max_points < 1:
-        raise ValueError("norm_floor must be positive and max_points >= 1")
+    if not 0 < norm_floor < np.inf or max_points < 1:  # NaN fails the first
+        raise ValueError("norm_floor must be positive and finite and max_points >= 1")
     centers = control_set.centers()  # (0, dim) for an empty set
     far = centers[np.linalg.norm(centers, axis=1) >= norm_floor]
     if far.shape[0] > max_points:
@@ -622,8 +623,13 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     of `sys`), takes strongly connected components of both, and matches
     each embedded-space component touching the level at infinity against
     the homogeneous components embedded via the zero-append map.  A slice
-    matches a component within two embedded-sphere box diameters.
+    matches a component within two embedded-sphere box diameters.  Raises
+    ValueError unless the last row of emb.A and of every emb.B[i] is zero,
+    as `embed_system` makes it: only then is the level z = 0 invariant.
     """
+    if np.any(emb.A[-1]) or np.any(emb.B[:, -1]):
+        raise ValueError("emb must be an embedding: the last row of A and of every "
+                         "B[i] must be zero")
     ambient = emb.n
     big_sphere = SphereGrid(ambient, subdivisions)
     big = sphere_chain_components(build_sphere_graph(
@@ -647,14 +653,12 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     dirs[:, -1] = 0.0
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     directions = _proj_points(dirs, tolerances.level_tol)
-    # least distance of each nonempty slice to each homogeneous component:
-    # one call, each direction a one-row block (so its distances do not
-    # depend on the other rows), reduced over the slice's rows and then
-    # over the component's columns
+    # least distance of each nonempty slice to each homogeneous component,
+    # reduced over the slice's rows and then over the component's columns
     sliced = np.flatnonzero(slice_sizes)
     matches = []
     if sliced.size:
-        dist = proj_dist_vectors(dirs[:, None, :], hom_dirs)[:, 0]
+        dist = proj_dist_vectors(dirs, hom_dirs)
         dmin = np.minimum.reduceat(np.minimum.reduceat(
             dist, (np.cumsum(slice_sizes) - slice_sizes)[sliced], axis=0), starts, axis=1)
         r, j = np.nonzero(dmin <= 2.0 * big.box_diameter)

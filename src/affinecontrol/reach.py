@@ -358,9 +358,11 @@ def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
-                      dt: float, pts_per_box: int, memory_cap: int) -> np.ndarray:
-    """The controls as a (C, m) array, once the system dimension against the
-    grid's `dim`, dt, pts_per_box, every control value and the memory are
+                      dt: float, pts_per_box: int,
+                      memory_cap: int) -> tuple[np.ndarray, int]:
+    """The controls as a (C, m) array and pts_per_box as an int, once the
+    system dimension against the grid's `dim`, dt, pts_per_box (a whole
+    number, as `_whole` checks), every control value and the memory are
     checked; raises before anything is allocated for the graph.  The cap
     counts one word per point-control sample of the graph's `count` boxes,
     the most edges `_sampled_csr` can keep, plus grid.size + 1 for its
@@ -370,6 +372,7 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
         raise ValueError(f"system dimension {sys.n} does not match the grid ({dim})")
     if not 0 < dt < math.inf:  # False for NaN
         raise ValueError("dt must be positive and finite")
+    pts_per_box = int(_whole(pts_per_box, "pts_per_box"))
     if pts_per_box < 1:
         raise ValueError("pts_per_box must be >= 1")
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
@@ -381,7 +384,7 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
             f"{samples} point-control samples and {table_words} position-table words "
             f"exceed the cap of {memory_cap}; coarsen the grid, reduce samples, "
             f"or raise the cap")
-    return controls
+    return controls, pts_per_box
 
 
 def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
@@ -540,8 +543,8 @@ class TransitionGraph:
     controls: np.ndarray
     pts_per_box: int
     seed: int
-    _reverse: tuple = field(repr=False, default=None)
-    _scc: tuple = field(repr=False, default=None)
+    _reverse: tuple = field(init=False, repr=False, default=None)
+    _scc: tuple = field(init=False, repr=False, default=None)
 
     @property
     def num_boxes(self) -> int:
@@ -657,8 +660,8 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     if active is not None:
         _check_same_grid(grid, active.grid)
     count = grid.size if active is None else len(active)
-    controls = _sampled_controls(sys, grid.dim, grid, count, controls, dt, pts_per_box,
-                                 memory_cap)
+    controls, pts_per_box = _sampled_controls(sys, grid.dim, grid, count, controls, dt,
+                                              pts_per_box, memory_cap)
     boxes = np.arange(grid.size, dtype=np.int64) if active is None else active.indices
     maps = [segment_map(sys, u, dt) for u in controls]
 

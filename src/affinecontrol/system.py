@@ -467,7 +467,8 @@ def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,
 
     Per-segment propagation through the augmented exponential; samples are
     placed at segment boundaries plus, when `sample_step` is given, at
-    interior points at most that far apart.  Negative t runs time in
+    interior points at most that far apart.  `sample_step` must be positive;
+    None or inf places no interior samples.  Negative t runs time in
     reverse through the inverses of the segment maps; the returned sample
     times are always increasing, so the state at time t sits at index -1
     for t > 0 and at index 0 for t < 0.
@@ -476,6 +477,8 @@ def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,
     carries the last finite state.
     """
     _check_values(sys, ctrl.values)
+    if sample_step is not None and not sample_step > 0:  # True for NaN
+        raise ValueError("sample_step must be positive or None")
     x = np.asarray(x0, dtype=float).reshape(sys.n)
     t = float(t)
     if t == 0.0:
@@ -494,7 +497,7 @@ def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,
     clock = 0.0
     for u, dt in piece_list:
         n_sub = 1
-        if sample_step is not None and sample_step > 0:
+        if sample_step is not None:
             n_sub = max(1, int(np.ceil(abs(dt) / sample_step)))
         G, h = segment_map(sys, u, dt / n_sub)
         for _ in range(n_sub):

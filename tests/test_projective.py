@@ -250,15 +250,38 @@ def test_proj_dist_vectors_ignores_memory_layout(d, r, s, seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_proj_dist_vectors_is_proj_metric_up_to_rounding_noise(d, s, seed):
-    # sqrt(2 - 2|cos|) cancels near 0, so 1e-7 bounds the noise; rows equal
-    # to, antipodal to and nearly equal to the rows of Y are the worst cases
+    # both sum the squares of the unit rows' differences and sums, so they
+    # agree to a few ulps even for rows equal to, antipodal to and nearly
+    # equal to the rows of Y, where a cosine formula would cancel
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((s, d)) * 10.0 ** rng.integers(-3, 4, size=(s, 1))
     nudge = 10.0 ** rng.uniform(-12, -6, size=(s, 1)) * rng.standard_normal((s, d))
     X = np.concatenate([rng.standard_normal((s, d)), Y, -2.5 * Y, Y * (1.0 + nudge)])
     points = [[ProjPoint.from_vector(v, level_tol=0.0) for v in M] for M in (X, Y)]
     exact = np.array([[proj_metric(p, q) for q in points[1]] for p in points[0]])
-    assert np.max(np.abs(proj_dist_vectors(X, Y) - exact)) <= 1e-7
+    assert np.max(np.abs(proj_dist_vectors(X, Y) - exact)) <= 4 * np.finfo(float).eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_proj_dist_vectors_is_zero_on_one_projective_point(d, r, seed):
+    # sqrt(2 - 2|cos|) gave about 3e-8 here, as |cos| rounds just below 1
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((r, d)) * 10.0 ** rng.integers(-3, 4, size=(r, 1))
+    assert np.all(np.diag(proj_dist_vectors(X, X)) == 0.0)
+    assert np.all(np.diag(proj_dist_vectors(X, -2.5 * X)) <= 1e-15)
+
+
+def test_proj_dist_vectors_scale_rows_whose_squares_leave_the_normal_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert proj_dist_vectors([[1e200, 1e200]], [[1.0, 1.0]]).tolist() == [[0.0]]
+        X = np.array([[1e-170, 3e-170], [-1e300, 2e300], [3.0, -1.0]])
+        Y = np.array([[1e200, -1e-200], [2e-160, 1e-160]])
+        dist = proj_dist_vectors(X, Y)
+    exact = [[proj_metric(ProjPoint.from_vector(x), ProjPoint.from_vector(y)) for y in Y]
+             for x in X]
+    assert dist.tolist() == exact
 
 
 def reference_flow_rows(M, dt, W):
@@ -418,6 +441,16 @@ def test_lyapunov_zero_matrix():
                        np.zeros(2), [-1.0], [1.0])
     assert abs(lyapunov_estimate(sys, PiecewiseControl.constant([0.5], 1.0),
                                  [0.3, 0.1], 5.0)) < 1e-15
+
+
+def test_lyapunov_scales_vectors_whose_squares_leave_the_normal_range():
+    sys = planar_saddle_system()
+    ctrl = PiecewiseControl.from_segments([([0.5], 0.4), ([-0.5], 0.6)])
+    rate = lyapunov_estimate(sys, ctrl, [1.0, 1.0], 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([1e200, 1e200], [1e-170, 1e-170]):
+            assert lyapunov_estimate(sys, ctrl, x, 3.0) == rate
 
 
 def test_lyapunov_rejects_zero_vector():
@@ -772,6 +805,15 @@ def test_infinity_directions_reject_nonpositive_max_points(max_points):
                                      max_points=max_points)
 
 
+@pytest.mark.parametrize("norm_floor", [np.nan, np.inf, 0.0, -1.0])
+def test_infinity_directions_reject_a_floor_that_is_not_positive_and_finite(norm_floor):
+    # unchecked, NaN and inf kept no center: the empty report of a bounded set
+    grid = BoxGrid([-100.0, -100.0], [100.0, 100.0], [40, 40])
+    with pytest.raises(ValueError, match="norm_floor"):
+        infinity_boundary_directions(BoxSet(grid, np.arange(grid.size)),
+                                     norm_floor=norm_floor)
+
+
 def test_infinity_directions_bounded_set_is_empty():
     grid = BoxGrid([-4.0, -3.0], [2.0, 5.0], [32, 32])
     # all boxes with centers of norm < 5 in this window -> nothing beyond floor 10
@@ -937,7 +979,7 @@ def reference_chain_matches(big, hom, match_tol, level_tol):
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         directions.extend(ProjPoint.from_vector(v, level_tol) for v in dirs)
         dmin = np.minimum.reduceat(proj_dist_vectors(dirs, hom_dirs).min(axis=0), starts)
-        matches.extend((i, int(j), float(dmin[j]), slice_boxes.size)
+        matches.extend((i, int(j), float(dmin[j]))
                        for j in np.flatnonzero(dmin <= match_tol))
     return directions, matches
 
@@ -964,11 +1006,23 @@ def test_chain_matches_are_the_per_slice_loop(seed, monkeypatch):
     assert [p.vec.tobytes() for p in report.directions] == [
         p.vec.tobytes() for p in directions]
     assert [p.level for p in report.directions] == [p.level for p in directions]
-    assert [m[:2] for m in report.matches] == [m[:2] for m in matches]
-    for (_, _, d), (_, _, e, rows) in zip(report.matches, matches):
-        # one row per product: a one-row slice is the same vector-matrix
-        # product; a longer slice's matrix product may round its dots apart
-        assert d == e if rows == 1 else abs(d * d - e * e) <= 8 * np.finfo(float).eps
+    # each distance is its own pair's, whatever rows share the call
+    assert report.matches == matches
+
+
+def test_infinity_boundary_chain_rejects_a_system_that_is_no_embedding():
+    # the flow of this linear system leaves z = 0, so that level is not the
+    # one at infinity; unchecked, it gave 12 directions and 84 matches
+    sys = AffineSystem([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 0.5]],
+                       np.eye(3)[None], np.zeros((3, 1)), np.zeros(3), [-1.0], [1.0])
+    with pytest.raises(ValueError, match="embedding"):
+        infinity_boundary_chain(sys, 6, [[0.0]], 0.1)
+    emb = embed_system(planar_saddle_system())
+    B = emb.B.copy()
+    B[0, -1, 0] = 1e-300
+    with pytest.raises(ValueError, match="embedding"):
+        infinity_boundary_chain(AffineSystem(emb.A, B, emb.C, emb.d, emb.omega_lo,
+                                             emb.omega_hi), 4, [[0.0]], 0.1)
 
 
 def test_infinity_boundary_chain_rejects_controls_outside_the_box():

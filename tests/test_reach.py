@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affinecontrol.projective import SphereGrid, build_sphere_graph
+from affinecontrol.projective import SphereGraph, SphereGrid, build_sphere_graph
 from affinecontrol.reach import (
     BoxGrid,
     BoxSet,
     MemoryBudgetError,
+    TransitionGraph,
     build_transition_graph,
     chain_components,
     closure,
@@ -296,6 +297,35 @@ def test_whole_float_sizes_are_accepted():
     graph = build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 1, seed=0)
     fine, _ = refine(zero_field(), graph, BoxSet(grid, [27]), 2.0)
     assert fine.subdivisions.tolist() == [16, 16]
+
+
+@pytest.mark.parametrize("build", [
+    lambda k: build_transition_graph(zero_field(), BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4]),
+                                     [[0.0]], 0.5, k, seed=0),
+    lambda k: build_sphere_graph(zero_field(3), SphereGrid(3, 2), [[0.0]], 0.5, k),
+], ids=["box", "sphere"])
+def test_pts_per_box_must_be_whole(build):
+    # unchecked, a float reached the Halton sampler as a TypeError
+    graph = build(2.0)
+    assert graph.pts_per_box == 2 and type(graph.pts_per_box) is int
+    assert np.array_equal(graph.targets, build(2).targets)
+    for bad in (2.5, np.nan):
+        with pytest.raises(ValueError, match="pts_per_box must be whole"):
+            build(bad)
+
+
+@pytest.mark.parametrize("cls", [TransitionGraph, SphereGraph])
+@pytest.mark.parametrize("cache", ["_scc", "_reverse"])
+def test_graph_caches_are_not_constructor_parameters(cls, cache):
+    # a caller could pass a wrong SCC labelling that every query then read
+    grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4])
+    graph = build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 1, seed=0)
+    fields = dict(grid=grid, boxes=graph.boxes, indptr=graph.indptr, targets=graph.targets,
+                  sink=graph.sink, dt=graph.dt, controls=graph.controls,
+                  pts_per_box=graph.pts_per_box, seed=graph.seed)
+    with pytest.raises(TypeError):
+        cls(**fields, **{cache: None})
+    assert np.array_equal(cls(**fields).scc()[0], graph.scc()[0])
 
 
 # ----------------------------------------------------------- control sets

@@ -205,6 +205,23 @@ def test_simulate_fixed_point_stays_put():
     assert np.allclose(traj.states, x_eq, atol=1e-9)
 
 
+@pytest.mark.parametrize("step", [np.nan, 0.0, -0.5])
+def test_simulate_rejects_a_sample_step_that_is_not_positive(step):
+    # unchecked, these gave the two-sample trajectory without complaint
+    sys = planar_saddle_system()
+    ctrl = PiecewiseControl.constant([0.0], period=1.0)
+    with pytest.raises(ValueError, match="sample_step"):
+        simulate(sys, ctrl, [1.0, 0.0], 1.0, sample_step=step)
+
+
+def test_simulate_without_interior_samples():
+    sys = planar_saddle_system()
+    ctrl = PiecewiseControl.constant([0.0], period=1.0)
+    for step in (None, np.inf):
+        traj = simulate(sys, ctrl, [1.0, 0.0], 1.0, sample_step=step)
+        assert traj.times.tolist() == [0.0, 1.0]
+
+
 def test_simulate_flow_property():
     rng = np.random.default_rng(23)
     for _ in range(5):
