@@ -113,6 +113,24 @@ def _unit_rows(V) -> np.ndarray:
     return V
 
 
+def _scaled_norms(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scales, norms) of the rows of V: row i over scales[i] has the norm
+    norms[i], `np.linalg.norm(V, axis=1)` to the bit with scale 1 where the
+    row's sum of squares is in the normal range.  A row past that range has
+    its largest modulus as its scale, so its norm is scales[i] * norms[i]
+    and V[i] / scales[i] / norms[i] its unit row, neither of which
+    overflows or underflows on the way.  A zero row has scale 1 and norm 0."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(V, axis=1)
+    rescale = ~((norms >= np.sqrt(np.finfo(float).tiny)) & (norms < np.inf))
+    peaks = np.abs(V[rescale]).max(axis=1, initial=0.0)
+    peaks[peaks == 0.0] = 1.0
+    scales = np.ones_like(norms)
+    scales[rescale] = peaks
+    norms[rescale] = np.linalg.norm(V[rescale] / peaks[:, None], axis=1)
+    return scales, norms
+
+
 def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
     """The points of the rows of V, each on its own (`from_vector` is the one-row
     case): a row's last coordinate is snapped to 0 and the row renormalised
@@ -278,16 +296,19 @@ class SphereGrid:
         return axis, np.unravel_index(cell, (self.subdivisions,) * self.face_dims)
 
     def box_of(self, points: np.ndarray) -> np.ndarray:
-        """Box id of each (row) point; points need not be normalized.
+        """Box id of each point; points need not be normalized.
 
-        The anchor is the first largest coordinate in modulus; face
+        `points` has any leading shape, (..., ambient), and the ids have
+        that shape; a single point (ambient,) is read as one row.  The
+        anchor is the first largest coordinate in modulus; face
         coordinate j is coordinate j (j < axis) or j + 1 (j >= axis) over the
         anchor.  That is the positive-face point of the representative with
         positive anchor, so x and -x get the same id.  Raises ValueError for
         points without `ambient` coordinates, a zero point or one with a
-        non-finite coordinate, which names no direction.  Works a column at a
-        time in preallocated buffers, so points that are the transpose of an
-        (ambient, n) array are read from contiguous memory.  A face
+        non-finite coordinate, which names no direction.  Works a coordinate
+        slice pts[..., k] at a time in preallocated buffers, so points that
+        are the transpose view of (..., ambient, n) are read from contiguous
+        memory.  A face
         coordinate c becomes the bin floor(min((c + 1) * (subdivisions / 2),
         subdivisions - 1)), clipped in float before its one int64 cast;
         c + 1 lies in {0} and [2**-53, 2], so halving it never rounds and the
@@ -295,17 +316,17 @@ class SphereGrid:
         combined by Horner in int64, so ids are exact below 2**63 boxes.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.ambient:
-            raise ValueError(f"points with {pts.shape[1]} coordinates on a sphere in "
+        if pts.shape[-1] != self.ambient:
+            raise ValueError(f"points with {pts.shape[-1]} coordinates on a sphere in "
                              f"R^{self.ambient}")
-        n = pts.shape[0]
-        test = np.empty(n, dtype=bool)
-        axis = np.zeros(n, dtype=np.int64)
-        anchor = pts[:, 0].copy()
+        shape = pts.shape[:-1]
+        test = np.empty(shape, dtype=bool)
+        axis = np.zeros(shape, dtype=np.int64)
+        anchor = pts[..., 0].copy()
         best = np.abs(anchor)  # the largest modulus so far; NaN once any is NaN
-        coord = np.empty(n)  # the modulus of column k here, face coordinates below
+        coord = np.empty(shape)  # the modulus of coordinate k here, face coordinates below
         for k in range(1, self.ambient):
-            x = pts[:, k]
+            x = pts[..., k]
             np.abs(x, out=coord)
             np.greater(coord, best, out=test)  # ties keep the first axis
             np.copyto(anchor, x, where=test)
@@ -316,12 +337,12 @@ class SphereGrid:
         del best
         sub = self.subdivisions
         half, last = 0.5 * sub, float(sub - 1)
-        bins = np.empty(n, dtype=np.int64)
-        cell = np.zeros(n, dtype=np.int64)
+        bins = np.empty(shape, dtype=np.int64)
+        cell = np.zeros(shape, dtype=np.int64)
         for j in range(self.face_dims):
-            np.copyto(coord, pts[:, j + 1])
+            np.copyto(coord, pts[..., j + 1])
             np.greater(axis, j, out=test)
-            np.copyto(coord, pts[:, j], where=test)
+            np.copyto(coord, pts[..., j], where=test)
             coord /= anchor  # in [-1, 1], as the anchor has the largest modulus
             coord += 1.0
             coord *= half  # (coord * 0.5) * sub in one rounding, * 0.5 being exact
@@ -435,13 +456,16 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     at a time, in renormalised chunks when |dt| ||A(u)||_F exceeds
     MAX_EXP_GROWTH, so a long step of a strongly expanding generator is
     taken rather than overflowing.  The points are coordinate-major
-    throughout: `cell_points` and `_flow_rows` give each point set as the
-    transpose view of an (ambient, tile) array, which `SphereGrid.box_of`
-    reads a contiguous column at a time.  The system dimension, controls, dt,
-    pts_per_box and the memory cap are checked as in
-    `build_transition_graph`: `memory_cap` counts one word of the graph's
-    index dtype per point-control sample (size x pts_per_box x controls),
-    4 bytes when size + samples < 2**31; no position table is needed.
+    throughout: `cell_points` and `_flow_rows` give the P point sets as the
+    transpose view of a (P, ambient, tile) array, which one
+    `SphereGrid.box_of` call reads a contiguous coordinate slice at a time.
+    The tiles are built on the calling thread and the tile pool of
+    `reach._in_tiles`, with the same graph for any thread count.  The
+    system dimension, controls, dt, pts_per_box and the memory cap are
+    checked as in `build_transition_graph`: `memory_cap` counts one word of
+    the graph's index dtype per point-control sample (size x pts_per_box x
+    controls), 4 bytes when size + samples < 2**31; no position table is
+    needed.
     """
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")
@@ -528,7 +552,8 @@ def _single_linkage(dirs: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     to one per row, to the first row of its component.
     """
     k = dirs.shape[0]
-    unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    scales, norms = _scaled_norms(dirs)
+    unit = dirs / scales[:, None] / norms[:, None]
     axis = int(np.argmax(unit.std(axis=0)))
     order = np.argsort(unit[:, axis], kind="stable")
     cols = np.ascontiguousarray(unit[order].T)  # sorted, a contiguous row per coordinate
@@ -584,7 +609,9 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     if not 0 < norm_floor < np.inf or max_points < 1:  # NaN fails the first
         raise ValueError("norm_floor must be positive and finite and max_points >= 1")
     centers = control_set.centers()  # (0, dim) for an empty set
-    far = centers[np.linalg.norm(centers, axis=1) >= norm_floor]
+    scales, norms = _scaled_norms(centers)
+    # norm >= floor, as norms >= floor / scales, which does not overflow
+    far = centers[norms >= norm_floor / scales]
     if far.shape[0] > max_points:
         far = far[::int(np.ceil(far.shape[0] / max_points))]
     states = [far]
@@ -596,7 +623,8 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     pts = np.concatenate(states)
     if pts.shape[0] == 0:
         return InfinityBoundaryReport("box-directions", [], [], [])
-    dirs = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    scales, norms = _scaled_norms(pts)
+    dirs = pts / scales[:, None] / norms[:, None]
     dirs = _canonical_sign(np.hstack([dirs, np.zeros((dirs.shape[0], 1))]))
     # the last coordinate, the level's, is 0 in every row
     n_clusters, labels = _single_linkage(dirs[:, :-1], tolerances.cluster_tol)

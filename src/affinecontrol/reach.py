@@ -18,7 +18,11 @@ closures, control sets and chain components take the graphs of both
 grids, `BoxGrid` and `projective.SphereGrid`, which share one cell contract.
 """
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +151,9 @@ class BoxGrid:
     def box_of(self, points) -> np.ndarray:
         """Flat box index per point, or -1 for points outside the window.
 
-        The window is half open, lo <= x < hi per axis; a point just below
+        `points` has any leading shape, (..., dim), and the ids have that
+        shape; a single point (dim,) is read as one row, (1, dim).  The
+        window is half open, lo <= x < hi per axis; a point just below
         hi whose quotient rounds up to `subdivisions` stays in the last box.
         Raises ValueError for points that do not have `dim` coordinates.
         Per axis the float quotient (x - lo) / width is clipped to
@@ -157,21 +163,21 @@ class BoxGrid:
         would not be past 2**53).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"points with {pts.shape[1]} coordinates on a {self.dim}-D grid")
-        n = pts.shape[0]
+        if pts.shape[-1] != self.dim:
+            raise ValueError(f"points with {pts.shape[-1]} coordinates on a {self.dim}-D grid")
+        shape = pts.shape[:-1]
         widths = self.widths
         last = (self.subdivisions - 1).astype(float)
-        # one set of buffers for all axes; a column of pts is contiguous
-        # when pts is the transpose of a (dim, n) array
-        flat = np.empty(n, dtype=np.int64)
-        inside = np.empty(n, dtype=bool)
-        test = np.empty(n, dtype=bool)
-        quotient = np.empty(n)
-        cell = np.empty(n, dtype=np.int64)
+        # one set of buffers for all axes; a slice pts[..., k] has a
+        # contiguous inner axis when pts is the transpose view of (..., dim, n)
+        flat = np.empty(shape, dtype=np.int64)
+        inside = np.empty(shape, dtype=bool)
+        test = np.empty(shape, dtype=bool)
+        quotient = np.empty(shape)
+        cell = np.empty(shape, dtype=np.int64)
         with np.errstate(over="ignore", invalid="ignore"):  # those points are outside
             for k, sub in enumerate(self.subdivisions):
-                x = pts[:, k]
+                x = pts[..., k]
                 np.subtract(x, self.lo[k], out=quotient)
                 # x - lo >= 0 is x >= lo for every double, NaN (False) and
                 # +-inf too: a rounded difference of doubles has the sign of
@@ -310,24 +316,99 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # Graphs on positions 0..n-1 as CSR (indptr, targets) with sorted, distinct
 # rows, held by TransitionGraph and its subclass projective.SphereGraph.  Both
 # builders take one sampling path: `_sampled_controls` checks the inputs and
-# the cap, and `_sampled_csr` works through the nodes in tiles of `_TILE`.
-# Per tile it makes the test points, fills a (C * P, tile) block of target
-# positions, a row per (control, test point) and a column per node, and
-# `_rows_to_csr` sorts each node's C * P samples in the block's transpose;
-# the tiles' rows are joined once, so no whole-graph block or transpose
-# exists.  Ids are positions when the graph has every box, else a table maps
+# the cap, and `_sampled_csr` works through the nodes in tiles (`_tile_starts`).
+# Per tile it makes the test points, maps all P of them under each control
+# with one stacked kernel call and one `box_of`, filling the control's P rows
+# of a (C * P, tile) block of target positions, a row per (control, test
+# point) and a column per node; `_rows_to_csr` sorts each node's C * P
+# samples in the block's transpose.  The tiles are independent: the calling
+# thread builds every `_WORKERS`-th of them and a thread pool the rest
+# (`_in_tiles`), and their rows are joined once, in order, so no whole-graph
+# block or transpose exists and the graph has the bits of a serial build.
+# Ids are positions when the graph has every box, else a table maps
 # them.  `_sampled_csr` builds in int32 when grid.size plus the samples fit
 # (always under DEFAULT_MEMORY_CAP), else int64, and stores the joined
 # indptr and targets in int32 whenever the kept graph fits, so csgraph
 # computes on the graph's own arrays and the matrices it gets carry no
 # per-edge data (`_csr_matrix`).  On a BoxGrid the images come
-# coordinate-major: a (dim, tile) array per (control, test point), whose
-# transpose box_of reads column by column from contiguous memory.
+# coordinate-major: a (P, dim, tile) array per control, whose transpose
+# box_of reads a coordinate slice at a time from contiguous memory.
 
-# Nodes per tile of the sampled build, whose points, images and id block stay
-# in cache.  A multiple of 64: OpenBLAS gives a product G @ X cut at such
-# columns the bits of the uncut one (cut at 1 or 7 columns it need not).
+# Nodes per tile of the sampled build, at most, whose points, images and id
+# block stay in cache.  Tiles are cut at multiples of 64 nodes: OpenBLAS
+# gives a product G @ X cut at such columns the bits of the uncut one (cut
+# at 1 or 7 columns it need not).
 _TILE = 16384
+# Threads that build tiles: the CPUs this process may run on, the caller
+# among them.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _tile_pool() -> ThreadPoolExecutor:
+    """The module's pool of `_WORKERS` - 1 tile threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="affinecontrol-tile")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _tile_starts(n: int) -> range:
+    """Starts of the tiles of n nodes: ceil(n / _TILE) tiles, rounded up to a
+    multiple of `_WORKERS`, of one size, the least multiple of 64 that
+    covers n in that many; the last tile takes the rest.  So 64 nodes or
+    fewer are one tile."""
+    tiles = -(-n // _TILE)
+    tiles += -tiles % _WORKERS
+    size = -(-n // max(tiles, 1))
+    size += -size % 64
+    return range(0, n, max(size, 64))
+
+
+def _in_tiles(build, count: int) -> list:
+    """[build(i) for i in range(count)], tile i built by the calling thread
+    when i % _WORKERS == 0 and by the tile pool otherwise, each pool tile in a
+    copy of the caller's context (so it sees the caller's `np.errstate`).
+    Every tile started is finished before this returns or raises; the error
+    raised is the one of the first tile in order that failed, as in a
+    serial build, and pool tiles after a failed tile of the caller's are
+    cancelled if they have not started."""
+    futures = {}
+    if count > 1 and _WORKERS > 1:
+        pool = _tile_pool()
+        futures = {i: pool.submit(contextvars.copy_context().run, build, i)
+                   for i in range(count) if i % _WORKERS}
+    parts = [None] * count
+    failed, error = count, None
+    try:
+        for i in range(0, count, _WORKERS):
+            parts[i] = build(i)
+    except BaseException as exc:  # re-raised below, after the pool tiles
+        failed, error = i, exc
+    for i, future in futures.items():
+        if i > failed:
+            future.cancel()
+    wait(futures.values())
+    for i, future in futures.items():
+        if i > failed:
+            break
+        parts[i] = future.result()  # raises the tile's error, earlier than the caller's
+    if error is not None:
+        raise error
+    return parts
 
 
 def _index_dtype(count: int) -> type:
@@ -392,19 +473,22 @@ def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
     """(indptr, targets, sink) of the graph on the sorted `boxes`, with the
     test points `grid.cell_points(..., offsets)` and one map per control.
 
-    Works through `boxes` in tiles of `_TILE`.  For a tile's (P, n, dim)
-    test points, `image_rows(maps[c], points)` yields the (n, dim) images of
-    the k-th test points, k = 0..P-1; their `grid.box_of` fills row c * P + k
-    of the tile's (C * P, n) block, which `_rows_to_csr` turns into the
-    tile's rows.  When `boxes` leaves out some box of `grid`, each row's ids
-    become positions in `boxes` as it is filled, through a table of
-    grid.size + 1 words, -1 for ids not in `boxes` and in the last entry,
-    which id -1 (the sink) reads; otherwise every box is in `boxes` and the
-    ids are positions already.  Every index of the build is at most
-    grid.size + samples, so the block, table and tiles take its
-    `_index_dtype`.  The joined graph is stored in the `_index_dtype` of
-    edges + nodes + 1, which bounds every index `_reachable` forms: int32
-    whenever the kept graph fits, the arrays csgraph computes on as they are.
+    Works through `boxes` in the tiles of `_tile_starts`, built by `_in_tiles`
+    on the calling thread and the tile pool.  For a tile's (P, n, dim) test
+    points, `image_rows(maps[c], points)` returns the stacked (P, n, dim)
+    images, whose `grid.box_of` fills rows c * P .. c * P + P - 1 of the
+    tile's (C * P, n) block in one assignment; `_rows_to_csr` turns the
+    block into the tile's rows.  When `boxes` leaves out some box of
+    `grid`, the ids become positions in `boxes` by one `np.take` per
+    control through a table of grid.size + 1 words, -1 for ids not in
+    `boxes` and in the last entry, which id -1 (the sink) reads; otherwise
+    every box is in `boxes` and the ids are positions already.  Every index
+    of the build is at most grid.size + samples, so the block, table and
+    tiles take its `_index_dtype`.  The tiles' rows are joined in order, so
+    the graph does not depend on the tiling or the thread count.  The
+    joined graph is stored in the `_index_dtype` of edges + nodes + 1, which
+    bounds every index `_reachable` forms: int32 whenever the kept graph
+    fits, the arrays csgraph computes on as they are.
     """
     P = offsets.shape[0]
     dtype = _index_dtype(grid.size + boxes.size * len(maps) * P)
@@ -412,20 +496,25 @@ def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
     if boxes.size < grid.size:
         table = np.full(grid.size + 1, -1, dtype=dtype)
         table[boxes] = np.arange(boxes.size)
-    indptr = np.zeros(boxes.size + 1, dtype=dtype)
-    targets, sinks = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=bool)]
-    for start in range(0, boxes.size, _TILE):
-        points = grid.cell_points(boxes[start:start + _TILE], offsets)
+    starts = _tile_starts(boxes.size)
+
+    def tile(i):
+        points = grid.cell_points(boxes[starts[i]:starts[i] + starts.step], offsets)
         block = np.empty((len(maps) * P, points.shape[1]), dtype=dtype)
         for c, m in enumerate(maps):
-            for k, images in enumerate(image_rows(m, points)):
-                ids = grid.box_of(images)
-                if table is None:
-                    block[c * P + k] = ids
-                else:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
-                    np.take(table, ids, out=block[c * P + k], mode="wrap")
-        tile_indptr, tile_targets, tile_sink = _rows_to_csr(np.ascontiguousarray(block.T))
-        stop = start + points.shape[1]
+            ids = grid.box_of(image_rows(m, points))
+            rows = block[c * P:(c + 1) * P]
+            if table is None:
+                rows[...] = ids
+            else:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
+                np.take(table, ids, out=rows, mode="wrap")
+        return _rows_to_csr(np.ascontiguousarray(block.T))
+
+    indptr = np.zeros(boxes.size + 1, dtype=dtype)
+    targets, sinks = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=bool)]
+    for start, (tile_indptr, tile_targets, tile_sink) in zip(
+            starts, _in_tiles(tile, len(starts))):
+        stop = start + tile_sink.size
         np.add(tile_indptr[1:], indptr[start], out=indptr[start + 1:stop + 1])
         targets.append(tile_targets)
         sinks.append(tile_sink)
@@ -647,8 +736,11 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     the source is flagged as feeding the sink when the image leaves the
     window (or the active subset).  Each control's dt-map is computed once;
     `_sampled_csr`, the sampling path that `projective.build_sphere_graph`
-    shares, applies them a tile of boxes at a time, so the test points, the
-    images and the id block of the whole graph never exist at once.
+    shares, applies it to all test points of a tile of boxes in one stacked
+    product, so the test points, the images and the id block of the whole
+    graph never exist at once.  The tiles are built on the calling thread
+    and a pool of one thread per further CPU of the process's affinity, in
+    the caller's `np.errstate`; the graph is the same for any thread count.
     Deterministic for a fixed seed.
 
     `memory_cap` bounds words: one per point-control sample (boxes x
@@ -667,13 +759,13 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
 
     def image_rows(segment, points):
         G, h = segment
-        for pts in points:
-            # coordinate-major (dim, n) from the contiguous pts.T: bit for
-            # bit pts @ G.T + h, and box_of reads contiguous columns
-            with np.errstate(over="ignore", invalid="ignore"):
-                images = G @ pts.T
-                images += h[:, None]
-            yield images.T
+        # coordinate-major (P, dim, n) from the contiguous transposes of the
+        # P point sets: bit for bit pts @ G.T + h per set, and box_of reads
+        # contiguous coordinate slices
+        with np.errstate(over="ignore", invalid="ignore"):
+            images = G @ points.transpose(0, 2, 1)
+            images += h[:, None]
+        return images.transpose(0, 2, 1)
 
     # outside the window (-1) or the active subset -> sink
     indptr, targets, sink = _sampled_csr(

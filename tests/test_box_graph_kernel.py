@@ -5,10 +5,18 @@
 by point and box by box: a scalar floor lookup per point, Python sets of
 (source, target) pairs, and a Chebyshev-distance mask over all boxes.  Both
 graph builders share one sampling path, so they reject the same inputs.
+That path builds its tiles on the calling thread and a thread pool; its
+graphs are compared bit for bit with a serial build in one tile.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +36,8 @@ from affinecontrol.reach import (
     refine,
 )
 from affinecontrol.system import AffineSystem, segment_map
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def scalar_box(grid: BoxGrid, x) -> int:
@@ -184,6 +194,45 @@ def test_box_ids_are_exact_past_2_to_the_53():
         assert len(set(expected)) == len(expected)
         assert g.box_of(points).tolist() == expected
         assert g.box_of(np.ascontiguousarray(points.T).T).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(grids(), st.builds(SphereGrid, st.integers(2, 4), st.integers(1, 6))),
+       st.lists(st.integers(0, 4), min_size=1, max_size=3), st.data())
+def test_stacked_box_of_equals_the_row_by_row_call(grid, shape, data):
+    # points of any leading shape, as the sampled build passes a (P, n, dim)
+    # stack, get the ids of a call per row
+    shape = tuple(shape)
+    on_box_grid = isinstance(grid, BoxGrid)
+    dim = grid.dim if on_box_grid else grid.ambient
+    if on_box_grid:  # window edges, NaN, +-inf and points outside
+        coords = [st.sampled_from(edge_values(grid.lo[k], grid.hi[k])) | st.floats(-6.0, 6.0)
+                  for k in range(dim)]
+    else:  # ties of the anchor modulus, and the extremes of a finite point
+        coords = [st.sampled_from([1.0, -1.0, 0.5, 5e-324, -1e308]) | st.floats(-3.0, 3.0)] * dim
+    count = math.prod(shape)
+    rows = np.array(data.draw(st.lists(st.tuples(*coords), min_size=count, max_size=count)),
+                    dtype=float).reshape(count, dim)
+    if not on_box_grid:
+        rows[np.all(rows == 0.0, axis=1)] = 1.0  # a zero point names no box
+    expected = np.array([grid.box_of(row)[0] for row in rows], dtype=np.int64).reshape(shape)
+    pts = rows.reshape(shape + (dim,))
+    coordinate_major = np.ascontiguousarray(np.moveaxis(pts, -1, -2))
+    for layout in (pts, np.moveaxis(coordinate_major, -1, -2)):
+        got = grid.box_of(layout)
+        assert got.dtype == np.int64 and got.shape == shape
+        assert np.array_equal(got, expected)
+    if on_box_grid or count == 0:
+        return
+    # a zero or non-finite point in any row fails the whole stack
+    bad = data.draw(st.integers(0, count - 1))
+    value = data.draw(st.sampled_from([0.0, np.nan, np.inf, -np.inf]))
+    if value == 0.0:
+        rows[bad] = 0.0
+    else:
+        rows[bad, data.draw(st.integers(0, dim - 1))] = value
+    with pytest.raises(ValueError, match="zero or non-finite"):
+        grid.box_of(rows.reshape(pts.shape))
 
 
 def affine_systems(n):
@@ -403,14 +452,16 @@ def test_refined_graph_of_a_non_normal_flow_matches_pairwise_reference():
 
 
 def built_per_tile_size(monkeypatch, build, module, name):
-    """The graphs `build()` makes in tiles of 64 boxes and in one tile, and
-    how often each build called `module.name`, read through the module."""
+    """The graphs `build()` makes in tiles of 64 boxes on the default thread
+    count and serially in one tile, and how often each build called
+    `module.name`, read through the module."""
     calls = []
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.append(1) or original(*args))
     graphs, counts = [], []
-    for tile in (64, 2**30):
+    for tile, workers in ((64, reach._WORKERS), (2**30, 1)):
         monkeypatch.setattr(reach, "_TILE", tile)
+        monkeypatch.setattr(reach, "_WORKERS", workers)
         calls.clear()
         graphs.append(build())
         counts.append(len(calls))
@@ -478,6 +529,175 @@ def test_sphere_graph_is_the_same_in_tiles(monkeypatch, ambient, subdivisions, d
     assert counts == [3, 3]  # one exponential per control, not per tile
     assert sphere.size > 6 * 64 and sphere.size % 64 != 0
     assert_same_bits(tiled, whole)
+
+
+def sphere_graph_build():
+    """A builder of a graph on the 4 x 6^3 sphere grid, 864 boxes, with
+    chunked exponentials."""
+    rng = np.random.default_rng(4)
+    sys = AffineSystem(rng.standard_normal((4, 4)), rng.standard_normal((1, 4, 4)),
+                       np.zeros((4, 1)), np.zeros(4), [-1.0], [1.0])
+    return lambda: build_sphere_graph(sys, SphereGrid(4, 6), [[-1.0], [0.2], [1.0]],
+                                      40.0, 3, 2)
+
+
+def graph_build(case):
+    return sphere_graph_build() if case == "sphere" else box_graph_build(case)[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", ["37x29", "refined", "11^3", "sphere"])
+def test_graphs_are_the_same_on_any_number_of_threads(monkeypatch, case, workers):
+    # tiles of 64 boxes on 1, 2 or 3 threads against one tile on one, so the
+    # pool path runs whatever the CPUs of the machine
+    build = graph_build(case)
+    monkeypatch.setattr(reach, "_TILE", 2**30)
+    monkeypatch.setattr(reach, "_WORKERS", 1)
+    serial = build()
+    monkeypatch.setattr(reach, "_TILE", 64)
+    monkeypatch.setattr(reach, "_WORKERS", workers)
+    starts = reach._tile_starts(serial.num_boxes)
+    assert starts.step == 64 and len(starts) > 2 * workers
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # thread switches inside every tile
+    try:
+        threaded = build()
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_bits(threaded, serial)
+
+
+def test_concurrent_callers_share_the_tile_pool(monkeypatch):
+    # more callers than CPUs, each caller's tiles queued on the one pool
+    build = graph_build("refined")
+    monkeypatch.setattr(reach, "_TILE", 2**30)
+    monkeypatch.setattr(reach, "_WORKERS", 1)
+    serial = build()
+    monkeypatch.setattr(reach, "_TILE", 64)
+    monkeypatch.setattr(reach, "_WORKERS", 3)
+    graphs = [None] * 4
+
+    def call(k):
+        graphs[k] = build()
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(len(graphs))]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+    for graph in graphs:
+        assert_same_bits(graph, serial)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("tile", [64, 16384])
+def test_tiles_are_cut_at_multiples_of_64(monkeypatch, tile, workers):
+    monkeypatch.setattr(reach, "_TILE", tile)
+    monkeypatch.setattr(reach, "_WORKERS", workers)
+    for n in (0, 1, 64, 65, 1000, 1073, 16385, 33256, 55296, 262144):
+        starts = reach._tile_starts(n)
+        tiles = -(-n // tile)
+        tiles += -tiles % workers  # ceil(n / _TILE), up to a multiple of the workers
+        assert len(starts) <= tiles and starts.step % 64 == 0
+        if n:  # the least multiple of 64 that covers n in `tiles` tiles
+            assert starts.step * tiles >= n > (starts.step - 64) * tiles
+        if n <= 64:
+            assert list(starts) == ([0] if n else [])
+
+
+@pytest.mark.parametrize("grid_class, case", [(BoxGrid, "37x29"), (SphereGrid, "sphere")])
+def test_every_tile_runs_in_the_callers_errstate(monkeypatch, grid_class, case):
+    # a thread starts in numpy's default state (divide="warn"); the pool
+    # tiles run in a copy of the caller's context
+    seen = []
+    original = grid_class.cell_points
+    monkeypatch.setattr(grid_class, "cell_points", lambda self, *args: seen.append(
+        (threading.get_ident(), np.geterr()["divide"])) or original(self, *args))
+    monkeypatch.setattr(reach, "_TILE", 64)
+    monkeypatch.setattr(reach, "_WORKERS", 3)
+    build = graph_build(case)
+    with np.errstate(divide="raise"):
+        build()
+    assert len(seen) > 6
+    assert {state for _, state in seen} == {"raise"}
+    threads = {ident for ident, _ in seen}
+    assert threading.get_ident() in threads and len(threads) > 1
+
+
+class TileFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ({1}, 1),      # a pool tile
+    ({1, 2}, 1),   # a pool tile before a failing tile of the caller's
+    ({0, 1}, 0),   # the caller's first tile before a failing pool tile
+    ({2, 3}, 2),   # the caller's; the pool tile after it is not read
+])
+def test_a_failing_tile_fails_the_build_once_every_tile_is_done(monkeypatch, failing,
+                                                                raised):
+    lock = threading.Lock()
+    running = [0]
+    errors = {}
+    original = BoxGrid.cell_points
+
+    def cell_points(self, indices, offsets):
+        tile = int(indices[0]) // 64
+        with lock:
+            running[0] += 1
+        try:
+            if tile in failing:
+                raise errors.setdefault(tile, TileFailure(tile))
+            # the last pool tile outlasts the caller's tiles
+            time.sleep(0.3 if tile == 15 else 0.01)
+            return original(self, indices, offsets)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(BoxGrid, "cell_points", cell_points)
+    monkeypatch.setattr(reach, "_TILE", 64)
+    monkeypatch.setattr(reach, "_WORKERS", 2)
+    build = graph_build("37x29")
+    assert len(reach._tile_starts(37 * 29)) == 17
+    with pytest.raises(TileFailure) as error:
+        build()
+    assert error.value is errors[raised]
+    assert running[0] == 0  # no tile of the call is still running
+
+
+FORK = """
+import os, signal
+import numpy as np
+from affinecontrol import reach
+
+reach._TILE, reach._WORKERS = 64, 2
+system = reach.AffineSystem(np.diag([1.0, -1.0]), np.eye(2)[None], np.zeros((2, 1)),
+                            np.zeros(2), [-1.0], [1.0])
+grid = reach.BoxGrid([-1.0, -1.0], [1.0, 1.0], [16, 16])
+build = lambda: reach.build_transition_graph(system, grid, [[-1.0], [1.0]], 0.1, 2, 0)
+parent = build()  # starts the tile pool
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a child waiting on the parent's pool threads dies
+    child = build()
+    os._exit(0 if np.array_equal(child.targets, parent.targets) else 1)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, status
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_on_a_pool_of_its_own():
+    # pool threads do not survive a fork; a child that submitted tiles to
+    # the parent's pool would wait for them for ever
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", FORK], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def built_graphs():

@@ -898,6 +898,32 @@ def test_infinity_directions_join_antipodal_centers_at_any_radius():
     assert report.cluster_sizes == [2]
 
 
+def test_infinity_directions_of_centers_whose_squares_overflow():
+    # centers of modulus 2.5e199 and 7.5e199: np.linalg.norm overflowed to
+    # inf, and every direction came out zero
+    huge = BoxGrid([-1e200, -1e200], [1e200, 1e200], [4, 4])
+    unit = BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4])
+    report = infinity_boundary_directions(BoxSet(huge, np.arange(16)), norm_floor=1.0)
+    expected = infinity_boundary_directions(BoxSet(unit, np.arange(16)), norm_floor=0.1)
+    assert report.cluster_sizes == expected.cluster_sizes == [4, 4, 2, 2, 2, 2]
+    for got, want in zip(report.directions, expected.directions):
+        assert got.level == 0 and proj_metric(got, want) < 1e-15
+
+
+def test_scaled_norms_keep_the_bits_of_rows_in_range():
+    V = np.array([[3.0, 4.0], [1e200, -1e200], [1e-200, 3e-200], [0.0, 0.0], [0.1, 0.7],
+                  [1.7e308, 1.7e308]])
+    scales, norms = projective._scaled_norms(V)
+    kept = [0, 4]
+    assert np.array_equal(norms[kept], np.linalg.norm(V[kept], axis=1))
+    assert np.all(scales[kept] == 1.0)
+    assert scales[3] == 1.0 and norms[3] == 0.0
+    assert scales[1] * norms[1] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert scales[2] * norms[2] == pytest.approx(np.sqrt(10.0) * 1e-200, rel=1e-15)
+    unit = V[[1, 2, 5]] / scales[[1, 2, 5], None] / norms[[1, 2, 5], None]
+    assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=1e-15, atol=0.0)
+
+
 def test_infinity_directions_memory_stays_below_one_distance_matrix():
     # every box of the window: about 3500 directions around the circle,
     # chained into one cluster, so the threshold graph is dense as well
