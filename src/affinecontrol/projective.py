@@ -95,40 +95,35 @@ class ProjPoint:
         return self.vec.shape[0]
 
 
-def _unit_rows(V) -> np.ndarray:
-    """The rows of V over their norms, in a C-ordered float copy (`_row_norms`
-    rounds differently on other layouts).  A row whose sum of squares leaves
-    the normal range is divided by its largest modulus first; the other rows
-    keep their bits.  Raises ValueError for a zero or non-finite row."""
-    V = np.array(V, dtype=float, order="C")
+def _scaled_norms(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scales, norms) of the rows of V, a C-ordered float array (`_row_norms`
+    rounds differently on other layouts): row i over scales[i] has the norm
+    norms[i].  A row whose sum of squares is in the normal range has scale 1
+    and its `_row_norms` bits; any other row has its largest modulus as its
+    scale, so that V[i] / scales[i] / norms[i] is its unit row and
+    scales[i] * norms[i] its norm, neither of which overflows or underflows
+    on the way (Blue's scaled norm).  A zero row has scale 1 and norm 0."""
     with np.errstate(over="ignore"):
         norms = _row_norms(V)
-    rescale = ~((norms >= np.sqrt(np.finfo(float).tiny)) & (norms < np.inf))
-    peaks = np.abs(V[rescale]).max(axis=1)
-    if not (np.all(np.isfinite(V)) and np.all(peaks > 0.0)):
-        raise ValueError("projective point needs a nonzero finite representative")
-    V[rescale] /= peaks[:, None]
-    norms[rescale] = _row_norms(V[rescale])
-    V /= norms[:, None]
-    return V
-
-
-def _scaled_norms(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(scales, norms) of the rows of V: row i over scales[i] has the norm
-    norms[i], `np.linalg.norm(V, axis=1)` to the bit with scale 1 where the
-    row's sum of squares is in the normal range.  A row past that range has
-    its largest modulus as its scale, so its norm is scales[i] * norms[i]
-    and V[i] / scales[i] / norms[i] its unit row, neither of which
-    overflows or underflows on the way.  A zero row has scale 1 and norm 0."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(V, axis=1)
     rescale = ~((norms >= np.sqrt(np.finfo(float).tiny)) & (norms < np.inf))
     peaks = np.abs(V[rescale]).max(axis=1, initial=0.0)
     peaks[peaks == 0.0] = 1.0
     scales = np.ones_like(norms)
     scales[rescale] = peaks
-    norms[rescale] = np.linalg.norm(V[rescale] / peaks[:, None], axis=1)
+    norms[rescale] = _row_norms(V[rescale] / peaks[:, None])
     return scales, norms
+
+
+def _unit_rows(V) -> np.ndarray:
+    """The rows of V over their `_scaled_norms`, in a C-ordered float copy.
+    Raises ValueError for a zero or non-finite row."""
+    V = np.array(V, dtype=float, order="C")
+    if not (np.all(np.isfinite(V)) and np.all(V.any(axis=1))):
+        raise ValueError("projective point needs a nonzero finite representative")
+    scales, norms = _scaled_norms(V)
+    V /= scales[:, None]
+    V /= norms[:, None]
+    return V
 
 
 def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
@@ -170,11 +165,15 @@ def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     (..., r, len(Y)).  Each distance is `proj_metric` of the two rows'
     points, exact to rounding and independent of the other rows and of the
     memory layout: 0 for a row against itself, a few ulps against a multiple.
-    Raises ValueError for a zero or non-finite row, which names no point.
+    Raises ValueError for a zero or non-finite row, which names no point,
+    and for rows of X and Y of different lengths, as `proj_metric` does.
     """
     X = np.asarray(X, dtype=float)
+    Y = _unit_rows(Y)
+    if X.shape[-1] != Y.shape[-1]:
+        raise ValueError("points live in different projective spaces")
     X = _unit_rows(X.reshape(-1, X.shape[-1])).reshape(X.shape)
-    return _proj_dist(np.moveaxis(X, -1, 0)[..., None], _unit_rows(Y).T)
+    return _proj_dist(np.moveaxis(X, -1, 0)[..., None], Y.T)
 
 
 def _flow_step(M: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
@@ -540,10 +539,11 @@ _WINDOW_SLACK = 1e-12
 _PAIRS = 2**17
 
 
-def _single_linkage(dirs: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+def _single_linkage(unit: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     """(count, label per row) of the connected components of the graph that
-    links rows of `dirs` at projective distance <= tol, the distance of
-    `proj_metric`: min(|x - y|, |x + y|) for the unit rows x and y.
+    links the unit rows of `unit` at projective distance <= tol, the
+    distance of `proj_metric`: min(|x - y|, |x + y|) for rows x and y.  The
+    rows are taken as they are, normalised by the caller (`_unit_rows`).
 
     Rows within tol differ by at most tol on every coordinate, or sum to at
     most tol in modulus.  Sorted on the coordinate that varies most, each
@@ -551,9 +551,7 @@ def _single_linkage(dirs: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     `_PAIRS` pairs at a time.  After each batch the links so far shrink
     to one per row, to the first row of its component.
     """
-    k = dirs.shape[0]
-    scales, norms = _scaled_norms(dirs)
-    unit = dirs / scales[:, None] / norms[:, None]
+    k = unit.shape[0]
     axis = int(np.argmax(unit.std(axis=0)))
     order = np.argsort(unit[:, axis], kind="stable")
     cols = np.ascontiguousarray(unit[order].T)  # sorted, a contiguous row per coordinate
@@ -596,8 +594,9 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
                                  max_points: int = 20000) -> InfinityBoundaryReport:
     """Directions at infinity from far-out boxes of a control-set approximation.
 
-    Box centers with norm at least `norm_floor` are mapped to directions
-    on the level at infinity and clustered by single linkage within
+    Box centers with norm at least `norm_floor` (their `_scaled_norms`, so
+    the test neither overflows nor underflows) are mapped to directions on
+    the level at infinity by `_unit_rows` and clustered by single linkage within
     `tolerances.cluster_tol` (projective distance) by `_single_linkage`:
     memory grows with the number of directions, not its square, and time
     with the pairs it compares, those close on one coordinate.  Past
@@ -610,8 +609,10 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
         raise ValueError("norm_floor must be positive and finite and max_points >= 1")
     centers = control_set.centers()  # (0, dim) for an empty set
     scales, norms = _scaled_norms(centers)
-    # norm >= floor, as norms >= floor / scales, which does not overflow
-    far = centers[norms >= norm_floor / scales]
+    # norm >= floor, as norms >= floor / scales; a quotient that overflows to
+    # inf is a floor above every norm of that scale
+    with np.errstate(over="ignore"):
+        far = centers[norms >= norm_floor / scales]
     if far.shape[0] > max_points:
         far = far[::int(np.ceil(far.shape[0] / max_points))]
     states = [far]
@@ -623,9 +624,7 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     pts = np.concatenate(states)
     if pts.shape[0] == 0:
         return InfinityBoundaryReport("box-directions", [], [], [])
-    scales, norms = _scaled_norms(pts)
-    dirs = pts / scales[:, None] / norms[:, None]
-    dirs = _canonical_sign(np.hstack([dirs, np.zeros((dirs.shape[0], 1))]))
+    dirs = _canonical_sign(np.hstack([_unit_rows(pts), np.zeros((pts.shape[0], 1))]))
     # the last coordinate, the level's, is 0 in every row
     n_clusters, labels = _single_linkage(dirs[:, :-1], tolerances.cluster_tol)
     clusters = _label_groups(labels, np.ones(n_clusters, dtype=bool))

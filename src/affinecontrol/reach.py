@@ -85,6 +85,11 @@ class BoxGrid:
         for arr, name in ((lo, "lo"), (hi, "hi")):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
+        with np.errstate(over="ignore"):  # hi - lo may overflow, caught below
+            widths = (hi - lo) / subs
+        if not np.all((widths > 0.0) & (widths < np.inf)):
+            raise ValueError("box widths (hi - lo) / subdivisions must be positive "
+                             "and finite")
         lo.setflags(write=False)
         hi.setflags(write=False)
         subs.setflags(write=False)
@@ -285,6 +290,7 @@ class BoxSet:
         """Chebyshev dilation by `radius` boxes, clipped to the window, on a
         grid-sized boolean mask."""
         _check_box_grid(self.grid, "BoxSet.dilate")
+        radius = int(_whole(radius, "radius"))
         if radius < 0:
             raise ValueError("radius must be >= 0")
         return BoxSet(self.grid, np.flatnonzero(_dilated(self._mask(), radius)))

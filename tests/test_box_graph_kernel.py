@@ -832,3 +832,12 @@ def test_dilate_rejects_negative_radius():
     for box_set in (BoxSet(grid, [5]), BoxSet(grid, [])):
         with pytest.raises(ValueError, match="radius must be >= 0"):
             box_set.dilate(-1)
+
+
+def test_dilate_takes_a_whole_radius_of_any_type():
+    grid = BoxGrid([0.0, 0.0], [1.0, 1.0], [8, 8])
+    box_set = BoxSet(grid, [27])
+    assert box_set.dilate(2.0).equals(box_set.dilate(2))
+    for radius in (1.5, np.nan):
+        with pytest.raises(ValueError, match="radius must be whole"):
+            box_set.dilate(radius)

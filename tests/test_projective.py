@@ -35,7 +35,7 @@ from affinecontrol.projective import (
 )
 from affinecontrol.reach import (BoxGrid, BoxSet, TransitionGraph, _halton_offsets,
                                  chain_components, closure, control_set_approx)
-from affinecontrol.system import AffineSystem, PiecewiseControl, simulate
+from affinecontrol.system import AffineSystem, PiecewiseControl, _row_norms, simulate
 
 from conftest import (
     damped_oscillator_system,
@@ -282,6 +282,14 @@ def test_proj_dist_vectors_scale_rows_whose_squares_leave_the_normal_range():
     exact = [[proj_metric(ProjPoint.from_vector(x), ProjPoint.from_vector(y)) for y in Y]
              for x in X]
     assert dist.tolist() == exact
+
+
+def test_proj_dist_vectors_rejects_rows_of_different_lengths():
+    # e3 against e1 read as 1.0: the distance stopped at the shorter row
+    with pytest.raises(ValueError, match="different projective spaces"):
+        proj_dist_vectors(np.eye(3), np.eye(2))
+    with pytest.raises(ValueError, match="different projective spaces"):
+        proj_dist_vectors(np.ones((2, 4, 2)), np.eye(3))
 
 
 def reference_flow_rows(M, dt, W):
@@ -844,9 +852,9 @@ def test_infinity_directions_two_clusters_for_coupling_equilibria():
 def union_find_directions(centers, norm_floor, tol):
     """Box-center estimator by loops: per-row sign, union-find single
     linkage, clusters by (-size, first member), sign-aligned means."""
-    pts = centers[np.linalg.norm(centers, axis=1) >= norm_floor]
-    dirs = np.hstack([pts / np.linalg.norm(pts, axis=1, keepdims=True),
-                      np.zeros((pts.shape[0], 1))])
+    norms = np.array([np.linalg.norm(c) for c in centers])
+    far = norms >= norm_floor
+    dirs = np.hstack([centers[far] / norms[far, None], np.zeros((np.count_nonzero(far), 1))])
     for i, v in enumerate(dirs):
         nz = np.flatnonzero(np.abs(v) > 1e-12)
         if nz.size and v[nz[0]] < 0:
@@ -910,18 +918,46 @@ def test_infinity_directions_of_centers_whose_squares_overflow():
         assert got.level == 0 and proj_metric(got, want) < 1e-15
 
 
+def test_infinity_directions_of_centers_whose_squares_underflow():
+    # centers of modulus 2.5e-201 and 7.5e-201, whose squares are 0; a
+    # floor above them all, 1e200 over a scale of 7.5e-201, overflows to inf
+    tiny = BoxGrid([-1e-200, -1e-200], [1e-200, 1e-200], [4, 4])
+    unit = BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = infinity_boundary_directions(BoxSet(tiny, np.arange(16)), norm_floor=1e-201)
+        assert infinity_boundary_directions(BoxSet(tiny, np.arange(16)),
+                                            norm_floor=1e200).empty
+    expected = infinity_boundary_directions(BoxSet(unit, np.arange(16)), norm_floor=0.1)
+    assert report.cluster_sizes == expected.cluster_sizes == [4, 4, 2, 2, 2, 2]
+    for got, want in zip(report.directions, expected.directions):
+        assert got.level == 0 and proj_metric(got, want) < 1e-15
+
+    # a power-of-two scale divides out exactly, on either side of the normal range
+    def directions(scale):
+        grid = BoxGrid([-scale] * 2, [scale] * 2, [4, 4])
+        scaled = infinity_boundary_directions(BoxSet(grid, np.arange(16)),
+                                              norm_floor=scale / 8)
+        return scaled.cluster_sizes, [p.vec.tolist() for p in scaled.directions]
+
+    assert directions(2.0 ** -700) == directions(2.0 ** 700)
+
+
 def test_scaled_norms_keep_the_bits_of_rows_in_range():
     V = np.array([[3.0, 4.0], [1e200, -1e200], [1e-200, 3e-200], [0.0, 0.0], [0.1, 0.7],
                   [1.7e308, 1.7e308]])
     scales, norms = projective._scaled_norms(V)
     kept = [0, 4]
-    assert np.array_equal(norms[kept], np.linalg.norm(V[kept], axis=1))
+    assert np.array_equal(norms[kept], _row_norms(V[kept]))
     assert np.all(scales[kept] == 1.0)
     assert scales[3] == 1.0 and norms[3] == 0.0
     assert scales[1] * norms[1] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
     assert scales[2] * norms[2] == pytest.approx(np.sqrt(10.0) * 1e-200, rel=1e-15)
     unit = V[[1, 2, 5]] / scales[[1, 2, 5], None] / norms[[1, 2, 5], None]
     assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=1e-15, atol=0.0)
+    nonzero = [0, 1, 2, 4, 5]
+    assert np.array_equal(projective._unit_rows(V[nonzero]),
+                          V[nonzero] / scales[nonzero, None] / norms[nonzero, None])
 
 
 def test_infinity_directions_memory_stays_below_one_distance_matrix():

@@ -61,6 +61,12 @@ def test_grid_rejects_bad_window():
         BoxGrid([0.0], [0.0], [4])
     with pytest.raises(ValueError):
         BoxGrid([0.0], [1.0], [0])
+    # widths that are not positive finite doubles: hi - lo overflows, and
+    # every center was inf; the width rounds to 0, and box_of read -2**63
+    for lo, hi, subdivisions in (([-1.7e308] * 2, [1.7e308] * 2, [4, 4]),
+                                 ([0.0], [5e-324], [2])):
+        with pytest.raises(ValueError, match="widths"):
+            BoxGrid(lo, hi, subdivisions)
 
 
 def test_boxset_operations_and_rle():
