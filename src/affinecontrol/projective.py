@@ -459,7 +459,9 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     transpose view of a (P, ambient, tile) array, which one
     `SphereGrid.box_of` call reads a contiguous coordinate slice at a time.
     The tiles are built on the calling thread and the tile pool of
-    `reach._in_tiles`, with the same graph for any thread count.  The
+    `reach._in_tiles`, with the same graph for any thread count; a sphere of
+    fewer than 8192 boxes (`reach._TILE` // 2) is one tile, built on the
+    calling thread alone.  The
     system dimension, controls, dt, pts_per_box and the memory cap are
     checked as in `build_transition_graph`: `memory_cap` counts one word of
     the graph's index dtype per point-control sample (size x pts_per_box x
@@ -482,11 +484,40 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
 
 @dataclass(frozen=True, eq=False)
 class SphereChainAnalysis:
-    """Chain components of a sphere graph plus level-at-infinity bookkeeping."""
+    """Chain components of a sphere graph plus level-at-infinity bookkeeping.
+
+    Held as arrays: `boxes` are the box ids of all components, concatenated
+    in output order; component k is boxes[bounds[k]:bounds[k + 1]], sorted;
+    `touching` flags the boxes of `boxes` whose closure meets the level at
+    infinity (`SphereGrid.level_zero_touching`).  The per-component lists
+    `components` and `level_zero` are made from them on first read.  The
+    arrays are read-only, and so are the lists' arrays, views of them or
+    of one gather.
+    """
 
     graph: SphereGraph
-    components: list
-    level_zero: list
+    boxes: np.ndarray
+    bounds: np.ndarray
+    touching: np.ndarray
+
+    @cached_property
+    def components(self) -> list:
+        """The components' box arrays, size-descending (ties by smallest id)."""
+        return [self.boxes[a:b] for a, b in zip(self.bounds[:-1].tolist(),
+                                                self.bounds[1:].tolist())]
+
+    @cached_property
+    def level_zero(self) -> list:
+        """Per component, its boxes that touch the level at infinity."""
+        level = self.boxes[self.touching]
+        level.setflags(write=False)
+        cuts = self._level_cuts.tolist()
+        return [level[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+    @property
+    def _level_cuts(self) -> np.ndarray:
+        """Bounds of the components' level-0 slices in boxes[touching]."""
+        return np.concatenate([[0], np.cumsum(self.touching)])[self.bounds]
 
     @cached_property
     def box_diameter(self) -> float:
@@ -495,16 +526,17 @@ class SphereChainAnalysis:
 
 
 def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
-    """The graph's cached SCCs with an internal edge, size-descending."""
+    """The graph's cached SCCs with an internal edge, size-descending, as the
+    arrays of a `SphereChainAnalysis`: one gather of the members' boxes and
+    one level-0 test over them.  Its `components` and `level_zero` lists are
+    made on first read."""
     members, bounds = _label_order(*graph.scc())
-    # one gather and one level-0 test over all members, sliced per component
     boxes = graph.boxes[members]
-    touches = graph.sphere.level_zero_touching(boxes)
-    comps = [boxes[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    cuts = np.concatenate([[0], np.cumsum(touches)])[bounds].tolist()
-    level = boxes[touches]
-    touching = [level[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    return SphereChainAnalysis(graph=graph, components=comps, level_zero=touching)
+    touching = graph.sphere.level_zero_touching(boxes)
+    bounds = np.array(bounds, dtype=np.int64)
+    for array in (boxes, bounds, touching):
+        array.setflags(write=False)
+    return SphereChainAnalysis(graph=graph, boxes=boxes, bounds=bounds, touching=touching)
 
 
 # ------------------------------------------------------ boundary at infinity
@@ -650,7 +682,13 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     of `sys`), takes strongly connected components of both, and matches
     each embedded-space component touching the level at infinity against
     the homogeneous components embedded via the zero-append map.  A slice
-    matches a component within two embedded-sphere box diameters.  Raises
+    matches a component within two embedded-sphere box diameters.  The
+    report's `details` are the two `SphereChainAnalysis`es (embedded,
+    homogeneous); the matching reads their arrays, so neither has made its
+    `components` or `level_zero` list.  For a scalar system the homogeneous
+    sphere is P^0, a single point: no graph is built for it, `details` holds
+    None in its place, and every nonempty level-0 slice, at the direction
+    [1 : 0], matches its one component 0 at distance 0.  Raises
     ValueError unless the last row of emb.A and of every emb.B[i] is zero,
     as `embed_system` makes it: only then is the level z = 0 invariant.
     """
@@ -662,21 +700,23 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     big = sphere_chain_components(build_sphere_graph(
         emb, big_sphere, controls, dt, pts_per_box, seed, memory_cap))
 
-    hom_sys = AffineSystem(emb.A[:-1, :-1], emb.B[:, :-1, :-1], emb.C[:-1], emb.d[:-1],
-                           emb.omega_lo, emb.omega_hi)
-    hom_sphere = SphereGrid(ambient - 1, subdivisions)
-    hom = sphere_chain_components(build_sphere_graph(
-        hom_sys, hom_sphere, controls, dt, pts_per_box, seed, memory_cap))
-
-    # All homogeneous component directions, component j from row starts[j];
-    # every sphere box has a successor, so there is at least one component.
-    sizes = np.array([c.size for c in hom.components])
-    starts = np.cumsum(sizes) - sizes
-    hom_boxes = np.concatenate(hom.components)
-    hom_dirs = np.hstack([hom_sphere.centers(hom_boxes), np.zeros((hom_boxes.size, 1))])
+    if ambient > 2:
+        hom_sys = AffineSystem(emb.A[:-1, :-1], emb.B[:, :-1, :-1], emb.C[:-1],
+                               emb.d[:-1], emb.omega_lo, emb.omega_hi)
+        hom_sphere = SphereGrid(ambient - 1, subdivisions)
+        hom = sphere_chain_components(build_sphere_graph(
+            hom_sys, hom_sphere, controls, dt, pts_per_box, seed, memory_cap))
+        # the homogeneous component directions, component j from row starts[j];
+        # every sphere box has a successor, so there is at least one component
+        hom_dirs = np.hstack([hom_sphere.centers(hom.boxes),
+                              np.zeros((hom.boxes.size, 1))])
+        starts = hom.bounds[:-1]
+    else:  # P^0: one box, the direction [1 : 0] of the embedded sphere
+        hom, hom_dirs, starts = None, np.array([[1.0, 0.0]]), np.zeros(1, dtype=np.int64)
     # the level-0 slice directions of all components, exactly on the level
-    slice_sizes = np.array([s.size for s in big.level_zero])
-    dirs = big_sphere.centers(np.concatenate(big.level_zero))
+    cuts = big._level_cuts
+    slice_sizes = np.diff(cuts)
+    dirs = big_sphere.centers(big.boxes[big.touching])
     dirs[:, -1] = 0.0
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     directions = _proj_points(dirs, tolerances.level_tol)
@@ -686,10 +726,9 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     matches = []
     if sliced.size:
         dist = proj_dist_vectors(dirs, hom_dirs)
-        dmin = np.minimum.reduceat(np.minimum.reduceat(
-            dist, (np.cumsum(slice_sizes) - slice_sizes)[sliced], axis=0), starts, axis=1)
+        dmin = np.minimum.reduceat(np.minimum.reduceat(dist, cuts[sliced], axis=0),
+                                   starts, axis=1)
         r, j = np.nonzero(dmin <= 2.0 * big.box_diameter)
         matches = list(zip(sliced[r].tolist(), j.tolist(), dmin[r, j].tolist()))
-    return InfinityBoundaryReport("sphere-chain", directions,
-                                  [len(c) for c in big.level_zero],
+    return InfinityBoundaryReport("sphere-chain", directions, slice_sizes.tolist(),
                                   matches, details=(big, hom))

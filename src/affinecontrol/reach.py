@@ -330,7 +330,10 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # samples in the block's transpose.  The tiles are independent: the calling
 # thread builds every `_WORKERS`-th of them and a thread pool the rest
 # (`_in_tiles`), and their rows are joined once, in order, so no whole-graph
-# block or transpose exists and the graph has the bits of a serial build.
+# block or transpose exists and the graph has the bits of a serial build.  A
+# graph of fewer than `_TILE` // 2 nodes is one tile, built on the caller
+# alone: below that size the hand-offs of the interpreter lock between tile
+# threads cost more than a second thread saves.
 # Ids are positions when the graph has every box, else a table maps
 # them.  `_sampled_csr` builds in int32 when grid.size plus the samples fit
 # (always under DEFAULT_MEMORY_CAP), else int64, and stores the joined
@@ -341,9 +344,10 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # box_of reads a coordinate slice at a time from contiguous memory.
 
 # Nodes per tile of the sampled build, at most, whose points, images and id
-# block stay in cache.  Tiles are cut at multiples of 64 nodes: OpenBLAS
-# gives a product G @ X cut at such columns the bits of the uncut one (cut
-# at 1 or 7 columns it need not).
+# block stay in cache; half of it is the least graph split over the tile
+# pool.  Tiles are cut at multiples of 64 nodes: OpenBLAS gives a product
+# G @ X cut at such columns the bits of the uncut one (cut at 1 or 7
+# columns it need not).
 _TILE = 16384
 # Threads that build tiles: the CPUs this process may run on, the caller
 # among them.
@@ -374,11 +378,13 @@ if hasattr(os, "register_at_fork"):
 
 def _tile_starts(n: int) -> range:
     """Starts of the tiles of n nodes: ceil(n / _TILE) tiles, rounded up to a
-    multiple of `_WORKERS`, of one size, the least multiple of 64 that
-    covers n in that many; the last tile takes the rest.  So 64 nodes or
-    fewer are one tile."""
+    multiple of `_WORKERS` when n is at least _TILE // 2 (8192 nodes), of
+    one size, the least multiple of 64 that covers n in that many; the last
+    tile takes the rest.  So fewer than _TILE // 2 nodes, or 64 or fewer,
+    are one tile."""
     tiles = -(-n // _TILE)
-    tiles += -tiles % _WORKERS
+    if n >= _TILE // 2:
+        tiles += -tiles % _WORKERS
     size = -(-n // max(tiles, 1))
     size += -size % 64
     return range(0, n, max(size, 64))
@@ -388,6 +394,8 @@ def _in_tiles(build, count: int) -> list:
     """[build(i) for i in range(count)], tile i built by the calling thread
     when i % _WORKERS == 0 and by the tile pool otherwise, each pool tile in a
     copy of the caller's context (so it sees the caller's `np.errstate`).
+    One tile, as `_tile_starts` makes of a graph under _TILE // 2 nodes, is
+    built on the caller without the pool.
     Every tile started is finished before this returns or raises; the error
     raised is the one of the first tile in order that failed, as in a
     serial build, and pool tiles after a failed tile of the caller's are
@@ -480,7 +488,8 @@ def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
     test points `grid.cell_points(..., offsets)` and one map per control.
 
     Works through `boxes` in the tiles of `_tile_starts`, built by `_in_tiles`
-    on the calling thread and the tile pool.  For a tile's (P, n, dim) test
+    on the calling thread and the tile pool, or on the caller alone when
+    there are fewer than _TILE // 2 boxes.  For a tile's (P, n, dim) test
     points, `image_rows(maps[c], points)` returns the stacked (P, n, dim)
     images, whose `grid.box_of` fills rows c * P .. c * P + P - 1 of the
     tile's (C * P, n) block in one assignment; `_rows_to_csr` turns the
@@ -746,7 +755,9 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     product, so the test points, the images and the id block of the whole
     graph never exist at once.  The tiles are built on the calling thread
     and a pool of one thread per further CPU of the process's affinity, in
-    the caller's `np.errstate`; the graph is the same for any thread count.
+    the caller's `np.errstate`; a graph of fewer than 8192 boxes
+    (`_TILE` // 2) is one tile, built on the calling thread alone.  The
+    graph is the same for any thread count.
     Deterministic for a fixed seed.
 
     `memory_cap` bounds words: one per point-control sample (boxes x

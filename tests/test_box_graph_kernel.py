@@ -595,15 +595,62 @@ def test_concurrent_callers_share_the_tile_pool(monkeypatch):
 def test_tiles_are_cut_at_multiples_of_64(monkeypatch, tile, workers):
     monkeypatch.setattr(reach, "_TILE", tile)
     monkeypatch.setattr(reach, "_WORKERS", workers)
-    for n in (0, 1, 64, 65, 1000, 1073, 16385, 33256, 55296, 262144):
+    for n in (0, 1, 31, 32, 64, 65, 1000, 1073, 8191, 8192, 16385, 33256, 55296, 262144):
         starts = reach._tile_starts(n)
+        if n < tile // 2:  # one tile, on the calling thread
+            assert list(starts) == ([0] if n else []) and starts.step % 64 == 0
+            continue
         tiles = -(-n // tile)
         tiles += -tiles % workers  # ceil(n / _TILE), up to a multiple of the workers
         assert len(starts) <= tiles and starts.step % 64 == 0
-        if n:  # the least multiple of 64 that covers n in `tiles` tiles
-            assert starts.step * tiles >= n > (starts.step - 64) * tiles
+        # the least multiple of 64 that covers n in `tiles` tiles
+        assert starts.step * tiles >= n > (starts.step - 64) * tiles
         if n <= 64:
-            assert list(starts) == ([0] if n else [])
+            assert list(starts) == [0]
+
+
+# Nodes of the least graph that `_tile_starts` splits over the tile pool.
+THRESHOLD = reach._TILE // 2
+
+
+def threshold_build(kind, n):
+    """A builder of a graph of n nodes, n a multiple of 64: every box of a
+    64-row box grid, or of the sphere grid of ambient 2 and n / 2 bins."""
+    controls = np.array([[-1.0], [0.0], [0.6]])
+    if kind == "box":
+        grid = BoxGrid([-3.0, -2.5], [3.0, 3.5], [n // 64, 64])
+        return lambda: build_transition_graph(SHEAR, grid, controls, 0.3, 2, 11)
+    rotation = AffineSystem([[0.3, 1.0], [-1.0, -0.2]], [np.diag([0.5, -0.5])],
+                            np.zeros((2, 1)), np.zeros(2), [-1.0], [1.0])
+    return lambda: build_sphere_graph(rotation, SphereGrid(2, n // 2), controls, 0.3, 2, 11)
+
+
+@pytest.mark.parametrize("kind", ["box", "sphere"])
+def test_graphs_about_the_pool_threshold_are_the_same_on_any_number_of_threads(
+        monkeypatch, kind):
+    # under the threshold one tile on the caller, from it on one tile per
+    # thread; every graph has the bits of the one-thread build
+    for n in (THRESHOLD - 64, THRESHOLD, THRESHOLD + 64):
+        build = threshold_build(kind, n)
+        monkeypatch.setattr(reach, "_WORKERS", 1)
+        serial = build()
+        assert serial.num_boxes == n and serial.num_edges > n
+        for workers in (2, 3):
+            monkeypatch.setattr(reach, "_WORKERS", workers)
+            assert len(reach._tile_starts(n)) == (1 if n < THRESHOLD else workers)
+            assert_same_bits(build(), serial)
+
+
+def test_graphs_under_the_threshold_never_start_the_tile_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("the tile pool was asked for")
+
+    monkeypatch.setattr(reach, "_tile_pool", no_pool)
+    monkeypatch.setattr(reach, "_WORKERS", 3)
+    for kind in ("box", "sphere"):
+        assert threshold_build(kind, THRESHOLD - 64)().num_boxes == THRESHOLD - 64
+        with pytest.raises(AssertionError, match="tile pool"):
+            threshold_build(kind, THRESHOLD)()
 
 
 @pytest.mark.parametrize("grid_class, case", [(BoxGrid, "37x29"), (SphereGrid, "sphere")])

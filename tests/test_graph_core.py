@@ -260,23 +260,29 @@ def test_label_groups_are_the_split_groups(n_labels, data):
     assert members.tolist() == [p for g in expected for p in g.tolist()]
 
 
-def assert_sphere_components_per_component(n, edges, boxes):
-    """sphere_chain_components of the digraph, its positions mapped to
-    `boxes`, against one gather and one level-0 filter per component."""
-    indptr, targets, _ = edge_csr(n, edges, np.int32)
-    sphere = SphereGrid(3, 4)
-    graph = SphereGraph(grid=sphere, boxes=np.asarray(boxes, dtype=np.int64),
-                        indptr=indptr, targets=targets, sink=np.zeros(n, bool), dt=1.0,
-                        controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
-    chains = reference_label_groups(*_scc_labels(indptr, targets,
-                                                 _self_loops(indptr, targets)))
-    touches = sphere.level_zero_touching(graph.boxes)
-    analysis = sphere_chain_components(graph)
+def assert_sphere_analysis_per_component(analysis):
+    """The lists of a `SphereChainAnalysis` against one gather and one
+    level-0 filter per component of its graph."""
+    graph = analysis.graph
+    chains = reference_label_groups(*_scc_labels(graph.indptr, graph.targets,
+                                                 _self_loops(graph.indptr, graph.targets)))
+    touches = graph.sphere.level_zero_touching(graph.boxes)
     comps = [graph.boxes[members] for members in chains]
     level_zero = [graph.boxes[members[touches[members]]] for members in chains]
     for got, want in ((analysis.components, comps), (analysis.level_zero, level_zero)):
         assert [c.tolist() for c in got] == [c.tolist() for c in want]
         assert all(c.dtype == np.int64 for c in got)
+
+
+def assert_sphere_components_per_component(n, edges, boxes):
+    """sphere_chain_components of the digraph, its positions mapped to
+    `boxes`, against one gather and one level-0 filter per component."""
+    indptr, targets, _ = edge_csr(n, edges, np.int32)
+    graph = SphereGraph(grid=SphereGrid(3, 4), boxes=np.asarray(boxes, dtype=np.int64),
+                        indptr=indptr, targets=targets, sink=np.zeros(n, bool), dt=1.0,
+                        controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
+    analysis = sphere_chain_components(graph)
+    assert_sphere_analysis_per_component(analysis)
     return analysis
 
 

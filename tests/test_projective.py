@@ -1046,9 +1046,10 @@ def reference_chain_matches(big, hom, match_tol, level_tol):
     return directions, matches
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
 def test_chain_matches_are_the_per_slice_loop(seed, monkeypatch):
     import affinecontrol.projective as projective
+    from test_graph_core import assert_sphere_analysis_per_component
     calls = []
     dist = projective.proj_dist_vectors
 
@@ -1063,13 +1064,34 @@ def test_chain_matches_are_the_per_slice_loop(seed, monkeypatch):
     report = infinity_boundary_chain(emb, 6 + 2 * seed, controls, 0.1, seed=seed)
     assert len(calls) <= 1
     big, hom = report.details
+    # the report is made from the analyses' arrays: neither made its lists
+    for analysis in (big, hom):
+        assert "components" not in vars(analysis) and "level_zero" not in vars(analysis)
     directions, matches = reference_chain_matches(
         big, hom, 2.0 * big.box_diameter, Tolerances().level_tol)
     assert [p.vec.tobytes() for p in report.directions] == [
         p.vec.tobytes() for p in directions]
     assert [p.level for p in report.directions] == [p.level for p in directions]
+    assert report.cluster_sizes == [s.size for s in big.level_zero]
     # each distance is its own pair's, whatever rows share the call
     assert report.matches == matches
+    for analysis in (big, hom):  # the lists, once made, are the per-component ones
+        assert_sphere_analysis_per_component(analysis)
+
+
+def test_scalar_system_matches_the_one_box_of_p0():
+    # x' = (a + u) x + u + d: its homogeneous sphere P^0 is one point, so
+    # every nonempty level-0 slice matches its one component, at [1 : 0]
+    for a, d in ((-1.0, 0.3), (0.5, -1.0), (0.0, 0.0)):
+        sys = AffineSystem([[a]], [[[1.0]]], [[1.0]], [d], [-2.0], [2.0])
+        report = infinity_boundary_chain(embed_system(sys), 12,
+                                         np.linspace(-2.0, 2.0, 5)[:, None], 0.1)
+        big, hom = report.details
+        assert hom is None and big.graph.sphere == SphereGrid(2, 12)
+        nonempty = [i for i, size in enumerate(report.cluster_sizes) if size]
+        assert nonempty and len(report.directions) == sum(report.cluster_sizes)
+        assert report.matches == [(i, 0, 0.0) for i in nonempty]
+        assert all(p.level == 0 and p.vec.tolist() == [1.0, 0.0] for p in report.directions)
 
 
 def test_infinity_boundary_chain_rejects_a_system_that_is_no_embedding():
