@@ -7,12 +7,14 @@ periodic-solution trichotomy (unique / affine family / obstructed) come
 from closed-form maps rather than an ODE stepper.  Every entry point maps a
 flat batch (values, durations, segment counts), filled directly by the scan's
 sampler or a path, through one vectorised exponential of all segments
-(`system._expm`, after Higham 2005); the batch format lives here alone.
-The sampler draws a batch's random stream in four bulk calls, so a seed
-determines the whole batch.  Continuation records are filled from stacked
-solves, norms and singular value decompositions.  Controls are made for
-reports only: a scan's argmin and each crossing at once, and a record's
-from the path when it is first read.
+(`system._expm`, after Higham 2005), whose Pade quotient is one pivoted
+elimination run elementwise across the batch (`system._solve_stack`), not
+a LAPACK call per segment; the batch format lives here alone.  The sampler
+draws a batch's random stream in four bulk calls, so a seed determines the
+whole batch.  Continuation records are filled from stacked solves, norms
+and singular value decompositions, handed to the records as plain lists.
+Controls are made for reports only: a scan's argmin and each crossing at
+once, and a record's from the path when it is first read.
 """
 
 from dataclasses import dataclass, field
@@ -509,7 +511,9 @@ def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
     Solutions, norms and kernel angles come from stacked array calls over
     the batch, bit for bit the values that `np.linalg.norm` and
     `_near_kernel` give one record at a time; only the rare non-Unique rows
-    of `_solutions` and the record objects take a loop.
+    of `_solutions` and the record objects take a loop.  The records are
+    filled positionally from the `tolist()` of each column, so every float
+    field is a Python float without one `float()` call per field.
     """
     phi, b = _period_maps(sys, *path.segments(alphas))
     M = np.eye(sys.n) - phi
@@ -533,12 +537,11 @@ def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
         with np.errstate(invalid="ignore", divide="ignore"):
             kernel_angle[window[rows]] = np.where(
                 norm_p == 0.0, np.sqrt(2.0), _row_norms(xhat[rows] - p / norm_p[:, None]))
-    return [ContinuationRecord(
-                alpha=float(alpha), path=path, det_gap=float(det_gap),
-                margin=float(margin), solution=sol, norm_x=float(nx),
-                kernel_angle=float(angle), refined=refined)
+    return [ContinuationRecord(alpha, path, det_gap, margin, sol, nx, angle, refined)
             for alpha, det_gap, margin, sol, nx, angle in zip(
-                alphas, np.linalg.det(M), margins, solutions, norm_x, kernel_angle)]
+                np.asarray(alphas, dtype=float).tolist(), np.linalg.det(M).tolist(),
+                margins.tolist(), solutions.tolist(), norm_x.tolist(),
+                kernel_angle.tolist())]
 
 
 def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):

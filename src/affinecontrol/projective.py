@@ -462,7 +462,7 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     `reach._in_tiles`, with the same graph for any thread count; a sphere of
     fewer than 8192 boxes (`reach._TILE` // 2) is one tile, built on the
     calling thread alone.  The
-    system dimension, controls, dt, pts_per_box and the memory cap are
+    system dimension, controls, dt, pts_per_box, seed and the memory cap are
     checked as in `build_transition_graph`: `memory_cap` counts one word of
     the graph's index dtype per point-control sample (size x pts_per_box x
     controls), 4 bytes when size + samples < 2**31; no position table is
@@ -470,8 +470,9 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     """
     if np.any(sys.C) or np.any(sys.d):
         raise ValueError("the sphere graph needs a linear system: C and d must be zero")
-    controls, pts_per_box = _sampled_controls(sys, sphere.ambient, sphere, sphere.size,
-                                              controls, dt, pts_per_box, memory_cap)
+    controls, pts_per_box, seed = _sampled_controls(sys, sphere.ambient, sphere,
+                                                    sphere.size, controls, dt,
+                                                    pts_per_box, seed, memory_cap)
     ids = np.arange(sphere.size, dtype=np.int64)
     steps = [_flow_step(sys.system_matrix(u), dt) for u in controls]
     indptr, targets, sink = _sampled_csr(

@@ -19,6 +19,7 @@ grids, `BoxGrid` and `projective.SphereGrid`, which share one cell contract.
 """
 
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -453,12 +454,12 @@ def _rows_to_csr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
-                      dt: float, pts_per_box: int,
-                      memory_cap: int) -> tuple[np.ndarray, int]:
-    """The controls as a (C, m) array and pts_per_box as an int, once the
-    system dimension against the grid's `dim`, dt, pts_per_box (a whole
-    number, as `_whole` checks), every control value and the memory are
-    checked; raises before anything is allocated for the graph.  The cap
+                      dt: float, pts_per_box: int, seed: int,
+                      memory_cap: int) -> tuple[np.ndarray, int, int]:
+    """The controls as a (C, m) array and pts_per_box and seed as ints, once
+    the system dimension against the grid's `dim`, dt, pts_per_box and seed
+    (whole numbers, as `_whole` checks), every control value and the memory
+    are checked; raises before anything is allocated for the graph.  The cap
     counts one word per point-control sample of the graph's `count` boxes,
     the most edges `_sampled_csr` can keep, plus grid.size + 1 for its
     position table when `count` < grid.size.  A word is one element
@@ -470,6 +471,7 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
     pts_per_box = int(_whole(pts_per_box, "pts_per_box"))
     if pts_per_box < 1:
         raise ValueError("pts_per_box must be >= 1")
+    seed = int(_whole(seed, "seed"))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     _check_values(sys, controls)
     samples = count * pts_per_box * controls.shape[0]
@@ -479,7 +481,7 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
             f"{samples} point-control samples and {table_words} position-table words "
             f"exceed the cap of {memory_cap}; coarsen the grid, reduce samples, "
             f"or raise the cap")
-    return controls, pts_per_box
+    return controls, pts_per_box, seed
 
 
 def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
@@ -731,13 +733,18 @@ def _halton_offsets(dim: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _test_offsets(cell_dims: int, pts_per_box: int, seed: int) -> np.ndarray:
     """(pts_per_box, cell_dims) test-point positions for either grid's `cell_points`,
     the same in every cell: the center, then `pts_per_box - 1` Owen-scrambled
     Halton points of `_halton_offsets`, drawn from `np.random.default_rng(seed)`
-    and identical to SciPy's `Halton(scramble=True)` sampler for an int seed."""
-    return np.vstack([np.full((1, cell_dims), 0.5),
-                      _halton_offsets(cell_dims, pts_per_box - 1, seed)])
+    and identical to SciPy's `Halton(scramble=True)` sampler for an int seed.
+    Memoised on the three ints: every graph built with them shares one
+    array, which is read-only."""
+    offsets = np.vstack([np.full((1, cell_dims), 0.5),
+                         _halton_offsets(cell_dims, pts_per_box - 1, seed)])
+    offsets.setflags(write=False)
+    return offsets
 
 
 def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
@@ -758,7 +765,7 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     the caller's `np.errstate`; a graph of fewer than 8192 boxes
     (`_TILE` // 2) is one tile, built on the calling thread alone.  The
     graph is the same for any thread count.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, a whole number as `_whole` checks.
 
     `memory_cap` bounds words: one per point-control sample (boxes x
     pts_per_box x controls), plus grid.size + 1 for the position table when
@@ -769,8 +776,8 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     if active is not None:
         _check_same_grid(grid, active.grid)
     count = grid.size if active is None else len(active)
-    controls, pts_per_box = _sampled_controls(sys, grid.dim, grid, count, controls, dt,
-                                              pts_per_box, memory_cap)
+    controls, pts_per_box, seed = _sampled_controls(sys, grid.dim, grid, count, controls,
+                                                    dt, pts_per_box, seed, memory_cap)
     boxes = np.arange(grid.size, dtype=np.int64) if active is None else active.indices
     maps = [segment_map(sys, u, dt) for u in controls]
 

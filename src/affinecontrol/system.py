@@ -391,13 +391,52 @@ def larc_rank(sys: AffineSystem, x, max_depth: int | None = None,
     return int(np.sum(sv > rank_tol * sv[0]))
 
 
+def _solve_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solutions X (k, p, r) of A X = B for stacks A (k, p, p) and B (k, p, r).
+
+    Gaussian elimination with partial pivoting, entry-wise over the stack:
+    [A | B] is copied once into a (p, p + r, k) array, so each step is one
+    multiply and one subtract on whole rows of all slices.  Each slice takes
+    its own pivot, the first entry of largest modulus in its column (the tie
+    rule of LAPACK's idamax), and every operation is elementwise across the
+    stack, so slice i ignores the rest of the stack, bit for bit.  A singular
+    or non-finite slice gives inf or NaN there alone, with no warning; the
+    inputs are not written to.
+    """
+    k, p, r = B.shape
+    W = np.empty((p, p + r, k))
+    W[:, :p] = A.transpose(1, 2, 0)
+    W[:, p:] = B.transpose(1, 2, 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(p - 1):
+            # row j trades places with each later row whose entry is larger
+            # in modulus than all before it, so it ends up with the first largest
+            size = np.abs(W[j:, j])
+            best = size[0]
+            for i in range(1, p - j):
+                larger = size[i] > best
+                pair = W[j:j + i + 1:i, j:]  # rows j and j + i
+                pair[...] = np.where(larger, pair[::-1], pair)
+                best = np.where(larger, size[i], best)
+            W[j + 1:, j + 1:] -= (W[j + 1:, j] / W[j, j])[:, None] * W[j, j + 1:]
+        X = W[:, p:]
+        for j in range(p - 1, 0, -1):  # back substitution, column by column
+            X[j] /= W[j, j]
+            X[:j] -= W[:j, j, None] * X[j]
+        X[0] /= W[0, 0]
+    return X.transpose(2, 0, 1)
+
+
 def _expm(X: np.ndarray) -> np.ndarray:
     """Exponentials of a stack X (k, p, p): scaling and squaring with the [13/13]
     Pade approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179), in slabs.
 
     Slice i is scaled by 2**-s_i, s_i from its own 1-norm, and squared s_i
-    times, so it ignores the rest of the stack.  A non-finite slice gives NaN
-    and an overflowing one inf or NaN, with no warning or exception.
+    times, so it ignores the rest of the stack.  The Pade quotient comes from
+    `_solve_stack`, elementwise across the slab, not from one LAPACK call per
+    slice; the slabs of `_EXPM_SLAB` slices bound the temporaries.  A
+    non-finite slice gives NaN and an overflowing one inf or NaN, with no
+    warning or exception.
     """
     b, out = _PADE13, np.empty(X.shape)
     for lo in range(0, X.shape[0], _EXPM_SLAB):
@@ -416,9 +455,11 @@ def _expm(X: np.ndarray) -> np.ndarray:
                      + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
             V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
                  + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-            R = np.linalg.solve(V - U, V + U)
+            R = _solve_stack(V - U, V + U)
             for j in range(s.max()):
-                R[s > j] = R[s > j] @ R[s > j]
+                squared = s > j
+                Rj = R[squared]
+                R[squared] = Rj @ Rj
         R[bad] = np.nan
         out[lo:lo + _EXPM_SLAB] = R
     return out
@@ -465,13 +506,13 @@ def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,
              sample_step: float | None = None) -> Trajectory:
     """Exact trajectory of the affine system from x0 over [0, t] (or [t, 0]).
 
-    Per-segment propagation through the augmented exponential; samples are
-    placed at segment boundaries plus, when `sample_step` is given, at
-    interior points at most that far apart.  `sample_step` must be positive;
-    None or inf places no interior samples.  Negative t runs time in
-    reverse through the inverses of the segment maps; the returned sample
-    times are always increasing, so the state at time t sits at index -1
-    for t > 0 and at index 0 for t < 0.
+    Per-segment propagation through the augmented exponentials of all
+    pieces, from one `_segment_maps` call; samples are placed at segment
+    boundaries plus, when `sample_step` is given, at interior points at most
+    that far apart.  `sample_step` must be positive; None or inf places no
+    interior samples.  Negative t runs time in reverse through the inverses
+    of the segment maps; the returned sample times are always increasing, so
+    the state at time t sits at index -1 for t > 0 and at index 0 for t < 0.
 
     Raises BlowUpError when the state stops being finite; the error
     carries the last finite state.
@@ -492,14 +533,16 @@ def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,
     else:
         piece_list = list(ctrl.pieces(0.0, t))
 
+    subs = [1 if sample_step is None else max(1, int(np.ceil(abs(dt) / sample_step)))
+            for _, dt in piece_list]
+    # one stacked exponential maps every piece, each as its own segment_map would
+    maps = _segment_maps(sys, np.array([u for u, _ in piece_list]).reshape(-1, sys.m),
+                         [dt / n_sub for (_, dt), n_sub in zip(piece_list, subs)])
     times = [0.0]
     states = [x.copy()]
     clock = 0.0
-    for u, dt in piece_list:
-        n_sub = 1
-        if sample_step is not None:
-            n_sub = max(1, int(np.ceil(abs(dt) / sample_step)))
-        G, h = segment_map(sys, u, dt / n_sub)
+    for (_, dt), n_sub, E in zip(piece_list, subs, maps):
+        G, h = E[:-1, :-1], E[:-1, -1]
         for _ in range(n_sub):
             with np.errstate(over="ignore", invalid="ignore"):
                 x = G @ x + h

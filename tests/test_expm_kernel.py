@@ -1,5 +1,6 @@
 """Property tests of `system._expm`, the stacked matrix exponential behind
-every segment map.
+every segment map, and of `system._solve_stack`, its solve for the Pade
+quotient.
 
 Stacks of n x n slices (n = 1-5) of five kinds: zero, diagonal, upper
 triangular, nilpotent and dense, with 1-norms from 0 up to MAX_EXP_GROWTH,
@@ -15,12 +16,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from affinecontrol import system
 from affinecontrol.config import MAX_EXP_GROWTH
-from affinecontrol.system import _expm
+from affinecontrol.system import _expm, _solve_stack
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -104,3 +105,97 @@ def test_expm_overflow_gives_non_finite_without_warning():
         E = _expm(X)
     assert not np.isfinite(E[0]).all()
     assert np.allclose(E[1], np.diag(np.exp([0.5, -1.0])), rtol=1e-15, atol=0.0)
+
+
+@st.composite
+def linear_systems(draw, max_slices=6):
+    """Stacks A (k, p, p) and B (k, p, r).  A slice of A is one of the five
+    kinds plus the identity, or of small integers, whose equal moduli tie for
+    the pivot; its rows are shuffled, so zero leading entries need a pivot."""
+    p = draw(st.integers(1, 5))
+    A = np.stack(draw(st.lists(slices(p), min_size=1, max_size=max_slices))) + np.eye(p)
+    k = A.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties = rng.random(k) < 0.3
+    A[ties] = rng.integers(-2, 3, size=(int(ties.sum()), p, p))
+    A = A[np.arange(k)[:, None], rng.permuted(np.tile(np.arange(p), (k, 1)), axis=1)]
+    B = rng.normal(size=(k, p, draw(st.integers(1, 3))))
+    return A, B * draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+
+
+def reference_solve(A, B):
+    """One slice, by the loops that `_solve_stack` runs across a stack: at
+    step j row j trades places with each later row whose entry in column j is
+    larger in modulus than its own, so it ends up with the first largest, and
+    the rows below are eliminated; back substitution goes column by column."""
+    p = A.shape[0]
+    W = np.hstack([A, B])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(p - 1):
+            for i in range(j + 1, p):
+                if abs(W[i, j]) > abs(W[j, j]):
+                    W[[j, i]] = W[[i, j]]
+            for i in range(j + 1, p):
+                W[i, j + 1:] -= W[i, j] / W[j, j] * W[j, j + 1:]
+        X = W[:, p:]
+        for j in reversed(range(p)):
+            X[j] /= W[j, j]
+            for i in range(j):
+                X[i] -= W[i, j] * X[j]
+    return X
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems())
+def test_solve_stack_backward_error(system_pair):
+    A, B = system_pair
+    # a slice of integers, or a diagonal entry of -1 against the identity,
+    # can be exactly singular
+    assume(np.all(np.linalg.det(A) != 0.0))
+    X = _solve_stack(A, B)
+    for Ai, Bi, Xi in zip(A, B, X):
+        assert one_norm(Ai @ Xi - Bi) <= 1e-14 * one_norm(Ai) * one_norm(Xi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems(max_slices=8))
+def test_solve_stack_slices_are_the_per_slice_loop_and_ignore_the_stack(system_pair):
+    A, B = system_pair
+    X = _solve_stack(A, B)
+    for i in range(A.shape[0]):
+        alone = _solve_stack(A[i:i + 1], B[i:i + 1])[0]
+        assert np.array_equal(X[i], alone, equal_nan=True)  # bit for bit
+        assert np.array_equal(X[i], reference_solve(A[i], B[i]), equal_nan=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_systems())
+def test_solve_stack_leaves_its_inputs_alone(system_pair):
+    # one slice included: there a transpose of the input can be a view of it
+    A, B = system_pair
+    for a, b in ((A, B), (A[:1], B[:1])):
+        a_before, b_before = a.copy(), b.copy()
+        _solve_stack(a, b)
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_systems(), st.sampled_from(["singular", "nan"]), st.data())
+def test_solve_stack_bad_slice_spoils_only_itself(system_pair, kind, data):
+    A, B = system_pair
+    i = data.draw(st.integers(0, A.shape[0] - 1))
+    row, col = data.draw(st.tuples(st.integers(0, A.shape[1] - 1),
+                                   st.integers(0, A.shape[1] - 1)))
+    spoiled = A.copy()
+    if kind == "singular":
+        spoiled[i, :, col] = 0.0
+    else:
+        spoiled[i, row, col] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = _solve_stack(spoiled, B)
+        clean = _solve_stack(A, B)
+    assert not np.isfinite(X[i]).all()
+    for j in range(A.shape[0]):
+        if j != i:
+            assert np.array_equal(X[j], clean[j], equal_nan=True)

@@ -320,6 +320,22 @@ def test_pts_per_box_must_be_whole(build):
             build(bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda seed: build_transition_graph(
+        zero_field(), BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4]), [[0.0]], 0.5, 3, seed=seed),
+    lambda seed: build_sphere_graph(
+        zero_field(3), SphereGrid(3, 2), [[0.0]], 0.5, 3, seed=seed),
+], ids=["box", "sphere"])
+def test_seed_must_be_whole(build):
+    # the seed keys the memo of the test offsets, so it is an int there
+    graph = build(np.float64(3.0))
+    assert graph.seed == 3 and type(graph.seed) is int
+    assert np.array_equal(graph.targets, build(3).targets)
+    for bad in (2.5, np.nan):
+        with pytest.raises(ValueError, match="seed must be whole"):
+            build(bad)
+
+
 @pytest.mark.parametrize("cls", [TransitionGraph, SphereGraph])
 @pytest.mark.parametrize("cache", ["_scc", "_reverse"])
 def test_graph_caches_are_not_constructor_parameters(cls, cache):

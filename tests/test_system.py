@@ -267,6 +267,40 @@ def test_simulate_matches_ode_oracle():
         assert np.linalg.norm(ours - x) <= 1e-8 * max(1.0, np.linalg.norm(x))
 
 
+def per_piece_trajectory(sys, ctrl, x0, t, sample_step):
+    """Times and states of `simulate` with one `segment_map` per piece, as
+    it mapped them before one stacked call mapped every piece."""
+    pieces = ([(u, -dt) for u, dt in ctrl.pieces(t, 0.0)][::-1] if t < 0.0
+              else list(ctrl.pieces(0.0, t)))
+    x = np.asarray(x0, dtype=float)
+    times, states, clock = [0.0], [x.copy()], 0.0
+    for u, dt in pieces:
+        n_sub = 1 if sample_step is None else max(1, int(np.ceil(abs(dt) / sample_step)))
+        G, h = segment_map(sys, u, dt / n_sub)
+        for _ in range(n_sub):
+            x = G @ x + h
+            clock += dt / n_sub
+            times.append(clock)
+            states.append(x.copy())
+    times[-1] = t
+    order = slice(None, None, -1) if t < 0.0 else slice(None)
+    return np.array(times)[order], np.stack(states)[order]
+
+
+@pytest.mark.parametrize("t, sample_step", [(2.3, None), (-1.7, None), (2.3, 0.3),
+                                            (-1.7, 0.25), (0.9, np.inf)])
+def test_simulate_is_the_per_piece_segment_map_loop(t, sample_step):
+    rng = np.random.default_rng(41)
+    for n, m in ((1, 1), (2, 1), (3, 2)):
+        sys = random_system(rng, n=n, m=m)
+        ctrl = random_control(rng, m=m, segments=3)
+        x0 = rng.normal(size=n)
+        traj = simulate(sys, ctrl, x0, t, sample_step=sample_step)
+        times, states = per_piece_trajectory(sys, ctrl, x0, t, sample_step)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)  # bit for bit
+
+
 def test_simulate_blowup_reports_last_finite_state():
     sys = AffineSystem([[200.0]], [[[0.0]]], [[0.0]], [0.0], [-1.0], [1.0])
     ctrl = PiecewiseControl.constant([0.0], period=1.0)
