@@ -9,15 +9,19 @@ flat batch (values, durations, segment counts), filled directly by the scan's
 sampler or a path, through one vectorised exponential of all segments
 (`system._expm`, after Higham 2005), whose Pade quotient is one pivoted
 elimination run elementwise across the batch (`system._solve_stack`), not
-a LAPACK call per segment; the batch format lives here alone.  The sampler
-draws a batch's random stream in four bulk calls, so a seed determines the
-whole batch.  Continuation records are filled from stacked solves, norms
-and singular value decompositions, handed to the records as plain lists.
+a LAPACK call per segment; the batch format lives here alone.  Callers that
+read only the monodromy (the scan's margins, `floquet_of`,
+`principal_matrix`, the bisection steps) exponentiate the n x n generators
+(`_monodromies`); the augmented maps are made only where the forced integral
+is read (`_period_maps`).  The sampler draws a batch's random stream in four
+bulk calls, so a seed determines the whole batch.  A continuation is held as
+columns filled from stacked solves, norms and singular value decompositions;
+its records, and the Unique solutions among them, are made on first read.
 Controls are made for reports only: a scan's argmin and each crossing at
 once, and a record's from the path when it is first read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -27,8 +31,10 @@ from .system import (
     AffineSystem,
     PiecewiseControl,
     _check_values,
+    _homogeneous_maps,
     _row_norms,
     _segment_maps,
+    _whole,
     larc_rank,
 )
 
@@ -137,19 +143,11 @@ def _control(values, durations, counts, i: int) -> PiecewiseControl:
     return PiecewiseControl(values[lo:lo + counts[i]], durations[lo:lo + counts[i]])
 
 
-def _period_maps(sys: AffineSystem, values, durations, counts
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monodromies Phi (N, n, n) and forced integrals b (N, n) of N controls,
-    control i being the next counts[i] rows of values (K, m) and durations (K,).
-
-    The augmented segment maps of all controls come from one stacked
-    exponential and are multiplied with batched matmul per segment count,
-    so no control's result depends on the rest of the batch.  Raises
-    EigenSolverError, naming the control, when a map is not finite.
-    """
-    _check_values(sys, values)
-    counts = np.asarray(counts)
-    E = _segment_maps(sys, values, durations)
+def _compose(E: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Period maps (N, p, p) from the segment maps E (K, p, p) of N controls,
+    control i owning the next counts[i] rows: the ordered product, last
+    segment leftmost.  Batched matmul per segment count, so no control's
+    product depends on the rest of the batch."""
     first = np.cumsum(counts) - counts
     maps = np.empty((counts.size,) + E.shape[1:])
     for k in np.unique(counts):
@@ -158,14 +156,54 @@ def _period_maps(sys: AffineSystem, values, durations, counts
         for j in range(1, k):
             P = E[first[rows] + j] @ P
         maps[rows] = P
-    phi, b = maps[:, :-1, :-1], maps[:, :-1, -1]
-    finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        ctrl = _control(values, durations, counts, i)
-        raise EigenSolverError(f"period map of control {i} ({ctrl}) is not finite",
-                               float("inf"))
-    return phi, b
+    return maps
+
+
+def _raise_unless_finite(maps: np.ndarray, values, durations, counts):
+    """Raise EigenSolverError naming the first control whose map (N, ...) has
+    a non-finite entry."""
+    if np.isfinite(maps).all():
+        return
+    i = int(np.argmin(np.isfinite(maps.reshape(len(maps), -1)).all(axis=1)))
+    ctrl = _control(values, durations, counts, i)
+    raise EigenSolverError(f"period map of control {i} ({ctrl}) is not finite",
+                           float("inf"))
+
+
+def _monodromies(sys: AffineSystem, values, durations, counts) -> np.ndarray:
+    """Monodromies Phi (N, n, n) of the N controls of a flat batch laid out as
+    for `_period_maps`, for callers that read no forced integral.
+
+    Composed from one `_expm` of the n x n generators A(u) dt
+    (`system._homogeneous_maps`), not of the augmented ones: bit for bit the
+    Phi of `_period_maps` unless a segment's forcing column sets the 1-norm
+    of its augmented generator; then this one is the more accurate.  Raises
+    EigenSolverError, naming the control, when a monodromy is not finite;
+    a forced integral that overflows does not matter here.
+    """
+    _check_values(sys, values)
+    counts = np.asarray(counts)
+    phi = _compose(_homogeneous_maps(sys, values, durations), counts)
+    _raise_unless_finite(phi, values, durations, counts)
+    return phi
+
+
+def _period_maps(sys: AffineSystem, values, durations, counts
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Monodromies Phi (N, n, n) and forced integrals b (N, n) of N controls,
+    control i being the next counts[i] rows of values (K, m) and durations (K,).
+
+    The augmented segment maps of all controls come from one stacked
+    exponential and are multiplied with batched matmul per segment count,
+    so no control's result depends on the rest of the batch.  Only callers
+    that read b use them: continuation records, a crossing,
+    `periodic_solution`, `forced_integral`.  Raises EigenSolverError, naming
+    the control, when Phi or b is not finite.
+    """
+    _check_values(sys, values)
+    maps = _compose(_segment_maps(sys, values, durations), np.asarray(counts))[:, :-1]
+    _raise_unless_finite(maps, values, durations, counts)
+    return maps[:, :, :-1], maps[:, :, -1]
 
 
 def _spectrum(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,30 +213,41 @@ def _spectrum(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError("eigenvalue iteration failed on the monodromy",
                                float(np.max(np.linalg.cond(phi)))) from exc
-    return multipliers, np.min(np.abs(multipliers - 1.0), axis=-1)
+    # a column minimum, bit for bit np.min(..., axis=-1) without its short-axis reduction
+    distance = np.abs(multipliers - 1.0)
+    margins = distance[..., 0]
+    for j in range(1, distance.shape[-1]):
+        margins = np.minimum(margins, distance[..., j])
+    return multipliers, margins
 
 
 def principal_matrix(sys: AffineSystem, ctrl: PiecewiseControl,
                      t: float, s: float) -> np.ndarray:
     """Fundamental solution Phi(t, s) of dx = A(u(.)) x under the periodic control.
 
-    The period map of the segments covering [s, t], so only their values
-    are checked against the box; for t < s the inverse of Phi(s, t).
+    The monodromy (`_monodromies`, no forced integral) of the segments
+    covering [s, t], so only their values are checked against the box; for
+    t < s the inverse of Phi(s, t).
     """
     if t < s:
         return np.linalg.inv(principal_matrix(sys, ctrl, s, t))
     pieces = list(ctrl.pieces(s, t))
     if not pieces:
         return np.eye(sys.n)
-    return _period_maps(sys, *_flatten([PiecewiseControl.from_segments(pieces)]))[0][0]
+    return _monodromies(sys, *_flatten([PiecewiseControl.from_segments(pieces)]))[0]
 
 
 def floquet_of(sys: AffineSystem, ctrl: PiecewiseControl,
                tolerances: Tolerances = DEFAULT_TOLERANCES,
                ) -> tuple[Monodromy, FloquetData]:
-    """Monodromy over one period and the derived Floquet data."""
+    """Monodromy over one period and the derived Floquet data.
+
+    The monodromy comes from the n x n generators alone (`_monodromies`): no
+    augmented map is made, so a forced integral that overflows does not
+    matter.
+    """
     tau = ctrl.period
-    phi = _period_maps(sys, *_flatten([ctrl]))[0][0]
+    phi = _monodromies(sys, *_flatten([ctrl]))[0]
     multipliers, margin = _spectrum(phi)
     margin = float(margin)
     # exponents lambda_j = (1/tau) log|rho_j|, sorted descending
@@ -219,7 +268,7 @@ def forced_integral(sys: AffineSystem, ctrl: PiecewiseControl) -> np.ndarray:
     """The integral of Phi(tau, s) (C u(s) + d) ds over one period.
 
     Computed exactly as the translation part of the composed augmented
-    segment maps, so no quadrature error enters.
+    segment maps (`_period_maps`), so no quadrature error enters.
     """
     return _period_maps(sys, *_flatten([ctrl]))[1][0]
 
@@ -227,14 +276,16 @@ def forced_integral(sys: AffineSystem, ctrl: PiecewiseControl) -> np.ndarray:
 def _solutions(M: np.ndarray, b: np.ndarray, margins: np.ndarray,
                tolerances: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Trichotomy of the fixed-point systems M x = b (M = I - Phi) of a batch:
-    (solutions, points).  Rows whose margin exceeds `unit_tol` are Unique, from
+    (points, solutions).  Rows whose margin exceeds `unit_tol` are Unique, from
     one stacked solve; the others are solved by least squares through the SVD.
-    `points` holds x0 or y0 per row, NaN where the row is Obstructed."""
+    `points` holds x0 or y0 per row, NaN where the row is Obstructed;
+    `solutions` holds the AffineFamily or Obstructed of each row that is not
+    Unique, and None for a Unique row, whose x0 is its row of `points`
+    (`_solution` makes the object)."""
     unique = margins > tolerances.unit_tol
     points = np.full(b.shape, np.nan)
     points[unique] = np.linalg.solve(M[unique], b[unique][..., None])[..., 0]
-    solutions = np.empty(margins.size, dtype=object)
-    solutions[unique] = [Unique(x) for x in points[unique]]
+    solutions = np.full(margins.size, None, dtype=object)
     for i in np.flatnonzero(~unique):
         U, sv, vt = np.linalg.svd(M[i])
         cutoff = tolerances.eig_tol * max(1.0, sv[0] if sv.size else 1.0)
@@ -247,7 +298,12 @@ def _solutions(M: np.ndarray, b: np.ndarray, margins: np.ndarray,
             points[i] = y0
         else:
             solutions[i] = Obstructed(residual)
-    return solutions, points
+    return points, solutions
+
+
+def _solution(points: np.ndarray, solutions: np.ndarray, i: int):
+    """The solution object of row i of `_solutions`' (points, solutions)."""
+    return Unique(points[i]) if solutions[i] is None else solutions[i]
 
 
 def periodic_solution(sys: AffineSystem, ctrl: PiecewiseControl,
@@ -259,7 +315,7 @@ def periodic_solution(sys: AffineSystem, ctrl: PiecewiseControl,
     an affine family of periodic solutions, a large one means none exist.
     """
     phi, b = _period_maps(sys, *_flatten([ctrl]))
-    return _solutions(np.eye(sys.n) - phi, b, _spectrum(phi)[1], tolerances)[0][0]
+    return _solution(*_solutions(np.eye(sys.n) - phi, b, _spectrum(phi)[1], tolerances), 0)
 
 
 # --------------------------------------------------------------------- scan
@@ -272,7 +328,7 @@ class ControlSampler:
     or "mixed" (alternating).  `include` controls are evaluated before the
     random samples.  Samples are drawn a batch at a time (`sample_batch`),
     so an rng state determines the whole batch rather than each sample on
-    its own.
+    its own.  `segments_range` takes whole numbers (3.0 is stored as 3).
     """
 
     kind: str = "mixed"
@@ -281,7 +337,9 @@ class ControlSampler:
     include: tuple[PiecewiseControl, ...] = ()
 
     def __post_init__(self):
-        (p0, p1), (k0, k1) = self.period_range, self.segments_range
+        k0, k1 = _whole(self.segments_range, "segments_range").tolist()
+        object.__setattr__(self, "segments_range", (k0, k1))
+        p0, p1 = self.period_range
         if self.kind not in ("bang", "levels", "mixed"):
             raise ValueError(f"kind must be 'bang', 'levels' or 'mixed', got {self.kind!r}")
         if not 0.0 < p0 <= p1 < np.inf:
@@ -360,9 +418,17 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
     samples drawn deterministically from `seed`.  Reports the minimal
     margin, the control attaining it, and the interior-hypothesis proxy
     (full bracket rank at the periodic point of the argmin control).
+
+    The margins come from the monodromies alone (`_monodromies`); only the
+    argmin control gets an augmented period map, for its periodic point.
+    `rank_proxy` is None when that point is not finite: obstructed, or a
+    forced integral that overflows.  `count` and `seed` are whole numbers
+    (3.0 is taken as 3): ValueError for 2.5 or NaN, TypeError for None.
     Raises ValueError for a negative `count` or when there is no control
     to scan.
     """
+    count = int(_whole(count, "count"))
+    seed = int(_whole(seed, "seed"))
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0 and not sampler.include:
@@ -373,19 +439,30 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
         include = _flatten(sampler.include)
         _check_values(sys, include[0])
         batch = [np.concatenate(p) for p in zip(include, batch)]
-    phi, b = _period_maps(sys, *batch)
-    margins = _spectrum(phi)[1]
+    margins = _spectrum(_monodromies(sys, *batch))[1]
     best = int(np.argmin(margins))
     min_margin = float(margins[best])
     refuted = min_margin <= tolerances.unit_tol
     argmin_control = _control(*batch, best)
     witness = argmin_control if refuted else None
     # Interior-of-semigroup hypothesis is undecidable here; record the
-    # bracket-rank proxy at the periodic point of the extremal control.
+    # bracket-rank proxy at the periodic point of the extremal control.  Its
+    # augmented map is made here, not by `_period_maps`: a forced integral
+    # that overflows leaves no point, but raises no error.
     proxy_rank = proxy_full = None
-    point = _solutions(np.eye(sys.n) - phi[best:best + 1], b[best:best + 1],
-                       margins[best:best + 1], tolerances)[1][0]
-    if np.all(np.isfinite(point)):  # not obstructed, and no overflow
+    point = None
+    maps = _compose(_segment_maps(sys, argmin_control.values, argmin_control.durations),
+                    np.array([argmin_control.num_segments]))[:, :-1]
+    if np.isfinite(maps).all():
+        try:
+            point = _solutions(np.eye(sys.n) - maps[:, :, :-1], maps[:, :, -1],
+                               margins[best:best + 1], tolerances)[0][0]
+        except np.linalg.LinAlgError:
+            # the solve overflowed, or a forcing column near overflow set the
+            # augmented 1-norm so high that the map's Phi block lost the
+            # monodromy (I - Phi singular where the margin says otherwise)
+            pass
+    if point is not None and np.all(np.isfinite(point)):  # not obstructed, no overflow
         proxy_rank = larc_rank(sys, point, rank_tol=tolerances.rank_tol)
         proxy_full = proxy_rank == sys.n
     return ScanReport(count=margins.size, min_margin=min_margin,
@@ -486,10 +563,46 @@ class Crossing:
     solution: object
 
 
+_COLUMNS = ("alphas", "det_gaps", "margins", "points", "norms", "kernel_angles",
+            "refined", "solutions")
+
+
 @dataclass(frozen=True, eq=False)
 class ContinuationResult:
-    records: list
-    crossings: list
+    """A continuation along `path`, held as columns, one row per record in
+    alpha order: alphas, det gaps det(I - Phi), margins, solution points
+    (N, n) (x0 or y0, NaN where obstructed), their norms, kernel angles and
+    refined flags.  `solutions` holds the AffineFamily or Obstructed of the
+    few rows that are not Unique, None for a Unique row, whose x0 is its row
+    of `points`.  The rows come from augmented period maps (`_period_maps`),
+    which the records read b from; the bisection steps toward a crossing use
+    monodromies alone, the crossing itself the augmented map.
+
+    `records`, the list of `ContinuationRecord`s with their Unique solutions,
+    is made from the columns on first read and kept; `continuation` itself
+    makes none.
+    """
+
+    path: ControlPath = field(repr=False)
+    alphas: np.ndarray
+    det_gaps: np.ndarray
+    margins: np.ndarray
+    points: np.ndarray
+    norms: np.ndarray
+    kernel_angles: np.ndarray
+    refined: np.ndarray
+    solutions: np.ndarray = field(repr=False)
+    crossings: list = field(default_factory=list)
+
+    @cached_property
+    def records(self) -> list:
+        x0 = self.points.copy()  # the Unique solutions do not share the column
+        return [ContinuationRecord(alpha, self.path, det_gap, margin,
+                                   Unique(x) if sol is None else sol, nx, angle, refined)
+                for alpha, det_gap, margin, sol, x, nx, angle, refined in zip(
+                    self.alphas.tolist(), self.det_gaps.tolist(), self.margins.tolist(),
+                    self.solutions.tolist(), x0, self.norms.tolist(),
+                    self.kernel_angles.tolist(), self.refined.tolist())]
 
 
 def _kernel_size(sv: np.ndarray, eig_tol: float) -> np.ndarray:
@@ -505,20 +618,21 @@ def _near_kernel(M: np.ndarray, eig_tol: float) -> np.ndarray:
     return vt[M.shape[0] - _kernel_size(sv, eig_tol):].T.copy()
 
 
-def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
-    """Continuation records at the alphas, from one batch of period maps.
+def _evaluate_path_points(sys, path, alphas, tolerances, refined=False
+                          ) -> ContinuationResult:
+    """The columns of the continuation records at the alphas, as a result
+    without crossings, from one batch of augmented period maps.
 
     Solutions, norms and kernel angles come from stacked array calls over
     the batch, bit for bit the values that `np.linalg.norm` and
     `_near_kernel` give one record at a time; only the rare non-Unique rows
-    of `_solutions` and the record objects take a loop.  The records are
-    filled positionally from the `tolist()` of each column, so every float
-    field is a Python float without one `float()` call per field.
+    of `_solutions` take a loop, and no record object is made.
     """
+    alphas = np.asarray(alphas, dtype=float).reshape(-1)
     phi, b = _period_maps(sys, *path.segments(alphas))
     M = np.eye(sys.n) - phi
     margins = _spectrum(phi)[1]
-    solutions, points = _solutions(M, b, margins, tolerances)
+    points, solutions = _solutions(M, b, margins, tolerances)
     norm_x = _row_norms(points)
     # kernel angles: the distance of x/|x| to the unit sphere of the span of
     # the right singular vectors of M at its smallest singular values, a
@@ -537,21 +651,26 @@ def _evaluate_path_points(sys, path, alphas, tolerances, refined=False):
         with np.errstate(invalid="ignore", divide="ignore"):
             kernel_angle[window[rows]] = np.where(
                 norm_p == 0.0, np.sqrt(2.0), _row_norms(xhat[rows] - p / norm_p[:, None]))
-    return [ContinuationRecord(alpha, path, det_gap, margin, sol, nx, angle, refined)
-            for alpha, det_gap, margin, sol, nx, angle in zip(
-                np.asarray(alphas, dtype=float).tolist(), np.linalg.det(M).tolist(),
-                margins.tolist(), solutions.tolist(), norm_x.tolist(),
-                kernel_angle.tolist())]
+    return ContinuationResult(path, alphas, np.linalg.det(M), margins, points, norm_x,
+                              kernel_angle, np.full(alphas.size, refined), solutions)
+
+
+def _merged(a: ContinuationResult, b: ContinuationResult) -> ContinuationResult:
+    """The rows of a and b in alpha order, a's first among equal alphas."""
+    order = np.argsort(np.concatenate([a.alphas, b.alphas]), kind="stable")
+    return ContinuationResult(a.path, **{name: np.concatenate(
+        [getattr(a, name), getattr(b, name)])[order] for name in _COLUMNS})
 
 
 def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):
     """Zero of the det gap in [lo, hi], whose sign at lo is that of gap_lo.
 
     Halves until the midpoint no longer splits [lo, hi] in floating point,
-    so a crossing on a mesh node (lo == hi) takes no step.
+    so a crossing on a mesh node (lo == hi) takes no step.  A step reads
+    only the monodromy (`_monodromies`); the crossing gets its augmented map.
     """
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        phi, _ = _period_maps(sys, *path.segments([mid]))
+        phi = _monodromies(sys, *path.segments([mid]))
         gap = float(np.linalg.det(np.eye(sys.n) - phi[0]))
         if gap == 0.0:
             lo = hi = mid
@@ -567,7 +686,7 @@ def _bisect_crossing(sys, path, lo, hi, gap_lo, tolerances):
     return Crossing(alpha=float(alpha), tau=ctrl.period, control=ctrl,
                     margin=float(margins[0]), det_gap=float(np.linalg.det(M[0])),
                     kernel=_near_kernel(M[0], tolerances.eig_tol),
-                    solution=_solutions(M, b, margins, tolerances)[0][0])
+                    solution=_solution(*_solutions(M, b, margins, tolerances), 0))
 
 
 def continuation(sys: AffineSystem, path: ControlPath, steps: int,
@@ -583,15 +702,20 @@ def continuation(sys: AffineSystem, path: ControlPath, steps: int,
     records at alpha +- 0.5 spacing 10^-j around each crossing, j = 0..5,
     that lie in (0, 1), flagged `refined` and merged in alpha order.  That
     ladder is where blow-up of the solution norms becomes visible.
+
+    The result holds the records as columns; its `records` list is made on
+    first read.  `steps` is a whole number (41.0 is taken as 41): ValueError
+    for 40.5 or NaN, TypeError for None.
     """
+    steps = int(_whole(steps, "steps"))
     if steps < 2:
         raise ValueError("steps must be >= 2")
     mesh = np.linspace(0.0, 1.0, steps)
     spacing = 1.0 / (steps - 1)
-    records = _evaluate_path_points(sys, path, mesh, tolerances)
+    result = _evaluate_path_points(sys, path, mesh, tolerances)
     crossings = []
     if not path.constant:
-        gaps = np.array([r.det_gap for r in records])
+        gaps = result.det_gaps
         # nodes already sitting on a zero of the det gap, and strict sign
         # changes between two nodes that are not; event 2i is node i, event
         # 2i + 1 the pair (i, i + 1), so event order is alpha order
@@ -600,15 +724,15 @@ def continuation(sys: AffineSystem, path: ControlPath, steps: int,
         events[1::2] = ((np.sign(gaps[:-1]) != np.sign(gaps[1:]))
                         & ~events[:-1:2] & ~events[2::2])
         for i, pair in zip(*np.divmod(np.flatnonzero(events), 2)):
-            lo, hi = records[i], records[i + pair]
             crossings.append(_bisect_crossing(
-                sys, path, lo.alpha, hi.alpha, lo.det_gap, tolerances))
+                sys, path, float(mesh[i]), float(mesh[i + pair]), float(gaps[i]),
+                tolerances))
     if crossings:
         ladder = [a for crossing in crossings for j in range(_LADDER_DECADES + 1)
                   for a in (crossing.alpha - 0.5 * spacing * 10.0 ** (-j),
                             crossing.alpha + 0.5 * spacing * 10.0 ** (-j))
                   if 0.0 < a < 1.0]
         if ladder:
-            records = sorted(records + _evaluate_path_points(
-                sys, path, ladder, tolerances, refined=True), key=lambda r: r.alpha)
-    return ContinuationResult(records=records, crossings=crossings)
+            result = _merged(result, _evaluate_path_points(
+                sys, path, ladder, tolerances, refined=True))
+    return replace(result, crossings=crossings)

@@ -25,8 +25,8 @@ from scipy.sparse import csgraph
 
 from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
 from .reach import (BoxSet, TransitionGraph, _label_groups, _label_order, _ranges,
-                    _sampled_controls, _sampled_csr, _test_offsets, _whole)
-from .system import AffineSystem, PiecewiseControl, _row_norms
+                    _sampled_controls, _sampled_csr, _test_offsets)
+from .system import AffineSystem, PiecewiseControl, _row_norms, _whole
 
 __all__ = [
     "ProjPoint",

@@ -31,7 +31,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .config import DEFAULT_MEMORY_CAP
-from .system import AffineSystem, _check_values, segment_map
+from .system import AffineSystem, _check_values, _whole, segment_map
 
 __all__ = [
     "BoxGrid",
@@ -49,16 +49,6 @@ __all__ = [
 
 class MemoryBudgetError(RuntimeError):
     """Planned allocation exceeds the configured cap; raised before allocating."""
-
-
-def _whole(value, name: str) -> np.ndarray:
-    """`value` as int64, or ValueError naming `name` unless every entry is whole."""
-    raw = np.asarray(value)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
-        whole = raw.astype(np.int64)
-    if not np.array_equal(whole, raw):
-        raise ValueError(f"{name} must be whole, got {value!r}")
-    return whole
 
 
 @dataclass(frozen=True, eq=False)

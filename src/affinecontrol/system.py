@@ -37,7 +37,7 @@ _OMEGA_SLACK = 1e-12
 # 1-norm at which that approximant is accurate to double precision (Higham 2005).
 _PADE13 = [float(factorial(26 - k) // factorial(k) // factorial(13 - k)) for k in range(14)]
 _THETA13 = 5.371920351148152
-_EXPM_SLAB = 1024  # slices per slab of `_expm`, which bounds its temporaries
+_EXPM_SLAB = 8192  # entries per slab of `_expm` (2048 slices of 2 x 2), bounding its temporaries
 
 
 class BlowUpError(RuntimeError):
@@ -50,6 +50,17 @@ class BlowUpError(RuntimeError):
         super().__init__(message)
         self.last_state = np.asarray(last_state, dtype=float)
         self.time = float(time)
+
+
+def _whole(value, name: str) -> np.ndarray:
+    """`value` as int64, or ValueError naming `name` unless every entry is whole;
+    TypeError for None."""
+    raw = np.asarray(value)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        whole = raw.astype(np.int64)
+    if not np.array_equal(whole, raw):
+        raise ValueError(f"{name} must be whole, got {value!r}")
+    return whole
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -427,26 +438,47 @@ def _solve_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X.transpose(2, 0, 1)
 
 
+def _scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scaling step of `_expm` for a stack A (k, p, p): (A_i 2**-s_i, s, bad),
+    s_i = max(0, ceil(log2(||A_i||_1 / theta_13))) and bad marking the slices
+    of non-finite 1-norm, which get s = 0 and NaN in place of A_i.
+
+    The 1-norm takes p - 1 adds of rows and p - 1 `np.maximum` of columns,
+    which add in the order of `np.abs(A).sum(axis=1)`, with no reduction over
+    a short axis.  2**-s is a normal number for every finite norm (s <= 1022),
+    so the one multiply by it rounds as `np.ldexp(A, -s)` does, bit for bit.
+    """
+    p = A.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(A)
+        column = size[:, 0]
+        for i in range(1, p):
+            column = column + size[:, i]
+        norm = column[:, 0]
+        for j in range(1, p):
+            norm = np.maximum(norm, column[:, j])
+        bad = ~np.isfinite(norm)
+        frac, exp = np.frexp(np.where(bad, 0.0, norm) / _THETA13)
+        s = np.maximum(exp - (frac == 0.5), 0)  # ceil(log2(norm / theta)), exactly
+        return A * np.where(bad, np.nan, np.exp2(-s))[:, None, None], s, bad
+
+
 def _expm(X: np.ndarray) -> np.ndarray:
     """Exponentials of a stack X (k, p, p): scaling and squaring with the [13/13]
     Pade approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179), in slabs.
 
-    Slice i is scaled by 2**-s_i, s_i from its own 1-norm, and squared s_i
-    times, so it ignores the rest of the stack.  The Pade quotient comes from
-    `_solve_stack`, elementwise across the slab, not from one LAPACK call per
-    slice; the slabs of `_EXPM_SLAB` slices bound the temporaries.  A
-    non-finite slice gives NaN and an overflowing one inf or NaN, with no
-    warning or exception.
+    Slice i is scaled by 2**-s_i, s_i from its own 1-norm (`_scaled`), and
+    squared s_i times, so it ignores the rest of the stack.  The Pade quotient
+    comes from `_solve_stack`, elementwise across the slab, not from one
+    LAPACK call per slice; slabs of about `_EXPM_SLAB` entries (at least one
+    slice) bound the temporaries.  A non-finite slice gives NaN and an
+    overflowing one inf or NaN, with no warning or exception.
     """
     b, out = _PADE13, np.empty(X.shape)
-    for lo in range(0, X.shape[0], _EXPM_SLAB):
-        A = X[lo:lo + _EXPM_SLAB]
+    slab = max(1, _EXPM_SLAB // X.shape[-1] ** 2)
+    for lo in range(0, X.shape[0], slab):
+        A, s, bad = _scaled(X[lo:lo + slab])
         with np.errstate(over="ignore", invalid="ignore"):
-            norm = np.abs(A).sum(axis=1).max(axis=1)
-            bad = ~np.isfinite(norm)
-            frac, exp = np.frexp(np.where(bad, 0.0, norm) / _THETA13)
-            s = np.maximum(exp - (frac == 0.5), 0)  # ceil(log2(norm / theta)), exactly
-            A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
             A2 = A @ A
             A4 = A2 @ A2
             A6 = A4 @ A2
@@ -461,21 +493,44 @@ def _expm(X: np.ndarray) -> np.ndarray:
                 Rj = R[squared]
                 R[squared] = Rj @ Rj
         R[bad] = np.nan
-        out[lo:lo + _EXPM_SLAB] = R
+        out[lo:lo + slab] = R
     return out
+
+
+def _system_matrices(sys: AffineSystem, values) -> np.ndarray:
+    """A(u) = A + sum_i u_i B_i (k, n, n) of control values (k, m)."""
+    return sys.A + np.einsum("ki,ijl->kjl", values, sys.B)
 
 
 def _segment_maps(sys: AffineSystem, values, durations) -> np.ndarray:
     """Augmented segment maps [[G, h], [0, 1]] (k, n+1, n+1) of values (k, m), durations (k,).
 
     One `_expm` of all augmented generators [[A(u), Cu+d], [0, 0]] dt; it
-    treats every slice on its own, so a row's map ignores the other rows.
+    treats every slice on its own, so a row's map ignores the other rows.  A
+    generator that overflows gives a non-finite map, with no warning.
     """
     n = sys.n
     aug = np.zeros((values.shape[0], n + 1, n + 1))
-    aug[:, :n, :n] = sys.A + np.einsum("ki,ijl->kjl", values, sys.B)
-    aug[:, :n, n] = np.einsum("ki,ji->kj", values, sys.C) + sys.d
-    return _expm(aug * np.asarray(durations, dtype=float).reshape(-1, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        aug[:, :n, :n] = _system_matrices(sys, values)
+        aug[:, :n, n] = np.einsum("ki,ji->kj", values, sys.C) + sys.d
+        aug *= np.asarray(durations, dtype=float).reshape(-1, 1, 1)
+    return _expm(aug)
+
+
+def _homogeneous_maps(sys: AffineSystem, values, durations) -> np.ndarray:
+    """The linear parts G (k, n, n) of the segment maps: one `_expm` of the
+    generators A(u) dt, without the forcing column of `_segment_maps`.
+
+    G is bit for bit the G block of `_segment_maps` whenever the forcing
+    column |Cu + d|_1 dt does not exceed the largest column sum of A(u) dt,
+    since the augmented generator then has the same 1-norm and its zero
+    last row adds only zeros.  Otherwise the G block is scaled and squared
+    for the forcing's norm, and less accurate than G.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = _system_matrices(sys, values) * np.asarray(durations, dtype=float).reshape(-1, 1, 1)
+    return _expm(X)
 
 
 def segment_map(sys: AffineSystem, u, dt: float) -> tuple[np.ndarray, np.ndarray]:

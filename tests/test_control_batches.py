@@ -441,7 +441,7 @@ def test_records_are_the_per_record_loop(sys, data):
     alphas = np.linspace(0.0, 1.0, 41)
     expected = reference_records(sys, path, alphas, DEFAULT_TOLERANCES, refined=True)
     assert_same_records(
-        _evaluate_path_points(sys, path, alphas, DEFAULT_TOLERANCES, refined=True),
+        _evaluate_path_points(sys, path, alphas, DEFAULT_TOLERANCES, refined=True).records,
         expected)
 
 
@@ -453,7 +453,7 @@ def test_records_cover_every_solution_kind_and_the_kernel_window():
                        PiecewiseControl.constant([-0.4], 1.0))
     alphas = np.concatenate([np.linspace(0.0, 1.0, 41), 0.75 + np.logspace(-9, -1, 9),
                              0.75 - np.logspace(-9, -1, 9)])
-    records = _evaluate_path_points(sys, path, alphas, DEFAULT_TOLERANCES)
+    records = _evaluate_path_points(sys, path, alphas, DEFAULT_TOLERANCES).records
     assert_same_records(records, reference_records(sys, path, alphas, DEFAULT_TOLERANCES))
     kinds = {type(r.solution).__name__ for r in records}
     assert {"Unique", "Obstructed"} <= kinds
@@ -461,7 +461,7 @@ def test_records_cover_every_solution_kind_and_the_kernel_window():
     # Phi = I everywhere: affine families through 0, so norm 0 and no angle
     zero = AffineSystem(np.zeros((3, 3)), np.zeros((1, 3, 3)), np.zeros((3, 1)),
                         np.zeros(3), [-1.0], [1.0])
-    records = _evaluate_path_points(zero, path, alphas, DEFAULT_TOLERANCES)
+    records = _evaluate_path_points(zero, path, alphas, DEFAULT_TOLERANCES).records
     assert_same_records(records, reference_records(zero, path, alphas, DEFAULT_TOLERANCES))
     assert all(type(r.solution).__name__ == "AffineFamily" and r.norm_x == 0.0
                for r in records)

@@ -1,6 +1,6 @@
 """Property tests of `system._expm`, the stacked matrix exponential behind
-every segment map, and of `system._solve_stack`, its solve for the Pade
-quotient.
+every segment map, of `system._scaled`, its scaling step, and of
+`system._solve_stack`, its solve for the Pade quotient.
 
 Stacks of n x n slices (n = 1-5) of five kinds: zero, diagonal, upper
 triangular, nilpotent and dense, with 1-norms from 0 up to MAX_EXP_GROWTH,
@@ -13,6 +13,7 @@ while this kernel stays near 1e-13.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from scipy.linalg import expm
 
 from affinecontrol import system
 from affinecontrol.config import MAX_EXP_GROWTH
-from affinecontrol.system import _expm, _solve_stack
+from affinecontrol.system import _expm, _scaled, _solve_stack
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -71,14 +72,17 @@ def test_expm_matches_high_precision_and_scipy(X):
 @settings(max_examples=60, deadline=None)
 @given(stacks(max_slices=8), st.integers(1, 3))
 def test_expm_slices_ignore_the_rest_of_the_stack(X, slab):
+    # `_EXPM_SLAB` counts entries: slabs of `slab` slices, and of one slice
+    # when the count is below one slice's entries
     E = _expm(X)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(system, "_EXPM_SLAB", slab)
-        in_slabs = _expm(X)
+    for entries in (slab * X.shape[-1] ** 2, slab):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(system, "_EXPM_SLAB", entries)
+            in_slabs = _expm(X)
+        for i, M in enumerate(X):
+            assert np.array_equal(in_slabs[i], E[i])
     for i, M in enumerate(X):
-        alone = _expm(M[None])[0]
-        assert np.array_equal(E[i], alone)
-        assert np.array_equal(in_slabs[i], alone)
+        assert np.array_equal(E[i], _expm(M[None])[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,6 +109,81 @@ def test_expm_overflow_gives_non_finite_without_warning():
         E = _expm(X)
     assert not np.isfinite(E[0]).all()
     assert np.allclose(E[1], np.diag(np.exp([0.5, -1.0])), rtol=1e-15, atol=0.0)
+
+
+def reference_scaled(A):
+    """The scaling step as `_expm` first had it: the 1-norm from short-axis
+    reductions, and 2**-s applied by `np.ldexp`, with zeros for a slice of
+    non-finite norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(A).sum(axis=1).max(axis=1)
+        bad = ~np.isfinite(norm)
+        frac, exp = np.frexp(np.where(bad, 0.0, norm) / system._THETA13)
+        s = np.maximum(exp - (frac == 0.5), 0)
+        return np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None]), s, bad
+
+
+@st.composite
+def scaling_stacks(draw):
+    """Stacks (k, n, n), n = 1-5, each slice scaled to a 1-norm of 2**e, e from
+    -1074 (subnormal entries) to 1023 (near overflow, s up to 1022), or zero,
+    or theta_13 2**e exactly (the frac == 0.5 edge of the ceiling); some slices
+    get an inf or NaN entry, or sum past the largest double."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "power", "theta", "inf", "nan",
+                                               "overflow"]), min_size=1, max_size=8)):
+        M = rng.normal(size=(n, n))
+        e = draw(st.integers(-1074, 1023))
+        if kind == "zero":
+            M[...] = 0.0
+        elif kind == "theta":  # one entry, so the 1-norm is theta 2**e exactly
+            M = np.zeros((n, n))
+            M[rng.integers(n), rng.integers(n)] = np.ldexp(system._THETA13, min(e, 1020))
+        else:
+            M = np.ldexp(M / np.abs(M).sum(axis=0).max(), e)
+        if kind in ("inf", "nan"):
+            M[rng.integers(n), rng.integers(n)] = np.inf if kind == "inf" else np.nan
+        if kind == "overflow":  # finite entries whose column sum overflows
+            M[:, 0] = 1.5e308
+        X.append(M)
+    return np.stack(X)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_exp2_of_the_scaling_exponents_is_exact():
+    s = np.arange(1023)
+    assert np.array_equal(bits(np.exp2(-s)), bits(np.ldexp(1.0, -s)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaling_stacks())
+def test_scaling_is_the_reference_bit_for_bit(X):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, s, bad = _scaled(X)
+    ref, ref_s, ref_bad = reference_scaled(X)
+    assert np.array_equal(s, ref_s) and s.dtype == ref_s.dtype
+    assert np.array_equal(bad, ref_bad)
+    assert np.array_equal(bits(got[~bad]), bits(ref[~bad]))  # signed zeros too
+    assert np.isnan(got[bad]).all()
+    assert s.max(initial=0) <= 1022
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scaling_stacks(), stacks(max_slices=8)))
+def test_expm_is_the_reference_scaling_bit_for_bit(X):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = _expm(X)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system, "_scaled", reference_scaled)
+        expected = _expm(X)
+    assert np.array_equal(bits(E), bits(expected))
 
 
 @st.composite
@@ -145,6 +224,23 @@ def reference_solve(A, B):
     return X
 
 
+def exactly_singular(M):
+    """Whether the square float matrix M is singular, by elimination in exact
+    rational arithmetic: a LAPACK determinant of a singular slice of small
+    integers can round to a tiny nonzero value."""
+    W = [[Fraction(float(x)) for x in row] for row in M]
+    p = len(W)
+    for j in range(p):
+        pivot = next((i for i in range(j, p) if W[i][j] != 0), None)
+        if pivot is None:
+            return True
+        W[j], W[pivot] = W[pivot], W[j]
+        for i in range(j + 1, p):
+            f = W[i][j] / W[j][j]
+            W[i] = [a - f * b for a, b in zip(W[i], W[j])]
+    return False
+
+
 @settings(max_examples=80, deadline=None)
 @given(linear_systems())
 def test_solve_stack_backward_error(system_pair):
@@ -152,6 +248,7 @@ def test_solve_stack_backward_error(system_pair):
     # a slice of integers, or a diagonal entry of -1 against the identity,
     # can be exactly singular
     assume(np.all(np.linalg.det(A) != 0.0))
+    assume(not any(exactly_singular(Ai) for Ai in A))
     X = _solve_stack(A, B)
     for Ai, Bi, Xi in zip(A, B, X):
         assert one_norm(Ai @ Xi - Bi) <= 1e-14 * one_norm(Ai) * one_norm(Xi)

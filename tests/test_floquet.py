@@ -113,18 +113,65 @@ def overflowing_system():
                         np.zeros(2), [-1.0], [1.0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("entry", [
+ENTRIES = [
     lambda sys, ctrl: floquet_of(sys, ctrl),
+    lambda sys, ctrl: principal_matrix(sys, ctrl, ctrl.period, 0.0),
     lambda sys, ctrl: periodic_solution(sys, ctrl),
     lambda sys, ctrl: hyperbolicity_scan(sys, ControlSampler(include=(ctrl,)), 3, seed=0),
-], ids=["floquet_of", "periodic_solution", "hyperbolicity_scan"])
+]
+ENTRY_IDS = ["floquet_of", "principal_matrix", "periodic_solution", "hyperbolicity_scan"]
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
 def test_non_finite_monodromy_raises_eigen_solver_error(entry):
     ctrl = PiecewiseControl.constant([0.0], 2.0)
     with pytest.raises(EigenSolverError, match="control 0") as exc:
         entry(overflowing_system(), ctrl)
     assert exc.value.condition == np.inf
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
+def test_overflowing_generator_raises_eigen_solver_error_without_warning(entry):
+    # A(u) dt = 2e308 overflows before the exponential; under
+    # `filterwarnings = error` a warning from the product would fail this
+    sys = AffineSystem(np.diag([1e308, -1.0]), np.zeros((1, 2, 2)), np.zeros((2, 1)),
+                       np.zeros(2), [-1.0], [1.0])
+    with pytest.raises(EigenSolverError, match="control 0"):
+        entry(sys, PiecewiseControl.constant([0.0], 2.0))
+
+
+def forced_overflow_system():
+    # Phi = diag(e, e^-2) over period 2, but the forcing column 2e308 of the
+    # augmented generator overflows, so the forced integral is not finite
+    return AffineSystem(np.diag([0.5, -1.0]), np.zeros((1, 2, 2)), np.zeros((2, 1)),
+                        [1e308, 1e308], [-1.0], [1.0])
+
+
+def test_forced_overflow_leaves_the_monodromy_answers():
+    sys, ctrl = forced_overflow_system(), PiecewiseControl.constant([0.0], 2.0)
+    phi = np.diag([np.e, np.exp(-2.0)])
+    monodromy, data = floquet_of(sys, ctrl)
+    assert np.allclose(monodromy.phi, phi, rtol=1e-15, atol=0.0)
+    assert abs(data.margin - (1.0 - np.exp(-2.0))) <= 1e-15 and not data.unit_multiplier
+    assert np.allclose(principal_matrix(sys, ctrl, 2.0, 0.0), phi, rtol=1e-15, atol=0.0)
+    # what reads the forced integral still raises
+    for entry in (periodic_solution, forced_integral):
+        with pytest.raises(EigenSolverError, match="control 0"):
+            entry(sys, ctrl)
+
+
+@pytest.mark.parametrize("count", [0, 5])
+def test_forced_overflow_scan_keeps_its_margins(count):
+    # count 0: the argmin control's augmented map is not finite; count 5: a
+    # sampled argmin's forcing sets so large a 1-norm that the augmented map's
+    # Phi block is I, and its fixed-point system is singular.  Either way the
+    # periodic point is not finite, so there is no bracket-rank proxy.
+    sys, ctrl = forced_overflow_system(), PiecewiseControl.constant([0.0], 2.0)
+    report = hyperbolicity_scan(sys, ControlSampler(include=(ctrl,)), count, seed=0)
+    assert report.count == count + 1 and np.all(np.isfinite(report.margins))
+    assert report.margins[0] == floquet_of(sys, ctrl)[1].margin
+    assert report.min_margin == report.margins.min()
+    assert report.rank_proxy is None and report.rank_proxy_full is None
 
 
 def test_floquet_planar_saddle_margin():
@@ -527,14 +574,15 @@ def test_continuation_solutions_match_periodic_solution():
 
 
 def test_bisection_stops_on_node_and_at_float_resolution(monkeypatch):
+    # every batch of period maps counts, augmented or monodromies alone: the
+    # bisection steps read only the monodromy
     batches = []
-    period_maps = floquet._period_maps
+    for name in ("_period_maps", "_monodromies"):
+        def counting(sys, values, durations, counts, maps=getattr(floquet, name)):
+            batches.append(len(counts))
+            return maps(sys, values, durations, counts)
 
-    def counting(sys, values, durations, counts):
-        batches.append(len(counts))
-        return period_maps(sys, values, durations, counts)
-
-    monkeypatch.setattr(floquet, "_period_maps", counting)
+        monkeypatch.setattr(floquet, name, counting)
     sys = symmetric_coupling_system()
     path = concat_path(PiecewiseControl.constant([-0.7], 1.0),
                        PiecewiseControl.constant([-0.4], 1.0))
@@ -559,3 +607,60 @@ def test_continuation_rejects_bad_steps():
     u = PiecewiseControl.constant([0.1], 1.0)
     with pytest.raises(ValueError):
         continuation(planar_saddle_system(), concat_path(u, u), steps=1)
+
+
+COUPLING_PATH = (PiecewiseControl.constant([-0.7], 1.0), PiecewiseControl.constant([-0.4], 1.0))
+
+
+def test_whole_number_inputs_of_the_floquet_entry_points():
+    # whole floats are taken as ints; 40.5 and NaN raise ValueError naming
+    # the input, None a TypeError (a None seed no longer draws fresh entropy)
+    sys = symmetric_coupling_system()
+    path = concat_path(*COUPLING_PATH)
+    whole, exact = continuation(sys, path, 41.0), continuation(sys, path, 41)
+    assert np.array_equal(whole.alphas, exact.alphas)
+    assert np.array_equal(whole.det_gaps, exact.det_gaps)
+    sampler = ControlSampler()
+    assert np.array_equal(hyperbolicity_scan(sys, sampler, 10.0, np.float64(3.0)).margins,
+                          hyperbolicity_scan(sys, sampler, 10, 3).margins)
+    calls = {"steps": lambda v: continuation(sys, path, v),
+             "count": lambda v: hyperbolicity_scan(sys, sampler, v, 0),
+             "seed": lambda v: hyperbolicity_scan(sys, sampler, 10, v),
+             "segments_range": lambda v: ControlSampler(segments_range=(1, v))}
+    for name, call in calls.items():
+        for bad in (40.5, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be whole"):
+                call(bad)
+        with pytest.raises(TypeError):
+            call(None)
+    with pytest.raises(ValueError, match="segments_range must be whole"):
+        ControlSampler(segments_range=(1.5, 3))
+    sampler = ControlSampler(segments_range=(1.0, 3.0))
+    assert sampler.segments_range == (1, 3) and type(sampler.segments_range[0]) is int
+    assert sampler == ControlSampler(segments_range=(1, 3))
+
+
+def test_continuation_makes_its_records_on_first_read(monkeypatch):
+    made = []
+    record = floquet.ContinuationRecord
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "ContinuationRecord", counting)
+    result = continuation(symmetric_coupling_system(), concat_path(*COUPLING_PATH), 41)
+    assert made == [] and "records" not in vars(result)
+    records = result.records
+    assert len(made) == len(records) == result.alphas.size == 41 + 12
+    assert result.records is records
+    # the columns are the records' fields, in alpha order
+    assert [r.alpha for r in records] == result.alphas.tolist()
+    assert [r.det_gap for r in records] == result.det_gaps.tolist()
+    assert [r.refined for r in records] == result.refined.tolist()
+    for r, x, sol in zip(records, result.points, result.solutions):
+        if sol is None:
+            assert type(r.solution) is Unique and np.array_equal(r.solution.x0, x)
+            assert not np.shares_memory(r.solution.x0, result.points)
+        else:
+            assert r.solution is sol
