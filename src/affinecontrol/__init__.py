@@ -56,9 +56,8 @@ _LAZY = {
         "MemoryBudgetError",
     ], "reach"),
     **dict.fromkeys([
-        "ProjPoint", "SphereGrid", "InfinityBoundaryReport", "embed_system", "proj_metric",
-        "proj_step", "embed_point", "unembed_point", "lyapunov_estimate",
-        "infinity_boundary_directions", "infinity_boundary_chain",
+        "ProjPoint", "SphereGrid", "InfinityBoundaryReport", "embed_system",
+        "lyapunov_estimate", "infinity_boundary_directions", "infinity_boundary_chain",
     ], "projective"),
 }
 

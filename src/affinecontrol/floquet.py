@@ -176,10 +176,9 @@ def _monodromies(sys: AffineSystem, values, durations, counts) -> np.ndarray:
 
     Composed from one `_expm` of the n x n generators A(u) dt
     (`system._homogeneous_maps`), not of the augmented ones: bit for bit the
-    Phi of `_period_maps` unless a segment's forcing column sets the 1-norm
-    of its augmented generator; then this one is the more accurate.  Raises
-    EigenSolverError, naming the control, when a monodromy is not finite;
-    a forced integral that overflows does not matter here.
+    Phi of `_period_maps`.  Raises EigenSolverError, naming the control, when
+    a monodromy is not finite; a forced integral that overflows does not
+    matter here.
     """
     _check_values(sys, values)
     counts = np.asarray(counts)
@@ -446,22 +445,14 @@ def hyperbolicity_scan(sys: AffineSystem, sampler: ControlSampler, count: int,
     argmin_control = _control(*batch, best)
     witness = argmin_control if refuted else None
     # Interior-of-semigroup hypothesis is undecidable here; record the
-    # bracket-rank proxy at the periodic point of the extremal control.  Its
-    # augmented map is made here, not by `_period_maps`: a forced integral
-    # that overflows leaves no point, but raises no error.
-    proxy_rank = proxy_full = None
-    point = None
-    maps = _compose(_segment_maps(sys, argmin_control.values, argmin_control.durations),
-                    np.array([argmin_control.num_segments]))[:, :-1]
-    if np.isfinite(maps).all():
-        try:
-            point = _solutions(np.eye(sys.n) - maps[:, :, :-1], maps[:, :, -1],
-                               margins[best:best + 1], tolerances)[0][0]
-        except np.linalg.LinAlgError:
-            # the solve overflowed, or a forcing column near overflow set the
-            # augmented 1-norm so high that the map's Phi block lost the
-            # monodromy (I - Phi singular where the margin says otherwise)
-            pass
+    # bracket-rank proxy at the periodic point of the extremal control.  A
+    # forced integral that overflows leaves no point, but raises no error.
+    proxy_rank = proxy_full = point = None
+    try:
+        phi, b = _period_maps(sys, *_flatten([argmin_control]))
+        point = _solutions(np.eye(sys.n) - phi, b, margins[best:best + 1], tolerances)[0][0]
+    except EigenSolverError:
+        pass
     if point is not None and np.all(np.isfinite(point)):  # not obstructed, no overflow
         proxy_rank = larc_rank(sys, point, rank_tol=tolerances.rank_tol)
         proxy_full = proxy_rank == sys.n

@@ -9,10 +9,12 @@ by cube-face boxes of the sphere modulo +-, numbered directly on the
 quotient: one id per antipodal pair, 0..size-1, so a sphere graph's
 box ids are its node positions.  Directions at infinity of a control set
 are estimated either from far-out box centers or from chain components of
-the sphere dynamics.  Every projectivised flow
-(`proj_step`, `lyapunov_estimate`, `build_sphere_graph`) applies the
-exponential in renormalised chunks, so a long step of a strongly expanding
-generator does not overflow.
+the sphere dynamics.  Points are rows: every normalisation (`_unit_rows`),
+distance (`_proj_dist`, `proj_dist_vectors`) and projectivised flow
+(`_flow_rows`, under `lyapunov_estimate` and `build_sphere_graph`) works on
+arrays of representatives, and the flow applies the exponential in
+renormalised chunks, so a long step of a strongly expanding generator does
+not overflow.  `ProjPoint` is only the record of a report's directions.
 """
 
 from dataclasses import dataclass, field
@@ -35,11 +37,7 @@ __all__ = [
     "SphereChainAnalysis",
     "InfinityBoundaryReport",
     "embed_system",
-    "proj_metric",
     "proj_dist_vectors",
-    "proj_step",
-    "embed_point",
-    "unembed_point",
     "lyapunov_estimate",
     "build_sphere_graph",
     "sphere_chain_components",
@@ -64,8 +62,8 @@ def embed_system(sys: AffineSystem) -> AffineSystem:
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    """v (a vector, or rows) negated where its first entry above 1e-12 in
-    modulus is negative."""
+    """The rows of v (or v, one row) negated where the first entry above 1e-12
+    in modulus is negative."""
     big = np.abs(v) > 1e-12
     first = np.argmax(big, axis=-1)[..., None]
     return np.where(np.take_along_axis(big & (v < 0), first, axis=-1), -v, v)
@@ -73,7 +71,8 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
-    """Point of projective space: unit representative with canonical sign.
+    """One direction of an `InfinityBoundaryReport`, as `_proj_points` makes it:
+    a read-only unit representative with canonical sign, and its level.
 
     `level` is 0 when the last coordinate of the representative vanishes
     (the copy of lower projective space at infinity) and 1 otherwise;
@@ -84,15 +83,6 @@ class ProjPoint:
 
     vec: np.ndarray
     level: int
-
-    @classmethod
-    def from_vector(cls, x, level_tol: float = DEFAULT_TOLERANCES.level_tol,
-                    ) -> "ProjPoint":
-        return _proj_points(np.asarray(x, dtype=float).reshape(1, -1), level_tol)[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
 
 
 def _scaled_norms(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,9 +117,9 @@ def _unit_rows(V) -> np.ndarray:
 
 
 def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
-    """The points of the rows of V, each on its own (`from_vector` is the one-row
-    case): a row's last coordinate is snapped to 0 and the row renormalised
-    where it is within `level_tol`.  Raises ValueError for a zero or non-finite row."""
+    """The points of the rows of V, each on its own: a row's last coordinate
+    is snapped to 0 and the row renormalised where it is within `level_tol`.
+    Raises ValueError for a zero or non-finite row."""
     V = _unit_rows(V)
     low = np.abs(V[:, -1]) <= level_tol
     V[low, -1] = 0.0
@@ -151,22 +141,15 @@ def _proj_dist(x, y) -> np.ndarray:
     return np.sqrt(np.minimum(minus, plus))
 
 
-def proj_metric(p: ProjPoint, q: ProjPoint) -> float:
-    """min(||p - q||, ||p + q||) over unit representatives."""
-    if p.dim != q.dim:
-        raise ValueError("points live in different projective spaces")
-    return float(_proj_dist(p.vec, q.vec))
-
-
 def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise projective distances between rows of X and Y (any scaling).
 
     X may be a stack (..., r, d) of row blocks; the result is then
-    (..., r, len(Y)).  Each distance is `proj_metric` of the two rows'
-    points, exact to rounding and independent of the other rows and of the
-    memory layout: 0 for a row against itself, a few ulps against a multiple.
+    (..., r, len(Y)).  Each distance is `_proj_dist` of the two unit rows,
+    exact to rounding and independent of the other rows and of the memory
+    layout: 0 for a row against itself, a few ulps against a multiple.
     Raises ValueError for a zero or non-finite row, which names no point,
-    and for rows of X and Y of different lengths, as `proj_metric` does.
+    and for rows of X and Y of different lengths.
     """
     X = np.asarray(X, dtype=float)
     Y = _unit_rows(Y)
@@ -186,6 +169,8 @@ def _flow_step(M: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
 def _flow_rows(step: tuple[np.ndarray, int], W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(dt M) applied to the rows of W, a stack (..., r, d) of row blocks,
     in n_sub chunks of E, where (E, n_sub) = `_flow_step(M, dt)`: (rows, logs).
+    The one projectivised flow: `build_sphere_graph` passes it stacks of test
+    points, `lyapunov_estimate` one row.
 
     Each chunk multiplies as E @ Wᵀ per block and hands back the transpose
     view of that (..., d, r) array, so every coordinate of a block is a
@@ -203,33 +188,6 @@ def _flow_rows(step: tuple[np.ndarray, int], W: np.ndarray) -> tuple[np.ndarray,
         W = W / norms[..., None]
         logs += np.log(norms)
     return np.swapaxes(E @ np.swapaxes(W, -1, -2), -1, -2), logs
-
-
-def proj_step(emb: AffineSystem, p: ProjPoint, u, dt: float,
-              level_tol: float = DEFAULT_TOLERANCES.level_tol) -> ProjPoint:
-    """Image of a projective point under the time-dt linear flow of `emb`.
-
-    `emb` is the embedding `embed_system(sys)`; only A(u) acts.  The
-    representative is propagated by the segment exponential, in
-    renormalised chunks for long steps, then re-canonicalized.  Level 0 is
-    invariant because the generators' last row vanishes.
-    """
-    if not 0 < dt < np.inf:  # False for NaN
-        raise ValueError("dt must be positive and finite")
-    w, _ = _flow_rows(_flow_step(emb.system_matrix(u), dt), p.vec[None])
-    return ProjPoint.from_vector(w, level_tol)
-
-
-def embed_point(p: ProjPoint) -> ProjPoint:
-    """Append a zero coordinate: the copy of the point on the level at infinity."""
-    return ProjPoint.from_vector(np.concatenate([p.vec, [0.0]]))
-
-
-def unembed_point(p: ProjPoint) -> ProjPoint:
-    """Inverse of embed_point; only level-0 points have a preimage."""
-    if p.level != 0:
-        raise ValueError("only level-0 points can be pulled back")
-    return ProjPoint.from_vector(p.vec[:-1])
 
 
 def lyapunov_estimate(sys: AffineSystem, ctrl: PiecewiseControl, x, T: float) -> float:
@@ -575,7 +533,7 @@ _PAIRS = 2**17
 def _single_linkage(unit: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     """(count, label per row) of the connected components of the graph that
     links the unit rows of `unit` at projective distance <= tol, the
-    distance of `proj_metric`: min(|x - y|, |x + y|) for rows x and y.  The
+    distance of `_proj_dist`: min(|x - y|, |x + y|) for rows x and y.  The
     rows are taken as they are, normalised by the caller (`_unit_rows`).
 
     Rows within tol differ by at most tol on every coordinate, or sum to at
@@ -718,8 +676,7 @@ def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,
     cuts = big._level_cuts
     slice_sizes = np.diff(cuts)
     dirs = big_sphere.centers(big.boxes[big.touching])
-    dirs[:, -1] = 0.0
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs[:, -1] = 0.0  # `_proj_points` and `proj_dist_vectors` take the unit rows
     directions = _proj_points(dirs, tolerances.level_tol)
     # least distance of each nonempty slice to each homogeneous component,
     # reduced over the slice's rows and then over the component's columns

@@ -11,7 +11,7 @@ augmented (n+1) x (n+1) matrix [[A(u), Cu+d], [0, 0]].
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import factorial
 
 import numpy as np
@@ -300,9 +300,9 @@ class AffineVectorField:
         return np.concatenate([self.M.ravel(), self.a])
 
     def flow(self, x, t: float) -> np.ndarray:
-        """Exact time-t flow map, via the augmented exponential."""
+        """Exact time-t flow map, via the augmented exponential (`_augmented_expm`)."""
         aug = np.block([[self.M, self.a[:, None]], [np.zeros(self.n + 1)]])
-        E = _expm(float(t) * aug[None])[0]
+        E = _augmented_expm(float(t) * aug[None])[0]
         x = np.asarray(x, dtype=float).reshape(self.n)
         return E[:-1, :-1] @ x + E[:-1, -1]
 
@@ -438,29 +438,32 @@ def _solve_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X.transpose(2, 0, 1)
 
 
+def _one_norms(A: np.ndarray) -> np.ndarray:
+    """1-norms (k,) of a stack A (k, p, q), the bits of `np.abs(A).sum(axis=1).max(axis=1)`
+    from adds of rows and `np.maximum` of columns, with no reduction over a short axis."""
+    size = np.abs(A)
+    with np.errstate(over="ignore"):
+        column = reduce(np.add, (size[:, i] for i in range(A.shape[1])))
+    return reduce(np.maximum, (column[:, j] for j in range(A.shape[2])))
+
+
+def _log2_ceil(x: np.ndarray) -> np.ndarray:
+    """max(0, ceil(log2(x))) of x >= 0, exactly; 0 where x is not finite."""
+    frac, exp = np.frexp(np.where(np.isfinite(x), x, 0.0))
+    return np.maximum(exp - (frac == 0.5), 0)
+
+
 def _scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scaling step of `_expm` for a stack A (k, p, p): (A_i 2**-s_i, s, bad),
-    s_i = max(0, ceil(log2(||A_i||_1 / theta_13))) and bad marking the slices
-    of non-finite 1-norm, which get s = 0 and NaN in place of A_i.
-
-    The 1-norm takes p - 1 adds of rows and p - 1 `np.maximum` of columns,
-    which add in the order of `np.abs(A).sum(axis=1)`, with no reduction over
-    a short axis.  2**-s is a normal number for every finite norm (s <= 1022),
-    so the one multiply by it rounds as `np.ldexp(A, -s)` does, bit for bit.
+    s_i = max(0, ceil(log2(||A_i||_1 / theta_13))) (`_one_norms`) and bad
+    marking the slices of non-finite 1-norm, which get s = 0 and NaN in place
+    of A_i.  2**-s is a normal number for every finite norm (s <= 1022), so
+    the one multiply by it rounds as `np.ldexp(A, -s)` does, bit for bit.
     """
-    p = A.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(A)
-        column = size[:, 0]
-        for i in range(1, p):
-            column = column + size[:, i]
-        norm = column[:, 0]
-        for j in range(1, p):
-            norm = np.maximum(norm, column[:, j])
-        bad = ~np.isfinite(norm)
-        frac, exp = np.frexp(np.where(bad, 0.0, norm) / _THETA13)
-        s = np.maximum(exp - (frac == 0.5), 0)  # ceil(log2(norm / theta)), exactly
-        return A * np.where(bad, np.nan, np.exp2(-s))[:, None, None], s, bad
+    norm = _one_norms(A)
+    bad = ~np.isfinite(norm)
+    s = _log2_ceil(norm / _THETA13)
+    return A * np.where(bad, np.nan, np.exp2(-s))[:, None, None], s, bad
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
@@ -502,12 +505,34 @@ def _system_matrices(sys: AffineSystem, values) -> np.ndarray:
     return sys.A + np.einsum("ki,ijl->kjl", values, sys.B)
 
 
+def _augmented_expm(aug: np.ndarray) -> np.ndarray:
+    """`_expm` of a stack aug (k, n+1, n+1) of generators [[X_i, f_i], [0, 0]],
+    written to: f_i enters as f_i 2**-k_i, k_i the least k >= 0 with
+    |f_i|_1 2**-k <= max(||X_i||_1, theta_13), and the last column, linear in
+    f_i, is multiplied by 2**k_i after.  The generator then scales as X_i and
+    its zero last row adds only zeros, so the G block is `_expm(X)` bit for
+    bit at any f.  A last column past the float range is inf, with no warning.
+    """
+    n = aug.shape[-1] - 1
+    size = _one_norms(aug[:, :n, n:])
+    big = np.flatnonzero(size > _THETA13)  # k_i = 0 elsewhere
+    if big.size == 0:
+        return _expm(aug)
+    power = np.exp2(_log2_ceil(size[big] / np.maximum(_one_norms(aug[big, :n, :n]), _THETA13)))
+    aug[big, :n, n] /= power[:, None]
+    E = _expm(aug)
+    with np.errstate(over="ignore"):
+        E[big, :n, n] *= power[:, None]
+    return E
+
+
 def _segment_maps(sys: AffineSystem, values, durations) -> np.ndarray:
     """Augmented segment maps [[G, h], [0, 1]] (k, n+1, n+1) of values (k, m), durations (k,).
 
-    One `_expm` of all augmented generators [[A(u), Cu+d], [0, 0]] dt; it
-    treats every slice on its own, so a row's map ignores the other rows.  A
-    generator that overflows gives a non-finite map, with no warning.
+    `_augmented_expm` of the generators [[A(u), Cu+d], [0, 0]] dt, so G is
+    `_homogeneous_maps` bit for bit; it treats every slice on its own, so a
+    row's map ignores the other rows.  A generator that overflows gives a
+    non-finite map, with no warning.
     """
     n = sys.n
     aug = np.zeros((values.shape[0], n + 1, n + 1))
@@ -515,19 +540,12 @@ def _segment_maps(sys: AffineSystem, values, durations) -> np.ndarray:
         aug[:, :n, :n] = _system_matrices(sys, values)
         aug[:, :n, n] = np.einsum("ki,ji->kj", values, sys.C) + sys.d
         aug *= np.asarray(durations, dtype=float).reshape(-1, 1, 1)
-    return _expm(aug)
+    return _augmented_expm(aug)
 
 
 def _homogeneous_maps(sys: AffineSystem, values, durations) -> np.ndarray:
     """The linear parts G (k, n, n) of the segment maps: one `_expm` of the
-    generators A(u) dt, without the forcing column of `_segment_maps`.
-
-    G is bit for bit the G block of `_segment_maps` whenever the forcing
-    column |Cu + d|_1 dt does not exceed the largest column sum of A(u) dt,
-    since the augmented generator then has the same 1-norm and its zero
-    last row adds only zeros.  Otherwise the G block is scaled and squared
-    for the forcing's norm, and less accurate than G.
-    """
+    generators A(u) dt, without the forcing column of `_segment_maps`."""
     with np.errstate(over="ignore", invalid="ignore"):
         X = _system_matrices(sys, values) * np.asarray(durations, dtype=float).reshape(-1, 1, 1)
     return _expm(X)

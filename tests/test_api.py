@@ -102,7 +102,8 @@ def dataclass_instances():
         path, result.records[0], result.crossings[0], result,
         grid, ac.BoxSet(grid, [1, 2]),
         ac.build_transition_graph(coupling, grid, [[0.0]], 0.1, 2, 0),
-        ac.ProjPoint.from_vector([1.0, 2.0]), sphere, sphere_graph,
+        ac.infinity_boundary_directions(ac.BoxSet(grid, [0]), 1.0).directions[0],
+        sphere, sphere_graph,
         projective.sphere_chain_components(sphere_graph), report,
     ]
 

@@ -1,5 +1,7 @@
 """Tests for monodromy, Floquet data, the trichotomy, scans, and continuation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -162,16 +164,32 @@ def test_forced_overflow_leaves_the_monodromy_answers():
 
 @pytest.mark.parametrize("count", [0, 5])
 def test_forced_overflow_scan_keeps_its_margins(count):
-    # count 0: the argmin control's augmented map is not finite; count 5: a
-    # sampled argmin's forcing sets so large a 1-norm that the augmented map's
-    # Phi block is I, and its fixed-point system is singular.  Either way the
-    # periodic point is not finite, so there is no bracket-rank proxy.
+    # count 0: the argmin control's forcing column 2e308 overflows, so its
+    # augmented map is not finite; count 5: a sampled argmin's forced integral
+    # is finite (6.2e307), but its periodic point (I - Phi)^-1 b is past the
+    # float range.  Either way there is no bracket-rank proxy.
     sys, ctrl = forced_overflow_system(), PiecewiseControl.constant([0.0], 2.0)
     report = hyperbolicity_scan(sys, ControlSampler(include=(ctrl,)), count, seed=0)
     assert report.count == count + 1 and np.all(np.isfinite(report.margins))
     assert report.margins[0] == floquet_of(sys, ctrl)[1].margin
     assert report.min_margin == report.margins.min()
     assert report.rank_proxy is None and report.rank_proxy_full is None
+
+
+def test_forcing_near_the_float_range_keeps_the_forced_integral():
+    # |d|_1 tau = 6e306 entered the augmented generator unscaled: its Phi
+    # block came out I and the periodic point overflowed with a warning
+    a, tau = np.array([0.5, -1.0]), 0.3
+    sys = AffineSystem(np.diag(a), np.zeros((1, 2, 2)), np.zeros((2, 1)),
+                       [1e307, 1e307], [-1.0], [1.0])
+    ctrl = PiecewiseControl.constant([0.0], tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = forced_integral(sys, ctrl)
+        solution = periodic_solution(sys, ctrl)
+    assert np.allclose(b, 1e307 * np.expm1(a * tau) / a, rtol=1e-12, atol=0.0)
+    assert isinstance(solution, Unique)
+    assert np.allclose(solution.x0, 1e307 / -a, rtol=1e-12, atol=0.0)
 
 
 def test_floquet_planar_saddle_margin():

@@ -27,7 +27,8 @@ from affinecontrol.floquet import (
 )
 from affinecontrol import floquet
 from affinecontrol.config import DEFAULT_TOLERANCES
-from affinecontrol.system import AffineSystem, PiecewiseControl, segment_map, simulate
+from affinecontrol.system import (AffineSystem, PiecewiseControl, _homogeneous_maps,
+                                  _segment_maps, segment_map, simulate)
 
 from conftest import random_system
 
@@ -122,19 +123,25 @@ def test_monodromies_are_the_phi_of_the_augmented_maps(case):
     augmented, _ = _period_maps(sys, *_flatten(controls))
     for i, ctrl in enumerate(controls):
         assert np.array_equal(phi[i], _monodromies(sys, *_flatten([ctrl]))[0])
-        if not forcing_sets_the_norm(sys, ctrl):
-            assert np.array_equal(phi[i], augmented[i])
-        else:
-            size = np.linalg.norm(augmented[i])
-            assert np.linalg.norm(phi[i] - augmented[i]) <= 1e-12 * max(1.0, size)
+        assert np.array_equal(phi[i], augmented[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems_and_controls(st.sampled_from([1.0, 1e5, 1e8, 1e300])))
+def test_segment_maps_keep_the_homogeneous_maps(case):
+    # the forcing column enters the augmented generator divided by a power of
+    # two that keeps it within the 1-norm of A(u) dt (or theta_13), so the
+    # generator is scaled and squared as A(u) dt alone; unscaled, a forcing
+    # near the float range left the Phi block at I
+    sys, controls = case
+    values, durations, _ = _flatten(controls)
+    maps = _segment_maps(sys, values, durations)
+    assert np.array_equal(maps[:, :-1, :-1], _homogeneous_maps(sys, values, durations))
 
 
 @settings(max_examples=40, deadline=None)
 @given(systems_and_controls(st.sampled_from([1e5, 1e8, 1e300])))
 def test_monodromies_ignore_the_forcing_scale(case):
-    # the augmented map of a segment is scaled and squared by the 1-norm its
-    # forcing column sets, so at large forcing its Phi block loses digits
-    # (2.7e-12 relative at C, d ~ 5e4; all of them, Phi = I, near overflow);
     # the monodromies never see the forcing
     sys, controls = case
     phi = _monodromies(sys, *_flatten(controls))

@@ -14,7 +14,6 @@ from affinecontrol.config import MAX_EXP_GROWTH, Tolerances
 from affinecontrol.floquet import (ContinuationRecord, Unique, concat_path, continuation,
                                    floquet_of)
 from affinecontrol.projective import (
-    ProjPoint,
     SphereGraph,
     SphereGrid,
     _canonical_sign,
@@ -22,16 +21,12 @@ from affinecontrol.projective import (
     _flow_step,
     _proj_points,
     build_sphere_graph,
-    embed_point,
     embed_system,
     infinity_boundary_chain,
     infinity_boundary_directions,
     lyapunov_estimate,
     proj_dist_vectors,
-    proj_metric,
-    proj_step,
     sphere_chain_components,
-    unembed_point,
 )
 from affinecontrol.reach import (BoxGrid, BoxSet, TransitionGraph, _halton_offsets,
                                  chain_components, closure, control_set_approx)
@@ -93,24 +88,26 @@ def test_embedded_level_zero_reproduces_homogeneous_trajectories():
     assert np.linalg.norm(lifted[:3] - hom) <= 1e-10 * (1 + np.linalg.norm(hom))
 
 
-# ------------------------------------------------------------------ ProjPoint
+# ------------------------------------------------------------------ points
+
+LEVEL_TOL = Tolerances().level_tol
+
 
 def test_proj_point_canonical_sign_and_level():
-    p = ProjPoint.from_vector([-1.0, 2.0, 0.0])
+    p, q = _proj_points(np.array([[-1.0, 2.0, 0.0], [0.0, 0.0, -3.0]]), LEVEL_TOL)
     assert p.vec[0] > 0  # sign flipped
     assert p.level == 0
     assert abs(np.linalg.norm(p.vec) - 1.0) < 1e-12
-    q = ProjPoint.from_vector([0.0, 0.0, -3.0])
     assert q.level == 1 and q.vec[2] == 1.0
 
 
 def test_proj_point_rejects_zero():
     with pytest.raises(ValueError):
-        ProjPoint.from_vector([0.0, 0.0])
+        _proj_points(np.array([[0.0, 0.0]]), LEVEL_TOL)
 
 
-def reference_from_vector(x, level_tol):
-    """The one-vector constructor's body, verbatim: (vec, level)."""
+def reference_point(x, level_tol):
+    """One vector's point, normalised by `np.linalg.norm`: (vec, level)."""
     v = np.asarray(x, dtype=float).reshape(-1).copy()
     norm = np.linalg.norm(v)
     if norm == 0.0 or not np.all(np.isfinite(v)):
@@ -124,6 +121,12 @@ def reference_from_vector(x, level_tol):
     v = _canonical_sign(v)
     v.setflags(write=False)
     return v, level
+
+
+def reference_distance(x, y):
+    """min(|x^ - y^|, |x^ + y^|) of one pair, x^ and y^ their `reference_point` rows."""
+    x, y = reference_point(x, 0.0)[0], reference_point(y, 0.0)[0]
+    return min(np.linalg.norm(x - y), np.linalg.norm(x + y))
 
 
 @st.composite
@@ -166,12 +169,10 @@ def test_proj_points_are_the_one_vector_constructor(case):
     points = _proj_points(V, level_tol)
     assert len(points) == V.shape[0]
     for row, p in zip(V, points):
-        vec, level = reference_from_vector(row, level_tol)
+        vec, level = reference_point(row, level_tol)
         assert p.vec.dtype == vec.dtype and p.vec.tobytes() == vec.tobytes()
         assert p.level == level and type(p.level) is int
         assert not p.vec.flags.writeable
-        one = ProjPoint.from_vector(row, level_tol)
-        assert one.vec.tobytes() == vec.tobytes() and one.level == level
 
 
 @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [np.nan, 1.0, 0.0],
@@ -180,16 +181,13 @@ def test_proj_points_reject_zero_and_non_finite_rows(bad):
     for V in (np.array([bad]), np.array([[1.0, 2.0, 3.0], bad])):
         with pytest.raises(ValueError, match="nonzero finite"):
             _proj_points(V, 1e-6)
-    with pytest.raises(ValueError, match="nonzero finite"):
-        ProjPoint.from_vector(bad)
 
 
 def test_proj_points_scale_rows_whose_squares_leave_the_normal_range():
     # squared unscaled, [1e200, 0] overflowed to [nan, nan] and the norm of
     # [1e-170, 1e-170] underflowed to zero
-    big = ProjPoint.from_vector([1e200, 0.0])
+    big, small = _proj_points(np.array([[1e200, 0.0], [1e-170, 1e-170]]), LEVEL_TOL)
     assert big.vec.tolist() == [1.0, 0.0] and big.level == 0
-    small = ProjPoint.from_vector([1e-170, 1e-170])
     assert small.level == 1 and np.allclose(small.vec, [0.5 ** 0.5] * 2, rtol=1e-15, atol=0)
     V = np.array([[3.0, -4.0, 1.0], [-1e300, 1e300, 5.0], [1e-200, 2e-200, 2e-200],
                   [0.5, 0.25, 1e-9], [1e154, 1e154, 1e154]])
@@ -200,34 +198,31 @@ def test_proj_points_scale_rows_whose_squares_leave_the_normal_range():
     assert np.allclose(points[2].vec, [1 / 3, 2 / 3, 2 / 3], rtol=1e-15, atol=0)
     assert np.allclose(points[4].vec, [3 ** -0.5] * 3, rtol=1e-15, atol=0)
     for row in (0, 3):  # rows inside the range keep the bits of the unscaled path
-        vec, level = reference_from_vector(V[row], 1e-6)
+        vec, level = reference_point(V[row], 1e-6)
         assert points[row].vec.tobytes() == vec.tobytes() and points[row].level == level
 
 
-def test_proj_metric_basics():
-    p = ProjPoint.from_vector([1.0, 1.0])
-    q = ProjPoint.from_vector([-1.0, -1.0])
-    assert proj_metric(p, q) == 0.0
-    e1 = ProjPoint.from_vector([1.0, 0.0])
-    e2 = ProjPoint.from_vector([0.0, 1.0])
-    assert abs(proj_metric(e1, e2) - np.sqrt(2.0)) < 1e-14
+def test_proj_dist_vectors_basics():
+    assert proj_dist_vectors([[1.0, 1.0]], [[-1.0, -1.0]]).tolist() == [[0.0]]
+    e1, e2 = np.eye(2)
+    assert abs(proj_dist_vectors([e1], [e2])[0, 0] - np.sqrt(2.0)) < 1e-14
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
-def test_proj_metric_axioms(seed):
+def test_proj_dist_vectors_axioms(seed):
     rng = np.random.default_rng(seed)
     x, y, z = rng.normal(size=(3, 4))
-    p = ProjPoint.from_vector(x)
-    q = ProjPoint.from_vector(y)
-    r = ProjPoint.from_vector(z)
-    dpq = proj_metric(p, q)
-    assert abs(dpq - proj_metric(q, p)) <= 1e-12
-    assert proj_metric(p, ProjPoint.from_vector(-2.5 * x)) <= 1e-12
-    assert dpq <= proj_metric(p, r) + proj_metric(r, q) + 1e-12
+    dist = proj_dist_vectors([x, y, z, -2.5 * x], [x, y, z])
+    reference = [[reference_distance(a, b) for b in (x, y, z)] for a in (x, y, z, -2.5 * x)]
+    assert np.max(np.abs(dist - reference)) <= 4 * np.finfo(float).eps
+    dpq = dist[0, 1]
+    assert abs(dpq - dist[1, 0]) <= 1e-12
+    assert dist[3, 0] <= 1e-12
+    assert dpq <= dist[0, 2] + dist[2, 1] + 1e-12
 
 
-# ------------------------------------------------------------------ proj_step
+# ------------------------------------------------------------------ distances
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -249,16 +244,15 @@ def test_proj_dist_vectors_ignores_memory_layout(d, r, s, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_proj_dist_vectors_is_proj_metric_up_to_rounding_noise(d, s, seed):
-    # both sum the squares of the unit rows' differences and sums, so they
+def test_proj_dist_vectors_is_the_pair_reference_up_to_rounding_noise(d, s, seed):
+    # both take the norms of the unit rows' differences and sums, so they
     # agree to a few ulps even for rows equal to, antipodal to and nearly
     # equal to the rows of Y, where a cosine formula would cancel
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((s, d)) * 10.0 ** rng.integers(-3, 4, size=(s, 1))
     nudge = 10.0 ** rng.uniform(-12, -6, size=(s, 1)) * rng.standard_normal((s, d))
     X = np.concatenate([rng.standard_normal((s, d)), Y, -2.5 * Y, Y * (1.0 + nudge)])
-    points = [[ProjPoint.from_vector(v, level_tol=0.0) for v in M] for M in (X, Y)]
-    exact = np.array([[proj_metric(p, q) for q in points[1]] for p in points[0]])
+    exact = np.array([[reference_distance(x, y) for y in Y] for x in X])
     assert np.max(np.abs(proj_dist_vectors(X, Y) - exact)) <= 4 * np.finfo(float).eps
 
 
@@ -279,9 +273,10 @@ def test_proj_dist_vectors_scale_rows_whose_squares_leave_the_normal_range():
         X = np.array([[1e-170, 3e-170], [-1e300, 2e300], [3.0, -1.0]])
         Y = np.array([[1e200, -1e-200], [2e-160, 1e-160]])
         dist = proj_dist_vectors(X, Y)
-    exact = [[proj_metric(ProjPoint.from_vector(x), ProjPoint.from_vector(y)) for y in Y]
-             for x in X]
-    assert dist.tolist() == exact
+    # the same directions at a normal scale
+    exact = [[reference_distance(x, y) for y in ([1.0, 0.0], [2.0, 1.0])]
+             for x in ([1.0, 3.0], [-1.0, 2.0], [3.0, -1.0])]
+    assert np.max(np.abs(dist - exact)) <= 4 * np.finfo(float).eps
 
 
 def test_proj_dist_vectors_rejects_rows_of_different_lengths():
@@ -321,7 +316,7 @@ def test_flow_rows_is_the_row_major_loop(d, shape, growth, seed):
          # is contiguous
          "columns": lambda: rng.standard_normal((P, d, N)).transpose(0, 2, 1)}[shape]()
     expected, expected_logs = reference_flow_rows(M, dt, np.ascontiguousarray(W))
-    if shape == "vector":  # one row, as proj_step and lyapunov_estimate pass it
+    if shape == "vector":  # one row, as lyapunov_estimate passes it
         rows, logs = _flow_rows(_flow_step(M, dt), W[None])
         rows, logs = rows[0], logs[0]
     else:
@@ -334,17 +329,25 @@ def test_flow_rows_is_the_row_major_loop(d, shape, growth, seed):
         assert all(block.T.flags.c_contiguous for block in rows.reshape(-1, *rows.shape[-2:]))
 
 
+def flow_points(emb, V, u, dt):
+    """The points of the rows of V after the time-dt flow of `emb` under the
+    control value u: `_flow_rows` and `_proj_points`, as `build_sphere_graph`
+    maps its test points."""
+    rows, _ = _flow_rows(_flow_step(emb.system_matrix(u), dt), np.atleast_2d(V))
+    return _proj_points(rows, LEVEL_TOL)
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_proj_step_and_lyapunov_are_the_row_major_flow(seed):
+def test_flow_points_and_lyapunov_are_the_row_major_flow(seed):
     rng = np.random.default_rng(seed)
     sys = random_system(rng, n=3)
     emb = embed_system(sys)
-    p = ProjPoint.from_vector(rng.standard_normal(4))
+    p = _proj_points(rng.standard_normal((1, 4)), LEVEL_TOL)[0]
     for u, dt in ((rng.uniform(-1, 1, 1), 0.2), (rng.uniform(-1, 1, 1), 40.0)):
         M = emb.system_matrix(u)
-        expected = ProjPoint.from_vector(reference_flow_rows(M, dt, p.vec)[0])
-        got = proj_step(emb, p, u, dt)
-        assert got.vec.tobytes() == expected.vec.tobytes() and got.level == expected.level
+        vec, level = reference_point(reference_flow_rows(M, dt, p.vec)[0], LEVEL_TOL)
+        got = flow_points(emb, p.vec, u, dt)[0]
+        assert got.vec.tobytes() == vec.tobytes() and got.level == level
     ctrl = random_control(rng, segments=4, period_range=(2.0, 30.0))
     x = rng.standard_normal(3)
     for T in (0.7 * ctrl.period, 3.0 * ctrl.period):
@@ -357,74 +360,36 @@ def test_proj_step_and_lyapunov_are_the_row_major_flow(seed):
         assert lyapunov_estimate(sys, ctrl, x, T) == float(total / T)
 
 
-def test_proj_step_preserves_level_zero():
-    sys = damped_oscillator_system()
-    emb = embed_system(sys)
-    p = ProjPoint.from_vector([0.6, -0.8, 0.0])
+def test_flow_points_preserve_level_zero():
+    emb = embed_system(damped_oscillator_system())
+    p = [0.6, -0.8, 0.0]
     for u in (-1.0, 0.0, 1.0):
-        q = proj_step(emb, p, [u], 0.7)
+        q = flow_points(emb, p, [u], 0.7)[0]
         assert q.level == 0 and q.vec[-1] == 0.0
-        back = proj_step(emb, q, [u], 0.3)
+        back = flow_points(emb, q.vec, [u], 0.3)[0]
         assert back.level == 0
 
 
-def test_proj_step_rejects_bad_dt():
-    emb = embed_system(damped_oscillator_system())
-    p = ProjPoint.from_vector([0.6, -0.8, 1.0])
-    for dt in (0.0, -0.3, np.nan, np.inf):
-        with pytest.raises(ValueError, match="dt must be positive and finite"):
-            proj_step(emb, p, [0.0], dt)
-
-
-def test_proj_step_saddle_attracts_to_expanding_axis():
+def test_flow_points_saddle_attracts_to_expanding_axis():
     # homogeneous flow diag(2, -2) on directions: (1,1)/sqrt(2) slides to (1,0)
     emb = AffineSystem(np.diag([2.0, -2.0]), np.zeros((1, 2, 2)), np.zeros((2, 1)),
                        np.zeros(2), [-1.0], [1.0])
-    p = ProjPoint.from_vector([1.0, 1.0])
-    target = ProjPoint.from_vector([1.0, 0.0])
-    dists = [proj_metric(p, target)]
+    p = _proj_points(np.array([[1.0, 1.0]]), LEVEL_TOL)[0]
+    target = [[1.0, 0.0]]
+    dists = [proj_dist_vectors(p.vec[None], target)[0, 0]]
     for _ in range(4):
-        p = proj_step(emb, p, [0.0], 0.5)
-        dists.append(proj_metric(p, target))
+        p = flow_points(emb, p.vec, [0.0], 0.5)[0]
+        dists.append(proj_dist_vectors(p.vec[None], target)[0, 0])
     assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
     assert dists[-1] < 0.03
 
 
-def test_proj_step_fixes_eigendirections():
-    sys = damped_oscillator_system()
-    emb = embed_system(sys)
+def test_flow_points_fix_eigendirections():
+    emb = embed_system(damped_oscillator_system())
     # (1, 0, 0) spans the kernel eigendirection of the embedded matrix at u = -1
-    p = ProjPoint.from_vector([1.0, 0.0, 0.0])
-    q = proj_step(emb, p, [-1.0], 1.3)
-    assert proj_metric(p, q) < 1e-12
-
-
-# ------------------------------------------------------------------- embed map
-
-def test_embed_point_and_inverse():
-    p = ProjPoint.from_vector([1.0, 0.0])
-    e = embed_point(p)
-    assert e.level == 0
-    assert np.allclose(e.vec, [1.0, 0.0, 0.0])
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        q = ProjPoint.from_vector(rng.normal(size=2))
-        r = unembed_point(embed_point(q))
-        assert proj_metric(q, r) < 1e-12
-
-
-def test_embed_point_preserves_metric():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        p = ProjPoint.from_vector(rng.normal(size=3))
-        q = ProjPoint.from_vector(rng.normal(size=3))
-        assert abs(proj_metric(p, q)
-                   - proj_metric(embed_point(p), embed_point(q))) < 1e-12
-
-
-def test_unembed_rejects_level_one():
-    with pytest.raises(ValueError):
-        unembed_point(ProjPoint.from_vector([0.0, 0.0, 1.0]))
+    p = [[1.0, 0.0, 0.0]]
+    q = flow_points(emb, p, [-1.0], 1.3)[0]
+    assert proj_dist_vectors(p, q.vec[None])[0, 0] < 1e-12
 
 
 # ------------------------------------------------------------------- lyapunov
@@ -842,10 +807,9 @@ def test_infinity_directions_two_clusters_for_coupling_equilibria():
     box_set = BoxSet(grid, grid.box_of(np.array(pts)))
     report = infinity_boundary_directions(box_set, norm_floor=10.0)
     assert len(report.directions) == 2
-    targets = [ProjPoint.from_vector([1.0, 1.0, 0.0]),
-               ProjPoint.from_vector([-1.0, 1.0, 0.0])]
-    for t in targets:
-        assert min(proj_metric(t, d) for d in report.directions) < 0.05
+    dist = proj_dist_vectors([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]],
+                             [d.vec for d in report.directions])
+    assert np.all(dist.min(axis=1) < 0.05)
     assert all(d.level == 0 for d in report.directions)
 
 
@@ -876,7 +840,7 @@ def union_find_directions(centers, norm_floor, tol):
     for members in clusters:
         block = dirs[members]
         signs = np.where(block @ block[0] >= 0, 1.0, -1.0)
-        reps.append(ProjPoint.from_vector((block * signs[:, None]).mean(axis=0)).vec)
+        reps.append(reference_point((block * signs[:, None]).mean(axis=0), LEVEL_TOL)[0])
     return reps, [int(c.size) for c in clusters]
 
 
@@ -914,8 +878,9 @@ def test_infinity_directions_of_centers_whose_squares_overflow():
     report = infinity_boundary_directions(BoxSet(huge, np.arange(16)), norm_floor=1.0)
     expected = infinity_boundary_directions(BoxSet(unit, np.arange(16)), norm_floor=0.1)
     assert report.cluster_sizes == expected.cluster_sizes == [4, 4, 2, 2, 2, 2]
-    for got, want in zip(report.directions, expected.directions):
-        assert got.level == 0 and proj_metric(got, want) < 1e-15
+    assert all(p.level == 0 for p in report.directions)
+    assert np.all(np.diag(proj_dist_vectors([p.vec for p in report.directions],
+                                            [p.vec for p in expected.directions])) < 1e-15)
 
 
 def test_infinity_directions_of_centers_whose_squares_underflow():
@@ -930,8 +895,9 @@ def test_infinity_directions_of_centers_whose_squares_underflow():
                                             norm_floor=1e200).empty
     expected = infinity_boundary_directions(BoxSet(unit, np.arange(16)), norm_floor=0.1)
     assert report.cluster_sizes == expected.cluster_sizes == [4, 4, 2, 2, 2, 2]
-    for got, want in zip(report.directions, expected.directions):
-        assert got.level == 0 and proj_metric(got, want) < 1e-15
+    assert all(p.level == 0 for p in report.directions)
+    assert np.all(np.diag(proj_dist_vectors([p.vec for p in report.directions],
+                                            [p.vec for p in expected.directions])) < 1e-15)
 
     # a power-of-two scale divides out exactly, on either side of the normal range
     def directions(scale):
@@ -988,8 +954,8 @@ def test_infinity_directions_ingests_blowup_records():
         empty, norm_floor=100.0,
         blowup_records=[r for r in result.records if np.isfinite(r.norm_x)])
     assert not report.empty
-    diag = ProjPoint.from_vector([1.0, 1.0, 0.0])
-    assert min(proj_metric(diag, d) for d in report.directions) < 0.02
+    diag = [[1.0, 1.0, 0.0]]
+    assert proj_dist_vectors(diag, [d.vec for d in report.directions]).min() < 0.02
 
 
 @pytest.mark.parametrize("max_points", [10**5, 48, 47, 5, 1])
@@ -1004,8 +970,8 @@ def test_infinity_directions_keep_blowup_records_past_max_points(max_points):
                                 kernel_angle=float("nan"))
     report = infinity_boundary_directions(BoxSet(grid, far), norm_floor=60.0,
                                           blowup_records=[record], max_points=max_points)
-    e2 = ProjPoint.from_vector([0.0, 1.0, 0.0])
-    assert any(proj_metric(e2, d) == 0.0 for d in report.directions)
+    e2 = [[0.0, 1.0, 0.0]]
+    assert np.any(proj_dist_vectors(e2, [d.vec for d in report.directions]) == 0.0)
     # the centers are strided to at most max_points; the record is one more
     stride = -(-far.size // max_points)
     assert sum(report.cluster_sizes) == len(range(0, far.size, stride)) + 1
@@ -1038,8 +1004,7 @@ def reference_chain_matches(big, hom, match_tol, level_tol):
             continue
         dirs = big.graph.sphere.centers(slice_boxes)
         dirs[:, -1] = 0.0
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        directions.extend(ProjPoint.from_vector(v, level_tol) for v in dirs)
+        directions.extend(reference_point(v, level_tol) for v in dirs)
         dmin = np.minimum.reduceat(proj_dist_vectors(dirs, hom_dirs).min(axis=0), starts)
         matches.extend((i, int(j), float(dmin[j]))
                        for j in np.flatnonzero(dmin <= match_tol))
@@ -1070,8 +1035,8 @@ def test_chain_matches_are_the_per_slice_loop(seed, monkeypatch):
     directions, matches = reference_chain_matches(
         big, hom, 2.0 * big.box_diameter, Tolerances().level_tol)
     assert [p.vec.tobytes() for p in report.directions] == [
-        p.vec.tobytes() for p in directions]
-    assert [p.level for p in report.directions] == [p.level for p in directions]
+        vec.tobytes() for vec, _ in directions]
+    assert [p.level for p in report.directions] == [level for _, level in directions]
     assert report.cluster_sizes == [s.size for s in big.level_zero]
     # each distance is its own pair's, whatever rows share the call
     assert report.matches == matches

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from affinecontrol.floquet import principal_matrix
-from affinecontrol.projective import ProjPoint, embed_system, lyapunov_estimate, proj_step
+from affinecontrol.projective import (SphereGrid, build_sphere_graph, embed_system,
+                                      lyapunov_estimate)
 from affinecontrol.system import (
     AffineSystem,
     AffineVectorField,
@@ -392,11 +393,10 @@ def test_non_finite_control_times_raise(entry, t):
     lambda sys, u: sys.rhs([0.0, 0.0], u),
     lambda sys, u: segment_map(sys, u, 0.1),
     lambda sys, u: equilibrium(sys, u),
-    lambda sys, u: proj_step(embed_system(sys), ProjPoint.from_vector([1.0, 0.0, 1.0]),
-                             u, 0.1),
+    lambda sys, u: build_sphere_graph(embed_system(sys), SphereGrid(3, 2), [u], 0.1),
     lambda sys, u: lyapunov_estimate(sys, PiecewiseControl.constant(u, 1.0),
                                      [1.0, 0.0], 1.0),
-], ids=["system_matrix", "forcing", "rhs", "segment_map", "equilibrium", "proj_step",
+], ids=["system_matrix", "forcing", "rhs", "segment_map", "equilibrium", "build_sphere_graph",
         "lyapunov_estimate"])
 def test_entry_points_reject_control_outside_box(entry):
     sys = planar_saddle_system()
