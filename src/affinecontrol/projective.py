@@ -408,11 +408,12 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     sphere of its own dimension through the generators `sys.system_matrix(u)`.
     The test points of a cube cell are those of `reach._test_offsets`, as on
     a box grid.  Deterministic for a fixed seed.  Each control's exponential
-    is computed once (`_flow_step`); `reach._sampled_csr` applies it through
-    `_flow_rows` to the (P, tile, ambient) test points of one tile of boxes
-    at a time, in renormalised chunks when |dt| ||A(u)||_F exceeds
-    MAX_EXP_GROWTH, so a long step of a strongly expanding generator is
-    taken rather than overflowing.  The points are coordinate-major
+    is computed once (`_flow_step`); the tile callable that
+    `reach._sampled_csr` calls applies it through `_flow_rows` to the
+    (P, tile, ambient) test points of one tile of boxes at a time, in
+    renormalised chunks when |dt| ||A(u)||_F exceeds MAX_EXP_GROWTH, so a
+    long step of a strongly expanding generator is taken rather than
+    overflowing.  The points are coordinate-major
     throughout: `cell_points` and `_flow_rows` give the P point sets as the
     transpose view of a (P, ambient, tile) array, which one
     `SphereGrid.box_of` call reads a contiguous coordinate slice at a time.
@@ -432,10 +433,16 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
                                                     sphere.size, controls, dt,
                                                     pts_per_box, seed, memory_cap)
     ids = np.arange(sphere.size, dtype=np.int64)
+    offsets = _test_offsets(sphere.face_dims, pts_per_box, seed)
     steps = [_flow_step(sys.system_matrix(u), dt) for u in controls]
-    indptr, targets, sink = _sampled_csr(
-        sphere, ids, _test_offsets(sphere.face_dims, pts_per_box, seed), steps,
-        lambda step, points: _flow_rows(step, points)[0])
+
+    def fill(nodes, block):
+        points = sphere.cell_points(nodes, offsets)
+        for c, step in enumerate(steps):
+            block[c * pts_per_box:(c + 1) * pts_per_box] = sphere.box_of(
+                _flow_rows(step, points)[0])
+
+    indptr, targets, sink = _sampled_csr(sphere, ids, len(steps) * pts_per_box, fill)
     return SphereGraph(grid=sphere, boxes=ids, indptr=indptr, targets=targets, sink=sink,
                        dt=float(dt), controls=controls, pts_per_box=pts_per_box,
                        seed=seed)

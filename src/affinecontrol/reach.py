@@ -314,11 +314,17 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # rows, held by TransitionGraph and its subclass projective.SphereGraph.  Both
 # builders take one sampling path: `_sampled_controls` checks the inputs and
 # the cap, and `_sampled_csr` works through the nodes in tiles (`_tile_starts`).
-# Per tile it makes the test points, maps all P of them under each control
-# with one stacked kernel call and one `box_of`, filling the control's P rows
-# of a (C * P, tile) block of target positions, a row per (control, test
-# point) and a column per node; `_rows_to_csr` sorts each node's C * P
-# samples in the block's transpose.  The tiles are independent: the calling
+# Per tile the grid's fill callable writes a (C * P, tile) block of box ids, a
+# row per (control, test point) and a column per node; `_rows_to_csr` sorts
+# each node's C * P samples in the block's transpose.  On a BoxGrid the fill
+# works in bin coordinates: every dt-map is affine and the test points lie
+# on a lattice, so the sample of test point p in box m has bin coordinate
+# q = Q m + R[p] (`_bin_map`, once per control), and `_lattice_block` writes
+# floor(q) inside 0 <= q < subdivisions and -1 elsewhere, without making a
+# point or an image.  That box differs from box_of(G p + h) only within
+# rounding of a box face.  On a SphereGrid the fill makes the test points,
+# flows them under each control and calls `SphereGrid.box_of`.  The tiles
+# are independent: the calling
 # thread builds every `_WORKERS`-th of them and a thread pool the rest
 # (`_in_tiles`), and their rows are joined once, in order, so no whole-graph
 # block or transpose exists and the graph has the bits of a serial build.  A
@@ -330,15 +336,14 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # (always under DEFAULT_MEMORY_CAP), else int64, and stores the joined
 # indptr and targets in int32 whenever the kept graph fits, so csgraph
 # computes on the graph's own arrays and the matrices it gets carry no
-# per-edge data (`_csr_matrix`).  On a BoxGrid the images come
-# coordinate-major: a (P, dim, tile) array per control, whose transpose
-# box_of reads a coordinate slice at a time from contiguous memory.
+# per-edge data (`_csr_matrix`).
 
-# Nodes per tile of the sampled build, at most, whose points, images and id
-# block stay in cache; half of it is the least graph split over the tile
-# pool.  Tiles are cut at multiples of 64 nodes: OpenBLAS gives a product
-# G @ X cut at such columns the bits of the uncut one (cut at 1 or 7
-# columns it need not).
+# Nodes per tile of the sampled build, at most, whose samples and id block
+# stay in cache; half of it is the least graph split over the tile pool.
+# Tiles are cut at multiples of 64 nodes, which matters only for the
+# sphere's BLAS product: OpenBLAS gives a product E @ X cut at such columns
+# the bits of the uncut one (cut at 1 or 7 columns it need not).  The box
+# grid's kernel is elementwise, the same under any cut.
 _TILE = 16384
 # Threads that build tiles: the CPUs this process may run on, the caller
 # among them.
@@ -474,31 +479,30 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
     return controls, pts_per_box, seed
 
 
-def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
-                 image_rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, targets, sink) of the graph on the sorted `boxes`, with the
-    test points `grid.cell_points(..., offsets)` and one map per control.
+def _sampled_csr(grid, boxes: np.ndarray, samples: int,
+                 fill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, targets, sink) of the graph on the sorted `boxes`, each node
+    with `samples` sampled targets (a row per control and test point).
 
     Works through `boxes` in the tiles of `_tile_starts`, built by `_in_tiles`
     on the calling thread and the tile pool, or on the caller alone when
-    there are fewer than _TILE // 2 boxes.  For a tile's (P, n, dim) test
-    points, `image_rows(maps[c], points)` returns the stacked (P, n, dim)
-    images, whose `grid.box_of` fills rows c * P .. c * P + P - 1 of the
-    tile's (C * P, n) block in one assignment; `_rows_to_csr` turns the
+    there are fewer than _TILE // 2 boxes.  `fill(nodes, block)` is the
+    grid's part: it writes the box id of every sample of the tile's
+    `nodes` into the (samples, n) `block`, a row per sample and a column per
+    node, -1 for a sample outside the window; `_rows_to_csr` turns the
     block into the tile's rows.  When `boxes` leaves out some box of
-    `grid`, the ids become positions in `boxes` by one `np.take` per
-    control through a table of grid.size + 1 words, -1 for ids not in
-    `boxes` and in the last entry, which id -1 (the sink) reads; otherwise
-    every box is in `boxes` and the ids are positions already.  Every index
-    of the build is at most grid.size + samples, so the block, table and
-    tiles take its `_index_dtype`.  The tiles' rows are joined in order, so
-    the graph does not depend on the tiling or the thread count.  The
-    joined graph is stored in the `_index_dtype` of edges + nodes + 1, which
-    bounds every index `_reachable` forms: int32 whenever the kept graph
-    fits, the arrays csgraph computes on as they are.
+    `grid`, the ids become positions in `boxes` by one `np.take` through a
+    table of grid.size + 1 words, -1 for ids not in `boxes` and in the last
+    entry, which id -1 (the sink) reads; otherwise every box is in `boxes`
+    and the ids are positions already.  Every index of the build is at most
+    grid.size + samples, so the block, table and tiles take its
+    `_index_dtype`.  The tiles' rows are joined in order, so the graph does
+    not depend on the tiling or the thread count.  The joined graph is
+    stored in the `_index_dtype` of edges + nodes + 1, which bounds every
+    index `_reachable` forms: int32 whenever the kept graph fits, the arrays
+    csgraph computes on as they are.
     """
-    P = offsets.shape[0]
-    dtype = _index_dtype(grid.size + boxes.size * len(maps) * P)
+    dtype = _index_dtype(grid.size + boxes.size * samples)
     table = None
     if boxes.size < grid.size:
         table = np.full(grid.size + 1, -1, dtype=dtype)
@@ -506,15 +510,11 @@ def _sampled_csr(grid, boxes: np.ndarray, offsets: np.ndarray, maps: list,
     starts = _tile_starts(boxes.size)
 
     def tile(i):
-        points = grid.cell_points(boxes[starts[i]:starts[i] + starts.step], offsets)
-        block = np.empty((len(maps) * P, points.shape[1]), dtype=dtype)
-        for c, m in enumerate(maps):
-            ids = grid.box_of(image_rows(m, points))
-            rows = block[c * P:(c + 1) * P]
-            if table is None:
-                rows[...] = ids
-            else:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
-                np.take(table, ids, out=rows, mode="wrap")
+        nodes = boxes[starts[i]:starts[i] + starts.step]
+        block = np.empty((samples, nodes.size), dtype=dtype)
+        fill(nodes, block)
+        if table is not None:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
+            np.take(table, block, out=block, mode="wrap")
         return _rows_to_csr(np.ascontiguousarray(block.T))
 
     indptr = np.zeros(boxes.size + 1, dtype=dtype)
@@ -725,16 +725,85 @@ def _halton_offsets(dim: int, count: int, seed: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _test_offsets(cell_dims: int, pts_per_box: int, seed: int) -> np.ndarray:
-    """(pts_per_box, cell_dims) test-point positions for either grid's `cell_points`,
-    the same in every cell: the center, then `pts_per_box - 1` Owen-scrambled
-    Halton points of `_halton_offsets`, drawn from `np.random.default_rng(seed)`
-    and identical to SciPy's `Halton(scramble=True)` sampler for an int seed.
+    """(pts_per_box, cell_dims) test-point positions, the same in every cell,
+    for the sphere's `cell_points` and the box grid's `_bin_map`: the center,
+    then `pts_per_box - 1` Owen-scrambled Halton points of `_halton_offsets`,
+    drawn from `np.random.default_rng(seed)` and identical to SciPy's
+    `Halton(scramble=True)` sampler for an int seed.
     Memoised on the three ints: every graph built with them shares one
     array, which is read-only."""
     offsets = np.vstack([np.full((1, cell_dims), 0.5),
                          _halton_offsets(cell_dims, pts_per_box - 1, seed)])
     offsets.setflags(write=False)
     return offsets
+
+
+def _bin_map(grid: BoxGrid, offsets: np.ndarray,
+             segment: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The dt-map `segment` = (G, h) in the bin coordinates of `grid`: (Q, R)
+    such that the image of the test point at `offsets[p]` in box m has bin
+    coordinate q = Q m + R[p], (G (lo + (m + o_p) w) + h - lo) / w per axis.
+    Q (dim, dim) is (G_kj w_j) / w_k; R (P, dim) is
+    (sum_j G_kj (lo_j + o_pj w_j) + h_k - lo_k) / w_k, summed over j in
+    order.  An overflow gives inf or NaN entries, with no warning."""
+    G, h = segment
+    w, lo = grid.widths, grid.lo
+    points = lo + offsets * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = G * w / w[:, None]
+        R = points[:, :1] * G[:, 0]
+        for j in range(1, grid.dim):
+            R += points[:, j, None] * G[:, j]
+        R += h
+        R -= lo
+        R /= w
+    return Q, R
+
+
+def _lattice_block(multi: np.ndarray, bin_maps: list, subdivisions: np.ndarray,
+                   block: np.ndarray) -> None:
+    """Fill `block` (C * P, n) with the box ids of the samples of the boxes
+    with multi-indices `multi` (n, dim), rows c * P .. c * P + P - 1 from
+    `bin_maps[c]` = (Q, R) of `_bin_map`: per axis k, base = sum_j Q_kj m_j
+    (in order, once per box; a zero Q_kj is left out, which changes at most
+    the sign of a zero) and q = base + R[p, k].  A sample is inside when
+    0 <= q < subdivisions on every axis, and then its bin is floor(q),
+    cast once into the block's dtype and combined by Horner there; every
+    other sample, NaN and +-inf among them, is -1.  The bins are exact for
+    fewer than 2**53 boxes an axis."""
+    m = multi.T.astype(float)  # (dim, n), each axis contiguous
+    P, n = block.shape[0] // max(len(bin_maps), 1), m.shape[1]
+    base, term = np.empty(n), np.empty(n)
+    q = np.empty((P, n))
+    inside = np.empty((P, n), dtype=bool)
+    test = np.empty((P, n), dtype=bool)
+    bins = np.empty((P, n), dtype=block.dtype)
+    subs = subdivisions.tolist()  # Python ints, so Horner runs in the block's dtype
+    # the cast of a non-finite q is never read: that sample is outside
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, (Q, R) in enumerate(bin_maps):
+            rows = block[c * P:(c + 1) * P]
+            for k, sub in enumerate(subs):
+                terms = [j for j in range(m.shape[0]) if Q[k, j] != 0.0]
+                if terms:
+                    np.multiply(Q[k, terms[0]], m[terms[0]], out=base)
+                else:
+                    base.fill(0.0)
+                for j in terms[1:]:
+                    base += np.multiply(Q[k, j], m[j], out=term)
+                np.add(base, R[:, k, None], out=q)
+                np.greater_equal(q, 0.0, out=test if k else inside)
+                if k:
+                    inside &= test
+                np.less(q, sub, out=test)
+                inside &= test
+                # inside, q >= 0, so the cast is the floor
+                np.copyto(bins if k else rows, q, casting="unsafe")
+                if k:
+                    rows *= sub
+                    rows += bins
+            np.logical_not(inside, out=test)
+            np.copyto(rows, -1, where=test)
 
 
 def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
@@ -746,11 +815,15 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     For each test point of `_test_offsets` and each control the exact
     dt-map is applied; an edge is added to the box containing the image, or
     the source is flagged as feeding the sink when the image leaves the
-    window (or the active subset).  Each control's dt-map is computed once;
-    `_sampled_csr`, the sampling path that `projective.build_sphere_graph`
-    shares, applies it to all test points of a tile of boxes in one stacked
-    product, so the test points, the images and the id block of the whole
-    graph never exist at once.  The tiles are built on the calling thread
+    window (or the active subset).  Each control's dt-map (G, h) is computed
+    once and taken to bin coordinates (`_bin_map`): the image of test point
+    p of box m has bin coordinate q = Q m + R[p], and its box is floor(q)
+    in the half-open window 0 <= q < subdivisions (`_lattice_block`).  That
+    box differs from `BoxGrid.box_of(G p + h)` only where the image lies
+    within rounding of a box face.  `_sampled_csr`, the sampling path
+    that `projective.build_sphere_graph` shares, works through the boxes in
+    tiles, so the samples and the id block of the whole graph never exist
+    at once.  The tiles are built on the calling thread
     and a pool of one thread per further CPU of the process's affinity, in
     the caller's `np.errstate`; a graph of fewer than 8192 boxes
     (`_TILE` // 2) is one tile, built on the calling thread alone.  The
@@ -769,21 +842,14 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     controls, pts_per_box, seed = _sampled_controls(sys, grid.dim, grid, count, controls,
                                                     dt, pts_per_box, seed, memory_cap)
     boxes = np.arange(grid.size, dtype=np.int64) if active is None else active.indices
-    maps = [segment_map(sys, u, dt) for u in controls]
+    offsets = _test_offsets(grid.dim, pts_per_box, seed)
+    bin_maps = [_bin_map(grid, offsets, segment_map(sys, u, dt)) for u in controls]
 
-    def image_rows(segment, points):
-        G, h = segment
-        # coordinate-major (P, dim, n) from the contiguous transposes of the
-        # P point sets: bit for bit pts @ G.T + h per set, and box_of reads
-        # contiguous coordinate slices
-        with np.errstate(over="ignore", invalid="ignore"):
-            images = G @ points.transpose(0, 2, 1)
-            images += h[:, None]
-        return images.transpose(0, 2, 1)
+    def fill(nodes, block):
+        _lattice_block(grid.multi_index(nodes), bin_maps, grid.subdivisions, block)
 
     # outside the window (-1) or the active subset -> sink
-    indptr, targets, sink = _sampled_csr(
-        grid, boxes, _test_offsets(grid.dim, pts_per_box, seed), maps, image_rows)
+    indptr, targets, sink = _sampled_csr(grid, boxes, len(bin_maps) * pts_per_box, fill)
     return TransitionGraph(grid=grid, boxes=boxes.copy(), indptr=indptr,
                            targets=targets, sink=sink, dt=float(dt),
                            controls=controls, pts_per_box=pts_per_box, seed=seed)

@@ -511,7 +511,11 @@ def _augmented_expm(aug: np.ndarray) -> np.ndarray:
     |f_i|_1 2**-k <= max(||X_i||_1, theta_13), and the last column, linear in
     f_i, is multiplied by 2**k_i after.  The generator then scales as X_i and
     its zero last row adds only zeros, so the G block is `_expm(X)` bit for
-    bit at any f.  A last column past the float range is inf, with no warning.
+    bit at any f.  An entry of f_i far below its largest one loses bits in
+    f_i 2**-k_i (it may underflow to 0); on the rows where one does, the
+    last column of an unscaled `_expm` of [[X_i, lost_i], [0, 0]] is added,
+    lost_i = f_i - (f_i 2**-k_i) 2**k_i exactly, which the linearity in f_i
+    allows.  A last column past the float range is inf, with no warning.
     """
     n = aug.shape[-1] - 1
     size = _one_norms(aug[:, :n, n:])
@@ -519,10 +523,20 @@ def _augmented_expm(aug: np.ndarray) -> np.ndarray:
     if big.size == 0:
         return _expm(aug)
     power = np.exp2(_log2_ceil(size[big] / np.maximum(_one_norms(aug[big, :n, :n]), _THETA13)))
-    aug[big, :n, n] /= power[:, None]
+    forcing = aug[big, :n, n]
+    aug[big, :n, n] = forcing / power[:, None]
+    # f 2**-k times 2**k is exact, so the difference is the lost part
+    # exactly; an infinite f, whose k is 0, loses nothing
+    with np.errstate(invalid="ignore"):
+        lost = np.where(np.isfinite(forcing), forcing - aug[big, :n, n] * power[:, None], 0.0)
     E = _expm(aug)
     with np.errstate(over="ignore"):
         E[big, :n, n] *= power[:, None]
+    lossy = np.any(lost != 0.0, axis=1)
+    if lossy.any():
+        rest = aug[big[lossy]]
+        rest[:, :n, n] = lost[lossy]
+        E[big[lossy], :n, n] += _expm(rest)[:, :n, n]
     return E
 
 

@@ -3,7 +3,10 @@
 `BoxGrid.box_of`, `build_transition_graph`, `build_sphere_graph` and
 `BoxSet.dilate` are compared with brute-force versions written here point
 by point and box by box: a scalar floor lookup per point, Python sets of
-(source, target) pairs, and a Chebyshev-distance mask over all boxes.  Both
+(source, target) pairs, and a Chebyshev-distance mask over all boxes.  A
+box-grid sample's box is floor(Q m + R) in bin coordinates, computed here
+in Python floats in the kernel's order, and checked against exact Fraction
+arithmetic away from the box faces.  Both
 graph builders share one sampling path, so they reject the same inputs.
 That path builds its tiles on the calling thread and a thread pool; its
 graphs are compared bit for bit with a serial build in one tile.
@@ -16,11 +19,13 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from affinecontrol import projective, reach
@@ -260,19 +265,56 @@ def graph_cases(draw):
     return sys, grid, controls, dt, pts_per_box, seed, active
 
 
+def scalar_bin_map(grid: BoxGrid, G, h, offsets) -> tuple[list, list]:
+    """(Q, R) of a dt-map (G, h) in the grid's bin coordinates, in Python
+    floats with the operations in order: Q[k][j] = (G_kj w_j) / w_k and
+    R[p][k] = (sum_j G_kj x_pj + h_k - lo_k) / w_k, x_pj = lo_j + o_pj w_j."""
+    d = grid.dim
+    w, lo = grid.widths.tolist(), grid.lo.tolist()
+    G, h = np.asarray(G).tolist(), np.asarray(h).tolist()
+    Q = [[G[k][j] * w[j] / w[k] for j in range(d)] for k in range(d)]
+    R = []
+    for o in np.asarray(offsets).tolist():
+        x = [lo[j] + o[j] * w[j] for j in range(d)]
+        row = []
+        for k in range(d):
+            acc = G[k][0] * x[0]
+            for j in range(1, d):
+                acc += G[k][j] * x[j]
+            row.append((acc + h[k] - lo[k]) / w[k])
+        R.append(row)
+    return Q, R
+
+
+def scalar_sample_box(grid: BoxGrid, Q, R_p, m) -> int:
+    """Box id of the sample at row R_p of box m (multi-index), or -1: per
+    axis q = sum_j Q_kj m_j + R_p[k], inside when 0 <= q < subdivisions,
+    the bin floor(q)."""
+    flat = 0
+    for k, sub in enumerate(grid.subdivisions.tolist()):
+        base = Q[k][0] * m[0]
+        for j in range(1, grid.dim):
+            base += Q[k][j] * m[j]
+        q = base + R_p[k]
+        if not 0.0 <= q < sub:  # False for NaN
+            return -1
+        flat = flat * sub + math.floor(q)
+    return flat
+
+
 def reference_graph(sys, grid, controls, dt, pts_per_box, seed, active):
-    """(indptr, targets, sink) from a set of (source, target) position pairs."""
+    """(indptr, targets, sink) from a set of (source, target) position pairs,
+    each sample's box from `scalar_bin_map` and `scalar_sample_box`."""
     boxes = active.indices if active is not None else np.arange(grid.size)
     position = {int(b): p for p, b in enumerate(boxes)}
-    points = grid.cell_points(boxes, _test_offsets(grid.dim, pts_per_box, seed))
+    multi = grid.multi_index(boxes).tolist()
+    offsets = _test_offsets(grid.dim, pts_per_box, seed)
     edges, sink = set(), set()
     for u in controls:
-        G, h = segment_map(sys, u, dt)
-        for pts in points:
-            with np.errstate(over="ignore", invalid="ignore"):
-                images = pts @ G.T + h
-            for src, x in enumerate(images):
-                tgt = position.get(scalar_box(grid, x), -1)
+        Q, R = scalar_bin_map(grid, *segment_map(sys, u, dt), offsets)
+        for R_p in R:
+            for src, m in enumerate(multi):
+                tgt = position.get(scalar_sample_box(grid, Q, R_p, m), -1)
                 if tgt < 0:
                     sink.add(src)
                 else:
@@ -283,6 +325,38 @@ def reference_graph(sys, grid, controls, dt, pts_per_box, seed, active):
     return indptr, [t for r in rows for t in r], [src in sink for src in range(n)]
 
 
+def exact_coordinates(grid: BoxGrid, G, h, offset, m) -> list[tuple[Fraction, Fraction]]:
+    """Per axis, the exact bin coordinate (G x + h - lo) / w of the point
+    x = lo + (m + o) w, in Fractions of the float inputs, and a bound on the
+    kernel's rounding error in it.
+
+    The kernel rounds lo + o w (2 roundings), each product and partial sum
+    of R and its quotient (d + 3), Q (2) and the sum Q m (d), and base + R
+    (1): at most 2d + 8 relative errors of 2**-53 on terms whose moduli sum
+    to S = (sum_j |G_kj| (|lo_j| + (m_j + o_j) w_j) + |h_k| + |lo_k|) / w_k,
+    and underflow adds less than 2**-1075 per product or quotient.  The
+    bound takes twice both."""
+    d = grid.dim
+    w = [Fraction(x) for x in grid.widths.tolist()]
+    lo = [Fraction(x) for x in grid.lo.tolist()]
+    G = [[Fraction(x) for x in row] for row in np.asarray(G).tolist()]
+    h = [Fraction(x) for x in np.asarray(h).tolist()]
+    o = [Fraction(x) for x in np.asarray(offset).tolist()]
+    x = [lo[j] + (m[j] + o[j]) * w[j] for j in range(d)]
+    out = []
+    for k in range(d):
+        q = (sum(G[k][j] * x[j] for j in range(d)) + h[k] - lo[k]) / w[k]
+        size = (sum(abs(G[k][j]) * (abs(lo[j]) + (m[j] + o[j]) * w[j]) for j in range(d))
+                + abs(h[k]) + abs(lo[k])) / w[k]
+        tiny = Fraction(3 * d + 3, 2**1075) * (1 + sum(m) + 4 * d) / min(w[k], Fraction(1))
+        out.append((q, 2 * ((2 * d + 8) * size / 2**53 * Fraction(101, 100) + tiny)))
+    return out
+
+
+def near_an_integer(q: Fraction, bound: Fraction) -> bool:
+    return abs(q - round(q)) <= bound
+
+
 def assert_one_int32_index(graph):
     """indptr, targets and both reverse() arrays share one index dtype,
     int32 under the default cap."""
@@ -290,8 +364,24 @@ def assert_one_int32_index(graph):
     assert {a.dtype for a in arrays} == {np.dtype(np.int32)}
 
 
+def scalar_system(A, B, C, d) -> AffineSystem:
+    return AffineSystem([[A]], [[[B]]], [[C]], [d], [-1.0], [1.0])
+
+
+# Two cases with samples whose image lies on a box face, where floor(Q m + R)
+# and the box_of of the mapped point G p + h round to different sides.
+FACE_CASES = [
+    (scalar_system(0.0, -1.0, -2.0, -0.5), BoxGrid([-3.0], [-2.7], [6]),
+     np.array([[0.0], [1.0]]), 0.25, 1, 95, None),
+    (scalar_system(-0.5, 0.5, 0.25, -0.5), BoxGrid([0.1], [0.4], [6]),
+     np.array([[1.0]]), 0.1, 2, 16, None),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(graph_cases())
+@example(FACE_CASES[0])
+@example(FACE_CASES[1])
 def test_transition_graph_matches_pairwise_reference(case):
     graph = build_transition_graph(*case[:6], active=case[6])
     indptr, targets, sink = reference_graph(*case)
@@ -415,6 +505,126 @@ def test_refine_and_dilate_match_the_index_construction(grid, factor, radius, da
     assert np.array_equal(fine.subdivisions, grid.subdivisions * factor)
     assert refined.boxes.dtype == np.int64
     assert np.array_equal(refined.boxes, reference_refined_boxes(grid, keep, factor))
+
+
+@pytest.mark.parametrize("case", FACE_CASES)
+def test_face_cases_differ_from_box_of_only_on_a_face(case):
+    # the sample's box is floor(Q m + R), which can differ from
+    # box_of(G p + h) where the exact image lies within rounding of a face
+    sys, grid, controls, dt, pts_per_box, seed, _ = case
+    offsets = _test_offsets(grid.dim, pts_per_box, seed)
+    boxes = np.arange(grid.size)
+    points = grid.cell_points(boxes, offsets)
+    multi = grid.multi_index(boxes).tolist()
+    differ = 0
+    for u in controls:
+        G, h = segment_map(sys, u, dt)
+        Q, R = scalar_bin_map(grid, G, h, offsets)
+        for p, (R_p, pts) in enumerate(zip(R, points)):
+            old = grid.box_of(pts @ G.T + h)
+            for i, m in enumerate(multi):
+                if scalar_sample_box(grid, Q, R_p, m) != old[i]:
+                    differ += 1
+                    assert all(near_an_integer(q, bound) for q, bound in
+                               exact_coordinates(grid, G, h, offsets[p], m))
+    assert differ > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.data())
+def test_sample_bins_are_the_exact_floor_away_from_faces(grid, data):
+    # against exact arithmetic of the float inputs: a bin may round to
+    # either side only where the exact coordinate is within the kernel's
+    # rounding bound of an integer (a box face or the window's edge)
+    d = grid.dim
+    entry = st.sampled_from([0.0, 1.0, -1.0, 0.5]) | st.floats(-4.0, 4.0)
+    shift = st.floats(-8.0, 8.0) | st.integers(-24, 24).map(lambda i: i / 8)
+    G = np.array(data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                    min_size=d, max_size=d))).reshape(d, d)
+    h = np.array(data.draw(st.lists(shift, min_size=d, max_size=d)))
+    offsets = _test_offsets(d, data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**16)))
+    boxes = np.arange(grid.size)
+    multi = grid.multi_index(boxes)
+    block = np.empty((offsets.shape[0], boxes.size), dtype=np.int64)
+    reach._lattice_block(multi, [reach._bin_map(grid, offsets, (G, h))],
+                         grid.subdivisions, block)
+    subs = grid.subdivisions.tolist()
+    for p, offset in enumerate(offsets):
+        for i, m in enumerate(multi.tolist()):
+            got = int(block[p, i])
+            certain = {}  # axis -> exact bin, or None outside the window
+            for k, (q, bound) in enumerate(exact_coordinates(grid, G, h, offset, m)):
+                if not near_an_integer(q, bound):
+                    certain[k] = math.floor(q) if 0 <= q < subs[k] else None
+            if None in certain.values():
+                assert got == -1
+            elif len(certain) == d:
+                assert got == int(np.ravel_multi_index(list(certain.values()), subs))
+            elif got >= 0:
+                bins = np.unravel_index(got, subs)
+                assert all(bins[k] == b for k, b in certain.items())
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_lattice_window_is_half_open_on_every_axis(dtype):
+    # with Q = 0 every box's sample p has q = R[p]: at and next to 0 and
+    # subdivisions on each axis, and non-finite; with Q = I and R = 0 each
+    # box is its own image
+    grid = BoxGrid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [4, 3, 2])
+    multi = grid.multi_index(np.arange(grid.size))
+    axes = [[0.0, -0.0, -5e-324, 0.5, sub - 0.5, np.nextafter(sub, 0.0), float(sub),
+             np.nan, np.inf, -np.inf, 1e300] for sub in grid.subdivisions.tolist()]
+    R = np.array(list(itertools.product(*axes)))
+    P = R.shape[0]
+    block = np.empty((2 * P, grid.size), dtype=dtype)
+    reach._lattice_block(multi, [(np.zeros((3, 3)), R), (np.eye(3), np.zeros_like(R))],
+                         grid.subdivisions, block)
+    expected = [scalar_sample_box(grid, np.zeros((3, 3)).tolist(), R_p, [0, 0, 0])
+                for R_p in R.tolist()]
+    assert 0 in expected and grid.size - 1 in expected and -1 in expected
+    assert np.array_equal(block[:P], np.repeat(np.array(expected)[:, None], grid.size, axis=1))
+    assert np.array_equal(block[P:], np.broadcast_to(np.arange(grid.size), (P, grid.size)))
+
+
+def overflowing_system(A) -> AffineSystem:
+    return AffineSystem(A, [np.zeros((2, 2))], np.zeros((2, 1)), [0.5, 0.0], [-1.0], [1.0])
+
+
+@pytest.mark.parametrize("grid", [
+    BoxGrid([0.0, -1e-150], [4e150, 2e-150], [4, 3]),  # widths 1e150 and 1e-150
+    BoxGrid([-1e-150, -3e150], [3e-150, 3e150], [5, 6]),
+    BoxGrid([-2.0, -2.0], [2.0, 2.0], [6, 5]),
+])
+def test_extreme_widths_and_overflowing_maps_go_to_the_sink(grid):
+    # Q = (G_kj w_j) / w_k spans 1e+-300 on the extreme grids; a shear there
+    # sends every sample out of the window, an inf entry of Q times a zero
+    # index is NaN, and a map that overflows in the exponential is inf or
+    # NaN: each such sample goes to the sink, with no RuntimeWarning
+    controls = np.array([[-1.0], [0.0], [0.6]])
+    saddle = AffineSystem(np.diag([0.5, -0.5]), [np.eye(2)], [[0.2], [0.1]], [0.0, 0.0],
+                          [-1.0], [1.0])
+    overflowing = [
+        overflowing_system([[1000.0, 0.0], [0.0, -1.0]]),  # G has an inf entry
+        overflowing_system([[0.0, 0.0], [1e9, 0.0]]),  # G_10 w_0 / w_1 overflows
+        overflowing_system([[1e308, 0.0], [0.0, -1.0]]),  # a NaN map: A dt is inf
+    ]
+    extreme = grid.widths.max() / grid.widths.min() > 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for system, dt in [(saddle, 0.3), (SHEAR, 0.3)] + [(s, 10.0) for s in overflowing]:
+            graph = build_transition_graph(system, grid, controls, dt, 3, 11)
+            assert_matches_reference(graph, system, grid, controls, dt, 3, 11, None)
+            G, _ = segment_map(system, [0.0], dt)
+            if system is saddle or (system is SHEAR and not extreme):
+                assert graph.num_edges > 0
+            elif extreme or not np.all(np.isfinite(G)):
+                assert graph.num_edges == 0 and graph.sink.all()
+        G = np.full((2, 2), np.nan)
+        block = np.empty((3, grid.size), dtype=np.int32)
+        reach._lattice_block(grid.multi_index(np.arange(grid.size)),
+                             [reach._bin_map(grid, _test_offsets(2, 3, 0), (G, np.zeros(2)))],
+                             grid.subdivisions, block)
+        assert np.all(block == -1)
 
 
 def assert_matches_reference(graph, *case):
@@ -653,13 +863,19 @@ def test_graphs_under_the_threshold_never_start_the_tile_pool(monkeypatch):
             threshold_build(kind, THRESHOLD)()
 
 
+# The grid method each tile of a build calls first: a box grid's tile takes
+# the multi-indices of its boxes, a sphere's makes its test points.
+FIRST_CALL = {BoxGrid: "multi_index", SphereGrid: "cell_points"}
+
+
 @pytest.mark.parametrize("grid_class, case", [(BoxGrid, "37x29"), (SphereGrid, "sphere")])
 def test_every_tile_runs_in_the_callers_errstate(monkeypatch, grid_class, case):
     # a thread starts in numpy's default state (divide="warn"); the pool
     # tiles run in a copy of the caller's context
     seen = []
-    original = grid_class.cell_points
-    monkeypatch.setattr(grid_class, "cell_points", lambda self, *args: seen.append(
+    name = FIRST_CALL[grid_class]
+    original = getattr(grid_class, name)
+    monkeypatch.setattr(grid_class, name, lambda self, *args: seen.append(
         (threading.get_ident(), np.geterr()["divide"])) or original(self, *args))
     monkeypatch.setattr(reach, "_TILE", 64)
     monkeypatch.setattr(reach, "_WORKERS", 3)
@@ -687,9 +903,9 @@ def test_a_failing_tile_fails_the_build_once_every_tile_is_done(monkeypatch, fai
     lock = threading.Lock()
     running = [0]
     errors = {}
-    original = BoxGrid.cell_points
+    original = BoxGrid.multi_index
 
-    def cell_points(self, indices, offsets):
+    def multi_index(self, indices):
         tile = int(indices[0]) // 64
         with lock:
             running[0] += 1
@@ -698,12 +914,12 @@ def test_a_failing_tile_fails_the_build_once_every_tile_is_done(monkeypatch, fai
                 raise errors.setdefault(tile, TileFailure(tile))
             # the last pool tile outlasts the caller's tiles
             time.sleep(0.3 if tile == 15 else 0.01)
-            return original(self, indices, offsets)
+            return original(self, indices)
         finally:
             with lock:
                 running[0] -= 1
 
-    monkeypatch.setattr(BoxGrid, "cell_points", cell_points)
+    monkeypatch.setattr(BoxGrid, FIRST_CALL[BoxGrid], multi_index)
     monkeypatch.setattr(reach, "_TILE", 64)
     monkeypatch.setattr(reach, "_WORKERS", 2)
     build = graph_build("37x29")

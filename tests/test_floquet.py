@@ -192,6 +192,24 @@ def test_forcing_near_the_float_range_keeps_the_forced_integral():
     assert np.allclose(solution.x0, 1e307 / -a, rtol=1e-12, atol=0.0)
 
 
+def test_a_small_forcing_entry_beside_a_large_one_is_kept():
+    # |d|_1 tau = 3e306 scales the forcing column by 2**-1017, in which
+    # d_2 tau = 3e-301 underflows to 0: the forced integral lost its second
+    # entry and the periodic point its second coordinate
+    a, tau = np.array([0.5, -1.0]), 0.3
+    d = np.array([1e307, 1e-300])
+    sys = AffineSystem(np.diag(a), np.zeros((1, 2, 2)), np.zeros((2, 1)), d, [-1.0], [1.0])
+    ctrl = PiecewiseControl.constant([0.0], tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = forced_integral(sys, ctrl)
+        solution = periodic_solution(sys, ctrl)
+    assert np.allclose(b, d * np.expm1(a * tau) / a, rtol=1e-12, atol=0.0)
+    assert b[1] > 2.5e-301
+    assert isinstance(solution, Unique)
+    assert np.allclose(solution.x0, d / -a, rtol=1e-12, atol=0.0)
+
+
 def test_floquet_planar_saddle_margin():
     sys = planar_saddle_system()
     _, data = floquet_of(sys, PiecewiseControl.constant([0.0], 1.0))

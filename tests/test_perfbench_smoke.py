@@ -46,11 +46,13 @@ def test_tracer_installs_records_and_restores():
         for (_, attr), (owner, value) in before.items():
             assert vars(owner)[attr] is not value, attr
         sys = AffineSystem([[-1.0]], [[[0.0]]], [[0.0]], [0.0], [-1.0], [1.0])
+        grid = reach.BoxGrid([-1.0], [1.0], [8])
         with tracer.recording():
             # through the module, whose names the tracer replaced
-            graph = reach.build_transition_graph(sys, reach.BoxGrid([-1.0], [1.0], [8]),
-                                                 [[0.0]], 0.5, 1, seed=0)
+            graph = reach.build_transition_graph(sys, grid, [[0.0]], 0.5, 1, seed=0)
             reach.chain_components(graph)
+            # the build maps no point to its box, so box_of is called here
+            grid.box_containing([0.3])
         layers, counts = spans.layer_metrics(tracer)
     finally:
         tracer.uninstall()
