@@ -7,13 +7,18 @@ periodic-solution trichotomy (unique / affine family / obstructed) come
 from closed-form maps rather than an ODE stepper.  Every entry point maps a
 flat batch (values, durations, segment counts), filled directly by the scan's
 sampler or a path, through one vectorised exponential of all segments
-(`system._expm`, after Higham 2005), whose Pade quotient is one pivoted
-elimination run elementwise across the batch (`system._solve_stack`), not
-a LAPACK call per segment; the batch format lives here alone.  Callers that
-read only the monodromy (the scan's margins, `floquet_of`,
-`principal_matrix`, the bisection steps) exponentiate the n x n generators
-(`_monodromies`); the augmented maps are made only where the forced integral
-is read (`_period_maps`).  The sampler draws a batch's random stream in four
+(`system._expm`, after Higham 2005); the batch format lives here alone.
+That exponential works entry-major, each matrix entry one contiguous array
+over a slab of segments: its products, Pade quotient (`system._solve_stack`,
+a pivoted elimination) and squarings are elementwise across the slab, with
+no LAPACK or BLAS call per segment.  Callers that read only the monodromy
+(the scan's margins, `floquet_of`, `principal_matrix`, the bisection steps)
+exponentiate the n x n generators (`_monodromies`); the augmented maps are
+made only where the forced integral is read (`_period_maps`).  For n <= 2
+the multipliers of a whole batch come in closed form from the trace and a
+discriminant that keeps near-Jordan monodromies accurate
+(`_planar_multipliers`), with no LAPACK call per monodromy; larger n go
+through `np.linalg.eigvals`.  The sampler draws a batch's random stream in four
 bulk calls, so a seed determines the whole batch.  A continuation is held as
 columns filled from stacked solves, norms and singular value decompositions;
 its records, and the Unique solutions among them, are made on first read.
@@ -22,7 +27,7 @@ once, and a record's from the path when it is first read.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -84,6 +89,11 @@ class Monodromy:
 class FloquetData:
     """Multipliers, exponents, and the eigenspace for multiplier one.
 
+    `multipliers` (n,) are the eigenvalues rho_j of the monodromy in
+    descending modulus, ties by descending imaginary part (a complex pair
+    has its positive one first), then by descending real part; they are
+    float64 when every imaginary part is zero, else complex128.
+    `exponents` (n,) are log|rho_j| / tau in the same order, so descending.
     `margin` is min_j |rho_j - 1|; `unit_multiplier` is True when the
     margin falls below the unit tolerance, in which case `unit_eigenspace`
     holds an orthonormal basis (columns) of the nullspace of phi - I.
@@ -205,13 +215,67 @@ def _period_maps(sys: AffineSystem, values, durations, counts
     return maps[:, :, :-1], maps[:, :, -1]
 
 
+def _planar_multipliers(phi: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., n) of monodromies (..., n, n), n = 1 or 2, in closed form.
+
+    For n = 1 the multiplier is phi itself.  For n = 2 each slice
+    [[a, b], [c, d]] is first divided by 2**e, the power of two that takes its
+    largest entry into [1/2, 1) (exactly, by `np.ldexp`), so nothing below
+    overflows or loses bits to underflow.  With p = (a - d)/2 and
+    disc = p**2 + b c, a real pair (disc >= 0) is a + b c / z and
+    d - b c / z for z = p + sign(p) sqrt(disc), larger first, and a complex
+    pair is (a + d)/2 +- i sqrt(-disc), positive imaginary part first; both
+    are multiplied back by 2**e.  On a near-Jordan slice [[1, b], [c, 1]]
+    this discriminant is b c alone, where (trace/2)**2 - det would subtract
+    two numbers near 1 and lose b c to rounding; it is the sum LAPACK's
+    2 x 2 standardisation (dlanv2) forms.  Each real multiplier is a
+    diagonal entry moved by b c / z, whose z adds two terms of one sign, so
+    a triangular slice gives its diagonal exactly, as LAPACK does, where
+    (a + d)/2 - |p| would lose a small entry to cancellation against a
+    large one.  As `np.linalg.eigvals` does, the result is float64 when
+    every imaginary part is zero, else complex.  A non-finite slice gives
+    inf or NaN there, with no warning.
+    """
+    if phi.shape[-1] == 1:
+        return phi[..., 0].copy()
+    entries = [phi[..., i, j] for i in (0, 1) for j in (0, 1)]
+    power = np.frexp(reduce(np.maximum, map(np.abs, entries)))[1]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        a, b, c, d = (np.ldexp(entry, -power) for entry in entries)
+        p = 0.5 * (a - d)
+        bc = b * c
+        disc = p * p + bc
+        root = np.sqrt(np.abs(disc))
+        complex_pair = disc < 0.0
+        z = p + np.copysign(root, p)
+        shift = bc / np.where(z == 0.0, 1.0, z)  # z = 0 only where p = b c = 0
+        half = 0.5 * (a + d)
+        pair = [np.where(complex_pair, half, np.maximum(a + shift, d - shift)),
+                np.where(complex_pair, half, np.minimum(a + shift, d - shift))]
+        real = np.ldexp(np.stack(pair, axis=-1), power[..., None])
+        imag = np.ldexp(np.where(complex_pair, root, 0.0), power)
+    if not np.any(imag):
+        return real
+    multipliers = real.astype(complex)
+    multipliers.imag = np.stack([imag, -imag], axis=-1)
+    return multipliers
+
+
 def _spectrum(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multipliers and margins min_j |rho_j - 1| of a monodromy or a stack of them."""
-    try:
-        multipliers = np.linalg.eigvals(phi)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError("eigenvalue iteration failed on the monodromy",
-                               float(np.max(np.linalg.cond(phi)))) from exc
+    """Multipliers and margins min_j |rho_j - 1| of a monodromy (n, n) or a stack
+    (k, n, n) of them.  For n <= 2 the multipliers come in closed form
+    (`_planar_multipliers`), with no LAPACK call per monodromy; for larger n
+    from `np.linalg.eigvals`.  Either way they are float64 when every
+    imaginary part is zero, else complex, and each row is in the order its
+    solver gives (`floquet_of` sorts its one row)."""
+    if phi.shape[-1] in (1, 2):
+        multipliers = _planar_multipliers(phi)
+    else:
+        try:
+            multipliers = np.linalg.eigvals(phi)
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverError("eigenvalue iteration failed on the monodromy",
+                                   float(np.max(np.linalg.cond(phi)))) from exc
     # a column minimum, bit for bit np.min(..., axis=-1) without its short-axis reduction
     distance = np.abs(multipliers - 1.0)
     margins = distance[..., 0]
@@ -249,9 +313,11 @@ def floquet_of(sys: AffineSystem, ctrl: PiecewiseControl,
     phi = _monodromies(sys, *_flatten([ctrl]))[0]
     multipliers, margin = _spectrum(phi)
     margin = float(margin)
-    # exponents lambda_j = (1/tau) log|rho_j|, sorted descending
+    multipliers = multipliers[np.lexsort((-multipliers.real, -multipliers.imag,
+                                          -np.abs(multipliers)))]
+    # exponents lambda_j = (1/tau) log|rho_j|, descending with the moduli
     with np.errstate(divide="ignore"):
-        exponents = np.sort(np.log(np.abs(multipliers)) / tau)[::-1]
+        exponents = np.log(np.abs(multipliers)) / tau
     unit = margin <= tolerances.unit_tol
     basis = np.zeros((sys.n, 0))
     if unit:  # orthonormal basis of the numerical nullspace of phi - I

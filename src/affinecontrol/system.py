@@ -37,7 +37,9 @@ _OMEGA_SLACK = 1e-12
 # 1-norm at which that approximant is accurate to double precision (Higham 2005).
 _PADE13 = [float(factorial(26 - k) // factorial(k) // factorial(13 - k)) for k in range(14)]
 _THETA13 = 5.371920351148152
-_EXPM_SLAB = 8192  # entries per slab of `_expm` (2048 slices of 2 x 2), bounding its temporaries
+# entries per slab of `_expm` (2048 slices of 2 x 2), bounding its entry-major
+# temporaries; the largest, a product's terms, holds p times a slab
+_EXPM_SLAB = 8192
 
 
 class BlowUpError(RuntimeError):
@@ -402,22 +404,20 @@ def larc_rank(sys: AffineSystem, x, max_depth: int | None = None,
     return int(np.sum(sv > rank_tol * sv[0]))
 
 
-def _solve_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solutions X (k, p, r) of A X = B for stacks A (k, p, p) and B (k, p, r).
+def _solve_stack(W: np.ndarray) -> np.ndarray:
+    """Solutions X (p, r, k) of A X = B for the k slices of a working array
+    W = [A | B] (p, p + r, k), in the entry-major layout of `_expm`: slice i
+    is W[:, :, i].
 
-    Gaussian elimination with partial pivoting, entry-wise over the stack:
-    [A | B] is copied once into a (p, p + r, k) array, so each step is one
-    multiply and one subtract on whole rows of all slices.  Each slice takes
-    its own pivot, the first entry of largest modulus in its column (the tie
-    rule of LAPACK's idamax), and every operation is elementwise across the
-    stack, so slice i ignores the rest of the stack, bit for bit.  A singular
-    or non-finite slice gives inf or NaN there alone, with no warning; the
-    inputs are not written to.
+    Gaussian elimination with partial pivoting, each step one multiply and
+    one subtract on whole rows of all slices.  Each slice takes its own
+    pivot, the first entry of largest modulus in its column (the tie rule of
+    LAPACK's idamax), and every operation is elementwise across the stack,
+    so slice i ignores the rest of the stack, bit for bit.  W is overwritten
+    and X is a view of it; a singular or non-finite slice gives inf or NaN
+    there alone, with no warning.
     """
-    k, p, r = B.shape
-    W = np.empty((p, p + r, k))
-    W[:, :p] = A.transpose(1, 2, 0)
-    W[:, p:] = B.transpose(1, 2, 0)
+    p = W.shape[0]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(p - 1):
             # row j trades places with each later row whose entry is larger
@@ -435,16 +435,28 @@ def _solve_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             X[j] /= W[j, j]
             X[:j] -= W[:j, j, None] * X[j]
         X[0] /= W[0, 0]
-    return X.transpose(2, 0, 1)
+    return X
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Products A_i B_i (p, r, k) of stacks A (p, q, k) and B (q, r, k) in the
+    entry-major layout of `_expm`, slice i at [:, :, i]: one multiply of the
+    terms A[a, l] B[l, b] (p, q, r, k), then their sum over l, added in order
+    l = 0, ..., q - 1, so each slice ignores the rest of the stack, bit for bit."""
+    terms = A[:, :, None] * B
+    product = terms[:, 0].copy()  # not a view, which would hold all the terms
+    for l in range(1, A.shape[1]):
+        product += terms[:, l]
+    return product
 
 
 def _one_norms(A: np.ndarray) -> np.ndarray:
-    """1-norms (k,) of a stack A (k, p, q), the bits of `np.abs(A).sum(axis=1).max(axis=1)`
-    from adds of rows and `np.maximum` of columns, with no reduction over a short axis."""
-    size = np.abs(A)
+    """1-norms (k,) of an entry-major stack A (p, q, k), slice i at A[:, :, i]:
+    the bits of `np.abs(A).sum(axis=0).max(axis=0)` from adds of rows and
+    `np.maximum` of columns, with no reduction over a short axis."""
     with np.errstate(over="ignore"):
-        column = reduce(np.add, (size[:, i] for i in range(A.shape[1])))
-    return reduce(np.maximum, (column[:, j] for j in range(A.shape[2])))
+        column = reduce(np.add, np.abs(A))
+    return reduce(np.maximum, column)
 
 
 def _log2_ceil(x: np.ndarray) -> np.ndarray:
@@ -454,7 +466,8 @@ def _log2_ceil(x: np.ndarray) -> np.ndarray:
 
 
 def _scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scaling step of `_expm` for a stack A (k, p, p): (A_i 2**-s_i, s, bad),
+    """The scaling step of `_expm` for an entry-major stack A (p, p, k), slice i
+    at A[:, :, i]: (A_i 2**-s_i, s, bad), laid out as A,
     s_i = max(0, ceil(log2(||A_i||_1 / theta_13))) (`_one_norms`) and bad
     marking the slices of non-finite 1-norm, which get s = 0 and NaN in place
     of A_i.  2**-s is a normal number for every finite norm (s <= 1022), so
@@ -463,40 +476,47 @@ def _scaled(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     norm = _one_norms(A)
     bad = ~np.isfinite(norm)
     s = _log2_ceil(norm / _THETA13)
-    return A * np.where(bad, np.nan, np.exp2(-s))[:, None, None], s, bad
+    return A * np.where(bad, np.nan, np.exp2(-s)), s, bad
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
     """Exponentials of a stack X (k, p, p): scaling and squaring with the [13/13]
     Pade approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179), in slabs.
 
-    Slice i is scaled by 2**-s_i, s_i from its own 1-norm (`_scaled`), and
-    squared s_i times, so it ignores the rest of the stack.  The Pade quotient
-    comes from `_solve_stack`, elementwise across the slab, not from one
-    LAPACK call per slice; slabs of about `_EXPM_SLAB` entries (at least one
+    A slab is transposed once on the way in and once on the way out; in
+    between it is entry-major, (p, p, k) with slice i at [:, :, i], so every
+    entry is one contiguous array over the slab.  Slice i is scaled by
+    2**-s_i, s_i from its own 1-norm (`_scaled`), and squared s_i times, so
+    it ignores the rest of the stack.  The scaling, the products
+    (`_matmul`), the Pade polynomial, the quotient (`_solve_stack`) and the
+    squarings are elementwise across the slab, with no LAPACK or BLAS call
+    per slice.  Slabs of about `_EXPM_SLAB` entries (at least one
     slice) bound the temporaries.  A non-finite slice gives NaN and an
     overflowing one inf or NaN, with no warning or exception.
     """
-    b, out = _PADE13, np.empty(X.shape)
-    slab = max(1, _EXPM_SLAB // X.shape[-1] ** 2)
+    b, out, p = _PADE13, np.empty(X.shape), X.shape[-1]
+    eye = np.eye(p)[:, :, None]
+    slab = max(1, _EXPM_SLAB // p ** 2)
     for lo in range(0, X.shape[0], slab):
-        A, s, bad = _scaled(X[lo:lo + slab])
+        A, s, bad = _scaled(np.ascontiguousarray(X[lo:lo + slab].transpose(1, 2, 0)))
+        W = np.empty((p, 2 * p, A.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
-            A2 = A @ A
-            A4 = A2 @ A2
-            A6 = A4 @ A2
-            eye = np.eye(A.shape[-1])
-            U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                     + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-            V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+            A2 = _matmul(A, A)
+            A4 = _matmul(A2, A2)
+            A6 = _matmul(A4, A2)
+            U = _matmul(A, _matmul(A6, b[13] * A6 + b[11] * A4 + b[9] * A2)
+                        + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+            V = (_matmul(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
                  + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-            R = _solve_stack(V - U, V + U)
+            np.subtract(V, U, out=W[:, :p])
+            np.add(V, U, out=W[:, p:])
+            R = _solve_stack(W)
             for j in range(s.max()):
-                squared = s > j
-                Rj = R[squared]
-                R[squared] = Rj @ Rj
-        R[bad] = np.nan
-        out[lo:lo + slab] = R
+                squared = np.flatnonzero(s > j)
+                Rj = R.take(squared, axis=2)
+                R[:, :, squared] = _matmul(Rj, Rj)
+        R[:, :, bad] = np.nan
+        out[lo:lo + slab] = R.transpose(2, 0, 1)
     return out
 
 
@@ -518,11 +538,12 @@ def _augmented_expm(aug: np.ndarray) -> np.ndarray:
     allows.  A last column past the float range is inf, with no warning.
     """
     n = aug.shape[-1] - 1
-    size = _one_norms(aug[:, :n, n:])
+    size = _one_norms(aug[:, :n, n:].transpose(1, 2, 0))
     big = np.flatnonzero(size > _THETA13)  # k_i = 0 elsewhere
     if big.size == 0:
         return _expm(aug)
-    power = np.exp2(_log2_ceil(size[big] / np.maximum(_one_norms(aug[big, :n, :n]), _THETA13)))
+    matrix = _one_norms(aug[big, :n, :n].transpose(1, 2, 0))
+    power = np.exp2(_log2_ceil(size[big] / np.maximum(matrix, _THETA13)))
     forcing = aug[big, :n, n]
     aug[big, :n, n] = forcing / power[:, None]
     # f 2**-k times 2**k is exact, so the difference is the lost part

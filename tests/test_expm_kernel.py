@@ -1,6 +1,8 @@
 """Property tests of `system._expm`, the stacked matrix exponential behind
 every segment map, of `system._scaled`, its scaling step, and of
-`system._solve_stack`, its solve for the Pade quotient.
+`system._solve_stack`, its solve for the Pade quotient, which works in the
+entry-major (p, p + r, k) layout of `_expm`'s slabs; the tests here pass it
+stacks (k, p, p) and transpose in and out (`solve`).
 
 Stacks of n x n slices (n = 1-5) of five kinds: zero, diagonal, upper
 triangular, nilpotent and dense, with 1-norms from 0 up to MAX_EXP_GROWTH,
@@ -15,6 +17,7 @@ while this kernel stays near 1e-13.
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,8 +26,6 @@ from scipy.linalg import expm
 from affinecontrol import system
 from affinecontrol.config import MAX_EXP_GROWTH
 from affinecontrol.system import _expm, _scaled, _solve_stack
-
-mpmath = pytest.importorskip("mpmath")
 
 KINDS = ("zero", "diagonal", "upper", "nilpotent", "dense")
 TOL = 1e-12
@@ -112,9 +113,9 @@ def test_expm_overflow_gives_non_finite_without_warning():
 
 
 def reference_scaled(A):
-    """The scaling step as `_expm` first had it: the 1-norm from short-axis
-    reductions, and 2**-s applied by `np.ldexp`, with zeros for a slice of
-    non-finite norm."""
+    """The scaling step as `_expm` first had it, on a stack A (k, p, p): the
+    1-norm from short-axis reductions, and 2**-s applied by `np.ldexp`, with
+    zeros for a slice of non-finite norm."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.abs(A).sum(axis=1).max(axis=1)
         bad = ~np.isfinite(norm)
@@ -165,7 +166,8 @@ def test_exp2_of_the_scaling_exponents_is_exact():
 def test_scaling_is_the_reference_bit_for_bit(X):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, s, bad = _scaled(X)
+        got, s, bad = _scaled(X.transpose(1, 2, 0))
+    got = got.transpose(2, 0, 1)
     ref, ref_s, ref_bad = reference_scaled(X)
     assert np.array_equal(s, ref_s) and s.dtype == ref_s.dtype
     assert np.array_equal(bad, ref_bad)
@@ -180,8 +182,13 @@ def test_expm_is_the_reference_scaling_bit_for_bit(X):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         E = _expm(X)
+
+    def entry_major_reference(A):
+        ref, s, bad = reference_scaled(A.transpose(2, 0, 1))
+        return ref.transpose(1, 2, 0), s, bad
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(system, "_scaled", reference_scaled)
+        mp.setattr(system, "_scaled", entry_major_reference)
         expected = _expm(X)
     assert np.array_equal(bits(E), bits(expected))
 
@@ -200,6 +207,13 @@ def linear_systems(draw, max_slices=6):
     A = A[np.arange(k)[:, None], rng.permuted(np.tile(np.arange(p), (k, 1)), axis=1)]
     B = rng.normal(size=(k, p, draw(st.integers(1, 3))))
     return A, B * draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3]))
+
+
+def solve(A, B):
+    """`_solve_stack` of stacks A (k, p, p) and B (k, p, r): X (k, p, r), through
+    a fresh entry-major working array [A | B] (p, p + r, k)."""
+    W = np.concatenate([A, B], axis=2).transpose(1, 2, 0).copy()
+    return _solve_stack(W).transpose(2, 0, 1)
 
 
 def reference_solve(A, B):
@@ -249,7 +263,7 @@ def test_solve_stack_backward_error(system_pair):
     # can be exactly singular
     assume(np.all(np.linalg.det(A) != 0.0))
     assume(not any(exactly_singular(Ai) for Ai in A))
-    X = _solve_stack(A, B)
+    X = solve(A, B)
     for Ai, Bi, Xi in zip(A, B, X):
         assert one_norm(Ai @ Xi - Bi) <= 1e-14 * one_norm(Ai) * one_norm(Xi)
 
@@ -258,22 +272,21 @@ def test_solve_stack_backward_error(system_pair):
 @given(linear_systems(max_slices=8))
 def test_solve_stack_slices_are_the_per_slice_loop_and_ignore_the_stack(system_pair):
     A, B = system_pair
-    X = _solve_stack(A, B)
+    X = solve(A, B)
     for i in range(A.shape[0]):
-        alone = _solve_stack(A[i:i + 1], B[i:i + 1])[0]
+        alone = solve(A[i:i + 1], B[i:i + 1])[0]
         assert np.array_equal(X[i], alone, equal_nan=True)  # bit for bit
         assert np.array_equal(X[i], reference_solve(A[i], B[i]), equal_nan=True)
 
 
 @settings(max_examples=40, deadline=None)
-@given(linear_systems())
-def test_solve_stack_leaves_its_inputs_alone(system_pair):
-    # one slice included: there a transpose of the input can be a view of it
-    A, B = system_pair
-    for a, b in ((A, B), (A[:1], B[:1])):
-        a_before, b_before = a.copy(), b.copy()
-        _solve_stack(a, b)
-        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
+@given(stacks(max_slices=8))
+def test_expm_leaves_its_input_alone(X):
+    # one slice included: there the entry-major transpose of a slab is a view
+    for x in (X, X[:1]):
+        before = x.copy()
+        _expm(x)
+        assert np.array_equal(x, before)
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,8 +303,8 @@ def test_solve_stack_bad_slice_spoils_only_itself(system_pair, kind, data):
         spoiled[i, row, col] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        X = _solve_stack(spoiled, B)
-        clean = _solve_stack(A, B)
+        X = solve(spoiled, B)
+        clean = solve(A, B)
     assert not np.isfinite(X[i]).all()
     for j in range(A.shape[0]):
         if j != i:
