@@ -540,16 +540,20 @@ class ControlPath:
     the first control shrinks away in front of the second.  Both legs meet
     at the full concatenation, so the monodromy at alpha = 1/2 is the
     product of the endpoint monodromies.  Periods stay within
-    [min(period_u, period_v), period_u + period_v].
+    [min(period_u, period_v), period_u + period_v].  Identical endpoint
+    controls give the constant path.
     """
 
     u: PiecewiseControl
     v: PiecewiseControl
-    constant: bool = False
 
     def __post_init__(self):
         if self.u.m != self.v.m:
             raise ValueError("controls have different dimensions")
+
+    @property
+    def constant(self) -> bool:
+        return self.u.same_as(self.v)
 
     def segments(self, alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The controls at the alphas as one flat (values, durations, counts); both
@@ -579,7 +583,7 @@ def concat_path(u: PiecewiseControl, v: PiecewiseControl) -> ControlPath:
 
     Identical endpoint controls give the constant path.
     """
-    return ControlPath(u, v, constant=u.same_as(v))
+    return ControlPath(u, v)
 
 
 # --------------------------------------------------------------- continuation

@@ -220,8 +220,10 @@ class SphereGrid:
     cube faces, each subdivided into `subdivisions` bins per axis.  A box
     and its antipode are one box of the quotient, numbered on the positive
     face of its anchor axis: id = axis * cells_per_face + cell, with `cell`
-    the row-major bin on that face, so the ids run 0..size-1.  It has the
-    cell contract of `reach.BoxGrid`, so `BoxSet`s hold its ids.
+    the row-major bin on that face, so the ids run 0..size-1.  It shares
+    the cell contract of `reach.BoxGrid`, `size` and `centers`, so
+    `BoxSet`s hold its ids.  Its own `cell_points` and `box_of` serve the
+    sphere graph's build, which reads their coordinate-major layout.
     """
 
     ambient: int

@@ -15,7 +15,8 @@ the approximations are not guaranteed to contain the true sets, and can be
 strictly smaller.  Results are always relative to the window: transitions
 leaving it go to an absorbing sink that closures exclude.  Box sets,
 closures, control sets and chain components take the graphs of both
-grids, `BoxGrid` and `projective.SphereGrid`, which share one cell contract.
+grids, `BoxGrid` and `projective.SphereGrid`, and read only their cell
+contract: ids 0..size-1 and `centers`.
 """
 
 import contextvars
@@ -66,7 +67,7 @@ class BoxGrid:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float).reshape(-1)
         hi = np.asarray(self.hi, dtype=float).reshape(-1)
-        subs = _whole(self.subdivisions, "subdivisions").reshape(-1)
+        subs = _whole(self.subdivisions, "subdivisions").flatten()  # not the caller's array
         if lo.shape != hi.shape or lo.shape != subs.shape:
             raise ValueError("lo, hi, subdivisions must have equal lengths")
         if np.any(lo >= hi):
@@ -125,24 +126,20 @@ class BoxGrid:
         multi = np.asarray(multi, dtype=np.int64)
         return np.ravel_multi_index(tuple(multi.T), self.subdivisions)
 
-    def cell_points(self, indices, offsets) -> np.ndarray:
-        """(P, N, dim) points at the relative positions `offsets` (P, dim) in
-        the boxes: coordinate k is lo + (index + offset) * width on axis k.
-        The transpose view of a coordinate-major (P, dim, N) array, so the
-        transpose of each point set is contiguous."""
-        multi = self.multi_index(np.reshape(indices, -1)).T  # (dim, N)
-        offsets = np.asarray(offsets, dtype=float)[:, :, None]  # (P, dim, 1)
-        pts = np.add(multi, offsets, out=np.empty((offsets.shape[0],) + multi.shape))
-        pts *= self.widths[:, None]
-        pts += self.lo[:, None]
-        return pts.transpose(0, 2, 1)
+    def _box_points(self, indices, offset: float) -> np.ndarray:
+        """(N, dim) points at the relative position `offset` in every box,
+        C-contiguous: coordinate k is (index_k + offset) * width_k + lo_k."""
+        multi = np.unravel_index(np.asarray(indices, dtype=np.int64).reshape(-1),
+                                 self.subdivisions)
+        return np.stack([(m + offset) * w + lo for m, w, lo in zip(multi, self.widths, self.lo)],
+                        axis=-1)
 
     def centers(self, indices) -> np.ndarray:
         """(N, dim) box centers, C-contiguous."""
-        return np.ascontiguousarray(self.cell_points(indices, np.full((1, self.dim), 0.5))[0])
+        return self._box_points(indices, 0.5)
 
     def lower_corners(self, indices) -> np.ndarray:
-        return self.cell_points(indices, np.zeros((1, self.dim)))[0]
+        return self._box_points(indices, 0.0)
 
     def box_of(self, points) -> np.ndarray:
         """Flat box index per point, or -1 for points outside the window.
@@ -161,39 +158,24 @@ class BoxGrid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points with {pts.shape[-1]} coordinates on a {self.dim}-D grid")
-        shape = pts.shape[:-1]
         widths = self.widths
-        last = (self.subdivisions - 1).astype(float)
-        # one set of buffers for all axes; a slice pts[..., k] has a
-        # contiguous inner axis when pts is the transpose view of (..., dim, n)
-        flat = np.empty(shape, dtype=np.int64)
-        inside = np.empty(shape, dtype=bool)
-        test = np.empty(shape, dtype=bool)
-        quotient = np.empty(shape)
-        cell = np.empty(shape, dtype=np.int64)
+        flat = np.zeros(pts.shape[:-1], dtype=np.int64)
+        inside = np.ones(pts.shape[:-1], dtype=bool)
+        # an axis at a time: numpy broadcasts over a short last axis slowly
         with np.errstate(over="ignore", invalid="ignore"):  # those points are outside
-            for k, sub in enumerate(self.subdivisions):
+            for k, sub in enumerate(self.subdivisions.tolist()):
                 x = pts[..., k]
-                np.subtract(x, self.lo[k], out=quotient)
+                offset = x - self.lo[k]
                 # x - lo >= 0 is x >= lo for every double, NaN (False) and
                 # +-inf too: a rounded difference of doubles has the sign of
                 # the exact one, and is 0 only when they are equal
-                np.greater_equal(quotient, 0.0, out=test if k else inside)
-                if k:
-                    inside &= test
-                np.less(x, self.hi[k], out=test)
-                inside &= test
-                quotient /= widths[k]
+                inside &= offset >= 0.0
+                inside &= x < self.hi[k]
+                offset /= widths[k]
                 # inside, the clipped quotient is >= 0, so the cast is the floor
-                np.minimum(quotient, last[k], out=quotient)
-                axis_cell = cell if k else flat
-                np.copyto(axis_cell, quotient, casting="unsafe")
-                if k:
-                    flat *= sub
-                    flat += cell
-        np.logical_not(inside, out=test)
-        flat[test] = -1
-        return flat
+                flat *= sub
+                flat += np.minimum(offset, sub - 1).astype(np.int64)
+        return np.where(inside, flat, -1)
 
     def box_containing(self, point) -> int:
         idx = self.box_of(np.asarray(point, dtype=float)[None, :])[0]
@@ -217,9 +199,9 @@ class BoxSet:
     """Subset of a grid's boxes, stored as a sorted unique index array.
 
     The grid is a `BoxGrid` or a `projective.SphereGrid`, whose cell contract
-    is ids 0..size-1, `cell_points`, `centers` and `box_of`; `volume`,
-    `dilate`, `is_invariant_in_window` and `refine` raise TypeError on any
-    grid but a `BoxGrid`.  `==` and `hash` go by identity; `equals`
+    is ids 0..size-1 and `centers`; `volume`, `dilate`,
+    `is_invariant_in_window` and `refine` raise TypeError on any grid but a
+    `BoxGrid`.  `==` and `hash` go by identity; `equals`
     compares the boxes.
     """
 
@@ -227,7 +209,7 @@ class BoxSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64)
+        idx = np.array(_whole(self.indices, "indices"))
         # one comparison pass spares the sort of the strictly increasing
         # arrays refine and the graph queries pass (np.unique hashes, slower)
         if not np.all(idx[1:] > idx[:-1]):
@@ -652,7 +634,7 @@ class TransitionGraph:
 
     def position_of(self, box_indices) -> np.ndarray:
         """Positions of flat box indices inside `boxes` (-1 if absent)."""
-        return _positions(self.boxes, np.asarray(box_indices, dtype=np.int64))
+        return _positions(self.boxes, _whole(box_indices, "box_indices"))
 
     def successors(self, position: int) -> np.ndarray:
         return self.targets[self.indptr[position]:self.indptr[position + 1]]
@@ -889,7 +871,7 @@ def control_set_approx(graph: TransitionGraph, seed_box: int) -> BoxSet:
     seed yields the empty set.  Reads the graph's cached SCC labelling,
     the one `chain_components` uses.
     """
-    pos = graph.position_of(np.array([seed_box]))[0]
+    pos = graph.position_of([int(_whole(seed_box, "seed_box"))])[0]
     if pos < 0:
         raise ValueError("seed box is not part of the graph")
     labels, kept = graph.scc()

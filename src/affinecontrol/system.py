@@ -56,8 +56,11 @@ class BlowUpError(RuntimeError):
 
 def _whole(value, name: str) -> np.ndarray:
     """`value` as int64, or ValueError naming `name` unless every entry is whole;
-    TypeError for None."""
+    TypeError for None.  Signed integers skip the check, and int64 input
+    comes back uncopied."""
     raw = np.asarray(value)
+    if raw.dtype.kind == "i":
+        return raw.astype(np.int64, copy=False)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
         whole = raw.astype(np.int64)
     if not np.array_equal(whole, raw):
@@ -222,6 +225,9 @@ class PiecewiseControl:
         return np.cumsum(self.durations)
 
     def value_at(self, t: float) -> np.ndarray:
+        """The value at time t; ValueError unless t is finite."""
+        if not np.isfinite(t):
+            raise ValueError("control times must be finite")
         phase = float(t) % self.period
         idx = int(np.searchsorted(self._cumulative, phase, side="right"))
         idx = min(idx, self.num_segments - 1)
@@ -356,8 +362,7 @@ def larc_rank(sys: AffineSystem, x, max_depth: int | None = None,
     or once the span of field coefficients saturates.  The returned value
     is the numerical rank of the stacked evaluations at x.
     """
-    if max_depth is None:
-        max_depth = 2 * sys.n
+    max_depth = 2 * sys.n if max_depth is None else int(_whole(max_depth, "max_depth"))
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     generators = sys.generators()

@@ -223,10 +223,12 @@ def test_stacked_box_of_equals_the_row_by_row_call(grid, shape, data):
     expected = np.array([grid.box_of(row)[0] for row in rows], dtype=np.int64).reshape(shape)
     pts = rows.reshape(shape + (dim,))
     coordinate_major = np.ascontiguousarray(np.moveaxis(pts, -1, -2))
-    for layout in (pts, np.moveaxis(coordinate_major, -1, -2)):
+    # row-major, coordinate-major, and a view with a negative stride
+    for layout, want in ((pts, expected), (np.moveaxis(coordinate_major, -1, -2), expected),
+                         (pts[::-1], expected[::-1])):
         got = grid.box_of(layout)
         assert got.dtype == np.int64 and got.shape == shape
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got, want)
     if on_box_grid or count == 0:
         return
     # a zero or non-finite point in any row fails the whole stack
@@ -438,27 +440,35 @@ def test_sphere_graph_matches_pairwise_reference(case):
 @given(st.one_of(grids(), st.builds(SphereGrid, st.integers(2, 4), st.integers(1, 6))),
        st.integers(1, 5), st.integers(0, 2**16), st.data())
 def test_cell_points_of_both_grids(grid, pts_per_box, seed, data):
-    # the one cell contract of BoxGrid and SphereGrid: the test points of
-    # both graph builders, the centers, and box_of inverting them
+    # the centers of both grids, the sphere's test points, and box_of
+    # inverting points inside the boxes
     boxes = np.array(data.draw(st.lists(st.integers(0, grid.size - 1), unique=True)),
                      dtype=np.int64)
     on_box_grid = isinstance(grid, BoxGrid)
     cell_dims = grid.dim if on_box_grid else grid.face_dims
+    interior = np.array(data.draw(st.lists(st.lists(st.floats(0.01, 0.99), min_size=cell_dims,
+                                                    max_size=cell_dims), min_size=1,
+                                           max_size=4)))
+    centers = grid.centers(boxes)
+    assert centers.flags.c_contiguous
+    if on_box_grid:
+        # coordinate k is (index_k + offset) * width_k + lo_k, bit for bit
+        def at(offset):
+            return grid.lo + (grid.multi_index(boxes) + offset) * grid.widths
+
+        assert centers.shape == (boxes.size, grid.dim)
+        assert np.array_equal(centers, at(0.5))
+        assert np.array_equal(grid.lower_corners(boxes), at(0.0))
+        for offset in interior:
+            assert np.array_equal(grid.box_of(at(offset)), boxes)
+        return
     offsets = _test_offsets(cell_dims, pts_per_box, seed)
     assert offsets.shape == (pts_per_box, cell_dims) and np.all(offsets[0] == 0.5)
     points = grid.cell_points(boxes, offsets)
-    assert points.shape == (pts_per_box, boxes.size, grid.dim if on_box_grid else grid.ambient)
+    assert points.shape == (pts_per_box, boxes.size, grid.ambient)
     assert all(pts.T.flags.c_contiguous for pts in points)
-    centers = grid.centers(boxes)
-    assert centers.flags.c_contiguous and np.array_equal(points[0], centers)  # bit for bit
-    if on_box_grid:  # the sphere's rows are pinned in test_projective
-        expected = [grid.lo + (grid.multi_index(boxes) + off) * grid.widths for off in offsets]
-        assert np.array_equal(points, np.stack(expected))
-        assert np.array_equal(grid.lower_corners(boxes),
-                              grid.lo + grid.multi_index(boxes) * grid.widths)
-    interior = data.draw(st.lists(st.lists(st.floats(0.01, 0.99), min_size=cell_dims,
-                                           max_size=cell_dims), min_size=1, max_size=4))
-    for pts in grid.cell_points(boxes, np.array(interior)):
+    assert np.array_equal(points[0], centers)  # bit for bit
+    for pts in grid.cell_points(boxes, interior):
         assert np.array_equal(grid.box_of(pts), boxes)
 
 
@@ -514,7 +524,7 @@ def test_face_cases_differ_from_box_of_only_on_a_face(case):
     sys, grid, controls, dt, pts_per_box, seed, _ = case
     offsets = _test_offsets(grid.dim, pts_per_box, seed)
     boxes = np.arange(grid.size)
-    points = grid.cell_points(boxes, offsets)
+    points = [grid.lo + (grid.multi_index(boxes) + offset) * grid.widths for offset in offsets]
     multi = grid.multi_index(boxes).tolist()
     differ = 0
     for u in controls:

@@ -498,6 +498,19 @@ def test_concat_path_endpoints_and_junction():
     assert np.allclose(phi_mid, expected, atol=1e-11)
 
 
+def test_control_path_is_constant_exactly_when_its_endpoints_are_the_same():
+    # constant is read off u and v, so no flag can contradict them
+    u = PiecewiseControl.from_segments([([1.0], 0.5), ([-0.5], 0.7)])
+    v = PiecewiseControl.from_segments([([-1.0], 0.4), ([0.2], 0.9)])
+    path = ControlPath(u, v)
+    assert not path.constant
+    assert path.at(0.0).same_as(u) and path.at(1.0).same_as(v)
+    same = ControlPath(u, PiecewiseControl(u.values, u.durations))
+    assert same.constant and all(same.at(a) is u for a in (0.0, 0.5, 1.0))
+    with pytest.raises(TypeError):
+        ControlPath(u, v, constant=True)
+
+
 def test_control_path_rejects_mixed_control_dimensions():
     u, v = PiecewiseControl.constant([0.1]), PiecewiseControl.constant([0.1, 0.2])
     for make in (ControlPath, concat_path):

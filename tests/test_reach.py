@@ -20,7 +20,7 @@ from affinecontrol.reach import (
     is_invariant_in_window,
     refine,
 )
-from affinecontrol.system import AffineSystem
+from affinecontrol.system import AffineSystem, larc_rank
 
 from conftest import planar_saddle_system
 
@@ -112,6 +112,11 @@ def test_grid_equality_is_by_value():
                   BoxGrid([0], [1], [4])):
         assert grid != other
     assert BoxSet(grid, [1, 2]).union(BoxSet(same, [3])).indices.tolist() == [1, 2, 3]
+    # the grid holds its own subdivisions, not the caller's int64 array
+    subs = np.array([4, 4])
+    owned = BoxGrid([0, 0], [1, 1], subs)
+    subs[0] = 8
+    assert owned == grid and not np.shares_memory(owned.subdivisions, subs)
 
 
 def test_mixed_grids_are_rejected():
@@ -569,3 +574,19 @@ def test_refine_closure_commutes_up_to_collar():
     parents = grid.flat_index(fine.multi_index(fine_closure.indices) // 2)
     coarse_cover = keep.dilate(1)
     assert all(p in coarse_cover for p in np.unique(parents))
+
+
+@pytest.mark.parametrize("value", [1.5, np.nan, np.inf])
+@pytest.mark.parametrize("entry, name", [
+    (lambda graph, v: BoxSet(graph.grid, [0, v]), "indices"),
+    (lambda graph, v: graph.position_of([v]), "box_indices"),
+    (lambda graph, v: control_set_approx(graph, v), "seed_box"),
+    (lambda graph, v: larc_rank(planar_saddle_system(), [0.0, 0.0], max_depth=v), "max_depth"),
+], ids=["BoxSet", "position_of", "control_set_approx", "larc_rank"])
+def test_ids_and_depths_from_outside_must_be_whole(entry, name, value):
+    # a cast would truncate them: 1.5 would name box 1
+    grid = BoxGrid([-1.0], [1.0], [4])
+    graph = build_transition_graph(shift_1d(), grid, [[-1.0], [1.0]], 0.1, 1, 0)
+    entry(graph, 2.0)  # a whole float is taken
+    with pytest.raises(ValueError, match=f"{name} must be whole"):
+        entry(graph, value)

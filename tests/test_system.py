@@ -377,6 +377,8 @@ def test_simulate_rejects_control_outside_box():
     lambda sys, ctrl, t: principal_matrix(sys, ctrl, t, 0.0),
     lambda sys, ctrl, t: principal_matrix(sys, ctrl, 0.0, -t),
     lambda sys, ctrl, t: lyapunov_estimate(sys, ctrl, [1.0, 0.0], t),
+    lambda sys, ctrl, t: ctrl.value_at(t),
+    lambda sys, ctrl, t: ctrl.value_at(-t),
 ])
 def test_non_finite_control_times_raise(entry, t):
     # unchecked, an infinite length cuts pieces without end and NaN passes
