@@ -250,8 +250,9 @@ class SphereGrid:
         return self.ambient * self.cells_per_face
 
     def _split(self, ids: np.ndarray):
-        """Anchor axis and the face_dims per-axis bins of each id."""
-        axis, cell = np.divmod(np.asarray(ids, dtype=np.int64), self.cells_per_face)
+        """Anchor axis and the face_dims per-axis bins of each id, the ids
+        whole numbers as `_whole` checks."""
+        axis, cell = np.divmod(_whole(ids, "ids"), self.cells_per_face)
         return axis, np.unravel_index(cell, (self.subdivisions,) * self.face_dims)
 
     def box_of(self, points: np.ndarray) -> np.ndarray:
@@ -444,10 +445,10 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
             block[c * pts_per_box:(c + 1) * pts_per_box] = sphere.box_of(
                 _flow_rows(step, points)[0])
 
-    indptr, targets, sink = _sampled_csr(sphere, ids, len(steps) * pts_per_box, fill)
-    return SphereGraph(grid=sphere, boxes=ids, indptr=indptr, targets=targets, sink=sink,
-                       dt=float(dt), controls=controls, pts_per_box=pts_per_box,
-                       seed=seed)
+    indptr, targets, sink, loops = _sampled_csr(sphere, ids, len(steps) * pts_per_box, fill)
+    return SphereGraph._built(loops, grid=sphere, boxes=ids, indptr=indptr, targets=targets,
+                              sink=sink, dt=float(dt), controls=controls,
+                              pts_per_box=pts_per_box, seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,7 +499,7 @@ def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
     arrays of a `SphereChainAnalysis`: one gather of the members' boxes and
     one level-0 test over them.  Its `components` and `level_zero` lists are
     made on first read."""
-    members, bounds = _label_order(*graph.scc())
+    members, bounds = _label_order(*graph._scc_sizes())
     boxes = graph.boxes[members]
     touching = graph.sphere.level_zero_touching(boxes)
     bounds = np.array(bounds, dtype=np.int64)
@@ -627,7 +628,8 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     dirs = _canonical_sign(np.hstack([_unit_rows(pts), np.zeros((pts.shape[0], 1))]))
     # the last coordinate, the level's, is 0 in every row
     n_clusters, labels = _single_linkage(dirs[:, :-1], tolerances.cluster_tol)
-    clusters = _label_groups(labels, np.ones(n_clusters, dtype=bool))
+    clusters = _label_groups(labels, np.ones(n_clusters, dtype=bool),
+                             np.bincount(labels, minlength=n_clusters))
     means = np.empty((len(clusters), dirs.shape[1]))
     for i, members in enumerate(clusters):  # sign-aligned mean, anchored at the first member
         block = dirs[members]

@@ -32,7 +32,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .config import DEFAULT_MEMORY_CAP
-from .system import AffineSystem, _check_values, _whole, segment_map
+from .system import AffineSystem, _check_values, _segment_maps, _whole
 
 __all__ = [
     "BoxGrid",
@@ -118,19 +118,22 @@ class BoxGrid:
         return float(np.prod(self.widths))
 
     def multi_index(self, indices) -> np.ndarray:
-        """(k, dim) array of per-axis indices for flat box indices."""
-        indices = np.asarray(indices, dtype=np.int64)
+        """(k, dim) array of per-axis indices for flat box indices, whole
+        numbers as `_whole` checks."""
+        indices = _whole(indices, "indices")
         return np.stack(np.unravel_index(indices, self.subdivisions), axis=-1)
 
     def flat_index(self, multi) -> np.ndarray:
-        multi = np.asarray(multi, dtype=np.int64)
+        """Flat box indices of (k, dim) per-axis indices, whole numbers as
+        `_whole` checks."""
+        multi = _whole(multi, "multi")
         return np.ravel_multi_index(tuple(multi.T), self.subdivisions)
 
     def _box_points(self, indices, offset: float) -> np.ndarray:
         """(N, dim) points at the relative position `offset` in every box,
-        C-contiguous: coordinate k is (index_k + offset) * width_k + lo_k."""
-        multi = np.unravel_index(np.asarray(indices, dtype=np.int64).reshape(-1),
-                                 self.subdivisions)
+        C-contiguous: coordinate k is (index_k + offset) * width_k + lo_k.
+        The ids are whole numbers, as `_whole` checks."""
+        multi = np.unravel_index(_whole(indices, "indices").reshape(-1), self.subdivisions)
         return np.stack([(m + offset) * w + lo for m, w, lo in zip(multi, self.widths, self.lo)],
                         axis=-1)
 
@@ -178,7 +181,13 @@ class BoxGrid:
         return np.where(inside, flat, -1)
 
     def box_containing(self, point) -> int:
-        idx = self.box_of(np.asarray(point, dtype=float)[None, :])[0]
+        """Flat index of the box holding one point of `dim` coordinates;
+        ValueError for any other shape or a point outside the window."""
+        pt = np.asarray(point, dtype=float)
+        if pt.shape != (self.dim,):
+            raise ValueError(f"box_containing takes one point of {self.dim} coordinates, "
+                             f"not an array of shape {pt.shape}")
+        idx = self.box_of(pt[None, :])[0]
         if idx < 0:
             raise ValueError(f"point {point} lies outside the window")
         return int(idx)
@@ -298,7 +307,9 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # the cap, and `_sampled_csr` works through the nodes in tiles (`_tile_starts`).
 # Per tile the grid's fill callable writes a (C * P, tile) block of box ids, a
 # row per (control, test point) and a column per node; `_rows_to_csr` sorts
-# each node's C * P samples in the block's transpose.  On a BoxGrid the fill
+# each node's C * P samples in the block's transpose, and the nodes with a
+# sample in their own position, the self-loops, are flagged from the block
+# itself, so no graph query scans the CSR for them.  On a BoxGrid the fill
 # works in bin coordinates: every dt-map is affine and the test points lie
 # on a lattice, so the sample of test point p in box m has bin coordinate
 # q = Q m + R[p] (`_bin_map`, once per control), and `_lattice_block` writes
@@ -462,9 +473,10 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
 
 
 def _sampled_csr(grid, boxes: np.ndarray, samples: int,
-                 fill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, targets, sink) of the graph on the sorted `boxes`, each node
-    with `samples` sampled targets (a row per control and test point).
+                 fill) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, targets, sink, loops) of the graph on the sorted `boxes`, each
+    node with `samples` sampled targets (a row per control and test point),
+    `loops` flagging the nodes with an edge to themselves.
 
     Works through `boxes` in the tiles of `_tile_starts`, built by `_in_tiles`
     on the calling thread and the tile pool, or on the caller alone when
@@ -472,14 +484,16 @@ def _sampled_csr(grid, boxes: np.ndarray, samples: int,
     grid's part: it writes the box id of every sample of the tile's
     `nodes` into the (samples, n) `block`, a row per sample and a column per
     node, -1 for a sample outside the window; `_rows_to_csr` turns the
-    block into the tile's rows.  When `boxes` leaves out some box of
+    block into the tile's rows, and a node's self-loop flag is whether any
+    sample in its column is its own position, read off the block on the
+    tile's thread.  When `boxes` leaves out some box of
     `grid`, the ids become positions in `boxes` by one `np.take` through a
     table of grid.size + 1 words, -1 for ids not in `boxes` and in the last
     entry, which id -1 (the sink) reads; otherwise every box is in `boxes`
     and the ids are positions already.  Every index of the build is at most
     grid.size + samples, so the block, table and tiles take its
-    `_index_dtype`.  The tiles' rows are joined in order, so the graph does
-    not depend on the tiling or the thread count.  The joined graph is
+    `_index_dtype`.  The tiles' rows and flags are joined in order, so the
+    graph does not depend on the tiling or the thread count.  The joined graph is
     stored in the `_index_dtype` of edges + nodes + 1, which bounds every
     index `_reachable` forms: int32 whenever the kept graph fits, the arrays
     csgraph computes on as they are.
@@ -497,19 +511,23 @@ def _sampled_csr(grid, boxes: np.ndarray, samples: int,
         fill(nodes, block)
         if table is not None:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
             np.take(table, block, out=block, mode="wrap")
-        return _rows_to_csr(np.ascontiguousarray(block.T))
+        own = np.arange(starts[i], starts[i] + nodes.size, dtype=dtype)
+        loops = (block == own).any(axis=0)
+        return *_rows_to_csr(np.ascontiguousarray(block.T)), loops
 
     indptr = np.zeros(boxes.size + 1, dtype=dtype)
-    targets, sinks = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=bool)]
-    for start, (tile_indptr, tile_targets, tile_sink) in zip(
+    targets = [np.empty(0, dtype=dtype)]
+    sinks, loops = [np.empty(0, dtype=bool)], [np.empty(0, dtype=bool)]
+    for start, (tile_indptr, tile_targets, tile_sink, tile_loops) in zip(
             starts, _in_tiles(tile, len(starts))):
         stop = start + tile_sink.size
         np.add(tile_indptr[1:], indptr[start], out=indptr[start + 1:stop + 1])
         targets.append(tile_targets)
         sinks.append(tile_sink)
+        loops.append(tile_loops)
     stored = _index_dtype(int(indptr[-1]) + boxes.size + 1)
     return (indptr.astype(stored, copy=False), np.concatenate(targets, dtype=stored),
-            np.concatenate(sinks))
+            np.concatenate(sinks), np.concatenate(loops))
 
 
 def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -542,25 +560,29 @@ def _self_loops(indptr: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def _scc_labels(indptr: np.ndarray, targets: np.ndarray,
-                loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SCC label per position, and per label whether the SCC has an internal
-    edge (two or more members, or a self-loop; `loops`: per-node flags)."""
+                loops: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SCC label per position, per label whether the SCC has an internal
+    edge (two or more members, or a self-loop; `loops`: per-node flags), and
+    per label the SCC's size."""
     if indptr.size == 1:
-        return np.empty(0, dtype=np.int32), np.empty(0, dtype=bool)
+        return np.empty(0, dtype=np.int32), np.empty(0, dtype=bool), np.empty(0, dtype=np.intp)
     n_comp, labels = csgraph.connected_components(
         _csr_matrix(indptr, targets), directed=True, connection="strong")
-    kept = np.bincount(labels, minlength=n_comp) >= 2
+    sizes = np.bincount(labels, minlength=n_comp)
+    kept = sizes >= 2
     kept[labels[loops]] = True
-    return labels, kept
+    return labels, kept, sizes
 
 
-def _label_order(labels: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _label_order(labels: np.ndarray, kept: np.ndarray,
+                 counts: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Positions of the labels flagged in `kept`, grouped by label: the groups
     by size descending, then smallest position, each sorted; and the group
-    bounds, group k being positions[bounds[k]:bounds[k + 1]]."""
+    bounds, group k being positions[bounds[k]:bounds[k + 1]].  `counts[l]`
+    is the number of positions with label l, as `_scc_labels` returns it."""
     members = np.flatnonzero(kept[labels])
     members = members[np.argsort(labels[members], kind="stable")]
-    sizes = np.bincount(labels, minlength=kept.size)[kept]
+    sizes = counts[kept]
     starts = np.cumsum(sizes) - sizes
     order = np.lexsort((members[starts], -sizes))
     sizes = sizes[order]
@@ -571,10 +593,11 @@ def _label_order(labels: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, list
     return members, [0] + ends.tolist()
 
 
-def _label_groups(labels: np.ndarray, kept: np.ndarray) -> list[np.ndarray]:
+def _label_groups(labels: np.ndarray, kept: np.ndarray,
+                  counts: np.ndarray) -> list[np.ndarray]:
     """The groups of `_label_order` as sorted arrays, by size descending,
     then smallest position."""
-    members, bounds = _label_order(labels, kept)
+    members, bounds = _label_order(labels, kept, counts)
     return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -608,8 +631,12 @@ class TransitionGraph:
     `boxes` lists the participating flat box indices (sorted); adjacency is
     CSR over positions into that list, int32 under DEFAULT_MEMORY_CAP.  `sink`
     marks boxes with a sampled transition leaving the window (or the active
-    subset).  The reversed graph and the SCC labelling are computed on first
-    use and cached; `chain_components` and `control_set_approx` share it.
+    subset).  The reversed graph, the self-loop flags and the SCC labelling
+    with its component sizes are cached on the graph, none of them a
+    constructor parameter.  The builders store the self-loop flags their
+    tiles computed; the rest, and the flags of a graph made through the
+    constructor, are computed on first use.  `chain_components` and
+    `control_set_approx` share the labelling.
     """
 
     grid: "BoxGrid | SphereGrid"
@@ -622,7 +649,17 @@ class TransitionGraph:
     pts_per_box: int
     seed: int
     _reverse: tuple = field(init=False, repr=False, default=None)
+    _loops: np.ndarray = field(init=False, repr=False, default=None)
     _scc: tuple = field(init=False, repr=False, default=None)
+
+    @classmethod
+    def _built(cls, loops: np.ndarray, **fields) -> "TransitionGraph":
+        """The graph of `fields` with the self-loop flags `loops` of its
+        build in the cache, made read-only."""
+        graph = cls(**fields)
+        loops.setflags(write=False)
+        object.__setattr__(graph, "_loops", loops)
+        return graph
 
     @property
     def num_boxes(self) -> int:
@@ -652,6 +689,11 @@ class TransitionGraph:
     def scc(self) -> tuple[np.ndarray, np.ndarray]:
         """(labels, kept): SCC label per position, and per label whether the
         SCC has two or more members or a self-loop (cached)."""
+        return self._scc_sizes()[:2]
+
+    def _scc_sizes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(labels, kept, sizes): `scc()` and the size of each SCC, as
+        `_scc_labels` counted them (cached)."""
         if self._scc is None:
             object.__setattr__(self, "_scc", _scc_labels(self.indptr, self.targets,
                                                          self.has_self_loop()))
@@ -665,7 +707,15 @@ class TransitionGraph:
         return _csr_matrix(self.indptr, self.targets, np.float64)
 
     def has_self_loop(self) -> np.ndarray:
-        return _self_loops(self.indptr, self.targets)
+        """Per position, whether the node has an edge to itself; read-only
+        and cached.  A built graph holds the flags its tiles read off the
+        samples; a graph made through the constructor reads the diagonal of
+        its CSR (`_self_loops`) on first use."""
+        if self._loops is None:
+            loops = _self_loops(self.indptr, self.targets)
+            loops.setflags(write=False)
+            object.__setattr__(self, "_loops", loops)
+        return self._loops
 
 
 def _primes(count: int) -> list[int]:
@@ -809,7 +859,11 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     and a pool of one thread per further CPU of the process's affinity, in
     the caller's `np.errstate`; a graph of fewer than 8192 boxes
     (`_TILE` // 2) is one tile, built on the calling thread alone.  The
-    graph is the same for any thread count.
+    graph is the same for any thread count.  The C dt-maps come from one
+    `system._segment_maps` call, which treats every control on its own, so
+    they are those of `segment_map` to the bit.  The tiles also flag the
+    boxes with a sample in their own box, and the graph keeps those flags
+    as its `has_self_loop()`.
     Deterministic for a fixed seed, a whole number as `_whole` checks.
 
     `memory_cap` bounds words: one per point-control sample (boxes x
@@ -825,16 +879,18 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
                                                     dt, pts_per_box, seed, memory_cap)
     boxes = np.arange(grid.size, dtype=np.int64) if active is None else active.indices
     offsets = _test_offsets(grid.dim, pts_per_box, seed)
-    bin_maps = [_bin_map(grid, offsets, segment_map(sys, u, dt)) for u in controls]
+    maps = _segment_maps(sys, controls, np.full(controls.shape[0], float(dt)))
+    bin_maps = [_bin_map(grid, offsets, (E[:-1, :-1], E[:-1, -1])) for E in maps]
 
     def fill(nodes, block):
         _lattice_block(grid.multi_index(nodes), bin_maps, grid.subdivisions, block)
 
     # outside the window (-1) or the active subset -> sink
-    indptr, targets, sink = _sampled_csr(grid, boxes, len(bin_maps) * pts_per_box, fill)
-    return TransitionGraph(grid=grid, boxes=boxes.copy(), indptr=indptr,
-                           targets=targets, sink=sink, dt=float(dt),
-                           controls=controls, pts_per_box=pts_per_box, seed=seed)
+    indptr, targets, sink, loops = _sampled_csr(grid, boxes, len(bin_maps) * pts_per_box,
+                                                fill)
+    return TransitionGraph._built(loops, grid=grid, boxes=boxes.copy(), indptr=indptr,
+                                  targets=targets, sink=sink, dt=float(dt),
+                                  controls=controls, pts_per_box=pts_per_box, seed=seed)
 
 
 def closure(graph: TransitionGraph, from_set: BoxSet, direction: str = "forward",
@@ -889,7 +945,7 @@ def chain_components(graph: TransitionGraph) -> list[BoxSet]:
     cached SCC labelling, the one `control_set_approx` reads.
     """
     return [BoxSet(graph.grid, graph.boxes[members])
-            for members in _label_groups(*graph.scc())]
+            for members in _label_groups(*graph._scc_sizes())]
 
 
 def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,

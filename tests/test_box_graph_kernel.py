@@ -169,6 +169,16 @@ def test_box_of_reads_every_coordinate():
     assert SphereGrid(3, 4).box_of([[1.0, 0.2, 0.1]]).tolist() == [10]
 
 
+@pytest.mark.parametrize("point", [[[0.5, 0.5], [0.9, 0.9]], [[0.5, 0.5]], 0.5, []],
+                         ids=["two points", "one row", "scalar", "empty"])
+def test_box_containing_takes_one_point(point):
+    # a (k, dim) array gave numpy's errors, a TypeError among them
+    grid = BoxGrid([0.0, 0.0], [1.0, 1.0], [4, 4])
+    with pytest.raises(ValueError, match="one point of 2 coordinates"):
+        grid.box_containing(point)
+    assert grid.box_containing([0.5, 0.5]) == 10
+
+
 def scalar_sphere_box(grid: SphereGrid, x) -> int:
     """Sphere box id of one point with Python ints: anchor axis times the
     cells per face plus the Horner sum of the clipped bins of x / anchor."""
@@ -689,9 +699,17 @@ def built_per_tile_size(monkeypatch, build, module, name):
 
 
 def assert_same_bits(graph, other):
-    for name in ("boxes", "indptr", "targets", "sink"):
+    for name in ("boxes", "indptr", "targets", "sink", "has_self_loop"):
         a, b = getattr(graph, name), getattr(other, name)
+        if callable(a):
+            a, b = a(), b()
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def assert_loops_of_the_csr(graph):
+    """The flags the build stored are the diagonal of the graph's CSR."""
+    assert graph._loops is not None  # stored by the build, not computed on the query
+    assert np.array_equal(graph.has_self_loop(), reach._self_loops(graph.indptr, graph.targets))
 
 
 SHEAR = AffineSystem([[0.4, 2.5], [-0.3, -0.6]], [[[0.0, 0.5], [0.0, 0.2]]],
@@ -722,12 +740,16 @@ def box_graph_build(case):
 @pytest.mark.parametrize("case", ["37x29", "refined", "11^3"])
 def test_box_graph_is_the_same_in_tiles(monkeypatch, case):
     build, controls = box_graph_build(case)
-    (tiled, whole), counts = built_per_tile_size(monkeypatch, build, reach, "segment_map")
-    assert counts == [controls, controls]  # one dt-map per control, not per tile
+    (tiled, whole), counts = built_per_tile_size(monkeypatch, build, reach, "_segment_maps")
+    assert counts == [1, 1]  # one batch of the dt-maps per build, not per tile or control
+    assert tiled.controls.shape[0] == controls
     assert tiled.num_boxes > 8 * 64 and tiled.num_boxes % 64 != 0
     assert tiled.num_edges > 0 and tiled.sink.any()
     if case == "refined":
         assert tiled.num_boxes < tiled.grid.size
+    for graph in (tiled, whole):
+        assert_loops_of_the_csr(graph)
+    assert tiled.has_self_loop().any() and not tiled.has_self_loop().all()
     assert_same_bits(tiled, whole)
 
 
@@ -748,6 +770,9 @@ def test_sphere_graph_is_the_same_in_tiles(monkeypatch, ambient, subdivisions, d
         projective, "expm")
     assert counts == [3, 3]  # one exponential per control, not per tile
     assert sphere.size > 6 * 64 and sphere.size % 64 != 0
+    for graph in (tiled, whole):
+        assert_loops_of_the_csr(graph)
+    assert tiled.has_self_loop().any() and not tiled.has_self_loop().all()
     assert_same_bits(tiled, whole)
 
 

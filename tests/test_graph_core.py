@@ -178,7 +178,9 @@ def test_graph_core_matches_warshall(case):
     assert graph.indptr.tolist() == np.concatenate([[0], np.cumsum(adj.sum(1))]).tolist()
     for p in range(n):
         assert graph.successors(p).tolist() == np.flatnonzero(adj[p]).tolist()
+    assert graph._loops is None  # a graph from the constructor reads its CSR on first use
     assert np.array_equal(graph.has_self_loop(), np.diag(adj))
+    assert np.array_equal(sphere_graph.has_self_loop(), np.diag(adj))
 
     reach = warshall(adj)
     want = expected_components(reach)
@@ -252,10 +254,11 @@ def test_label_groups_are_the_split_groups(n_labels, data):
     kept = np.array(data.draw(st.lists(st.booleans(), min_size=n_labels,
                                        max_size=n_labels))) & present
     expected = reference_label_groups(labels, kept)
-    groups = _label_groups(labels, kept)
+    counts = np.bincount(labels, minlength=n_labels)
+    groups = _label_groups(labels, kept, counts)
     assert [g.tolist() for g in groups] == [g.tolist() for g in expected]
     assert all(g.dtype == e.dtype for g, e in zip(groups, expected))
-    members, bounds = _label_order(labels, kept)
+    members, bounds = _label_order(labels, kept, counts)
     assert bounds == np.cumsum([0] + [g.size for g in expected]).tolist()
     assert members.tolist() == [p for g in expected for p in g.tolist()]
 
@@ -264,8 +267,10 @@ def assert_sphere_analysis_per_component(analysis):
     """The lists of a `SphereChainAnalysis` against one gather and one
     level-0 filter per component of its graph."""
     graph = analysis.graph
-    chains = reference_label_groups(*_scc_labels(graph.indptr, graph.targets,
-                                                 _self_loops(graph.indptr, graph.targets)))
+    labels, kept, sizes = _scc_labels(graph.indptr, graph.targets,
+                                      _self_loops(graph.indptr, graph.targets))
+    assert np.array_equal(sizes, np.bincount(labels, minlength=kept.size))
+    chains = reference_label_groups(labels, kept)
     touches = graph.sphere.level_zero_touching(graph.boxes)
     comps = [graph.boxes[members] for members in chains]
     level_zero = [graph.boxes[members[touches[members]]] for members in chains]

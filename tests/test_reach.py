@@ -342,7 +342,7 @@ def test_seed_must_be_whole(build):
 
 
 @pytest.mark.parametrize("cls", [TransitionGraph, SphereGraph])
-@pytest.mark.parametrize("cache", ["_scc", "_reverse"])
+@pytest.mark.parametrize("cache", ["_scc", "_reverse", "_loops"])
 def test_graph_caches_are_not_constructor_parameters(cls, cache):
     # a caller could pass a wrong SCC labelling that every query then read
     grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4])
@@ -353,6 +353,22 @@ def test_graph_caches_are_not_constructor_parameters(cls, cache):
     with pytest.raises(TypeError):
         cls(**fields, **{cache: None})
     assert np.array_equal(cls(**fields).scc()[0], graph.scc()[0])
+
+
+def test_self_loop_flags_are_read_only():
+    # every SCC labelling reads the cached flags, so a write would change it
+    grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4])
+    built = build_transition_graph(zero_field(), grid, [[0.0]], 0.5, 1, seed=0)
+    sphere = build_sphere_graph(zero_field(3), SphereGrid(3, 2), [[0.0]], 0.5, 3, seed=0)
+    made = TransitionGraph(grid=grid, boxes=built.boxes, indptr=built.indptr,
+                           targets=built.targets, sink=built.sink, dt=built.dt,
+                           controls=built.controls, pts_per_box=1, seed=0)
+    for graph in (built, sphere, made):
+        loops = graph.has_self_loop()
+        assert loops.all()  # the zero field keeps every box in itself
+        assert graph.has_self_loop() is loops
+        with pytest.raises(ValueError, match="read-only"):
+            loops[0] = False
 
 
 # ----------------------------------------------------------- control sets
@@ -582,7 +598,16 @@ def test_refine_closure_commutes_up_to_collar():
     (lambda graph, v: graph.position_of([v]), "box_indices"),
     (lambda graph, v: control_set_approx(graph, v), "seed_box"),
     (lambda graph, v: larc_rank(planar_saddle_system(), [0.0, 0.0], max_depth=v), "max_depth"),
-], ids=["BoxSet", "position_of", "control_set_approx", "larc_rank"])
+    (lambda graph, v: graph.grid.centers([v]), "indices"),
+    (lambda graph, v: graph.grid.lower_corners([v]), "indices"),
+    (lambda graph, v: graph.grid.multi_index([v]), "indices"),
+    (lambda graph, v: graph.grid.flat_index([[v]]), "multi"),
+    (lambda graph, v: SphereGrid(3, 4).centers([v]), "ids"),
+    (lambda graph, v: SphereGrid(3, 4).corners([v]), "ids"),
+    (lambda graph, v: SphereGrid(3, 4).level_zero_touching([v]), "ids"),
+], ids=["BoxSet", "position_of", "control_set_approx", "larc_rank", "centers",
+        "lower_corners", "multi_index", "flat_index", "sphere_centers", "sphere_corners",
+        "level_zero_touching"])
 def test_ids_and_depths_from_outside_must_be_whole(entry, name, value):
     # a cast would truncate them: 1.5 would name box 1
     grid = BoxGrid([-1.0], [1.0], [4])
