@@ -172,7 +172,7 @@ def test_box_of_reads_every_coordinate():
 @pytest.mark.parametrize("point", [[[0.5, 0.5], [0.9, 0.9]], [[0.5, 0.5]], 0.5, []],
                          ids=["two points", "one row", "scalar", "empty"])
 def test_box_containing_takes_one_point(point):
-    # a (k, dim) array gave numpy's errors, a TypeError among them
+    # box_of reads (k, dim) arrays as k points; box_containing names one box
     grid = BoxGrid([0.0, 0.0], [1.0, 1.0], [4, 4])
     with pytest.raises(ValueError, match="one point of 2 coordinates"):
         grid.box_containing(point)
