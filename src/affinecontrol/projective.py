@@ -251,8 +251,11 @@ class SphereGrid:
 
     def _split(self, ids: np.ndarray):
         """Anchor axis and the face_dims per-axis bins of each id, the ids
-        whole numbers as `_whole` checks."""
-        axis, cell = np.divmod(_whole(ids, "ids"), self.cells_per_face)
+        whole numbers as `_whole` checks in 0..size-1."""
+        ids = _whole(ids, "ids")
+        if ids.size and (ids.min() < 0 or ids.max() >= self.size):
+            raise ValueError(f"sphere box ids must lie in 0..{self.size - 1}")
+        axis, cell = np.divmod(ids, self.cells_per_face)
         return axis, np.unravel_index(cell, (self.subdivisions,) * self.face_dims)
 
     def box_of(self, points: np.ndarray) -> np.ndarray:
@@ -420,11 +423,10 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     throughout: `cell_points` and `_flow_rows` give the P point sets as the
     transpose view of a (P, ambient, tile) array, which one
     `SphereGrid.box_of` call reads a contiguous coordinate slice at a time.
-    The tiles are built on the calling thread and the tile pool of
-    `reach._in_tiles`, with the same graph for any thread count; a sphere of
-    fewer than 8192 boxes (`reach._TILE` // 2) is one tile, built on the
-    calling thread alone.  The
-    system dimension, controls, dt, pts_per_box, seed and the memory cap are
+    The tiles are built on the calling thread and the tile threads that
+    `reach._in_tiles` starts and joins, with the same read-only graph for
+    any thread count; a sphere of fewer than 8192 boxes (`reach._TILE` // 2)
+    is one tile, built on the calling thread alone.  The system dimension, controls, dt, pts_per_box, seed and the memory cap are
     checked as in `build_transition_graph`: `memory_cap` counts one word of
     the graph's index dtype per point-control sample (size x pts_per_box x
     controls), 4 bytes when size + samples < 2**31; no position table is

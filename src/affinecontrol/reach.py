@@ -23,8 +23,7 @@ import contextvars
 import functools
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,12 +316,12 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # point or an image.  That box differs from box_of(G p + h) only within
 # rounding of a box face.  On a SphereGrid the fill makes the test points,
 # flows them under each control and calls `SphereGrid.box_of`.  The tiles
-# are independent: the calling
-# thread builds every `_WORKERS`-th of them and a thread pool the rest
-# (`_in_tiles`), and their rows are joined once, in order, so no whole-graph
-# block or transpose exists and the graph has the bits of a serial build.  A
-# graph of fewer than `_TILE` // 2 nodes is one tile, built on the caller
-# alone: below that size the hand-offs of the interpreter lock between tile
+# are independent: the calling thread builds every `_WORKERS`-th of them and
+# a pool of threads that the build starts and joins the rest (`_in_tiles`),
+# and their rows are joined once, in order, so no whole-graph block or
+# transpose exists and the graph has the bits of a serial build.  A graph of
+# fewer than `_TILE` // 2 nodes is one tile, built on the caller alone:
+# below that size the hand-offs of the interpreter lock between tile
 # threads cost more than a second thread saves.
 # Ids are positions when the graph has every box, else a table maps
 # them.  `_sampled_csr` builds in int32 when grid.size plus the samples fit
@@ -332,7 +331,7 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # per-edge data (`_csr_matrix`).
 
 # Nodes per tile of the sampled build, at most, whose samples and id block
-# stay in cache; half of it is the least graph split over the tile pool.
+# stay in cache; half of it is the least graph split over tile threads.
 # Tiles are cut at multiples of 64 nodes, which matters only for the
 # sphere's BLAS product: OpenBLAS gives a product E @ X cut at such columns
 # the bits of the uncut one (cut at 1 or 7 columns it need not).  The box
@@ -342,27 +341,6 @@ _TILE = 16384
 # among them.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _tile_pool() -> ThreadPoolExecutor:
-    """The module's pool of `_WORKERS` - 1 tile threads, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="affinecontrol-tile")
-        return _pool
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool threads do not exist there."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _tile_starts(n: int) -> range:
@@ -381,30 +359,29 @@ def _tile_starts(n: int) -> range:
 
 def _in_tiles(build, count: int) -> list:
     """[build(i) for i in range(count)], tile i built by the calling thread
-    when i % _WORKERS == 0 and by the tile pool otherwise, each pool tile in a
-    copy of the caller's context (so it sees the caller's `np.errstate`).
-    One tile, as `_tile_starts` makes of a graph under _TILE // 2 nodes, is
-    built on the caller without the pool.
-    Every tile started is finished before this returns or raises; the error
+    when i % _WORKERS == 0 and otherwise by a pool of _WORKERS - 1 threads
+    that this call starts and joins, each pool tile in a copy of the
+    caller's context (so it sees the caller's `np.errstate`).  One tile, as
+    `_tile_starts` makes of a graph under _TILE // 2 nodes, or one worker
+    starts no thread.  No tile runs once this returns or raises; the error
     raised is the one of the first tile in order that failed, as in a
     serial build, and pool tiles after a failed tile of the caller's are
     cancelled if they have not started."""
-    futures = {}
-    if count > 1 and _WORKERS > 1:
-        pool = _tile_pool()
-        futures = {i: pool.submit(contextvars.copy_context().run, build, i)
-                   for i in range(count) if i % _WORKERS}
+    if count < 2 or _WORKERS < 2:
+        return [build(i) for i in range(count)]
     parts = [None] * count
     failed, error = count, None
-    try:
-        for i in range(0, count, _WORKERS):
-            parts[i] = build(i)
-    except BaseException as exc:  # re-raised below, after the pool tiles
-        failed, error = i, exc
-    for i, future in futures.items():
-        if i > failed:
-            future.cancel()
-    wait(futures.values())
+    with ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="affinecontrol-tile") as pool:
+        futures = {i: pool.submit(contextvars.copy_context().run, build, i)
+                   for i in range(count) if i % _WORKERS}
+        try:
+            for i in range(0, count, _WORKERS):
+                parts[i] = build(i)
+        except BaseException as exc:  # re-raised below, after the pool tiles
+            failed, error = i, exc
+        for i, future in futures.items():
+            if i > failed:
+                future.cancel()
     for i, future in futures.items():
         if i > failed:
             break
@@ -460,7 +437,7 @@ def _sampled_controls(sys: AffineSystem, dim: int, grid, count: int, controls,
     if pts_per_box < 1:
         raise ValueError("pts_per_box must be >= 1")
     seed = int(_whole(seed, "seed"))
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    controls = np.array(controls, dtype=float, ndmin=2)  # the graph's own, not the caller's
     _check_values(sys, controls)
     samples = count * pts_per_box * controls.shape[0]
     table_words = grid.size + 1 if count < grid.size else 0
@@ -479,14 +456,14 @@ def _sampled_csr(grid, boxes: np.ndarray, samples: int,
     `loops` flagging the nodes with an edge to themselves.
 
     Works through `boxes` in the tiles of `_tile_starts`, built by `_in_tiles`
-    on the calling thread and the tile pool, or on the caller alone when
-    there are fewer than _TILE // 2 boxes.  `fill(nodes, block)` is the
-    grid's part: it writes the box id of every sample of the tile's
-    `nodes` into the (samples, n) `block`, a row per sample and a column per
-    node, -1 for a sample outside the window; `_rows_to_csr` turns the
-    block into the tile's rows, and a node's self-loop flag is whether any
-    sample in its column is its own position, read off the block on the
-    tile's thread.  When `boxes` leaves out some box of
+    on the calling thread and a pool of tile threads the call starts and
+    joins, or on the caller alone when there are fewer than _TILE // 2
+    boxes.  `fill(nodes, block)` is the grid's part: it writes the box id of
+    every sample of the tile's `nodes` into the (samples, n) `block`, a row
+    per sample and a column per node, -1 for a sample outside the window;
+    `_rows_to_csr` turns the block into the tile's rows, and a node's
+    self-loop flag is whether any sample in its column is its own position,
+    read off the block on the tile's thread.  When `boxes` leaves out some box of
     `grid`, the ids become positions in `boxes` by one `np.take` through a
     table of grid.size + 1 words, -1 for ids not in `boxes` and in the last
     entry, which id -1 (the sink) reads; otherwise every box is in `boxes`
@@ -637,6 +614,9 @@ class TransitionGraph:
     tiles computed; the rest, and the flags of a graph made through the
     constructor, are computed on first use.  `chain_components` and
     `control_set_approx` share the labelling.
+    So that the caches hold, every array field is read-only: the constructor
+    copies an array that is writable or a view, and the builders hand it
+    their own arrays read-only.
     """
 
     grid: "BoxGrid | SphereGrid"
@@ -652,12 +632,23 @@ class TransitionGraph:
     _loops: np.ndarray = field(init=False, repr=False, default=None)
     _scc: tuple = field(init=False, repr=False, default=None)
 
+    def __post_init__(self):
+        for name in ("boxes", "indptr", "targets", "sink", "controls"):
+            array = getattr(self, name)
+            if array.flags.writeable or not array.flags.owndata:  # the caller may write it
+                array = array.copy()
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
+
     @classmethod
     def _built(cls, loops: np.ndarray, **fields) -> "TransitionGraph":
-        """The graph of `fields` with the self-loop flags `loops` of its
-        build in the cache, made read-only."""
+        """The graph of `fields`, whose arrays are the build's own and are
+        made read-only, not copied, with the self-loop flags `loops` of its
+        build in the cache."""
+        for array in (loops, *fields.values()):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
         graph = cls(**fields)
-        loops.setflags(write=False)
         object.__setattr__(graph, "_loops", loops)
         return graph
 
@@ -674,6 +665,9 @@ class TransitionGraph:
         return _positions(self.boxes, _whole(box_indices, "box_indices"))
 
     def successors(self, position: int) -> np.ndarray:
+        """Targets of the node at `position`, IndexError outside 0..num_boxes-1."""
+        if not 0 <= position < self.num_boxes:
+            raise IndexError(f"position {position} is not in 0..{self.num_boxes - 1}")
         return self.targets[self.indptr[position]:self.indptr[position + 1]]
 
     def reverse(self) -> tuple[np.ndarray, np.ndarray]:
@@ -683,6 +677,8 @@ class TransitionGraph:
         # int8 ones: the transpose moves one byte of data per edge, not eight
         rmat = _csr_matrix(self.indptr, self.targets, np.int8).T.tocsr()
         rev = (rmat.indptr, rmat.indices)
+        rmat.indptr.setflags(write=False)
+        rmat.indices.setflags(write=False)
         object.__setattr__(self, "_reverse", rev)
         return rev
 
@@ -855,15 +851,15 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     within rounding of a box face.  `_sampled_csr`, the sampling path
     that `projective.build_sphere_graph` shares, works through the boxes in
     tiles, so the samples and the id block of the whole graph never exist
-    at once.  The tiles are built on the calling thread
-    and a pool of one thread per further CPU of the process's affinity, in
-    the caller's `np.errstate`; a graph of fewer than 8192 boxes
-    (`_TILE` // 2) is one tile, built on the calling thread alone.  The
-    graph is the same for any thread count.  The C dt-maps come from one
-    `system._segment_maps` call, which treats every control on its own, so
-    they are those of `segment_map` to the bit.  The tiles also flag the
-    boxes with a sample in their own box, and the graph keeps those flags
-    as its `has_self_loop()`.
+    at once.  The tiles are built on the calling thread and a pool of one
+    thread per further CPU of the process's affinity, which the build
+    starts and joins, in the caller's `np.errstate`; a graph of fewer than
+    8192 boxes (`_TILE` // 2) is one tile, built on the calling thread
+    alone.  The graph, read-only, is the same for any thread count.
+    The C dt-maps come from one `system._segment_maps` call, which treats
+    every control on its own, so they are those of `segment_map` to the bit.
+    The tiles also flag the boxes with a sample in their own box, and the
+    graph keeps those flags as its `has_self_loop()`.
     Deterministic for a fixed seed, a whole number as `_whole` checks.
 
     `memory_cap` bounds words: one per point-control sample (boxes x
@@ -888,7 +884,7 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     # outside the window (-1) or the active subset -> sink
     indptr, targets, sink, loops = _sampled_csr(grid, boxes, len(bin_maps) * pts_per_box,
                                                 fill)
-    return TransitionGraph._built(loops, grid=grid, boxes=boxes.copy(), indptr=indptr,
+    return TransitionGraph._built(loops, grid=grid, boxes=boxes, indptr=indptr,
                                   targets=targets, sink=sink, dt=float(dt),
                                   controls=controls, pts_per_box=pts_per_box, seed=seed)
 

@@ -8,8 +8,9 @@ box-grid sample's box is floor(Q m + R) in bin coordinates, computed here
 in Python floats in the kernel's order, and checked against exact Fraction
 arithmetic away from the box faces.  Both
 graph builders share one sampling path, so they reject the same inputs.
-That path builds its tiles on the calling thread and a thread pool; its
-graphs are compared bit for bit with a serial build in one tile.
+That path builds its tiles on the calling thread and a pool of threads
+that each build starts and joins; its graphs are compared bit for bit with
+a serial build in one tile.
 """
 
 import itertools
@@ -41,6 +42,8 @@ from affinecontrol.reach import (
     refine,
 )
 from affinecontrol.system import AffineSystem, segment_map
+
+from conftest import tile_threads
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -812,8 +815,8 @@ def test_graphs_are_the_same_on_any_number_of_threads(monkeypatch, case, workers
     assert_same_bits(threaded, serial)
 
 
-def test_concurrent_callers_share_the_tile_pool(monkeypatch):
-    # more callers than CPUs, each caller's tiles queued on the one pool
+def test_concurrent_callers_each_get_the_serial_bits(monkeypatch):
+    # more callers than CPUs, each building on a pool of its own
     build = graph_build("refined")
     monkeypatch.setattr(reach, "_TILE", 2**30)
     monkeypatch.setattr(reach, "_WORKERS", 1)
@@ -887,10 +890,10 @@ def test_graphs_about_the_pool_threshold_are_the_same_on_any_number_of_threads(
 
 
 def test_graphs_under_the_threshold_never_start_the_tile_pool(monkeypatch):
-    def no_pool():
+    def no_pool(*args, **kwargs):
         raise AssertionError("the tile pool was asked for")
 
-    monkeypatch.setattr(reach, "_tile_pool", no_pool)
+    monkeypatch.setattr(reach, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(reach, "_WORKERS", 3)
     for kind in ("box", "sphere"):
         assert threshold_build(kind, THRESHOLD - 64)().num_boxes == THRESHOLD - 64
@@ -965,6 +968,39 @@ def test_a_failing_tile_fails_the_build_once_every_tile_is_done(monkeypatch, fai
     assert running[0] == 0  # no tile of the call is still running
 
 
+@pytest.mark.parametrize("case", ["37x29", "sphere"])
+def test_no_tile_thread_outlives_a_pooled_build(monkeypatch, case):
+    # the build starts its pool and joins it, whether it returns or raises
+    monkeypatch.setattr(reach, "_TILE", 64)
+    monkeypatch.setattr(reach, "_WORKERS", 3)
+    build = graph_build(case)
+    started = []
+    original = reach.ThreadPoolExecutor
+
+    def pool(*args, **kwargs):
+        started.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reach, "ThreadPoolExecutor", pool)
+    assert not tile_threads()
+    assert build().num_edges > 0
+    assert started == [1] and not tile_threads()
+    grid_class = BoxGrid if case == "37x29" else SphereGrid
+    name = FIRST_CALL[grid_class]
+    first_call = getattr(grid_class, name)
+    for failing in (3, 4):  # a tile of the caller's, a pool tile
+        def failing_call(self, ids, *args, failing=failing):
+            if int(ids[0]) // 64 == failing:
+                raise TileFailure(failing)
+            return first_call(self, ids, *args)
+
+        monkeypatch.setattr(grid_class, name, failing_call)
+        with pytest.raises(TileFailure):
+            build()
+        assert not tile_threads()
+    assert started == [1, 1, 1]
+
+
 FORK = """
 import os, signal
 import numpy as np
@@ -975,10 +1011,10 @@ system = reach.AffineSystem(np.diag([1.0, -1.0]), np.eye(2)[None], np.zeros((2, 
                             np.zeros(2), [-1.0], [1.0])
 grid = reach.BoxGrid([-1.0, -1.0], [1.0, 1.0], [16, 16])
 build = lambda: reach.build_transition_graph(system, grid, [[-1.0], [1.0]], 0.1, 2, 0)
-parent = build()  # starts the tile pool
+parent = build()  # starts and joins a pool of tile threads
 pid = os.fork()
 if pid == 0:
-    signal.alarm(20)  # a child waiting on the parent's pool threads dies
+    signal.alarm(20)  # a child whose build hangs dies
     child = build()
     os._exit(0 if np.array_equal(child.targets, parent.targets) else 1)
 _, status = os.waitpid(pid, 0)
@@ -988,8 +1024,9 @@ assert os.waitstatus_to_exitcode(status) == 0, status
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_builds_on_a_pool_of_its_own():
-    # pool threads do not survive a fork; a child that submitted tiles to
-    # the parent's pool would wait for them for ever
+    # threads do not survive a fork; each build starts its own pool, so a
+    # child forked after a pooled build builds on threads of its own, with
+    # the parent's bits
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

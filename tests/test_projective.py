@@ -495,6 +495,17 @@ def test_sphere_grid_level_zero_touching():
     assert touching.size > 0
 
 
+@pytest.mark.parametrize("method", ["centers", "corners", "level_zero_touching"])
+@pytest.mark.parametrize("ids", [[48], [-1], [1000], [0, 47, 48]])
+def test_sphere_grid_rejects_ids_outside_its_boxes(method, ids):
+    # as a BoxGrid does: a divmod would read 48 as a box of a fourth face
+    # and -1 as the last box
+    grid = SphereGrid(3, 4)
+    getattr(grid, method)([0, 47])
+    with pytest.raises(ValueError, match=r"ids must lie in 0\.\.47"):
+        getattr(grid, method)(ids)
+
+
 def test_degenerate_rows_are_rejected():
     grid = SphereGrid(3, 4)
     # zero rows, and NaN or inf on the anchor or off it

@@ -371,6 +371,45 @@ def test_self_loop_flags_are_read_only():
             loops[0] = False
 
 
+def two_cycle(indptr, targets):
+    return TransitionGraph(grid=BoxGrid([0.0], [1.0], [2]), boxes=np.arange(2),
+                           indptr=indptr, targets=targets, sink=np.zeros(2, dtype=bool),
+                           dt=1.0, controls=np.zeros((1, 1)), pts_per_box=1, seed=0)
+
+
+def test_graph_arrays_are_read_only():
+    # the caches hold only for the arrays they were read from
+    indptr, targets = np.array([0, 1, 2], dtype=np.int32), np.array([1, 0], dtype=np.int32)
+    graph = two_cycle(indptr, targets)
+    assert [c.indices.tolist() for c in chain_components(graph)] == [[0, 1]]
+    targets[:] = [0, 0]  # the caller's array, not the graph's
+    assert graph.successors(0).tolist() == [1]
+    assert [c.indices.tolist() for c in chain_components(graph)] == [[0, 1]]
+    grid = BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4])
+    controls = np.array([[0.0]])
+    built = build_transition_graph(zero_field(), grid, controls, 0.5, 1, seed=0)
+    active = build_transition_graph(zero_field(), grid, controls, 0.5, 1, seed=0,
+                                    active=BoxSet(grid, [1, 5, 6]))
+    sphere = build_sphere_graph(zero_field(3), SphereGrid(3, 2), controls, 0.5, 3, seed=0)
+    controls[0, 0] = 1.0  # the graphs keep the controls they were built with
+    made = two_cycle(graph.indptr, graph.targets)
+    assert made.indptr is graph.indptr and made.targets is graph.targets  # not copied again
+    for g in (graph, built, active, sphere, made):
+        assert not np.any(g.controls)
+        for array in (g.boxes, g.indptr, g.targets, g.sink, g.controls, *g.reverse()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+@pytest.mark.parametrize("position", [-1, 2, 3])
+def test_successors_of_a_position_outside_the_graph_raise(position):
+    # -1 is position_of's mark for an absent box, not the last node
+    graph = two_cycle(np.array([0, 1, 2]), np.array([1, 0]))
+    assert graph.successors(1).tolist() == [0]
+    with pytest.raises(IndexError, match=r"not in 0\.\.1"):
+        graph.successors(position)
+
+
 # ----------------------------------------------------------- control sets
 
 def test_control_set_zero_field_is_seed_box():
