@@ -159,16 +159,23 @@ def proj_dist_vectors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _proj_dist(np.moveaxis(X, -1, 0)[..., None], Y.T)
 
 
-def _flow_step(M: np.ndarray, dt: float) -> tuple[np.ndarray, int]:
-    """(E, n_sub) for `_flow_rows`: one `expm` of (dt / n_sub) M, with
-    n_sub = ceil(|dt| ||M||_F / MAX_EXP_GROWTH), so E^n_sub = exp(dt M)."""
-    n_sub = max(1, int(np.ceil(abs(dt) * np.linalg.norm(M) / MAX_EXP_GROWTH)))
+def _flow_step(sys: AffineSystem, u, dt: float) -> tuple[np.ndarray, int]:
+    """(E, n_sub) for `_flow_rows` of the generator M = sys.system_matrix(u):
+    one `expm` of (dt / n_sub) M, with n_sub = ceil(|dt| ||M||_F /
+    MAX_EXP_GROWTH), so E^n_sub = exp(dt M).  Raises ValueError, naming u,
+    when |dt| ||M||_F overflows."""
+    M = sys.system_matrix(u)
+    with np.errstate(over="ignore"):  # an overflow gives inf, raised on below
+        growth = abs(dt) * np.linalg.norm(M)
+    if not growth < np.inf:
+        raise ValueError(f"dt * ||A(u)||_F overflows at the control u = {u}")
+    n_sub = max(1, int(np.ceil(growth / MAX_EXP_GROWTH)))
     return expm((dt / n_sub) * M), n_sub
 
 
 def _flow_rows(step: tuple[np.ndarray, int], W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(dt M) applied to the rows of W, a stack (..., r, d) of row blocks,
-    in n_sub chunks of E, where (E, n_sub) = `_flow_step(M, dt)`: (rows, logs).
+    in n_sub chunks of E, where (E, n_sub) is `_flow_step`'s for M and dt: (rows, logs).
     The one projectivised flow: `build_sphere_graph` passes it stacks of test
     points, `lyapunov_estimate` one row.
 
@@ -196,14 +203,15 @@ def lyapunov_estimate(sys: AffineSystem, ctrl: PiecewiseControl, x, T: float) ->
     Computes log(||Phi(T, 0) x|| / ||x||) / T by summing the log-norms that
     the chunked, renormalised flow of each segment divides out, so no
     overflow occurs even for strongly expanding dynamics.  Only A(u) acts;
-    pass `embed_system(sys)` for the rate of the embedded flow.
+    pass `embed_system(sys)` for the rate of the embedded flow.  Raises
+    ValueError for a segment whose dt ||A(u)||_F overflows.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     w = _unit_rows(np.asarray(x, dtype=float).reshape(1, -1))
     total = 0.0
     for u, dt in ctrl.pieces(0.0, T):
-        w, logs = _flow_rows(_flow_step(sys.system_matrix(u), dt), w)
+        w, logs = _flow_rows(_flow_step(sys, u, dt), w)
         norm = np.linalg.norm(w)
         total += logs[0] + np.log(norm)
         w = w / norm
@@ -419,14 +427,13 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     (P, tile, ambient) test points of one tile of boxes at a time, in
     renormalised chunks when |dt| ||A(u)||_F exceeds MAX_EXP_GROWTH, so a
     long step of a strongly expanding generator is taken rather than
-    overflowing.  The points are coordinate-major
+    overflowing; a control whose dt ||A(u)||_F itself overflows raises
+    ValueError before any tile is built.  The points are coordinate-major
     throughout: `cell_points` and `_flow_rows` give the P point sets as the
     transpose view of a (P, ambient, tile) array, which one
     `SphereGrid.box_of` call reads a contiguous coordinate slice at a time.
-    The tiles are built on the calling thread and the tile threads that
-    `reach._in_tiles` starts and joins, with the same read-only graph for
-    any thread count; a sphere of fewer than 8192 boxes (`reach._TILE` // 2)
-    is one tile, built on the calling thread alone.  The system dimension, controls, dt, pts_per_box, seed and the memory cap are
+    The tiles are built on the calling thread.  The system dimension,
+    controls, dt, pts_per_box, seed and the memory cap are
     checked as in `build_transition_graph`: `memory_cap` counts one word of
     the graph's index dtype per point-control sample (size x pts_per_box x
     controls), 4 bytes when size + samples < 2**31; no position table is
@@ -439,7 +446,7 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
                                                     pts_per_box, seed, memory_cap)
     ids = np.arange(sphere.size, dtype=np.int64)
     offsets = _test_offsets(sphere.face_dims, pts_per_box, seed)
-    steps = [_flow_step(sys.system_matrix(u), dt) for u in controls]
+    steps = [_flow_step(sys, u, dt) for u in controls]
 
     def fill(nodes, block):
         points = sphere.cell_points(nodes, offsets)

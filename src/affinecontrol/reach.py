@@ -19,11 +19,8 @@ grids, `BoxGrid` and `projective.SphereGrid`, and read only their cell
 contract: ids 0..size-1 and `centers`.
 """
 
-import contextvars
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,7 +300,7 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # Graphs on positions 0..n-1 as CSR (indptr, targets) with sorted, distinct
 # rows, held by TransitionGraph and its subclass projective.SphereGraph.  Both
 # builders take one sampling path: `_sampled_controls` checks the inputs and
-# the cap, and `_sampled_csr` works through the nodes in tiles (`_tile_starts`).
+# the cap, and `_sampled_csr` works through the nodes in tiles of `_TILE`.
 # Per tile the grid's fill callable writes a (C * P, tile) block of box ids, a
 # row per (control, test point) and a column per node; `_rows_to_csr` sorts
 # each node's C * P samples in the block's transpose, and the nodes with a
@@ -316,13 +313,8 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # point or an image.  That box differs from box_of(G p + h) only within
 # rounding of a box face.  On a SphereGrid the fill makes the test points,
 # flows them under each control and calls `SphereGrid.box_of`.  The tiles
-# are independent: the calling thread builds every `_WORKERS`-th of them and
-# a pool of threads that the build starts and joins the rest (`_in_tiles`),
-# and their rows are joined once, in order, so no whole-graph block or
-# transpose exists and the graph has the bits of a serial build.  A graph of
-# fewer than `_TILE` // 2 nodes is one tile, built on the caller alone:
-# below that size the hand-offs of the interpreter lock between tile
-# threads cost more than a second thread saves.
+# are built in order on the calling thread and their rows are joined once,
+# so no whole-graph block or transpose exists.
 # Ids are positions when the graph has every box, else a table maps
 # them.  `_sampled_csr` builds in int32 when grid.size plus the samples fit
 # (always under DEFAULT_MEMORY_CAP), else int64, and stores the joined
@@ -330,65 +322,12 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # computes on the graph's own arrays and the matrices it gets carry no
 # per-edge data (`_csr_matrix`).
 
-# Nodes per tile of the sampled build, at most, whose samples and id block
-# stay in cache; half of it is the least graph split over tile threads.
-# Tiles are cut at multiples of 64 nodes, which matters only for the
-# sphere's BLAS product: OpenBLAS gives a product E @ X cut at such columns
-# the bits of the uncut one (cut at 1 or 7 columns it need not).  The box
-# grid's kernel is elementwise, the same under any cut.
+# Nodes per tile of the sampled build, whose samples and id block stay in
+# cache.  A multiple of 64, which matters only for the sphere's BLAS
+# product: OpenBLAS gives a product E @ X cut at such columns the bits of
+# the uncut one (cut at 1 or 7 columns it need not).  The box grid's kernel
+# is elementwise, the same under any cut.
 _TILE = 16384
-# Threads that build tiles: the CPUs this process may run on, the caller
-# among them.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-    os.cpu_count() or 1)
-
-
-def _tile_starts(n: int) -> range:
-    """Starts of the tiles of n nodes: ceil(n / _TILE) tiles, rounded up to a
-    multiple of `_WORKERS` when n is at least _TILE // 2 (8192 nodes), of
-    one size, the least multiple of 64 that covers n in that many; the last
-    tile takes the rest.  So fewer than _TILE // 2 nodes, or 64 or fewer,
-    are one tile."""
-    tiles = -(-n // _TILE)
-    if n >= _TILE // 2:
-        tiles += -tiles % _WORKERS
-    size = -(-n // max(tiles, 1))
-    size += -size % 64
-    return range(0, n, max(size, 64))
-
-
-def _in_tiles(build, count: int) -> list:
-    """[build(i) for i in range(count)], tile i built by the calling thread
-    when i % _WORKERS == 0 and otherwise by a pool of _WORKERS - 1 threads
-    that this call starts and joins, each pool tile in a copy of the
-    caller's context (so it sees the caller's `np.errstate`).  One tile, as
-    `_tile_starts` makes of a graph under _TILE // 2 nodes, or one worker
-    starts no thread.  No tile runs once this returns or raises; the error
-    raised is the one of the first tile in order that failed, as in a
-    serial build, and pool tiles after a failed tile of the caller's are
-    cancelled if they have not started."""
-    if count < 2 or _WORKERS < 2:
-        return [build(i) for i in range(count)]
-    parts = [None] * count
-    failed, error = count, None
-    with ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="affinecontrol-tile") as pool:
-        futures = {i: pool.submit(contextvars.copy_context().run, build, i)
-                   for i in range(count) if i % _WORKERS}
-        try:
-            for i in range(0, count, _WORKERS):
-                parts[i] = build(i)
-        except BaseException as exc:  # re-raised below, after the pool tiles
-            failed, error = i, exc
-        for i, future in futures.items():
-            if i > failed:
-                future.cancel()
-    for i, future in futures.items():
-        if i > failed:
-            break
-        parts[i] = future.result()  # raises the tile's error, earlier than the caller's
-    if error is not None:
-        raise error
-    return parts
 
 
 def _index_dtype(count: int) -> type:
@@ -455,24 +394,22 @@ def _sampled_csr(grid, boxes: np.ndarray, samples: int,
     node with `samples` sampled targets (a row per control and test point),
     `loops` flagging the nodes with an edge to themselves.
 
-    Works through `boxes` in the tiles of `_tile_starts`, built by `_in_tiles`
-    on the calling thread and a pool of tile threads the call starts and
-    joins, or on the caller alone when there are fewer than _TILE // 2
-    boxes.  `fill(nodes, block)` is the grid's part: it writes the box id of
-    every sample of the tile's `nodes` into the (samples, n) `block`, a row
-    per sample and a column per node, -1 for a sample outside the window;
-    `_rows_to_csr` turns the block into the tile's rows, and a node's
-    self-loop flag is whether any sample in its column is its own position,
-    read off the block on the tile's thread.  When `boxes` leaves out some box of
+    Works through `boxes` in tiles of `_TILE` nodes, in order, on the
+    calling thread.  `fill(nodes, block)` is the grid's part: it writes the
+    box id of every sample of the tile's `nodes` into the (samples, n)
+    `block`, a row per sample and a column per node, -1 for a sample outside
+    the window; `_rows_to_csr` turns the block into the tile's rows, and a
+    node's self-loop flag is whether any sample in its column is its own
+    position, read off the block.  When `boxes` leaves out some box of
     `grid`, the ids become positions in `boxes` by one `np.take` through a
     table of grid.size + 1 words, -1 for ids not in `boxes` and in the last
     entry, which id -1 (the sink) reads; otherwise every box is in `boxes`
     and the ids are positions already.  Every index of the build is at most
     grid.size + samples, so the block, table and tiles take its
     `_index_dtype`.  The tiles' rows and flags are joined in order, so the
-    graph does not depend on the tiling or the thread count.  The joined graph is
-    stored in the `_index_dtype` of edges + nodes + 1, which bounds every
-    index `_reachable` forms: int32 whenever the kept graph fits, the arrays
+    graph does not depend on the tiling.  The joined graph is stored in the
+    `_index_dtype` of edges + nodes + 1, which bounds every index
+    `_reachable` forms: int32 whenever the kept graph fits, the arrays
     csgraph computes on as they are.
     """
     dtype = _index_dtype(grid.size + boxes.size * samples)
@@ -480,23 +417,22 @@ def _sampled_csr(grid, boxes: np.ndarray, samples: int,
     if boxes.size < grid.size:
         table = np.full(grid.size + 1, -1, dtype=dtype)
         table[boxes] = np.arange(boxes.size)
-    starts = _tile_starts(boxes.size)
 
-    def tile(i):
-        nodes = boxes[starts[i]:starts[i] + starts.step]
+    def tile(start):
+        nodes = boxes[start:start + _TILE]
         block = np.empty((samples, nodes.size), dtype=dtype)
         fill(nodes, block)
         if table is not None:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
             np.take(table, block, out=block, mode="wrap")
-        own = np.arange(starts[i], starts[i] + nodes.size, dtype=dtype)
+        own = np.arange(start, start + nodes.size, dtype=dtype)
         loops = (block == own).any(axis=0)
         return *_rows_to_csr(np.ascontiguousarray(block.T)), loops
 
     indptr = np.zeros(boxes.size + 1, dtype=dtype)
     targets = [np.empty(0, dtype=dtype)]
     sinks, loops = [np.empty(0, dtype=bool)], [np.empty(0, dtype=bool)]
-    for start, (tile_indptr, tile_targets, tile_sink, tile_loops) in zip(
-            starts, _in_tiles(tile, len(starts))):
+    for start in range(0, boxes.size, _TILE):
+        tile_indptr, tile_targets, tile_sink, tile_loops = tile(start)
         stop = start + tile_sink.size
         np.add(tile_indptr[1:], indptr[start], out=indptr[start + 1:stop + 1])
         targets.append(tile_targets)
@@ -615,8 +551,8 @@ class TransitionGraph:
     constructor, are computed on first use.  `chain_components` and
     `control_set_approx` share the labelling.
     So that the caches hold, every array field is read-only: the constructor
-    copies an array that is writable or a view, and the builders hand it
-    their own arrays read-only.
+    takes array-likes through `np.asarray` and copies an array that is
+    writable or a view, and the builders hand it their own arrays read-only.
     """
 
     grid: "BoxGrid | SphereGrid"
@@ -634,11 +570,11 @@ class TransitionGraph:
 
     def __post_init__(self):
         for name in ("boxes", "indptr", "targets", "sink", "controls"):
-            array = getattr(self, name)
+            array = np.asarray(getattr(self, name))
             if array.flags.writeable or not array.flags.owndata:  # the caller may write it
                 array = array.copy()
                 array.setflags(write=False)
-                object.__setattr__(self, name, array)
+            object.__setattr__(self, name, array)
 
     @classmethod
     def _built(cls, loops: np.ndarray, **fields) -> "TransitionGraph":
@@ -850,12 +786,8 @@ def build_transition_graph(sys: AffineSystem, grid: BoxGrid, controls,
     box differs from `BoxGrid.box_of(G p + h)` only where the image lies
     within rounding of a box face.  `_sampled_csr`, the sampling path
     that `projective.build_sphere_graph` shares, works through the boxes in
-    tiles, so the samples and the id block of the whole graph never exist
-    at once.  The tiles are built on the calling thread and a pool of one
-    thread per further CPU of the process's affinity, which the build
-    starts and joins, in the caller's `np.errstate`; a graph of fewer than
-    8192 boxes (`_TILE` // 2) is one tile, built on the calling thread
-    alone.  The graph, read-only, is the same for any thread count.
+    tiles on the calling thread, so the samples and the id block of the
+    whole graph never exist at once; the graph is read-only.
     The C dt-maps come from one `system._segment_maps` call, which treats
     every control on its own, so they are those of `segment_map` to the bit.
     The tiles also flag the boxes with a sample in their own box, and the

@@ -1,25 +1,8 @@
-"""Shared builders for the test suite, and a check run after every test."""
-
-import threading
+"""Shared builders for the test suite."""
 
 import numpy as np
-import pytest
 
 from affinecontrol.system import AffineSystem, PiecewiseControl
-
-
-def tile_threads() -> list:
-    """The live threads of graph builds' tile pools."""
-    return [t for t in threading.enumerate() if t.name.startswith("affinecontrol-tile")]
-
-
-@pytest.fixture(autouse=True)
-def no_tile_thread_outlives_the_test():
-    """Fails a test that leaves a graph build's tile thread alive: every
-    build joins the pool it starts before it returns or raises."""
-    yield
-    if tile_threads():
-        pytest.fail(f"tile threads alive after the test: {tile_threads()}")
 
 
 def planar_saddle_system() -> AffineSystem:

@@ -8,21 +8,15 @@ box-grid sample's box is floor(Q m + R) in bin coordinates, computed here
 in Python floats in the kernel's order, and checked against exact Fraction
 arithmetic away from the box faces.  Both
 graph builders share one sampling path, so they reject the same inputs.
-That path builds its tiles on the calling thread and a pool of threads
-that each build starts and joins; its graphs are compared bit for bit with
-a serial build in one tile.
+That path builds its tiles in order on the calling thread; its graphs are
+compared bit for bit with a build in one tile.
 """
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import threading
-import time
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,10 +36,6 @@ from affinecontrol.reach import (
     refine,
 )
 from affinecontrol.system import AffineSystem, segment_map
-
-from conftest import tile_threads
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def scalar_box(grid: BoxGrid, x) -> int:
@@ -685,16 +675,14 @@ def test_refined_graph_of_a_non_normal_flow_matches_pairwise_reference():
 
 
 def built_per_tile_size(monkeypatch, build, module, name):
-    """The graphs `build()` makes in tiles of 64 boxes on the default thread
-    count and serially in one tile, and how often each build called
-    `module.name`, read through the module."""
+    """The graphs `build()` makes in tiles of 64 boxes and in one tile, and
+    how often each build called `module.name`, read through the module."""
     calls = []
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.append(1) or original(*args))
     graphs, counts = [], []
-    for tile, workers in ((64, reach._WORKERS), (2**30, 1)):
+    for tile in (64, 2**30):
         monkeypatch.setattr(reach, "_TILE", tile)
-        monkeypatch.setattr(reach, "_WORKERS", workers)
         calls.clear()
         graphs.append(build())
         counts.append(len(calls))
@@ -773,6 +761,8 @@ def test_sphere_graph_is_the_same_in_tiles(monkeypatch, ambient, subdivisions, d
         projective, "expm")
     assert counts == [3, 3]  # one exponential per control, not per tile
     assert sphere.size > 6 * 64 and sphere.size % 64 != 0
+    # default-size tiles, too, are cut at multiples of 64, where the product keeps its bits
+    assert reach._TILE % 64 == 0
     for graph in (tiled, whole):
         assert_loops_of_the_csr(graph)
     assert tiled.has_self_loop().any() and not tiled.has_self_loop().all()
@@ -793,36 +783,12 @@ def graph_build(case):
     return sphere_graph_build() if case == "sphere" else box_graph_build(case)[0]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("case", ["37x29", "refined", "11^3", "sphere"])
-def test_graphs_are_the_same_on_any_number_of_threads(monkeypatch, case, workers):
-    # tiles of 64 boxes on 1, 2 or 3 threads against one tile on one, so the
-    # pool path runs whatever the CPUs of the machine
-    build = graph_build(case)
-    monkeypatch.setattr(reach, "_TILE", 2**30)
-    monkeypatch.setattr(reach, "_WORKERS", 1)
-    serial = build()
-    monkeypatch.setattr(reach, "_TILE", 64)
-    monkeypatch.setattr(reach, "_WORKERS", workers)
-    starts = reach._tile_starts(serial.num_boxes)
-    assert starts.step == 64 and len(starts) > 2 * workers
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # thread switches inside every tile
-    try:
-        threaded = build()
-    finally:
-        sys.setswitchinterval(interval)
-    assert_same_bits(threaded, serial)
-
-
 def test_concurrent_callers_each_get_the_serial_bits(monkeypatch):
-    # more callers than CPUs, each building on a pool of its own
+    # callers on threads of their own, each building in tiles of 64
     build = graph_build("refined")
     monkeypatch.setattr(reach, "_TILE", 2**30)
-    monkeypatch.setattr(reach, "_WORKERS", 1)
     serial = build()
     monkeypatch.setattr(reach, "_TILE", 64)
-    monkeypatch.setattr(reach, "_WORKERS", 3)
     graphs = [None] * 4
 
     def call(k):
@@ -838,67 +804,16 @@ def test_concurrent_callers_each_get_the_serial_bits(monkeypatch):
         assert_same_bits(graph, serial)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("tile", [64, 16384])
-def test_tiles_are_cut_at_multiples_of_64(monkeypatch, tile, workers):
-    monkeypatch.setattr(reach, "_TILE", tile)
-    monkeypatch.setattr(reach, "_WORKERS", workers)
-    for n in (0, 1, 31, 32, 64, 65, 1000, 1073, 8191, 8192, 16385, 33256, 55296, 262144):
-        starts = reach._tile_starts(n)
-        if n < tile // 2:  # one tile, on the calling thread
-            assert list(starts) == ([0] if n else []) and starts.step % 64 == 0
-            continue
-        tiles = -(-n // tile)
-        tiles += -tiles % workers  # ceil(n / _TILE), up to a multiple of the workers
-        assert len(starts) <= tiles and starts.step % 64 == 0
-        # the least multiple of 64 that covers n in `tiles` tiles
-        assert starts.step * tiles >= n > (starts.step - 64) * tiles
-        if n <= 64:
-            assert list(starts) == [0]
+def test_a_graph_build_starts_no_thread(monkeypatch):
+    # every tile of a box graph and of a sphere graph on the caller
+    def start(self):
+        raise AssertionError(f"a graph build started the thread {self.name}")
 
-
-# Nodes of the least graph that `_tile_starts` splits over the tile pool.
-THRESHOLD = reach._TILE // 2
-
-
-def threshold_build(kind, n):
-    """A builder of a graph of n nodes, n a multiple of 64: every box of a
-    64-row box grid, or of the sphere grid of ambient 2 and n / 2 bins."""
-    controls = np.array([[-1.0], [0.0], [0.6]])
-    if kind == "box":
-        grid = BoxGrid([-3.0, -2.5], [3.0, 3.5], [n // 64, 64])
-        return lambda: build_transition_graph(SHEAR, grid, controls, 0.3, 2, 11)
-    rotation = AffineSystem([[0.3, 1.0], [-1.0, -0.2]], [np.diag([0.5, -0.5])],
-                            np.zeros((2, 1)), np.zeros(2), [-1.0], [1.0])
-    return lambda: build_sphere_graph(rotation, SphereGrid(2, n // 2), controls, 0.3, 2, 11)
-
-
-@pytest.mark.parametrize("kind", ["box", "sphere"])
-def test_graphs_about_the_pool_threshold_are_the_same_on_any_number_of_threads(
-        monkeypatch, kind):
-    # under the threshold one tile on the caller, from it on one tile per
-    # thread; every graph has the bits of the one-thread build
-    for n in (THRESHOLD - 64, THRESHOLD, THRESHOLD + 64):
-        build = threshold_build(kind, n)
-        monkeypatch.setattr(reach, "_WORKERS", 1)
-        serial = build()
-        assert serial.num_boxes == n and serial.num_edges > n
-        for workers in (2, 3):
-            monkeypatch.setattr(reach, "_WORKERS", workers)
-            assert len(reach._tile_starts(n)) == (1 if n < THRESHOLD else workers)
-            assert_same_bits(build(), serial)
-
-
-def test_graphs_under_the_threshold_never_start_the_tile_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the tile pool was asked for")
-
-    monkeypatch.setattr(reach, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(reach, "_WORKERS", 3)
-    for kind in ("box", "sphere"):
-        assert threshold_build(kind, THRESHOLD - 64)().num_boxes == THRESHOLD - 64
-        with pytest.raises(AssertionError, match="tile pool"):
-            threshold_build(kind, THRESHOLD)()
+    monkeypatch.setattr(reach, "_TILE", 64)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    for case in ("37x29", "sphere"):
+        graph = graph_build(case)()
+        assert graph.num_boxes > 8 * 64 and graph.num_edges > 0
 
 
 # The grid method each tile of a build calls first: a box grid's tile takes
@@ -908,22 +823,19 @@ FIRST_CALL = {BoxGrid: "multi_index", SphereGrid: "cell_points"}
 
 @pytest.mark.parametrize("grid_class, case", [(BoxGrid, "37x29"), (SphereGrid, "sphere")])
 def test_every_tile_runs_in_the_callers_errstate(monkeypatch, grid_class, case):
-    # a thread starts in numpy's default state (divide="warn"); the pool
-    # tiles run in a copy of the caller's context
+    # every tile runs on the calling thread, so in its np.errstate, not in
+    # numpy's default (divide="warn")
     seen = []
     name = FIRST_CALL[grid_class]
     original = getattr(grid_class, name)
     monkeypatch.setattr(grid_class, name, lambda self, *args: seen.append(
         (threading.get_ident(), np.geterr()["divide"])) or original(self, *args))
     monkeypatch.setattr(reach, "_TILE", 64)
-    monkeypatch.setattr(reach, "_WORKERS", 3)
     build = graph_build(case)
     with np.errstate(divide="raise"):
         build()
     assert len(seen) > 6
-    assert {state for _, state in seen} == {"raise"}
-    threads = {ident for ident, _ in seen}
-    assert threading.get_ident() in threads and len(threads) > 1
+    assert set(seen) == {(threading.get_ident(), "raise")}
 
 
 class TileFailure(Exception):
@@ -931,108 +843,33 @@ class TileFailure(Exception):
 
 
 @pytest.mark.parametrize("failing, raised", [
-    ({1}, 1),      # a pool tile
-    ({1, 2}, 1),   # a pool tile before a failing tile of the caller's
-    ({0, 1}, 0),   # the caller's first tile before a failing pool tile
-    ({2, 3}, 2),   # the caller's; the pool tile after it is not read
+    ({1}, 1),
+    ({1, 2}, 1),
+    ({0, 1}, 0),
+    ({2, 3}, 2),
 ])
 def test_a_failing_tile_fails_the_build_once_every_tile_is_done(monkeypatch, failing,
                                                                 raised):
-    lock = threading.Lock()
-    running = [0]
+    # 17 tiles of 64 boxes, in order on the caller: the first failing tile's
+    # error is raised, and no tile after it starts
+    started = []
     errors = {}
     original = BoxGrid.multi_index
 
     def multi_index(self, indices):
         tile = int(indices[0]) // 64
-        with lock:
-            running[0] += 1
-        try:
-            if tile in failing:
-                raise errors.setdefault(tile, TileFailure(tile))
-            # the last pool tile outlasts the caller's tiles
-            time.sleep(0.3 if tile == 15 else 0.01)
-            return original(self, indices)
-        finally:
-            with lock:
-                running[0] -= 1
+        started.append(tile)
+        if tile in failing:
+            raise errors.setdefault(tile, TileFailure(tile))
+        return original(self, indices)
 
     monkeypatch.setattr(BoxGrid, FIRST_CALL[BoxGrid], multi_index)
     monkeypatch.setattr(reach, "_TILE", 64)
-    monkeypatch.setattr(reach, "_WORKERS", 2)
     build = graph_build("37x29")
-    assert len(reach._tile_starts(37 * 29)) == 17
     with pytest.raises(TileFailure) as error:
         build()
     assert error.value is errors[raised]
-    assert running[0] == 0  # no tile of the call is still running
-
-
-@pytest.mark.parametrize("case", ["37x29", "sphere"])
-def test_no_tile_thread_outlives_a_pooled_build(monkeypatch, case):
-    # the build starts its pool and joins it, whether it returns or raises
-    monkeypatch.setattr(reach, "_TILE", 64)
-    monkeypatch.setattr(reach, "_WORKERS", 3)
-    build = graph_build(case)
-    started = []
-    original = reach.ThreadPoolExecutor
-
-    def pool(*args, **kwargs):
-        started.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(reach, "ThreadPoolExecutor", pool)
-    assert not tile_threads()
-    assert build().num_edges > 0
-    assert started == [1] and not tile_threads()
-    grid_class = BoxGrid if case == "37x29" else SphereGrid
-    name = FIRST_CALL[grid_class]
-    first_call = getattr(grid_class, name)
-    for failing in (3, 4):  # a tile of the caller's, a pool tile
-        def failing_call(self, ids, *args, failing=failing):
-            if int(ids[0]) // 64 == failing:
-                raise TileFailure(failing)
-            return first_call(self, ids, *args)
-
-        monkeypatch.setattr(grid_class, name, failing_call)
-        with pytest.raises(TileFailure):
-            build()
-        assert not tile_threads()
-    assert started == [1, 1, 1]
-
-
-FORK = """
-import os, signal
-import numpy as np
-from affinecontrol import reach
-
-reach._TILE, reach._WORKERS = 64, 2
-system = reach.AffineSystem(np.diag([1.0, -1.0]), np.eye(2)[None], np.zeros((2, 1)),
-                            np.zeros(2), [-1.0], [1.0])
-grid = reach.BoxGrid([-1.0, -1.0], [1.0, 1.0], [16, 16])
-build = lambda: reach.build_transition_graph(system, grid, [[-1.0], [1.0]], 0.1, 2, 0)
-parent = build()  # starts and joins a pool of tile threads
-pid = os.fork()
-if pid == 0:
-    signal.alarm(20)  # a child whose build hangs dies
-    child = build()
-    os._exit(0 if np.array_equal(child.targets, parent.targets) else 1)
-_, status = os.waitpid(pid, 0)
-assert os.waitstatus_to_exitcode(status) == 0, status
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_builds_on_a_pool_of_its_own():
-    # threads do not survive a fork; each build starts its own pool, so a
-    # child forked after a pooled build builds on threads of its own, with
-    # the parent's bits
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run([sys.executable, "-c", FORK], env=env, capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
+    assert started == list(range(raised + 1))
 
 
 def built_graphs():

@@ -316,11 +316,14 @@ def test_flow_rows_is_the_row_major_loop(d, shape, growth, seed):
          # is contiguous
          "columns": lambda: rng.standard_normal((P, d, N)).transpose(0, 2, 1)}[shape]()
     expected, expected_logs = reference_flow_rows(M, dt, np.ascontiguousarray(W))
+    # M is the generator A(0) = M + 0 B of a system with B = 0
+    step = _flow_step(AffineSystem(M, np.zeros((1, d, d)), np.zeros((d, 1)), np.zeros(d),
+                                   [-1.0], [1.0]), [0.0], dt)
     if shape == "vector":  # one row, as lyapunov_estimate passes it
-        rows, logs = _flow_rows(_flow_step(M, dt), W[None])
+        rows, logs = _flow_rows(step, W[None])
         rows, logs = rows[0], logs[0]
     else:
-        rows, logs = _flow_rows(_flow_step(M, dt), W)
+        rows, logs = _flow_rows(step, W)
     assert rows.shape == expected.shape and logs.shape == expected_logs.shape
     assert np.array_equal(rows, expected) and np.array_equal(logs, expected_logs)
     if growth > 1:
@@ -333,7 +336,7 @@ def flow_points(emb, V, u, dt):
     """The points of the rows of V after the time-dt flow of `emb` under the
     control value u: `_flow_rows` and `_proj_points`, as `build_sphere_graph`
     maps its test points."""
-    rows, _ = _flow_rows(_flow_step(emb.system_matrix(u), dt), np.atleast_2d(V))
+    rows, _ = _flow_rows(_flow_step(emb, u, dt), np.atleast_2d(V))
     return _proj_points(rows, LEVEL_TOL)
 
 
@@ -464,6 +467,21 @@ def test_lyapunov_no_overflow_for_strong_expansion():
     lam = lyapunov_estimate(sys, PiecewiseControl.constant([0.0], 5.0),
                             [1.0, 0.0], 50.0)
     assert abs(lam - 80.0) < 1e-8
+
+
+def test_an_overflowing_step_norm_raises_a_value_error_naming_the_control():
+    # dt ||A(u)||_F overflows: a ValueError, not numpy's overflow warning
+    # and then int(inf)'s OverflowError, and before any tile of the graph
+    sys = AffineSystem(np.diag([1e200, -1e200]), np.zeros((1, 2, 2)),
+                       np.zeros((2, 1)), np.zeros(2), [-1.0], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"overflows at the control u = \[0\.\]"):
+            lyapunov_estimate(sys, PiecewiseControl.constant([0.0], 1.0), [1.0, 1.0], 1.0)
+        with mock.patch.object(SphereGrid, "cell_points",
+                               side_effect=AssertionError("a tile ran")):
+            with pytest.raises(ValueError, match=r"overflows at the control u = \[0\.5\]"):
+                build_sphere_graph(sys, SphereGrid(2, 4), [[0.5]], 0.1)
 
 
 # ---------------------------------------------------------------- sphere grid

@@ -401,6 +401,19 @@ def test_graph_arrays_are_read_only():
                 array[0] = 1
 
 
+def test_graph_constructor_takes_array_likes():
+    # lists become read-only arrays of their own, as arrays do
+    grid = BoxGrid([0, 0], [1, 1], [2, 2])
+    graph = TransitionGraph(grid, [0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 0, 3, 2], [False] * 4,
+                            0.1, [[0.0]], 1, 0)
+    for array in (graph.boxes, graph.indptr, graph.targets, graph.sink, graph.controls):
+        assert isinstance(array, np.ndarray) and not array.flags.writeable
+    assert graph.sink.dtype == bool and graph.controls.shape == (1, 1)
+    assert [c.indices.tolist() for c in chain_components(graph)] == [[0, 1], [2, 3]]
+    assert control_set_approx(graph, 3).indices.tolist() == [2, 3]
+    assert not graph.has_self_loop().any()
+
+
 @pytest.mark.parametrize("position", [-1, 2, 3])
 def test_successors_of_a_position_outside_the_graph_raise(position):
     # -1 is position_of's mark for an absent box, not the last node
