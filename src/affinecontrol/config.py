@@ -61,3 +61,8 @@ DEFAULT_MEMORY_CAP = 50_000_000
 # Matrix-exponential applications are chunked so that ||M||_F * dt stays
 # below this, with renormalization in between (overflow guard).
 MAX_EXP_GROWTH = 50.0
+
+# A chunked flow step takes at most this many chunks, so dt ||M||_F may be up
+# to 2**16 * MAX_EXP_GROWTH, about 3.3e6; a longer step raises ValueError
+# rather than looping for as long as dt is large.
+_MAX_EXP_CHUNKS = 2**16

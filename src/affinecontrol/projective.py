@@ -25,7 +25,8 @@ from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse import csgraph
 
-from .config import Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH
+from .config import (Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH,
+                     _MAX_EXP_CHUNKS)
 from .reach import (BoxSet, TransitionGraph, _label_groups, _label_order, _ranges,
                     _sampled_controls, _sampled_csr, _test_offsets)
 from .system import AffineSystem, PiecewiseControl, _row_norms, _whole
@@ -163,13 +164,17 @@ def _flow_step(sys: AffineSystem, u, dt: float) -> tuple[np.ndarray, int]:
     """(E, n_sub) for `_flow_rows` of the generator M = sys.system_matrix(u):
     one `expm` of (dt / n_sub) M, with n_sub = ceil(|dt| ||M||_F /
     MAX_EXP_GROWTH), so E^n_sub = exp(dt M).  Raises ValueError, naming u,
-    when |dt| ||M||_F overflows."""
+    when |dt| ||M||_F overflows or n_sub would pass `config._MAX_EXP_CHUNKS`
+    (2**16), which bounds the work of `_flow_rows`."""
     M = sys.system_matrix(u)
     with np.errstate(over="ignore"):  # an overflow gives inf, raised on below
         growth = abs(dt) * np.linalg.norm(M)
     if not growth < np.inf:
         raise ValueError(f"dt * ||A(u)||_F overflows at the control u = {u}")
     n_sub = max(1, int(np.ceil(growth / MAX_EXP_GROWTH)))
+    if n_sub > _MAX_EXP_CHUNKS:
+        raise ValueError(f"dt * ||A(u)||_F = {growth:.3g} needs more than {_MAX_EXP_CHUNKS} "
+                         f"chunks of {MAX_EXP_GROWTH} at the control u = {u}")
     return expm((dt / n_sub) * M), n_sub
 
 
@@ -204,7 +209,8 @@ def lyapunov_estimate(sys: AffineSystem, ctrl: PiecewiseControl, x, T: float) ->
     the chunked, renormalised flow of each segment divides out, so no
     overflow occurs even for strongly expanding dynamics.  Only A(u) acts;
     pass `embed_system(sys)` for the rate of the embedded flow.  Raises
-    ValueError for a segment whose dt ||A(u)||_F overflows.
+    ValueError for a segment whose dt ||A(u)||_F overflows or needs more
+    than 2**16 chunks (`_flow_step`).
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -231,7 +237,9 @@ class SphereGrid:
     the row-major bin on that face, so the ids run 0..size-1.  It shares
     the cell contract of `reach.BoxGrid`, `size` and `centers`, so
     `BoxSet`s hold its ids.  Its own `cell_points` and `box_of` serve the
-    sphere graph's build, which reads their coordinate-major layout.
+    sphere graph's build, which reads their coordinate-major layout.  Box
+    ids are int64, so a grid has fewer than 2**63 boxes; ValueError
+    otherwise.
     """
 
     ambient: int
@@ -244,6 +252,9 @@ class SphereGrid:
             raise ValueError("ambient dimension must be >= 2")
         if self.subdivisions < 1:
             raise ValueError("need at least one bin per face axis")
+        if self.size >= 2**63:  # a Python int, which does not wrap
+            raise ValueError(f"{self.size} boxes; box ids are int64, so a sphere grid "
+                             f"has fewer than 2**63")
 
     @property
     def face_dims(self) -> int:
@@ -427,8 +438,9 @@ def build_sphere_graph(sys: AffineSystem, sphere: SphereGrid, controls, dt: floa
     (P, tile, ambient) test points of one tile of boxes at a time, in
     renormalised chunks when |dt| ||A(u)||_F exceeds MAX_EXP_GROWTH, so a
     long step of a strongly expanding generator is taken rather than
-    overflowing; a control whose dt ||A(u)||_F itself overflows raises
-    ValueError before any tile is built.  The points are coordinate-major
+    overflowing; a control whose dt ||A(u)||_F itself overflows, or needs
+    more than 2**16 chunks (`config._MAX_EXP_CHUNKS`), raises ValueError
+    before any tile is built.  The points are coordinate-major
     throughout: `cell_points` and `_flow_rows` give the P point sets as the
     transpose view of a (P, ambient, tile) array, which one
     `SphereGrid.box_of` call reads a contiguous coordinate slice at a time.

@@ -53,7 +53,8 @@ class BoxGrid:
     """Uniform axis-aligned box covering of a rectangular window.
 
     Two grids are equal when their lo, hi and subdivisions are; box sets,
-    closures and refinements combine only boxes of equal grids.
+    closures and refinements combine only boxes of equal grids.  Box ids
+    are int64, so a grid has fewer than 2**63 boxes; ValueError otherwise.
     """
 
     lo: np.ndarray
@@ -84,6 +85,9 @@ class BoxGrid:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "subdivisions", subs)
+        if self.size >= 2**63:
+            raise ValueError(f"{self.size} boxes; box ids are int64, so a grid has fewer "
+                             f"than 2**63")
 
     def _key(self) -> tuple:
         return (tuple(self.lo.tolist()), tuple(self.hi.tolist()),
@@ -103,7 +107,7 @@ class BoxGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.subdivisions))
+        return math.prod(self.subdivisions.tolist())  # Python ints, which do not wrap
 
     @property
     def widths(self) -> np.ndarray:
@@ -313,8 +317,9 @@ def _dilated(mask: np.ndarray, radius: int) -> np.ndarray:
 # point or an image.  That box differs from box_of(G p + h) only within
 # rounding of a box face.  On a SphereGrid the fill makes the test points,
 # flows them under each control and calls `SphereGrid.box_of`.  The tiles
-# are built in order on the calling thread and their rows are joined once,
-# so no whole-graph block or transpose exists.
+# are built in order on the calling thread, each writing its slice of the
+# node arrays in place and keeping its targets to be joined once, so no
+# whole-graph block or transpose exists.
 # Ids are positions when the graph has every box, else a table maps
 # them.  `_sampled_csr` builds in int32 when grid.size plus the samples fit
 # (always under DEFAULT_MEMORY_CAP), else int64, and stores the joined
@@ -406,41 +411,35 @@ def _sampled_csr(grid, boxes: np.ndarray, samples: int,
     entry, which id -1 (the sink) reads; otherwise every box is in `boxes`
     and the ids are positions already.  Every index of the build is at most
     grid.size + samples, so the block, table and tiles take its
-    `_index_dtype`.  The tiles' rows and flags are joined in order, so the
-    graph does not depend on the tiling.  The joined graph is stored in the
-    `_index_dtype` of edges + nodes + 1, which bounds every index
-    `_reachable` forms: int32 whenever the kept graph fits, the arrays
-    csgraph computes on as they are.
+    `_index_dtype`.  Each tile writes its slice of indptr, sink and loops,
+    allocated for every node, in place; only the targets, counted once a
+    tile's rows are sorted, are joined after the last tile.  So the graph
+    does not depend on the tiling.  It is stored in the `_index_dtype` of
+    edges + nodes + 1, which bounds every index `_reachable` forms: int32
+    whenever the kept graph fits, the arrays csgraph computes on as they are.
     """
     dtype = _index_dtype(grid.size + boxes.size * samples)
     table = None
     if boxes.size < grid.size:
         table = np.full(grid.size + 1, -1, dtype=dtype)
         table[boxes] = np.arange(boxes.size)
-
-    def tile(start):
+    indptr = np.zeros(boxes.size + 1, dtype=dtype)
+    sink = np.empty(boxes.size, dtype=bool)
+    loops = np.empty(boxes.size, dtype=bool)
+    targets = [np.empty(0, dtype=dtype)]
+    for start in range(0, boxes.size, _TILE):
         nodes = boxes[start:start + _TILE]
+        stop = start + nodes.size
         block = np.empty((samples, nodes.size), dtype=dtype)
         fill(nodes, block)
         if table is not None:  # ids lie in [-1, size), and "wrap" reads id -1 from the last entry
             np.take(table, block, out=block, mode="wrap")
-        own = np.arange(start, start + nodes.size, dtype=dtype)
-        loops = (block == own).any(axis=0)
-        return *_rows_to_csr(np.ascontiguousarray(block.T)), loops
-
-    indptr = np.zeros(boxes.size + 1, dtype=dtype)
-    targets = [np.empty(0, dtype=dtype)]
-    sinks, loops = [np.empty(0, dtype=bool)], [np.empty(0, dtype=bool)]
-    for start in range(0, boxes.size, _TILE):
-        tile_indptr, tile_targets, tile_sink, tile_loops = tile(start)
-        stop = start + tile_sink.size
+        np.any(block == np.arange(start, stop, dtype=dtype), axis=0, out=loops[start:stop])
+        tile_indptr, tile_targets, sink[start:stop] = _rows_to_csr(np.ascontiguousarray(block.T))
         np.add(tile_indptr[1:], indptr[start], out=indptr[start + 1:stop + 1])
         targets.append(tile_targets)
-        sinks.append(tile_sink)
-        loops.append(tile_loops)
     stored = _index_dtype(int(indptr[-1]) + boxes.size + 1)
-    return (indptr.astype(stored, copy=False), np.concatenate(targets, dtype=stored),
-            np.concatenate(sinks), np.concatenate(loops))
+    return indptr.astype(stored, copy=False), np.concatenate(targets, dtype=stored), sink, loops
 
 
 def _positions(boxes: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -176,8 +176,9 @@ class PiecewiseControl:
     """Piecewise-constant control, extended periodically.
 
     `values` is (k, m), `durations` is (k,) with positive entries; the
-    period is the total duration and evaluation at time t uses t modulo
-    the period.  `==` and `hash` go by identity; `same_as` compares values.
+    period is the total duration, which must be finite, and evaluation at
+    time t uses t modulo the period.  `==` and `hash` go by identity;
+    `same_as` compares values.
     """
 
     values: np.ndarray
@@ -194,6 +195,9 @@ class PiecewiseControl:
             raise ValueError("control segments must be finite")
         if np.any(durations <= 0.0):
             raise ValueError("segment durations must be positive")
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, raised on below
+            if not np.sum(durations) < np.inf:
+                raise ValueError("the period, the sum of the durations, overflows")
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "durations", _readonly(durations))
 

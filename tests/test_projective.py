@@ -1,5 +1,6 @@
 """Tests for the embedding, projective points, sphere grids, and estimators."""
 
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -482,6 +483,33 @@ def test_an_overflowing_step_norm_raises_a_value_error_naming_the_control():
                                side_effect=AssertionError("a tile ran")):
             with pytest.raises(ValueError, match=r"overflows at the control u = \[0\.5\]"):
                 build_sphere_graph(sys, SphereGrid(2, 4), [[0.5]], 0.1)
+
+
+def test_a_step_of_more_than_2_to_the_16_chunks_raises_a_value_error_naming_the_control():
+    # the flow takes ceil(dt ||A(u)||_F / MAX_EXP_GROWTH) chunks, one loop
+    # pass each, so without a bound a finite dt as large as 1e308 never returns
+    sys = AffineSystem([[0.3, 1.0], [-1.0, -0.2]], np.zeros((1, 2, 2)),
+                       np.zeros((2, 1)), np.zeros(2), [-1.0], [1.0])
+    bound = 2**16 * MAX_EXP_GROWTH / np.linalg.norm(sys.A)
+    under, past = bound * (1 - 1e-9), bound * (1 + 1e-9)
+    assert _flow_step(sys, np.zeros(1), under)[1] == 2**16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dt in (past, 1e308):  # past the bound first: at 1e308 an unbounded loop hangs
+            with pytest.raises(ValueError, match=r"more than 65536 chunks .* u = \[0\.\]"):
+                lyapunov_estimate(sys, PiecewiseControl.constant([0.0], dt), [1.0, 0.0], dt)
+            with mock.patch.object(SphereGrid, "cell_points",
+                                   side_effect=AssertionError("a tile ran")):
+                with pytest.raises(ValueError, match=r"more than 65536 chunks .* u = \[0\.5\]"):
+                    build_sphere_graph(sys, SphereGrid(2, 4), [[0.5]], dt)
+        # the best of three calls, so that one descheduling does not count
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="chunks"):
+                build_sphere_graph(sys, SphereGrid(2, 4), [[0.5]], 1e308)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.01
 
 
 # ---------------------------------------------------------------- sphere grid

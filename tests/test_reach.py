@@ -69,6 +69,26 @@ def test_grid_rejects_bad_window():
             BoxGrid(lo, hi, subdivisions)
 
 
+def test_grids_of_2_to_the_63_boxes_or_more_are_rejected():
+    # box ids are int64: the box count wrapped, to size 0 for 2**80 boxes,
+    # so box_of read wrong ids and a graph build had no nodes
+    for grid in (lambda: BoxGrid([0.0, 0.0], [1.0, 1.0], [2**40, 2**40]),
+                 lambda: BoxGrid([0.0, 0.0], [1.0, 1.0], [2**62, 2]),
+                 lambda: BoxGrid([0.0] * 3, [1.0] * 3, [2**21] * 3),
+                 lambda: SphereGrid(3, 2**40),
+                 lambda: SphereGrid(2, 2**62)):
+        with pytest.raises(ValueError, match=r"\d+ boxes; box ids are int64"):
+            grid()
+    # fewer than 2**63 boxes is a grid, too large for any graph
+    sys = zero_field()
+    for grid, middle in ((BoxGrid([0.0, 0.0], [1.0, 1.0], [2**31, 2**31]), 2**61 + 2**30),
+                         (BoxGrid([0.0, 0.0], [1.0, 1.0], [2**62, 1]), 2**61)):
+        assert grid.box_containing([0.5, 0.5]) == middle
+        with pytest.raises(MemoryBudgetError):
+            build_transition_graph(sys, grid, [[0.0]], 0.1, 1, 0)
+    assert SphereGrid(2, 2**62 - 1).size == 2**63 - 2
+
+
 def test_boxset_operations_and_rle():
     grid = BoxGrid([0.0], [1.0], [10])
     a = BoxSet(grid, [1, 2, 3, 7])

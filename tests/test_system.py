@@ -355,6 +355,14 @@ def test_control_rejects_bad_segments():
         PiecewiseControl(np.empty((0, 1)), np.empty(0))
 
 
+def test_control_rejects_a_period_that_overflows():
+    # finite durations whose sum is inf: pieces(0, 1) yielded nothing and
+    # simulate kept x(1) = x(0)
+    with pytest.raises(ValueError, match="period"):
+        PiecewiseControl([[0.5], [0.5]], [1e308, 1e308])
+    assert PiecewiseControl([[0.5], [0.5]], [1e308, 7e307]).period == 1.7e308
+
+
 def test_system_rejects_omega_without_zero():
     with pytest.raises(ValueError):
         AffineSystem(np.eye(2), np.zeros((1, 2, 2)), np.zeros((2, 1)),
