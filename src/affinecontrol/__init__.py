@@ -56,8 +56,8 @@ _LAZY = {
         "MemoryBudgetError",
     ], "reach"),
     **dict.fromkeys([
-        "ProjPoint", "SphereGrid", "InfinityBoundaryReport", "embed_system",
-        "lyapunov_estimate", "infinity_boundary_directions", "infinity_boundary_chain",
+        "SphereGrid", "InfinityBoundaryReport", "embed_system", "lyapunov_estimate",
+        "infinity_boundary_directions", "infinity_boundary_chain",
     ], "projective"),
 }
 

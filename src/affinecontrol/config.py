@@ -55,7 +55,9 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 # Box-graph construction refuses to allocate beyond this many point-control
-# work items; raise the cap explicitly for bigger runs.
+# work items; raise the cap explicitly for bigger runs.  `simulate` refuses
+# samples whose states and times pass this many words, and a control's
+# pieces (`PiecewiseControl._cuts`) a table of more slots.
 DEFAULT_MEMORY_CAP = 50_000_000
 
 # Matrix-exponential applications are chunked so that ||M||_F * dt stays

@@ -14,7 +14,8 @@ distance (`_proj_dist`, `proj_dist_vectors`) and projectivised flow
 (`_flow_rows`, under `lyapunov_estimate` and `build_sphere_graph`) works on
 arrays of representatives, and the flow applies the exponential in
 renormalised chunks, so a long step of a strongly expanding generator does
-not overflow.  `ProjPoint` is only the record of a report's directions.
+not overflow.  A report's directions are rows as well: one read-only record
+array (`_proj_points`) of unit representatives and their levels.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +33,6 @@ from .reach import (BoxSet, TransitionGraph, _label_groups, _label_order, _range
 from .system import AffineSystem, PiecewiseControl, _row_norms, _whole
 
 __all__ = [
-    "ProjPoint",
     "SphereGrid",
     "SphereGraph",
     "SphereChainAnalysis",
@@ -70,22 +70,6 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(big & (v < 0), first, axis=-1), -v, v)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjPoint:
-    """One direction of an `InfinityBoundaryReport`, as `_proj_points` makes it:
-    a read-only unit representative with canonical sign, and its level.
-
-    `level` is 0 when the last coordinate of the representative vanishes
-    (the copy of lower projective space at infinity) and 1 otherwise;
-    representatives classified as level 0 have their last coordinate
-    snapped to exactly zero, which makes the level invariant under the
-    projectivized dynamics.
-    """
-
-    vec: np.ndarray
-    level: int
-
-
 def _scaled_norms(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(scales, norms) of the rows of V, a C-ordered float array (`_row_norms`
     rounds differently on other layouts): row i over scales[i] has the norm
@@ -117,17 +101,20 @@ def _unit_rows(V) -> np.ndarray:
     return V
 
 
-def _proj_points(V: np.ndarray, level_tol: float) -> list[ProjPoint]:
-    """The points of the rows of V, each on its own: a row's last coordinate
-    is snapped to 0 and the row renormalised where it is within `level_tol`.
-    Raises ValueError for a zero or non-finite row."""
+def _proj_points(V: np.ndarray, level_tol: float) -> np.recarray:
+    """The points of the rows of V, as a report's `directions` hold them (see
+    `InfinityBoundaryReport`): a row's last coordinate is snapped to 0 and the
+    row renormalised where it is within `level_tol`.  Raises ValueError for a
+    zero or non-finite row."""
     V = _unit_rows(V)
     low = np.abs(V[:, -1]) <= level_tol
     V[low, -1] = 0.0
     V[low] /= _row_norms(V[low])[:, None]
-    V = _canonical_sign(V)
-    V.setflags(write=False)
-    return [ProjPoint(v, 0 if on_level else 1) for v, on_level in zip(V, low.tolist())]
+    points = np.recarray(V.shape[0], dtype=[("vec", float, V.shape[1:]), ("level", np.int64)])
+    points.vec = _canonical_sign(V)
+    points.level = ~low
+    points.setflags(write=False)
+    return points
 
 
 def _proj_dist(x, y) -> np.ndarray:
@@ -535,15 +522,21 @@ def sphere_chain_components(graph: SphereGraph) -> SphereChainAnalysis:
 class InfinityBoundaryReport:
     """Estimated directions at infinity of a control set.
 
-    `directions` are level-0 projective points (cluster representatives
-    for the box-center estimator, level-slice directions for the chain
-    estimator); `matches` are (component index, homogeneous component
-    index, minimal projective distance) triples.  An empty report from the
-    box-center estimator signals a bounded set within the window.
+    `directions` is one read-only recarray, the cluster representatives of
+    the box-center estimator or the level-slice directions of the chain
+    estimator: field `vec` their (k, n + 1) unit rows with canonical sign,
+    field `level` their int levels.  Level 0, the copy of lower projective
+    space at infinity, holds the rows whose last coordinate is within
+    `level_tol`, snapped to exactly 0 and renormalised, which makes the
+    level invariant under the projectivized dynamics; level 1 all others.
+    Its records have `.vec` and `.level`.  `matches` are (component index,
+    homogeneous component index, minimal projective distance) triples.  An
+    empty report from the box-center estimator, directions of shape
+    (0, n + 1), signals a bounded set within the window.
     """
 
     estimator: str
-    directions: list
+    directions: np.recarray
     cluster_sizes: list
     matches: list
     details: object = field(repr=False, default=None)
@@ -645,7 +638,9 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
             states.append(np.asarray(x0, dtype=float)[None, :])
     pts = np.concatenate(states)
     if pts.shape[0] == 0:
-        return InfinityBoundaryReport("box-directions", [], [], [])
+        return InfinityBoundaryReport(
+            "box-directions", _proj_points(np.empty((0, pts.shape[1] + 1)), tolerances.level_tol),
+            [], [])
     dirs = _canonical_sign(np.hstack([_unit_rows(pts), np.zeros((pts.shape[0], 1))]))
     # the last coordinate, the level's, is 0 in every row
     n_clusters, labels = _single_linkage(dirs[:, :-1], tolerances.cluster_tol)

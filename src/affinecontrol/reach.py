@@ -886,8 +886,9 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     `memory_cap` counts words of the graph's index dtype as in
     `build_transition_graph`: one per sample of the active boxes, plus the
     fine grid's size + 1 for the position table when they leave out a fine box.
-    A fine grid of more boxes than the cap raises before its mask is made:
-    its position table or, when every fine box is active, its samples exceed it.
+    A fine grid of more boxes than the cap raises before it is made, counted
+    in Python ints: its position table or, when every fine box is active, its
+    samples exceed it.
     """
     factor = int(_whole(factor, "factor"))
     if factor < 2:
@@ -895,11 +896,13 @@ def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,
     grid = graph.grid
     _check_same_grid(grid, keep.grid)
     _check_box_grid(grid, "refine")
-    fine = BoxGrid(grid.lo, grid.hi, grid.subdivisions * factor)
-    if fine.size > memory_cap:
+    subs = [sub * factor for sub in grid.subdivisions.tolist()]  # no int64 product to wrap
+    size = math.prod(subs)
+    if size > memory_cap:
         raise MemoryBudgetError(
-            f"the fine grid's {fine.size + 1} position-table words, or its samples, "
+            f"the fine grid's {size + 1} position-table words, or its samples, "
             f"exceed the cap of {memory_cap}; refine by a smaller factor or raise the cap")
+    fine = BoxGrid(grid.lo, grid.hi, subs)
     children = keep._mask()
     for axis in range(grid.dim):
         children = np.repeat(children, factor, axis=axis)

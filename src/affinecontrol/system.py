@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP
 
 __all__ = [
     "AffineSystem",
@@ -252,10 +252,19 @@ class PiecewiseControl:
     def _cuts(self, s: float, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`pieces(s, s + L)` for all L of lengths (a,) at once: the segment of each
         slot (J,), and the slot durations and kept (not sliver) flags (a, J).
-        Raises ValueError unless s and every length are finite."""
+        Raises ValueError unless s and every length are finite, and, before
+        the first slot, when a bound on a × J from the longest length passes
+        `DEFAULT_MEMORY_CAP` words."""
         remaining = np.array(lengths, dtype=float)
         if not (np.isfinite(s) and np.all(np.isfinite(remaining))):
             raise ValueError("control times must be finite")
+        # a partial period, then at most L / period + 1 periods of num_segments slots
+        with np.errstate(over="ignore"):
+            slots = (remaining.max(initial=0.0) / self.period + 2.0) * self.num_segments
+        if remaining.size * slots > DEFAULT_MEMORY_CAP:
+            raise ValueError(f"{remaining.size} time span(s) of up to {remaining.max():g} "
+                             f"at period {self.period:g} take about {slots:.3g} control pieces "
+                             f"each, past the cap of {DEFAULT_MEMORY_CAP} words")
         tiny = 1e-14 * self.period
         phase = float(s) % self.period
         first = min(int(np.searchsorted(self._cumulative, phase, side="right")),
@@ -627,9 +636,11 @@ def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,
     pieces, from one `_segment_maps` call; samples are placed at segment
     boundaries plus, when `sample_step` is given, at interior points at most
     that far apart.  `sample_step` must be positive; None or inf places no
-    interior samples.  Negative t runs time in reverse through the inverses
-    of the segment maps; the returned sample times are always increasing, so
-    the state at time t sits at index -1 for t > 0 and at index 0 for t < 0.
+    interior samples; ValueError, before any exponential, when the states
+    and times of the samples would pass `DEFAULT_MEMORY_CAP` words.  Negative
+    t runs time in reverse through the inverses of the segment maps; the
+    returned sample times are always increasing, so the state at time t sits
+    at index -1 for t > 0 and at index 0 for t < 0.
 
     Raises BlowUpError when the state stops being finite; the error
     carries the last finite state.
@@ -650,8 +661,16 @@ def simulate(sys: AffineSystem, ctrl: PiecewiseControl, x0, t: float,
     else:
         piece_list = list(ctrl.pieces(0.0, t))
 
-    subs = [1 if sample_step is None else max(1, int(np.ceil(abs(dt) / sample_step)))
-            for _, dt in piece_list]
+    subs = np.ones(len(piece_list))
+    if sample_step is not None:
+        with np.errstate(over="ignore"):  # an inf count is caught below
+            subs = np.maximum(1.0, np.ceil(np.abs([dt for _, dt in piece_list]) / sample_step))
+    samples = 1.0 + subs.sum()
+    if samples * (sys.n + 1) > DEFAULT_MEMORY_CAP:
+        raise ValueError(f"sample_step {sample_step} over {horizon:g} makes {samples:.3g} "
+                         f"samples of {sys.n} states and a time, past the cap of "
+                         f"{DEFAULT_MEMORY_CAP} words")
+    subs = subs.astype(np.int64).tolist()
     # one stacked exponential maps every piece, each as its own segment_map would
     maps = _segment_maps(sys, np.array([u for u, _ in piece_list]).reshape(-1, sys.m),
                          [dt / n_sub for (_, dt), n_sub in zip(piece_list, subs)])

@@ -1,8 +1,26 @@
 """Shared builders for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from affinecontrol.system import AffineSystem, PiecewiseControl
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_isolated(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's package.
+    A crash there fails the calling test through the return code, and a hang
+    through `subprocess.TimeoutExpired` (the child is killed), not the run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def planar_saddle_system() -> AffineSystem:

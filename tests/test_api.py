@@ -8,19 +8,16 @@ dataclass of the package supports `==`, `in` and `hash`.
 import copy
 import dataclasses
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import affinecontrol
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import run_isolated
+
 MODULES = sorted(info.name for info in pkgutil.iter_modules(affinecontrol.__path__))
 
 
@@ -70,11 +67,7 @@ assert loaded("scipy.stats") == [], loaded("scipy.stats")
 
 def test_import_footprint():
     # a fresh process: this one has imported every module already
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = run_isolated(FOOTPRINT, timeout=120)
     assert result.returncode == 0, result.stderr
 
 
@@ -102,7 +95,6 @@ def dataclass_instances():
         path, result.records[0], result.crossings[0], result,
         grid, ac.BoxSet(grid, [1, 2]),
         ac.build_transition_graph(coupling, grid, [[0.0]], 0.1, 2, 0),
-        ac.infinity_boundary_directions(ac.BoxSet(grid, [0]), 1.0).directions[0],
         sphere, sphere_graph,
         projective.sphere_chain_components(sphere_graph), report,
     ]

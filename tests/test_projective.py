@@ -168,11 +168,11 @@ def representatives(draw, level_tol):
 def test_proj_points_are_the_one_vector_constructor(case):
     level_tol, V = case
     points = _proj_points(V, level_tol)
-    assert len(points) == V.shape[0]
+    assert len(points) == V.shape[0] and points.level.dtype == np.int64
     for row, p in zip(V, points):
         vec, level = reference_point(row, level_tol)
         assert p.vec.dtype == vec.dtype and p.vec.tobytes() == vec.tobytes()
-        assert p.level == level and type(p.level) is int
+        assert p.level == level
         assert not p.vec.flags.writeable
 
 
@@ -852,6 +852,31 @@ def test_infinity_directions_bounded_set_is_empty():
     assert report.empty
 
 
+def test_report_directions_are_one_read_only_record_array():
+    grid = BoxGrid([-200.0, -200.0], [200.0, 200.0], [40, 40])
+    cube = BoxGrid([-1.0] * 3, [1.0] * 3, [2] * 3)
+    reports = [
+        infinity_boundary_directions(BoxSet(grid, np.arange(grid.size)), norm_floor=100.0,
+                                     tolerances=Tolerances(cluster_tol=0.02)),
+        infinity_boundary_chain(embed_system(planar_saddle_system()), 8,
+                                [[-1.0], [0.0], [1.0]], 0.1),
+        infinity_boundary_directions(BoxSet(cube, np.arange(cube.size)), norm_floor=10.0),
+    ]
+    for report, columns in zip(reports, (3, 3, 4)):
+        directions = report.directions
+        assert type(directions) is np.recarray and directions.dtype.names == ("vec", "level")
+        assert not directions.flags.writeable and directions.level.dtype == np.int64
+        assert directions.vec.shape == (len(directions), columns)
+        # whole-array reads are the per-record ones
+        assert np.array_equal(directions.vec,
+                              np.reshape([p.vec for p in directions], (-1, columns)))
+        assert directions.level.tolist() == [p.level for p in directions]
+    assert len(reports[0].directions) > 1 and len(reports[1].directions) > 1
+    with pytest.raises(ValueError, match="read-only"):
+        reports[1].directions.vec[0, 0] = 0.0
+    assert reports[2].empty and reports[2].directions.vec.shape == (0, 4)
+
+
 def test_infinity_directions_two_clusters_for_coupling_equilibria():
     # equilibria of the symmetric-coupling system near the loss of
     # hyperbolicity: directions approach (-+1, 1)/sqrt(2)
@@ -865,9 +890,9 @@ def test_infinity_directions_two_clusters_for_coupling_equilibria():
     report = infinity_boundary_directions(box_set, norm_floor=10.0)
     assert len(report.directions) == 2
     dist = proj_dist_vectors([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]],
-                             [d.vec for d in report.directions])
+                             report.directions.vec)
     assert np.all(dist.min(axis=1) < 0.05)
-    assert all(d.level == 0 for d in report.directions)
+    assert np.all(report.directions.level == 0)
 
 
 def union_find_directions(centers, norm_floor, tol):
@@ -913,8 +938,7 @@ def test_infinity_directions_match_union_find_reference(seed, tol):
             report = infinity_boundary_directions(box_set, norm_floor=30.0,
                                                   tolerances=Tolerances(cluster_tol=tol))
         assert report.cluster_sizes == sizes
-        assert all(np.array_equal(p.vec, r) for p, r in zip(report.directions, reps))
-        assert len(report.directions) == len(reps)
+        assert np.array_equal(report.directions.vec, np.reshape(reps, (-1, 3)))
 
 
 def test_infinity_directions_join_antipodal_centers_at_any_radius():
@@ -935,9 +959,9 @@ def test_infinity_directions_of_centers_whose_squares_overflow():
     report = infinity_boundary_directions(BoxSet(huge, np.arange(16)), norm_floor=1.0)
     expected = infinity_boundary_directions(BoxSet(unit, np.arange(16)), norm_floor=0.1)
     assert report.cluster_sizes == expected.cluster_sizes == [4, 4, 2, 2, 2, 2]
-    assert all(p.level == 0 for p in report.directions)
-    assert np.all(np.diag(proj_dist_vectors([p.vec for p in report.directions],
-                                            [p.vec for p in expected.directions])) < 1e-15)
+    assert np.all(report.directions.level == 0)
+    assert np.all(np.diag(proj_dist_vectors(report.directions.vec,
+                                            expected.directions.vec)) < 1e-15)
 
 
 def test_infinity_directions_of_centers_whose_squares_underflow():
@@ -952,16 +976,16 @@ def test_infinity_directions_of_centers_whose_squares_underflow():
                                             norm_floor=1e200).empty
     expected = infinity_boundary_directions(BoxSet(unit, np.arange(16)), norm_floor=0.1)
     assert report.cluster_sizes == expected.cluster_sizes == [4, 4, 2, 2, 2, 2]
-    assert all(p.level == 0 for p in report.directions)
-    assert np.all(np.diag(proj_dist_vectors([p.vec for p in report.directions],
-                                            [p.vec for p in expected.directions])) < 1e-15)
+    assert np.all(report.directions.level == 0)
+    assert np.all(np.diag(proj_dist_vectors(report.directions.vec,
+                                            expected.directions.vec)) < 1e-15)
 
     # a power-of-two scale divides out exactly, on either side of the normal range
     def directions(scale):
         grid = BoxGrid([-scale] * 2, [scale] * 2, [4, 4])
         scaled = infinity_boundary_directions(BoxSet(grid, np.arange(16)),
                                               norm_floor=scale / 8)
-        return scaled.cluster_sizes, [p.vec.tolist() for p in scaled.directions]
+        return scaled.cluster_sizes, scaled.directions.vec.tolist()
 
     assert directions(2.0 ** -700) == directions(2.0 ** 700)
 
@@ -1012,7 +1036,7 @@ def test_infinity_directions_ingests_blowup_records():
         blowup_records=[r for r in result.records if np.isfinite(r.norm_x)])
     assert not report.empty
     diag = [[1.0, 1.0, 0.0]]
-    assert proj_dist_vectors(diag, [d.vec for d in report.directions]).min() < 0.02
+    assert proj_dist_vectors(diag, report.directions.vec).min() < 0.02
 
 
 @pytest.mark.parametrize("max_points", [10**5, 48, 47, 5, 1])
@@ -1028,7 +1052,7 @@ def test_infinity_directions_keep_blowup_records_past_max_points(max_points):
     report = infinity_boundary_directions(BoxSet(grid, far), norm_floor=60.0,
                                           blowup_records=[record], max_points=max_points)
     e2 = [[0.0, 1.0, 0.0]]
-    assert np.any(proj_dist_vectors(e2, [d.vec for d in report.directions]) == 0.0)
+    assert np.any(proj_dist_vectors(e2, report.directions.vec) == 0.0)
     # the centers are strided to at most max_points; the record is one more
     stride = -(-far.size // max_points)
     assert sum(report.cluster_sizes) == len(range(0, far.size, stride)) + 1
@@ -1113,7 +1137,8 @@ def test_scalar_system_matches_the_one_box_of_p0():
         nonempty = [i for i, size in enumerate(report.cluster_sizes) if size]
         assert nonempty and len(report.directions) == sum(report.cluster_sizes)
         assert report.matches == [(i, 0, 0.0) for i in nonempty]
-        assert all(p.level == 0 and p.vec.tolist() == [1.0, 0.0] for p in report.directions)
+        assert np.all(report.directions.level == 0)
+        assert np.all(report.directions.vec == [1.0, 0.0])
 
 
 def test_infinity_boundary_chain_rejects_a_system_that_is_no_embedding():

@@ -22,7 +22,7 @@ from affinecontrol.reach import (
 )
 from affinecontrol.system import AffineSystem, larc_rank
 
-from conftest import planar_saddle_system
+from conftest import planar_saddle_system, run_isolated
 
 
 def contraction_1d() -> AffineSystem:
@@ -612,6 +612,31 @@ def test_chain_component_includes_control_set():
     approx = control_set_approx(graph, grid.box_containing([-1.0, 1.0]))
     comps = chain_components(graph)
     assert len(approx.difference(comps[0])) == 0
+
+
+def test_refine_counts_huge_factors_without_wrapping():
+    # grid.subdivisions * factor wrapped in int64: 256 * (2**56 + 1) made a
+    # 256-box fine grid that passed the cap and crashed the interpreter in
+    # np.repeat, and 2**55 and 2**62 raised "need at least one box per dimension"
+    result = run_isolated("""
+import pytest
+from affinecontrol.reach import (BoxGrid, BoxSet, MemoryBudgetError,
+                                 build_transition_graph, refine)
+from affinecontrol.system import AffineSystem
+line = AffineSystem([[-1.0]], [[[1.0]]], [[1.0]], [0.0], [-1.0], [1.0])
+grid = BoxGrid([0.0], [1.0], [256])
+graph = build_transition_graph(line, grid, [[0.0]], 0.1, 2, 0)
+for factor in (2**56 + 1, 2**55, 2**62):
+    with pytest.raises(MemoryBudgetError, match="exceed the cap"):
+        refine(line, graph, BoxSet(grid, [3]), factor)
+plane = AffineSystem([[-1.0, 0.0], [0.0, -1.0]], [[[1.0, 0.0], [0.0, 1.0]]], [[1.0], [1.0]],
+                     [0.0, 0.0], [-1.0], [1.0])
+square = BoxGrid([0.0, 0.0], [1.0, 1.0], [16, 16])
+graph = build_transition_graph(plane, square, [[0.0]], 0.1, 2, 0)
+with pytest.raises(ValueError, match="fewer than 2[*][*]63"):
+    refine(plane, graph, BoxSet(square, [3]), 2**31, memory_cap=2**80)
+""", timeout=60)
+    assert result.returncode == 0, (result.returncode, result.stderr)
 
 
 def test_refine_empty_keep_gives_empty_grid():

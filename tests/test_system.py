@@ -26,6 +26,7 @@ from conftest import (
     damped_oscillator_system,
     random_system,
     random_control,
+    run_isolated,
 )
 
 
@@ -215,6 +216,32 @@ def test_simulate_rejects_a_sample_step_that_is_not_positive(step):
         simulate(sys, ctrl, [1.0, 0.0], 1.0, sample_step=step)
 
 
+def test_simulate_refuses_samples_past_the_memory_cap():
+    # unchecked, 1e-12 appended about 1e12 states and 5e-324 raised a bare
+    # OverflowError from int(inf); both now raise before any exponential
+    result = run_isolated("""
+from unittest import mock
+import pytest
+from affinecontrol import system
+from affinecontrol.system import AffineSystem, PiecewiseControl, simulate
+sys = AffineSystem([[-1.0]], [[[1.0]]], [[1.0]], [0.0], [-1.0], [1.0])
+ctrl = PiecewiseControl.constant([0.0])
+match = "samples of 1 states and a time, past the cap"
+with pytest.raises(ValueError, match=match):
+    simulate(sys, ctrl, [1.0], 1.0, sample_step=1e-12)
+with mock.patch.object(system, "_segment_maps", side_effect=AssertionError("exponential")):
+    for step in (1e-12, 5e-324):
+        for t in (1.0, -1.0):
+            with pytest.raises(ValueError, match=match):
+                simulate(sys, ctrl, [1.0], t, sample_step=step)
+""", timeout=10)
+    assert result.returncode == 0, (result.returncode, result.stderr)
+    # a step within the cap keeps its samples
+    sys = planar_saddle_system()
+    traj = simulate(sys, PiecewiseControl.constant([0.0]), [1.0, 0.0], 1.0, sample_step=1e-4)
+    assert traj.times.size == 10_001
+
+
 def test_simulate_without_interior_samples():
     sys = planar_saddle_system()
     ctrl = PiecewiseControl.constant([0.0], period=1.0)
@@ -346,6 +373,32 @@ def test_control_pieces_cover_interval():
     pieces = list(ctrl.pieces(0.25, 4.0))
     assert abs(sum(dt for _, dt in pieces) - 3.75) < 1e-12
     assert pieces[0][0][0] == 1.0 and abs(pieces[0][1] - 0.25) < 1e-12
+
+
+def test_control_pieces_refuse_a_table_past_the_memory_cap():
+    # unchecked, each call looped once per piece, 2e12 to 2e15 times
+    result = run_isolated("""
+import pytest
+from affinecontrol.floquet import principal_matrix
+from affinecontrol.projective import lyapunov_estimate
+from affinecontrol.system import AffineSystem, PiecewiseControl, simulate
+sys = AffineSystem([[-1.0]], [[[1.0]]], [[1.0]], [0.0], [-1.0], [1.0])
+ctrl = PiecewiseControl([[0.5], [0.1]], [5e-4, 5e-4])
+for call in (lambda: list(ctrl.pieces(0.0, 1e12)),
+             lambda: principal_matrix(sys, ctrl, 1e9, 0.0),
+             lambda: simulate(sys, ctrl, [1.0], 1e12),
+             lambda: lyapunov_estimate(sys, ctrl, [1.0], 1e12)):
+    with pytest.raises(ValueError, match="control pieces each, past the cap"):
+        call()
+""", timeout=10)
+    assert result.returncode == 0, (result.returncode, result.stderr)
+    ctrl = PiecewiseControl([[0.5], [0.1]], [5e-4, 5e-4])
+    # the cap counts the slots of all lengths: 1e5 spans of 2004 slots each
+    with pytest.raises(ValueError, match="past the cap"):
+        ctrl._cuts(0.0, np.ones(10**5))
+    segment, take, kept = ctrl._cuts(0.0, np.ones(10**4))
+    assert take.shape == kept.shape == (10**4, segment.size)
+    assert np.allclose(take.sum(axis=1), 1.0, rtol=1e-12, atol=0)
 
 
 def test_control_rejects_bad_segments():
