@@ -1,7 +1,18 @@
 """Numerical tolerances and shared defaults.
 
 Every threshold that turns an exact spectral statement into a numerical
-decision lives here, so reports can echo the configuration they ran with.
+decision lives here, so reports can echo the configuration they ran with,
+except five fixed slacks that stay in their modules and that no report echoes:
+
+- `system._OMEGA_SLACK = 1e-12`, the relative slack of the control-box test;
+- the `1e-10` relative residual below which `system.larc_rank` counts a field
+  as inside the span so far (saturation);
+- the `1e-14 * period` below which `system.PiecewiseControl._cuts` drops a
+  piece as a rounding sliver;
+- the `1e-12` modulus below which `projective._canonical_sign` skips an entry
+  when it picks a row's sign;
+- `projective._WINDOW_SLACK = 1e-12`, added to the clustering radius in
+  `projective._single_linkage`'s sorted-window test.
 """
 
 from dataclasses import dataclass, asdict

@@ -412,13 +412,6 @@ class ControlSampler:
         if not 1 <= k0 <= k1:
             raise ValueError(f"segments_range needs 1 <= low <= high, got {(k0, k1)}")
 
-    def sample(self, rng: np.random.Generator, sys: AffineSystem,
-               index: int) -> PiecewiseControl:
-        """The one-sample batch `sample_batch(rng, sys, 1, start=index)`; `index`
-        sets only the bang/levels parity of a "mixed" sampler."""
-        values, durations, _ = self.sample_batch(rng, sys, 1, start=index)
-        return PiecewiseControl(values, durations)
-
     def sample_batch(self, rng: np.random.Generator, sys: AffineSystem, count: int,
                      start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Samples start, ..., start + count - 1 as a flat (values, durations, counts).

@@ -28,7 +28,7 @@ from scipy.sparse import csgraph
 
 from .config import (Tolerances, DEFAULT_TOLERANCES, DEFAULT_MEMORY_CAP, MAX_EXP_GROWTH,
                      _MAX_EXP_CHUNKS)
-from .reach import (BoxSet, TransitionGraph, _label_groups, _label_order, _ranges,
+from .reach import (BoxSet, TransitionGraph, _label_order, _ranges,
                     _sampled_controls, _sampled_csr, _test_offsets)
 from .system import AffineSystem, PiecewiseControl, _row_norms, _whole
 
@@ -644,15 +644,15 @@ def infinity_boundary_directions(control_set: BoxSet, norm_floor: float,
     dirs = _canonical_sign(np.hstack([_unit_rows(pts), np.zeros((pts.shape[0], 1))]))
     # the last coordinate, the level's, is 0 in every row
     n_clusters, labels = _single_linkage(dirs[:, :-1], tolerances.cluster_tol)
-    clusters = _label_groups(labels, np.ones(n_clusters, dtype=bool),
-                             np.bincount(labels, minlength=n_clusters))
-    means = np.empty((len(clusters), dirs.shape[1]))
-    for i, members in enumerate(clusters):  # sign-aligned mean, anchored at the first member
-        block = dirs[members]
+    members, bounds = _label_order(labels, np.ones(n_clusters, dtype=bool),
+                                   np.bincount(labels, minlength=n_clusters))
+    means = np.empty((n_clusters, dirs.shape[1]))
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        block = dirs[members[a:b]]  # sign-aligned mean, anchored at the first member
         signs = np.where(block @ block[0] >= 0, 1.0, -1.0)
         means[i] = (block * signs[:, None]).mean(axis=0)
     return InfinityBoundaryReport("box-directions", _proj_points(means, tolerances.level_tol),
-                                  [int(c.size) for c in clusters], [])
+                                  np.diff(bounds).tolist(), [])
 
 
 def infinity_boundary_chain(emb: AffineSystem, subdivisions: int, controls,

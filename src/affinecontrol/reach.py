@@ -233,8 +233,7 @@ class BoxSet:
         return int(self.indices.size)
 
     def __contains__(self, index) -> bool:
-        pos = np.searchsorted(self.indices, index)
-        return bool(pos < self.indices.size and self.indices[pos] == index)
+        return bool(_positions(self.indices, np.asarray(index)) >= 0)
 
     @property
     def volume(self) -> float:
@@ -486,6 +485,12 @@ def _scc_labels(indptr: np.ndarray, targets: np.ndarray,
     return labels, kept, sizes
 
 
+def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated ranges firsts[i] .. firsts[i] + counts[i] - 1."""
+    ends = np.cumsum(counts)
+    return np.repeat(firsts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
 def _label_order(labels: np.ndarray, kept: np.ndarray,
                  counts: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Positions of the labels flagged in `kept`, grouped by label: the groups
@@ -498,25 +503,7 @@ def _label_order(labels: np.ndarray, kept: np.ndarray,
     starts = np.cumsum(sizes) - sizes
     order = np.lexsort((members[starts], -sizes))
     sizes = sizes[order]
-    ends = np.cumsum(sizes)
-    # each member moves by its group's shift from its label-order start
-    members = members[np.repeat(starts[order] - (ends - sizes), sizes)
-                      + np.arange(members.size)]
-    return members, [0] + ends.tolist()
-
-
-def _label_groups(labels: np.ndarray, kept: np.ndarray,
-                  counts: np.ndarray) -> list[np.ndarray]:
-    """The groups of `_label_order` as sorted arrays, by size descending,
-    then smallest position."""
-    members, bounds = _label_order(labels, kept, counts)
-    return [members[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def _ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenated ranges firsts[i] .. firsts[i] + counts[i] - 1."""
-    ends = np.cumsum(counts)
-    return np.repeat(firsts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+    return members[_ranges(starts[order], sizes)], [0] + np.cumsum(sizes).tolist()
 
 
 def _reachable(indptr: np.ndarray, targets: np.ndarray, starts: np.ndarray,
@@ -552,6 +539,11 @@ class TransitionGraph:
     So that the caches hold, every array field is read-only: the constructor
     takes array-likes through `np.asarray` and copies an array that is
     writable or a view, and the builders hand it their own arrays read-only.
+    The constructor raises ValueError unless `boxes` is strictly increasing
+    in 0..grid.size - 1, `indptr` holds len(boxes) + 1 nondecreasing offsets
+    from 0 to len(targets), every target is a position in 0..len(boxes) - 1
+    (repeats within a row allowed) and `sink` is len(boxes) flags; the
+    builders' graphs skip the check, as their CSR comes from `_sampled_csr`.
     """
 
     grid: "BoxGrid | SphereGrid"
@@ -574,17 +566,29 @@ class TransitionGraph:
                 array = array.copy()
                 array.setflags(write=False)
             object.__setattr__(self, name, array)
+        boxes, indptr, targets, n = self.boxes, self.indptr, self.targets, self.boxes.size
+        if boxes.ndim != 1 or np.any(boxes[1:] <= boxes[:-1]) or (
+                n and (boxes[0] < 0 or boxes[-1] >= self.grid.size)):
+            raise ValueError(f"boxes must be strictly increasing ids in 0..{self.grid.size - 1}")
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or np.any(indptr[1:] < indptr[:-1])
+                or indptr[-1] != targets.size):
+            raise ValueError(f"indptr must be {n + 1} nondecreasing offsets from 0 "
+                             f"to len(targets) = {targets.size}")
+        if targets.ndim != 1 or np.any((targets < 0) | (targets >= n)):
+            raise ValueError(f"targets must be positions in 0..{n - 1}")
+        if self.sink.shape != (n,):
+            raise ValueError(f"sink must be {n} flags, one per box")
 
     @classmethod
     def _built(cls, loops: np.ndarray, **fields) -> "TransitionGraph":
         """The graph of `fields`, whose arrays are the build's own and are
-        made read-only, not copied, with the self-loop flags `loops` of its
-        build in the cache."""
+        made read-only, not copied or checked, with the self-loop flags
+        `loops` of its build in the cache."""
         for array in (loops, *fields.values()):
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
-        graph = cls(**fields)
-        object.__setattr__(graph, "_loops", loops)
+        graph = object.__new__(cls)  # no __post_init__: `_sampled_csr` made the CSR
+        graph.__dict__.update(fields, _reverse=None, _loops=loops, _scc=None)
         return graph
 
     @property
@@ -871,8 +875,9 @@ def chain_components(graph: TransitionGraph) -> list[BoxSet]:
     smaller than the chain control set it approximates.  Groups the graph's
     cached SCC labelling, the one `control_set_approx` reads.
     """
-    return [BoxSet(graph.grid, graph.boxes[members])
-            for members in _label_groups(*graph._scc_sizes())]
+    members, bounds = _label_order(*graph._scc_sizes())
+    boxes = graph.boxes[members]
+    return [BoxSet(graph.grid, boxes[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def refine(sys: AffineSystem, graph: TransitionGraph, keep: BoxSet, factor: int,

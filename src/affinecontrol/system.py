@@ -55,15 +55,21 @@ class BlowUpError(RuntimeError):
 
 
 def _whole(value, name: str) -> np.ndarray:
-    """`value` as int64, or ValueError naming `name` unless every entry is whole;
-    TypeError for None.  Signed integers skip the check, and int64 input
-    comes back uncopied."""
-    raw = np.asarray(value)
+    """`value` as int64, or ValueError naming `name` unless every entry is a
+    whole number that fits in int64; TypeError for None.  Signed integers
+    skip the check, and int64 input comes back uncopied."""
+    raw = np.asarray(value)  # an int in 2**63..2**64 - 1 is uint64, a larger one object
     if raw.dtype.kind == "i":
         return raw.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
-        whole = raw.astype(np.int64)
-    if not np.array_equal(whole, raw):
+    try:
+        with np.errstate(invalid="ignore"):  # NaN, inf and the out-of-range cast to garbage
+            whole = raw.astype(np.int64)
+    except OverflowError:  # an object array's Python int outside int64
+        whole = None
+    if whole is None or not np.array_equal(whole, raw):
+        if all(isinstance(x, int) or isinstance(x, float) and x.is_integer()
+               for x in raw.ravel().tolist()):
+            raise ValueError(f"{name} must fit in int64, got {value!r}")
         raise ValueError(f"{name} must be whole, got {value!r}")
     return whole
 
@@ -395,22 +401,14 @@ def larc_rank(sys: AffineSystem, x, max_depth: int | None = None,
         return True
 
     fields: list[AffineVectorField] = []
-    current = []
-    for g in generators:
-        if try_add(g):
-            fields.append(g)
-            current.append(g)
-    depth = 1
-    while depth < max_depth and current:
-        new_level = []
-        for g in generators:
-            for h in current:
-                fz = lie_bracket(g, h)
-                if try_add(fz):
-                    fields.append(fz)
-                    new_level.append(fz)
-        current = new_level
-        depth += 1
+    current: list[AffineVectorField] = []
+    for depth in range(max_depth):  # the generators, then brackets with the last survivors
+        candidates = ([lie_bracket(g, h) for g in generators for h in current]
+                      if depth else generators)
+        current = [f for f in candidates if try_add(f)]
+        if not current:
+            break
+        fields += current
 
     if not fields:
         return 0

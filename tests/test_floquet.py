@@ -476,8 +476,9 @@ def test_scan_rejects_include_of_other_control_dimension():
 def test_sampler_accepts_degenerate_ranges():
     sys = planar_saddle_system()
     sampler = ControlSampler(kind="levels", period_range=(1.5, 1.5), segments_range=(2, 2))
-    ctrl = sampler.sample(np.random.default_rng(0), sys, 0)
-    assert ctrl.num_segments == 2 and abs(ctrl.period - 1.5) <= 1e-15
+    values, durations, counts = sampler.sample_batch(np.random.default_rng(0), sys, 1, start=0)
+    ctrl = PiecewiseControl(values, durations)
+    assert counts.tolist() == [2] and ctrl.num_segments == 2 and abs(ctrl.period - 1.5) <= 1e-15
 
 
 # ------------------------------------------------------------- paths and runs

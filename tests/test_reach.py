@@ -20,7 +20,7 @@ from affinecontrol.reach import (
     is_invariant_in_window,
     refine,
 )
-from affinecontrol.system import AffineSystem, larc_rank
+from affinecontrol.system import AffineSystem, _whole, larc_rank
 
 from conftest import planar_saddle_system, run_isolated
 
@@ -97,7 +97,9 @@ def test_boxset_operations_and_rle():
     assert a.intersection(b).indices.tolist() == [3]
     assert a.difference(b).indices.tolist() == [1, 2, 7]
     assert a.run_length_encoding() == [[1, 3], [7, 1]]
-    assert 7 in a and 5 not in a
+    assert 7 in a and 7.0 in a and np.int32(1) in a
+    assert all(absent not in a for absent in (0, 5, 8, 10, -1, 7.5, 2**40))
+    assert 0 not in BoxSet(grid, []) and 3.0 not in BoxSet(grid, [])
     assert abs(a.volume - 0.4) < 1e-15
 
 
@@ -330,6 +332,22 @@ def test_whole_float_sizes_are_accepted():
     assert fine.subdivisions.tolist() == [16, 16]
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: BoxGrid([0.0], [1.0], [2**63]), "subdivisions"),
+    (lambda: SphereGrid(2, 2**63), "subdivisions"),
+    (lambda: BoxGrid([0.0], [1.0], [2**64]), "subdivisions"),
+    (lambda: _whole(-2**63 - 1, "x"), "x"),
+    (lambda: refine(zero_field(1), build_transition_graph(
+        zero_field(1), BoxGrid([0.0], [1.0], [256]), [[0.0]], 0.5, 1, seed=0),
+        BoxSet(BoxGrid([0.0], [1.0], [256]), [3]), 2**62, memory_cap=2**71), "subdivisions"),
+])
+def test_integers_outside_int64_raise(make, name):
+    # numpy reads 2**63 as uint64, which an int64 cast wraps, and a larger
+    # integer as an object that the cast overflows on
+    with pytest.raises(ValueError, match=f"{name} must fit in int64"):
+        make()
+
+
 @pytest.mark.parametrize("build", [
     lambda k: build_transition_graph(zero_field(), BoxGrid([-1.0, -1.0], [1.0, 1.0], [4, 4]),
                                      [[0.0]], 0.5, k, seed=0),
@@ -432,6 +450,35 @@ def test_graph_constructor_takes_array_likes():
     assert [c.indices.tolist() for c in chain_components(graph)] == [[0, 1], [2, 3]]
     assert control_set_approx(graph, 3).indices.tolist() == [2, 3]
     assert not graph.has_self_loop().any()
+
+
+@pytest.mark.parametrize("boxes, indptr, targets, sink, fault", [
+    ([0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 0, 3, 7], [False] * 4, "targets"),
+    ([0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 0, -1, 2], [False] * 4, "targets"),
+    ([0, 1, 2, 3], [0, 1, 2, 3, 4], [[1, 0, 3, 2]], [False] * 4, "targets"),
+    ([0, 1, 2, 3], [0, 2, 1, 3, 4], [1, 0, 3, 2], [False] * 4, "indptr"),
+    ([0, 1, 2, 3], [1, 1, 2, 3, 4], [1, 0, 3, 2], [False] * 4, "indptr"),
+    ([0, 1, 2, 3], [0, 1, 2, 3, 3], [1, 0, 3, 2], [False] * 4, "indptr"),
+    ([0, 1, 2, 3], [0, 1, 2, 4], [1, 0, 3, 2], [False] * 4, "indptr"),
+    ([0, 1, 2, 3], [[0, 1, 2, 3, 4]], [1, 0, 3, 2], [False] * 4, "indptr"),
+    ([0, 2, 1, 3], [0, 1, 2, 3, 4], [1, 0, 3, 2], [False] * 4, "boxes"),
+    ([0, 1, 1, 3], [0, 1, 2, 3, 4], [1, 0, 3, 2], [False] * 4, "boxes"),
+    ([-1, 1, 2, 3], [0, 1, 2, 3, 4], [1, 0, 3, 2], [False] * 4, "boxes"),
+    ([0, 1, 2, 4], [0, 1, 2, 3, 4], [1, 0, 3, 2], [False] * 4, "boxes"),
+    ([0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 0, 3, 2], [False] * 3, "sink"),
+])
+def test_graph_constructor_rejects_a_broken_csr(boxes, indptr, targets, sink, fault):
+    # unchecked, csgraph read past the targets or chain_components grouped
+    # nodes that no edge joins
+    with pytest.raises(ValueError, match=f"^{fault} must"):
+        TransitionGraph(BoxGrid([0.0], [1.0], [4]), boxes, indptr, targets, sink,
+                        0.1, [[0.0]], 1, 0)
+
+
+def test_graph_constructor_keeps_repeated_targets():
+    graph = TransitionGraph(BoxGrid([0.0], [1.0], [4]), [0, 1, 2, 3], [0, 2, 2, 3, 4],
+                            [1, 1, 3, 2], [False] * 4, 0.1, [[0.0]], 1, 0)
+    assert graph.successors(0).tolist() == [1, 1] and graph.num_edges == 4
 
 
 @pytest.mark.parametrize("position", [-1, 2, 3])
